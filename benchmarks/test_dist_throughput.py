@@ -1,22 +1,22 @@
-"""Macro benchmark: socket transport vs the local pool.
+"""Macro benchmark: TCP peers vs local slots.
 
-Runs the same sharded study through both transports — a local
-``multiprocessing.Pool`` and two real ``repro worker`` subprocess
-daemons behind the TCP coordinator — and lands both wall clocks plus
+Runs the same sharded study through both kinds of coordinator peer —
+two local slots (forked children on socketpairs) and two real ``repro
+worker`` subprocess daemons over TCP — and lands both wall clocks plus
 their ratio in ``extra_info``.  The hard assertions are the ones that
 must never regress:
 
-* byte-identity — the socket run's datasets equal the local run's
+* byte-identity — the TCP run's datasets equal the local run's
   (which :mod:`tests.test_parallel` already pins to the serial run);
-* the committed non-regression guard — the socket study must stay
+* the committed non-regression guard — the TCP study must stay
   within 2x :data:`DIST_BASELINE_SECONDS`.  The guard number includes
   daemon startup and two cold world generations; it exists to catch
-  order-of-magnitude transport regressions (per-unit reconnects, lost
+  order-of-magnitude regressions (per-unit reconnects, lost
   heartbeats, frame churn), not scheduler jitter.
 
-The socket-vs-local ratio is reported, not asserted: on a loaded
-single-core runner the coordinator's framing overhead can make the
-socket path slower even though the workers do identical work.
+The socket-vs-local ratio is reported, not asserted: the local slots
+start from the parent's world while the daemons must generate it, and
+on a loaded single-core runner scheduler noise dominates either way.
 """
 
 import os
@@ -39,7 +39,7 @@ SCALE = StudyScale(sample_fraction=0.3, probe_days=4,
 SEED = 20220322
 UNIT_COUNT = 8
 
-#: Committed baseline: smoke-ish (0.3 fraction) socket-transport study
+#: Committed baseline: smoke-ish (0.3 fraction) TCP-peer study
 #: wall seconds with 2 subprocess workers, daemon startup included (a
 #: dev box does it in ~3 s).  The guard fails at >2x this number.
 DIST_BASELINE_SECONDS = 12.0
@@ -97,8 +97,7 @@ def test_dist_throughput_socket_vs_local(benchmark, fleet):
         SCALE, workers=2, unit_count=UNIT_COUNT)
 
     def socket_run():
-        return _timed_study(SCALE, transport="socket", peers=fleet.peers,
-                            unit_count=UNIT_COUNT)
+        return _timed_study(SCALE, peers=fleet.peers, unit_count=UNIT_COUNT)
 
     elapsed, datasets = benchmark.pedantic(socket_run, rounds=1,
                                            iterations=1)
@@ -110,12 +109,12 @@ def test_dist_throughput_socket_vs_local(benchmark, fleet):
     benchmark.extra_info["units"] = UNIT_COUNT
     benchmark.extra_info["samples"] = samples
     benchmark.extra_info["samples_per_second"] = round(samples / elapsed, 2)
-    benchmark.extra_info["local_pool_seconds"] = round(local_elapsed, 3)
+    benchmark.extra_info["local_slots_seconds"] = round(local_elapsed, 3)
     benchmark.extra_info["socket_seconds"] = round(elapsed, 3)
     benchmark.extra_info["socket_vs_local"] = \
         round(elapsed / local_elapsed, 2)
     assert elapsed <= 2 * DIST_BASELINE_SECONDS, (
-        f"socket-transport study took {elapsed:.2f}s — more than 2x the "
+        f"TCP-peer study took {elapsed:.2f}s — more than 2x the "
         f"committed {DIST_BASELINE_SECONDS}s baseline")
 
 
@@ -125,11 +124,10 @@ def test_dist_warm_worker_speedup(benchmark, fleet):
     is reported for the trendline, not asserted (on a loaded runner the
     signal drowns in scheduler noise at smoke scale)."""
     cold_elapsed, cold_datasets = _timed_study(
-        SCALE, transport="socket", peers=fleet.peers, unit_count=UNIT_COUNT)
+        SCALE, peers=fleet.peers, unit_count=UNIT_COUNT)
 
     def warm_run():
-        return _timed_study(SCALE, transport="socket", peers=fleet.peers,
-                            unit_count=UNIT_COUNT)
+        return _timed_study(SCALE, peers=fleet.peers, unit_count=UNIT_COUNT)
 
     warm_elapsed, warm_datasets = benchmark.pedantic(warm_run, rounds=1,
                                                      iterations=1)
@@ -143,14 +141,14 @@ def test_dist_warm_worker_speedup(benchmark, fleet):
 @pytest.mark.skipif(not os.environ.get("REPRO_XL"),
                     reason="XL stress bench; set REPRO_XL=1")
 def test_xl_dist_throughput_guard(benchmark, fleet):
-    """XL scale under mild faults over the socket transport."""
+    """XL scale under mild faults over TCP peers."""
     config = PipelineConfig(faults=FAULT_PLANS["mild"])
     local_elapsed, local_datasets = _timed_study(
         XL_SCALE, config=config, workers=2, unit_count=UNIT_COUNT)
 
     def socket_run():
-        return _timed_study(XL_SCALE, config=config, transport="socket",
-                            peers=fleet.peers, unit_count=UNIT_COUNT)
+        return _timed_study(XL_SCALE, config=config, peers=fleet.peers,
+                            unit_count=UNIT_COUNT)
 
     elapsed, datasets = benchmark.pedantic(socket_run, rounds=1,
                                            iterations=1)
@@ -160,9 +158,9 @@ def test_xl_dist_throughput_guard(benchmark, fleet):
     benchmark.extra_info["scale"] = "xl"
     benchmark.extra_info["samples"] = samples
     benchmark.extra_info["samples_per_second"] = round(samples / elapsed, 2)
-    benchmark.extra_info["local_pool_seconds"] = round(local_elapsed, 3)
+    benchmark.extra_info["local_slots_seconds"] = round(local_elapsed, 3)
     benchmark.extra_info["socket_vs_local"] = \
         round(elapsed / local_elapsed, 2)
     assert elapsed <= 2 * DIST_XL_BASELINE_SECONDS, (
-        f"XL socket-transport study took {elapsed:.2f}s — more than 2x "
+        f"XL TCP-peer study took {elapsed:.2f}s — more than 2x "
         f"the committed {DIST_XL_BASELINE_SECONDS}s baseline")

@@ -127,19 +127,16 @@ def _build_parser() -> argparse.ArgumentParser:
                  "generated domains and a defender blocklist scores "
                  "queries in-line (see DESIGN.md §8)")
 
-    def transport_flags(subparser):
-        subparser.add_argument(
-            "--transport", choices=("local", "socket"), default=None,
-            help="where shard units execute: 'local' worker pool "
-                 "(default) or 'socket' repro-worker daemons at --peers; "
-                 "results are byte-identical either way (DESIGN.md §9)")
+    def dist_flags(subparser):
         subparser.add_argument(
             "--peers", metavar="HOST:PORT,...", default=None,
-            help="comma-separated worker addresses for --transport socket")
+            help="run the shard units on these repro worker daemons "
+                 "instead of local --workers; results are byte-identical "
+                 "either way (DESIGN.md §9)")
         subparser.add_argument(
             "--units", type=int, default=None, metavar="N",
             help="cut the corpus into N sha256 units (default: workers "
-                 "locally, 4x the fleet over sockets); any N merges to "
+                 "locally, 4x the fleet over --peers); any N merges to "
                  "the same digest")
 
     study = sub.add_parser("study", help="run the study and print Table 1 + stats")
@@ -148,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     faults_flag(study)
     cache_flag(study)
     dga_flag(study)
-    transport_flags(study)
+    dist_flags(study)
 
     report = sub.add_parser("report", help="render selected tables/figures")
     report.add_argument("--what", nargs="+", choices=REPORT_CHOICES,
@@ -158,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     faults_flag(report)
     cache_flag(report)
     dga_flag(report)
-    transport_flags(report)
+    dist_flags(report)
 
     stats = sub.add_parser(
         "stats", help="run the study with telemetry on and print the "
@@ -166,12 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
     telemetry_flag(stats)
     workers_flag(stats)
     faults_flag(stats)
-    transport_flags(stats)
+    dist_flags(stats)
 
     worker = sub.add_parser(
         "worker", help="run a distributed study worker daemon that "
                        "executes shard units for a coordinator "
-                       "(repro study --transport socket)")
+                       "(repro study --peers host:port,...)")
     worker.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     worker.add_argument("--port", type=int, default=0,
@@ -247,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "SECONDS without waiting for POST /ingest/day")
     serve.add_argument("--study-days", type=int, default=None, metavar="N",
                        help="truncate the study to its first N feed days")
-    workers_flag(serve)
     faults_flag(serve)
     telemetry_flag(serve)
 
@@ -330,17 +326,14 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
         # the flag rides on the scale so parallel workers regenerating
         # the world from (seed, scale) build the same DGA campaigns
         scale = dataclasses.replace(scale, dga=True)
-    world = generate_world(seed=args.seed, scale=scale)
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 0:
         raise SystemExit(f"repro: --workers must be >= 0, got {workers}")
-    transport = getattr(args, "transport", None)
     peers = _parse_peers(getattr(args, "peers", None))
-    if peers and transport is None:
-        transport = "socket"
-    if transport == "socket" and not peers:
-        raise SystemExit(
-            "repro: --transport socket needs --peers host:port[,host:port]")
+    if peers and workers:
+        raise SystemExit("repro: --workers and --peers are exclusive: "
+                         "the peer list decides where units run")
+    world = generate_world(seed=args.seed, scale=scale)
     config = None
     faults = getattr(args, "faults", None)
     if faults is not None:
@@ -348,7 +341,6 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
     malnet, campaign, datasets = run_study(world, config=config,
                                            telemetry=telemetry,
                                            workers=workers,
-                                           transport=transport,
                                            peers=peers,
                                            unit_count=getattr(args, "units",
                                                               None),
@@ -625,15 +617,12 @@ def _cmd_serve(args, out) -> int:
     telemetry, telemetry_path = _telemetry_for(args)
     if not telemetry.enabled:
         telemetry = create_telemetry()  # /metrics should never be empty
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 0:
-        raise SystemExit(f"repro: --workers must be >= 0, got {workers}")
     config = PipelineConfig(
         faults=FAULT_PLANS[args.faults] if args.faults else None,
         study_days=args.study_days)
     service = StudyService(
         seed=args.seed, scale=SCALES[args.scale], config=config,
-        shards=workers or 1, telemetry=telemetry,
+        telemetry=telemetry,
         checkpoint_dir=args.checkpoint_dir)
     try:
         server = build_server(service, host=args.host, port=args.port)

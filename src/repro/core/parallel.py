@@ -20,28 +20,29 @@ serial run** on the same ``(seed, scale)``.  Three properties carry it:
 * records carry ``origin`` tuples fixing their global creation order,
   which lets the merge reconstruct the serial insertion order exactly.
 
-*Where* the units execute is a transport's business
-(:mod:`repro.dist.transport`): ``transport="local"`` is the historical
-``multiprocessing.Pool`` (fork-inherited world snapshot,
-``maxtasksperchild=1``), ``transport="socket"`` dispatches over TCP to
-``repro worker`` daemons with cache-aware placement and work stealing.
-Either way the unit partition is by sha256, so any placement merges to
-the same digest.
+*Where* the units execute is the coordinator's business
+(:mod:`repro.dist.coordinator`), the one engine for every sharded run:
+``workers=N`` forks N *local slots* (children running the ``repro
+worker`` task loop on socketpairs), ``peers=["host:port", ...]`` dials
+``repro worker`` daemons over TCP.  Either way the unit partition is by
+sha256, placement is cache-aware, stragglers are stolen, and any
+placement merges to the same digest.
 
-**Failure handling**: a real fleet loses sandboxes.  :meth:`join` drains
-the wave with a bounded **per-wave** deadline (``shard_timeout`` — every
-re-dispatch wave gets a fresh budget, so worst-case wall time is
-``shard_timeout × (1 + max_redispatch)``), treats a missing or raised
-result as a unit failure, tears the wave down, and re-dispatches only
-the failed units, up to ``max_redispatch`` extra waves.  Local failure
-text distinguishes a *crashed* worker (exited nonzero; the pool silently
-replaced it and lost its task) from a *hung* one (still alive at the
-deadline).  Re-dispatched local workers regenerate the world from
-``(seed, scale)`` instead of trusting the fork snapshot: by join time
-the parent's probing campaign has mutated the parent world, so the
-snapshot is only valid for the first wave.  Because each unit's output
-is a pure function of ``(seed, scale, config)``, a retried unit produces
-the same bytes it would have produced on the first try.  Units that keep
+**Failure handling**: a real fleet loses sandboxes.  One failure model
+covers both kinds of peer: a crash is EOF, a lost worker is heartbeat
+silence, a unit that raises comes back as a ``failed`` frame — each
+re-queues its units within the wave — and a hang is the wave deadline
+(``shard_timeout``, a **per-wave** budget: every re-dispatch wave gets
+a fresh one, so worst-case wall time is ``shard_timeout × (1 +
+max_redispatch)``).  :meth:`join` re-dispatches the units a wave left
+unresolved, up to ``max_redispatch`` extra waves; before each retry
+wave the coordinator SIGKILLs and reaps its hung children and forks
+fresh ones.  Slots forked in :meth:`start` run their first unit on the
+fork-inherited world; slots forked for a retry wave regenerate it from
+``(seed, scale)`` instead, because by then the parent's probing
+campaign has mutated the parent world.  Because each unit's output is a
+pure function of ``(seed, scale, config)``, a retried unit produces the
+same bytes it would have produced on the first try.  Units that keep
 failing land in :attr:`ShardedStudyRunner.failed_shards` so a partial
 merge is reported, never silent.
 """
@@ -54,21 +55,11 @@ import time
 
 from ..obs import EventLog, MetricsRegistry, NullEventLog, NullTracer, \
     Telemetry, Tracer
-from ..obs.merge import fold_counters  # re-export: the merge logic moved
 from ..world.generator import World
 from .datasets import Datasets
 from .pipeline import MalNet, PipelineConfig
 
-__all__ = ["ShardedStudyRunner", "ShardResult", "execute_shard",
-           "fold_counters"]
-
-#: world snapshot inherited by fork()ed workers; ``None`` under spawn and
-#: for re-dispatch waves (the parent world has been mutated by then)
-_FORK_WORLD: World | None = None
-
-#: exit code of a chaos-crashed worker (os._exit, so the parent pool sees
-#: a dead process, not an exception — the lost-task failure mode)
-_CRASH_EXIT_CODE = 170
+__all__ = ["ShardedStudyRunner", "ShardResult", "execute_shard"]
 
 
 @dataclasses.dataclass
@@ -81,8 +72,8 @@ class ShardResult:
     when the parent ran with telemetry enabled.  ``wall_seconds`` is the
     executor-measured wall time of the whole unit task, ``attempt`` the
     dispatch wave that produced this result (0 = first try), and
-    ``worker`` the socket worker that ran it (``None`` on the local
-    transport).
+    ``worker`` the worker that ran it (a daemon's address, or
+    ``local[i]`` for a local slot).
     """
 
     shard_index: int
@@ -96,19 +87,17 @@ class ShardResult:
 
 
 def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
-                  telemetry_on: bool, *, world: World | None = None,
-                  chaos: str = "exit") -> ShardResult:
-    """Run the pipeline over one sha256 unit — the shared executor body
-    of the pool worker and the ``repro worker`` daemon.
+                  telemetry_on: bool, *,
+                  world: World | None = None) -> ShardResult:
+    """Run the pipeline over one sha256 unit — the executor body of the
+    ``repro worker`` task loop.
 
-    ``world`` is an already-generated private copy (fork snapshot, or a
-    worker's warm-cache deepcopy); ``None`` regenerates from
-    ``(seed, scale)`` — same bytes either way, world generation is
-    deterministic.  ``chaos`` picks how a fault plan's worker-crash draw
-    dies: ``"exit"`` is the pool's ``os._exit`` (no exception, task
-    silently lost), ``"raise"`` raises
-    :class:`~repro.netsim.faults.WorkerCrash` so a daemon can drop the
-    coordinator connection instead of killing itself.
+    ``world`` is an already-generated private copy (a local slot's fork
+    snapshot, or a worker's warm-cache deepcopy); ``None`` regenerates
+    from ``(seed, scale)`` — same bytes either way, world generation is
+    deterministic.  A fault plan's worker-crash draw raises
+    :class:`~repro.netsim.faults.WorkerCrash`, on which the task loop
+    drops its connection like a dead sandbox host.
 
     The executor always keeps metrics (counter/histogram totals survive
     the merge); with ``telemetry_on`` it also runs a real tracer and
@@ -123,10 +112,6 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
 
         injector = FaultInjector(plan, seed)
         if injector.worker_crashes(config.shard_index, attempt):
-            if chaos == "exit":
-                # die like a sandbox host dies: no exception, no result —
-                # the parent only notices the shard never reports back
-                os._exit(_CRASH_EXIT_CODE)
             raise WorkerCrash(
                 f"chaos crash: unit {config.shard_index} attempt {attempt}")
         if injector.worker_hangs(config.shard_index, attempt):
@@ -154,19 +139,6 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
     )
 
 
-def _run_shard(task) -> ShardResult:
-    """Pool worker entry point: run the pipeline over one unit.
-
-    Runs in a child process.  Uses the fork-inherited world snapshot
-    when there is one and this is the first attempt, otherwise
-    :func:`execute_shard` regenerates the world from ``(seed, scale)``.
-    """
-    seed, scale, config, attempt, telemetry_on = task
-    world = _FORK_WORLD if attempt == 0 else None
-    return execute_shard(seed, scale, config, attempt, telemetry_on,
-                         world=world, chaos="exit")
-
-
 class ShardedStudyRunner:
     """Runs the daily pipeline across sha256-partitioned executors.
 
@@ -177,148 +149,142 @@ class ShardedStudyRunner:
         ...                       # parent-side work overlaps execution
         shards = runner.join()    # [ShardResult, ...] in unit order
 
-    ``transport="local"`` (default) keeps today's in-host pool with one
-    unit per worker, zero behavior change.  ``transport="socket"``
-    dispatches to remote ``repro worker`` daemons at ``peers``
-    (``["host:port", ...]``), cutting the corpus into ``unit_count``
-    fine-grained units (default 4× the fleet size) so the coordinator
-    can place cache-aware and steal from stragglers.  ``unit_count``
-    also works locally (useful for testing the fine-grained plan); any
-    unit count merges to the same digest.
+    ``workers=N`` runs the units on N local slots, forked children of
+    this process (one unit per slot by default); ``peers`` (``["host:
+    port", ...]``, exclusive with ``workers``) dispatches them to
+    ``repro worker`` daemons instead, cutting the corpus into
+    ``unit_count`` fine-grained units (default 4× the fleet size) so the
+    coordinator can place cache-aware and steal from stragglers.  Any
+    unit count merges to the same digest.  ``transport_options`` passes
+    coordinator tuning (heartbeat/steal thresholds) through.
 
     After :meth:`join`, :attr:`failed_shards` lists the unit indexes
     that never produced a result (crashed/hung/raised through every
     re-dispatch wave) and :attr:`failures` keeps the last error text per
-    failed unit; :attr:`transport_stats` carries the transport's
+    failed unit; :attr:`transport_stats` carries the coordinator's
     placement/steal/wall accounting for the manifest.  Callers must
     treat a non-empty :attr:`failed_shards` as a partial merge.
 
-    ``shard_timeout`` is a **per-wave** deadline: each call into the
-    transport's collect gets a fresh budget (see the module docstring).
+    ``shard_timeout`` is a **per-wave** deadline: every wave the
+    coordinator places gets a fresh budget (see the module docstring).
     """
 
-    def __init__(self, world: World, workers: int,
+    def __init__(self, world: World, workers: int | None = None,
                  config: PipelineConfig | None = None,
                  shard_timeout: float | None = 600.0,
                  max_redispatch: int = 2,
                  telemetry_enabled: bool = False,
-                 transport: str = "local",
                  peers: list[str] | None = None,
                  unit_count: int | None = None,
                  transport_options: dict | None = None):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if peers and workers is not None:
+            raise ValueError("workers and peers are exclusive: the peer "
+                             "list already decides where units run")
+        if not peers:
+            if workers is None or workers < 1:
+                raise ValueError("workers must be >= 1")
+            if not hasattr(os, "fork"):
+                raise RuntimeError(
+                    "local worker slots need os.fork(), which this "
+                    "platform lacks; start `repro worker` daemons and "
+                    "pass their host:port addresses as peers instead")
         if world.seed is None:
             raise ValueError(
                 "sharded execution needs a seeded world: workers derive "
                 "their randomness from (world.seed, sha256)")
-        if transport not in ("local", "socket"):
-            raise ValueError(f"unknown transport {transport!r} "
-                             "(expected 'local' or 'socket')")
-        if transport == "socket" and not peers:
-            raise ValueError("transport='socket' needs peers "
-                             "(['host:port', ...])")
-        if transport == "local" and peers:
-            raise ValueError("peers only apply to transport='socket'")
         if unit_count is not None and unit_count < 1:
             raise ValueError("unit_count must be >= 1")
+        from ..dist.coordinator import Coordinator
         from ..dist.plan import TaskSpec, default_unit_count
-        from ..dist.transport import LocalTransport, SocketTransport
 
         self.world = world
-        self.workers = workers
+        self.peers = list(peers or [])
+        #: fleet width: local slots, or the peer count
+        self.workers = len(self.peers) or workers
         self.config = config or PipelineConfig()
         #: when True, executors run real tracer/event-log instruments and
         #: ship their snapshots back for the cross-shard merge
         self.telemetry_enabled = telemetry_enabled
-        #: wall-clock seconds granted to each dispatch wave in
-        #: :meth:`join` before its missing units are declared failed
-        #: (``None``: wait forever)
+        #: wall-clock seconds granted to each dispatch wave before its
+        #: missing units are declared failed (``None``: wait forever)
         self.shard_timeout = shard_timeout
         #: extra dispatch waves granted to failed units
         self.max_redispatch = max_redispatch
-        self.transport_name = transport
-        self.peers = list(peers or [])
         #: sha256-partition granularity: how many units the corpus is
-        #: cut into (== workers on the plain local path)
-        if transport == "socket":
-            self.shard_count = unit_count or default_unit_count(workers)
-        else:
-            self.shard_count = unit_count or workers
+        #: cut into (== workers on local slots by default)
+        self.shard_count = unit_count or (
+            default_unit_count(self.workers) if self.peers else workers)
         #: unit indexes with no result after all waves (set by ``join``)
         self.failed_shards: list[int] = []
         #: last error text per failed unit index
         self.failures: dict[int, str] = {}
         #: total unit re-dispatches performed (set by ``join``; includes
-        #: transport-internal re-queues after lost workers)
+        #: in-wave re-queues after lost workers)
         self.redispatches = 0
-        #: transport placement/steal/wall accounting (set by ``join``)
+        #: coordinator placement/steal/wall accounting (set by ``join``)
         self.transport_stats: dict = {}
         spec = TaskSpec(seed=world.seed, scale=world.scale,
                         config=self.config, shard_count=self.shard_count,
                         telemetry=telemetry_enabled)
-        options = dict(transport_options or {})
-        if transport == "socket":
-            self._transport = SocketTransport(
-                spec, self.peers, shard_timeout=shard_timeout, **options)
-        else:
-            self._transport = LocalTransport(
-                spec, workers=workers, shard_timeout=shard_timeout,
-                fork_world=world, **options)
+        self.coordinator = Coordinator(
+            spec, self.peers, local_slots=0 if self.peers else workers,
+            **(transport_options or {}))
+        self._results: dict[int, ShardResult] = {}
         self._started = False
         self._drained = False
 
-    def _shard_config(self, index: int) -> PipelineConfig:
-        return dataclasses.replace(self.config, shard_index=index,
-                                   shard_count=self.shard_count)
-
     def start(self) -> "ShardedStudyRunner":
-        """Dispatch one task per unit (non-blocking)."""
+        """Connect the fleet and place the first wave (non-blocking).
+
+        Local slots fork here, while the parent's world is pristine, and
+        run their first unit on that inherited copy."""
         if self._started:
             raise RuntimeError("runner already started")
         self._started = True
-        self._transport.start_wave(range(self.shard_count), attempt=0)
+        try:
+            self.coordinator.start_wave(
+                range(self.shard_count), 0, self._results,
+                timeout=self.shard_timeout, world=self.world)
+        except BaseException:
+            self.coordinator.close()
+            raise
         return self
-
-    def _collect(self, pending: dict, results: dict) -> dict[int, str]:
-        """Back-compat shim over the local transport's wave harvest."""
-        return self._transport.collect_pending(pending, results)
 
     def join(self) -> list[ShardResult]:
         """Wait for every unit; returns results ordered by unit index.
 
-        Failed units are re-dispatched (fresh executors, regenerated
-        world) up to ``max_redispatch`` times — each wave under a fresh
+        Units a wave left unresolved are re-dispatched in a fresh wave
+        (hung children killed, fresh slots forked, world regenerated) up
+        to ``max_redispatch`` times — each wave under a fresh
         ``shard_timeout`` budget; whatever still fails is recorded in
         :attr:`failed_shards` / :attr:`failures` and simply absent from
-        the returned list.
+        the returned list.  Every child is reaped before this returns.
         """
         if not self._started:
             raise RuntimeError("runner not started")
         if self._drained:
             raise RuntimeError("runner already joined")
         self._drained = True
-        transport = self._transport
-        results: dict[int, ShardResult] = {}
+        coordinator = self.coordinator
+        results = self._results
         attempt = 0
         try:
             while True:
-                failures = transport.collect_wave(results)
+                failures = coordinator.finish_wave()
                 if not failures:
-                    transport.finish()
                     break
-                transport.abort_wave()
                 self.failures.update(failures)
                 attempt += 1
                 if attempt > self.max_redispatch:
                     self.failed_shards = sorted(failures)
                     break
                 self.redispatches += len(failures)
-                transport.start_wave(sorted(failures), attempt)
+                coordinator.start_wave(sorted(failures), attempt, results,
+                                       timeout=self.shard_timeout)
         finally:
-            transport.close()
-            self.redispatches += transport.redispatches
-            self.transport_stats = transport.stats()
+            coordinator.close()
+            self.redispatches += coordinator.redispatches
+            self.transport_stats = coordinator.stats()
         return [results[index] for index in sorted(results)]
 
     def run(self) -> list[ShardResult]:

@@ -1,9 +1,11 @@
 """One-call study runner: the daily pipeline plus the probing campaign.
 
-``run_study(world, workers=N)`` shards the pipeline across N worker
-processes (see :mod:`repro.core.parallel`); the default stays serial.
-Both paths produce byte-identical :class:`~repro.core.datasets.Datasets`
-for the same ``(seed, scale)``.
+The default is serial: :class:`DayRunner` steps the pipeline one feed
+day at a time.  ``run_study(world, workers=N)`` shards it over N local
+slots — forked children of this process — and ``peers=[...]`` over
+``repro worker`` daemons; both go through the one coordinator engine
+(see :mod:`repro.core.parallel`).  Every path produces byte-identical
+:class:`~repro.core.datasets.Datasets` for the same ``(seed, scale)``.
 """
 
 from __future__ import annotations
@@ -116,22 +118,15 @@ class DayRunner:
     :class:`repro.service.state.CheckpointStore`.  The invariant carried
     over from the sharded runner — per-sample analysis is a pure
     function of ``(world seed, sha256)`` — is exactly what makes the
-    resumed run byte-identical to an uninterrupted one.
-
-    ``shards=N`` partitions samples by sha256 across N in-process
-    pipelines (each against its own regenerated world, the same model a
-    pool worker uses) and merges with :meth:`Datasets.merge`; results
-    are byte-identical to the serial run for any N.  A separate *front*
-    pipeline — a ``MalNet`` that never analyzes samples — hosts the
-    merged datasets, the TI re-query view, and the probing campaign,
-    mirroring the parent process of ``run_study(workers=N)``.
+    resumed run byte-identical to an uninterrupted one.  The runner is
+    serial: sharded execution is ``run_study(workers=N)``.
 
     Lifecycle::
 
         runner = DayRunner(seed=7, scale=SMOKE_SCALE)
         while not runner.pipeline_done:
             runner.run_next_day()          # one feed-day increment
-        runner.complete_pipeline()          # TI re-query + shard merge
+        runner.complete_pipeline()          # TI re-query
         campaign = runner.run_probing_phase()
         datasets = runner.datasets          # == run_study(...)[2]
     """
@@ -139,10 +134,7 @@ class DayRunner:
     def __init__(self, world: World | None = None,
                  config: PipelineConfig | None = None,
                  telemetry: Telemetry | None = None,
-                 shards: int = 1,
                  seed: int | None = None, scale=None):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         if world is None:
             if seed is None or scale is None:
                 raise ValueError(
@@ -150,39 +142,15 @@ class DayRunner:
             from ..world import generate_world
 
             world = generate_world(seed=seed, scale=scale)
-        if shards > 1 and world.seed is None:
-            raise ValueError(
-                "sharded day-granular execution needs a seeded world: "
-                "shard pipelines regenerate it from (seed, scale)")
         self.world = world
         self.config = config or PipelineConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.shards = shards
-        if shards == 1:
-            self.malnets = [MalNet(world, config, telemetry=self.telemetry)]
-            self.front = self.malnets[0]
-        else:
-            from ..world import generate_world
-
-            self.malnets = []
-            for index in range(shards):
-                shard_world = generate_world(seed=world.seed,
-                                             scale=world.scale)
-                shard_config = dataclasses.replace(
-                    self.config, shard_index=index, shard_count=shards)
-                self.malnets.append(
-                    MalNet(shard_world, shard_config,
-                           telemetry=self.telemetry))
-            # the front pipeline plays the parent process of the sharded
-            # runner: it analyzes nothing, hosts the merged datasets, and
-            # runs the probing campaign against the caller's world
-            self.front = MalNet(world, config, telemetry=self.telemetry)
+        self.front = MalNet(world, config, telemetry=self.telemetry)
         self.total_days = total_study_days(self.config)
         #: first study day not yet executed (== count of completed days)
         self.next_day = 0
         self.campaign: ProbingCampaign | None = None
         self._completed = False
-        self._merged_cache: tuple[int, Datasets] | None = None
 
     # -- progress ----------------------------------------------------------
 
@@ -192,37 +160,28 @@ class DayRunner:
 
     @property
     def finalized(self) -> bool:
-        """True once the TI re-query, merge, and probing have all run."""
+        """True once the TI re-query and probing have both run."""
         return self.campaign is not None
 
     @property
     def datasets(self) -> Datasets:
-        """Current merged view of everything ingested so far.
+        """Everything ingested so far.
 
         After :meth:`complete_pipeline` this is *the* study output; at a
         day boundary mid-study it is the exact prefix a monolithic run
         would have accumulated by that day.
         """
-        if self.shards == 1 or self._completed:
-            return self.front.datasets
-        cached = self._merged_cache
-        if cached is not None and cached[0] == self.next_day:
-            return cached[1]
-        merged = Datasets.merge([m.datasets for m in self.malnets])
-        self._merged_cache = (self.next_day, merged)
-        return merged
+        return self.front.datasets
 
     # -- execution ---------------------------------------------------------
 
     def run_next_day(self) -> dict:
-        """Execute one feed-day across every shard pipeline."""
+        """Execute one feed-day."""
         if self.pipeline_done:
             raise RuntimeError(
                 f"all {self.total_days} study days already ingested")
         day = self.next_day
-        profiled = 0
-        for malnet in self.malnets:
-            profiled += len(malnet.run_day(day))
+        profiled = len(self.front.run_day(day))
         self.next_day = day + 1
         return {"day": day, "profiled": profiled,
                 "remaining": self.total_days - self.next_day}
@@ -232,23 +191,18 @@ class DayRunner:
             self.run_next_day()
 
     def complete_pipeline(self) -> Datasets:
-        """Close the day loop: TI re-query per shard, then the merge."""
+        """Close the day loop: the TI re-query."""
         if not self.pipeline_done:
             raise RuntimeError(
                 f"{self.total_days - self.next_day} study days still "
                 "pending; ingest them before completing the pipeline")
-        if self._completed:
-            return self.front.datasets
-        for malnet in self.malnets:
-            malnet.complete()
-        if self.shards > 1:
-            self.front.datasets = Datasets.merge(
-                [m.datasets for m in self.malnets])
-        self._completed = True
+        if not self._completed:
+            self.front.complete()
+            self._completed = True
         return self.front.datasets
 
     def run_probing_phase(self) -> ProbingCampaign:
-        """The D-PC2 campaign; extends the merged datasets' ``d_pc2``."""
+        """The D-PC2 campaign; extends the datasets' ``d_pc2``."""
         if self.campaign is None:
             if not self._completed:
                 self.complete_pipeline()
@@ -272,53 +226,51 @@ class DayRunner:
         """Picklable snapshot of everything a restart cannot re-derive.
 
         World content is *not* included — a restarted runner regenerates
-        it from ``(seed, scale)`` — only the cross-day pipeline state of
-        every shard, plus the finalized results once probing ran.
+        it from ``(seed, scale)`` — only the cross-day pipeline state,
+        plus the probing results once finalized.
         """
         state = {
-            "shards": self.shards,
             "next_day": self.next_day,
             "total_days": self.total_days,
-            "shard_states": [m.state_snapshot() for m in self.malnets],
+            "pipeline": self.front.state_snapshot(),
             "completed": self._completed,
         }
         if self.campaign is not None:
-            state["front_datasets"] = self.front.datasets
             state["observations"] = self.campaign.observations
             state["discovered"] = self.campaign.discovered
         return state
 
     def restore_state(self, state: dict) -> None:
         """Adopt a :meth:`state_snapshot`; the runner must have been
-        constructed with the same (seed, scale, config, shards)."""
-        if state["shards"] != self.shards:
+        constructed with the same (seed, scale, config)."""
+        if "pipeline" not in state:
             raise ValueError(
-                f"checkpoint was taken with shards={state['shards']}, "
-                f"this runner has shards={self.shards}")
+                "checkpoint holds per-shard pipeline states from the "
+                "removed in-process shard mode; the day runner is serial")
         if state["total_days"] != self.total_days:
             raise ValueError(
                 f"checkpoint covers {state['total_days']} study days, "
                 f"this runner's config asks for {self.total_days}")
-        for malnet, shard_state in zip(self.malnets, state["shard_states"]):
-            malnet.restore_state(shard_state)
+        self.front.restore_state(state["pipeline"])
         self.next_day = state["next_day"]
         self._completed = state["completed"]
-        self._merged_cache = None
         if "observations" in state:
-            self.front.datasets = state["front_datasets"]
             self.campaign = _build_campaign(
                 self.front.world, self.front, self.telemetry,
                 state["observations"], state["discovered"])
 
 
 def _run_parallel(
-    world: World, malnet: MalNet, workers: int, telemetry: Telemetry,
+    world: World, malnet: MalNet, telemetry: Telemetry, *,
+    workers: int | None, peers: list[str] | None,
     shard_timeout: float | None = 600.0, max_redispatch: int = 2,
-    transport: str = "local", peers: list[str] | None = None,
     unit_count: int | None = None, transport_options: dict | None = None,
 ) -> tuple[ProbingCampaign, dict]:
-    """Sharded pipeline on a transport, probing overlapped in the parent.
+    """Sharded pipeline on the coordinator, probing overlapped in the
+    parent.
 
+    :meth:`ShardedStudyRunner.start` places the first wave on local
+    slots and TCP peers alike, so the units run while the parent probes.
     The campaign only reads world state the pipeline never writes (host
     online windows, listener tables, per-server responsiveness chains are
     all slot-indexed), and reseeds the internet RNG per slot — so the
@@ -326,26 +278,29 @@ def _run_parallel(
     the same observations as the serial ordering.
 
     Returns the campaign plus a run-info dict (per-shard timings,
-    re-dispatch/failure accounting, transport placement stats) consumed
+    re-dispatch/failure accounting, coordinator placement stats) consumed
     by the manifest.
     """
     runner = ShardedStudyRunner(world, workers, config=malnet.config,
                                 shard_timeout=shard_timeout,
                                 max_redispatch=max_redispatch,
                                 telemetry_enabled=telemetry.enabled,
-                                transport=transport, peers=peers,
-                                unit_count=unit_count,
+                                peers=peers, unit_count=unit_count,
                                 transport_options=transport_options)
-    with telemetry.tracer.span("study.pipeline", workers=workers) \
+    with telemetry.tracer.span("study.pipeline", workers=runner.workers) \
             as pipeline_span:
         runner.start()
-        with telemetry.tracer.span("study.probing"):
-            campaign = run_probing(world, malnet, telemetry)
+        try:
+            with telemetry.tracer.span("study.probing"):
+                campaign = run_probing(world, malnet, telemetry)
+        except BaseException:
+            runner.coordinator.close()     # reap the children, then raise
+            raise
         shards = runner.join()
     if runner.redispatches:
         telemetry.metrics.counter(
             "shard_redispatches",
-            "failed shard tasks re-dispatched to a fresh pool",
+            "failed shard tasks re-dispatched to a fresh worker",
         ).inc(runner.redispatches)
         telemetry.events.warning(
             "study.shard_redispatched", count=runner.redispatches,
@@ -360,7 +315,7 @@ def _run_parallel(
         ).inc(len(runner.failed_shards))
         telemetry.events.warning(
             "study.partial_merge", failed_shards=runner.failed_shards,
-            workers=workers,
+            workers=runner.workers,
             failures={str(k): runner.failures[k]
                       for k in runner.failed_shards})
     malnet.datasets = merged
@@ -393,14 +348,13 @@ def _run_parallel(
              "sizes": dict(shard.datasets.summary())}
             for shard in shards
         ],
-        "transport": runner.transport_name,
+        "transport": "socket" if peers else "local",
         "redispatches": runner.redispatches,
         "failed_shards": list(runner.failed_shards),
         "failures": {str(k): runner.failures[k]
                      for k in runner.failed_shards},
+        "dist": runner.transport_stats,
     }
-    if runner.transport_name != "local":
-        run_info["dist"] = runner.transport_stats
     return campaign, run_info
 
 
@@ -481,27 +435,26 @@ def run_study(
     world: World, config: PipelineConfig | None = None,
     telemetry: Telemetry | None = None, workers=None,
     shard_timeout: float | None = 600.0, max_redispatch: int = 2,
-    cache: StudyCache | str | None = None,
-    transport: str | None = None, peers: list[str] | None = None,
+    cache: StudyCache | str | None = None, peers: list[str] | None = None,
     unit_count: int | None = None, transport_options: dict | None = None,
 ) -> tuple[MalNet, ProbingCampaign, Datasets]:
     """Execute the complete measurement study on a generated world.
 
     ``workers=None`` (or 0) runs everything in-process; ``workers=N`` for
-    N >= 1 shards the daily pipeline over N processes and merges, with
-    identical results; ``workers="auto"`` picks a width that fits the
-    machine.  ``shard_timeout``/``max_redispatch`` bound how long a lost
+    N >= 1 shards the daily pipeline over N forked local slots and
+    merges, with identical results; ``workers="auto"`` picks a width that
+    fits the machine.  ``shard_timeout``/``max_redispatch`` bound how long a lost
     shard worker is waited for and how often it is retried (see
     :class:`~repro.core.parallel.ShardedStudyRunner`); shards that still
     fail are reported in ``datasets.failed_shards``.
 
-    ``transport="socket"`` dispatches the shard units to remote
-    ``repro worker`` daemons at ``peers`` (``["host:port", ...]``) —
+    ``peers`` (``["host:port", ...]``, exclusive with ``workers``)
+    dispatches the shard units to ``repro worker`` daemons instead —
     the fleet width follows the peer list, ``unit_count`` controls the
-    fine-grained partition (default 4× the fleet), and the merged
-    output stays byte-identical to the serial run.  ``unit_count`` also
-    applies to the local transport.  ``transport_options`` passes
-    coordinator tuning (heartbeat/steal thresholds) through untouched.
+    fine-grained partition (default 4× the fleet; ``workers`` locally),
+    and the merged output stays byte-identical to the serial run.
+    ``transport_options`` passes coordinator tuning (heartbeat/steal
+    thresholds) through untouched.
 
     ``cache`` (a :class:`~repro.core.cache.StudyCache` or a directory
     path) short-circuits the whole run when an entry for this exact
@@ -510,15 +463,11 @@ def run_study(
     results (failed shards) are never cached.
     """
     telemetry = telemetry or NULL_TELEMETRY
-    if transport not in (None, "local", "socket"):
-        raise ValueError(f"unknown transport {transport!r}")
-    if transport == "socket":
-        if not peers:
-            raise ValueError("transport='socket' needs peers "
-                             "(['host:port', ...])")
-        workers = len(peers)      # the fleet width follows the peer list
-    else:
-        workers = resolve_workers(workers)
+    if peers and workers:
+        raise ValueError("workers and peers are exclusive: the peer list "
+                         "already decides where units run")
+    workers = None if peers else resolve_workers(workers)
+    fleet = len(peers) if peers else workers
     started = time.time()
     started_clock = time.perf_counter()
     if isinstance(cache, (str, os.PathLike)):
@@ -534,7 +483,7 @@ def run_study(
             result = _restore_study(world, config, telemetry, entry)
             if telemetry.enabled:
                 telemetry.manifest = _build_run_manifest(
-                    world, config, telemetry, result[2], workers=workers,
+                    world, config, telemetry, result[2], workers=fleet,
                     cache=cache, fingerprint=fingerprint, cached=True,
                     started=started,
                     wall_seconds=time.perf_counter() - started_clock,
@@ -543,19 +492,18 @@ def run_study(
                 "study.complete", sizes=dict(result[2].summary()))
             return result
     runner = None
-    if workers:
+    if fleet:
         malnet = MalNet(world, config, telemetry=telemetry)
     else:
         runner = DayRunner(world=world, config=config, telemetry=telemetry)
         malnet = runner.front
     telemetry.events.emit("study.start", scale=world.scale.sample_fraction,
-                          workers=workers or 0)
+                          workers=fleet or 0)
     run_info = None
-    if workers:
+    if fleet:
         campaign, run_info = _run_parallel(
-            world, malnet, workers, telemetry,
+            world, malnet, telemetry, workers=workers, peers=peers,
             shard_timeout=shard_timeout, max_redispatch=max_redispatch,
-            transport=transport or "local", peers=peers,
             unit_count=unit_count, transport_options=transport_options)
     else:
         with telemetry.tracer.span("study.pipeline"):
@@ -572,7 +520,7 @@ def run_study(
         telemetry.events.emit("study.cache_store", fingerprint=fingerprint)
     if telemetry.enabled:
         telemetry.manifest = _build_run_manifest(
-            world, config, telemetry, malnet.datasets, workers=workers,
+            world, config, telemetry, malnet.datasets, workers=fleet,
             cache=cache, fingerprint=fingerprint, cached=False,
             started=started,
             wall_seconds=time.perf_counter() - started_clock,

@@ -1,11 +1,19 @@
-"""The coordinator: cache-aware placement, stealing, loss detection.
+"""The coordinator: the one engine that places, steals and recovers units.
 
 One :class:`Coordinator` owns the client side of every worker
-connection for one study run.  Each call to :meth:`run` drains one
-dispatch *wave* (the same unit of retry the pool runner always had —
-see :meth:`ShardedStudyRunner.join <repro.core.parallel.
-ShardedStudyRunner.join>`); within a wave the coordinator is a
-single-threaded ``selectors`` event loop over three structures::
+connection for one study run.  A *peer* is either a ``host:port``
+address — connecting dials a ``repro worker`` daemon over TCP — or a
+*local slot*: connecting forks a child that runs the same
+:class:`~repro.dist.worker.TaskLoop` on one end of a
+``socket.socketpair()``.  Both kinds speak the same frames and share
+one failure model; only connecting and reaping ask which kind a peer
+is.
+
+Work moves in dispatch *waves* (the unit of retry for
+:meth:`ShardedStudyRunner.join <repro.core.parallel.
+ShardedStudyRunner.join>`): :meth:`start_wave` connects and places the
+first units, :meth:`finish_wave` runs a single-threaded ``selectors``
+event loop over three structures::
 
     pending   deque of unit indexes not yet placed
     running   unit -> the set of peers currently executing it
@@ -16,7 +24,8 @@ and four policies:
 *placement* — an idle worker gets the next pending unit; among idle
 workers, one whose world cache already holds this study's
 :func:`~repro.dist.plan.world_key` wins (a warm world is a deepcopy,
-a cold one is a full regeneration, ~8× slower at full scale).
+a cold one is a full regeneration, ~8× slower at full scale).  A slot
+forked with the parent's world counts as warm for its first unit.
 
 *stealing* — once ``pending`` is empty, an idle worker speculatively
 duplicates the longest-running unit whose elapsed time exceeds
@@ -26,12 +35,16 @@ Because every unit is a pure function of ``(seed, scale, config,
 unit)``, twins produce identical bytes — stealing can only move wall
 clock, never the digest.
 
-*loss detection* — workers heartbeat every ``heartbeat_interval``
-while executing; a busy connection silent for ``heartbeat_timeout``
-(or any connection hitting EOF / a framing error) is declared lost,
-its units are re-queued with ``attempt + 1``, and the peer is left for
-the next wave's reconnect pass (a worker that merely dropped its
-connection — the chaos-crash failure mode — is still listening).
+*loss detection* — a crash is EOF (the chaos draw drops the
+connection; a local child then exits), a lost worker is a busy
+connection silent for ``heartbeat_timeout``, and a unit that raises
+comes back as a ``failed`` frame.  The units of a crashed or lost
+worker are re-queued with ``attempt + 1``; the peer is reconnected (a
+local slot re-forked) by the next wave's :meth:`connect` pass.  A hang
+is the wave deadline: whatever is still running then is reported hung,
+and the next :meth:`start_wave` SIGKILLs and reaps the coordinator's
+own busy children before it forks fresh ones (remote daemons are left
+alone).
 
 *retry bounding* — a unit re-queued more than ``max_unit_retries``
 times within one wave is abandoned to the wave's failure report; the
@@ -40,7 +53,9 @@ runner's ``max_redispatch`` waves then decide whether to try again.
 
 from __future__ import annotations
 
+import os
 import selectors
+import signal
 import socket
 import statistics
 import time
@@ -49,8 +64,12 @@ from collections import deque
 from .plan import TaskSpec
 from .wire import PROTOCOL_VERSION, FrameDecoder, WireError, recv_frame, \
     send_frame
+from .worker import TaskLoop, WorldCache
 
 __all__ = ["Coordinator", "CoordinatorError"]
+
+#: seconds an idle local child gets to exit after its shutdown frame
+_EXIT_GRACE = 2.0
 
 
 class CoordinatorError(RuntimeError):
@@ -58,20 +77,20 @@ class CoordinatorError(RuntimeError):
 
 
 class _Peer:
-    """Client-side state of one configured worker address."""
+    """Client-side state of one configured worker: an address or a slot."""
 
-    def __init__(self, index: int, address: str):
+    def __init__(self, index: int, address: str, local: bool = False):
         self.index = index
-        self.address = address          # "host:port" as configured
+        self.address = address          # "host:port", or "local[i]"
+        self.local = local              # a forked child on a socketpair
         self.sock: socket.socket | None = None
         self.decoder = FrameDecoder()
-        self.worker_id = address        # replaced by the hello-ack
+        self.worker_id = address        # replaced by a daemon's hello-ack
         self.pid: int | None = None
         self.warm: set[str] = set()     # world keys the worker holds
         self.busy_unit: int | None = None
         self.dispatched_at = 0.0
         self.last_seen = 0.0
-        self.lost_this_wave = False
         # lifetime accounting (across waves), surfaced by stats()
         self.completed = 0
         self.wall = 0.0
@@ -83,11 +102,13 @@ class _Peer:
 
 
 class _Wave:
-    """Mutable state of one run() invocation."""
+    """Mutable state of one dispatch wave."""
 
-    def __init__(self, indexes, attempt, results):
+    def __init__(self, indexes, attempt, results, timeout, deadline):
         self.indexes = list(indexes)
         self.results = results
+        self.timeout = timeout
+        self.deadline = deadline
         self.pending = deque(sorted(i for i in self.indexes
                                     if i not in results))
         self.attempts = {i: attempt for i in self.pending}
@@ -106,14 +127,14 @@ class _Wave:
 
 
 class Coordinator:
-    def __init__(self, peers, spec: TaskSpec, *,
+    def __init__(self, spec: TaskSpec, peers=(), *, local_slots: int = 0,
                  heartbeat_timeout: float = 15.0,
                  steal_factor: float = 3.0,
                  min_steal_seconds: float = 1.0,
                  connect_timeout: float = 5.0,
                  max_unit_retries: int = 3,
                  clock=time.monotonic):
-        if not peers:
+        if not peers and local_slots < 1:
             raise CoordinatorError("coordinator needs at least one peer")
         self.spec = spec
         self.heartbeat_timeout = heartbeat_timeout
@@ -123,6 +144,10 @@ class Coordinator:
         self.max_unit_retries = max_unit_retries
         self._clock = clock
         self.peers = [_Peer(i, address) for i, address in enumerate(peers)]
+        self.peers += [_Peer(len(self.peers) + i, f"local[{i}]", local=True)
+                       for i in range(local_slots)]
+        self._selector = selectors.DefaultSelector()
+        self._wave: _Wave | None = None
         # lifetime accounting across waves
         self.redispatches = 0     # units re-queued (lost worker / failure)
         self.steals = 0
@@ -132,124 +157,206 @@ class Coordinator:
 
     # -- connection management ---------------------------------------------
 
-    def connect(self) -> int:
+    def connect(self, world, want: int) -> int:
         """(Re)connect every unconnected peer; returns the live count.
 
-        Unreachable peers are skipped, not fatal — the runner decides
-        when zero live workers turns into shard failures.
+        TCP peers are dialed; local slots are forked, at most until
+        ``want`` peers are live.  ``world`` is the parent's world while
+        it is still pristine: a slot forked now runs its first unit on
+        its inherited copy.  Unreachable addresses are skipped, not
+        fatal — the wave reports its units failed instead.
         """
+        live = sum(1 for p in self.peers if p.connected)
         for peer in self.peers:
-            peer.lost_this_wave = False
             if peer.connected:
                 continue
-            host, _, port = peer.address.rpartition(":")
+            if not peer.local:
+                self._dial(peer)
+            elif live < want:
+                self._fork(peer, world)
+            if peer.connected:
+                live += 1
+                self._selector.register(peer.sock, selectors.EVENT_READ,
+                                        peer)
+        return live
+
+    def _dial(self, peer: _Peer) -> None:
+        host, _, port = peer.address.rpartition(":")
+        try:
+            sock = socket.create_connection(
+                (host, int(port)), timeout=self.connect_timeout)
+            send_frame(sock, {"type": "hello",
+                              "protocol": PROTOCOL_VERSION,
+                              "world": self.spec.world_key})
+            ack = recv_frame(sock)
+        except (OSError, WireError):
+            return
+        if (not isinstance(ack, dict) or ack.get("type") != "hello-ack"
+                or ack.get("protocol") != PROTOCOL_VERSION):
+            sock.close()
+            return
+        self._adopt(peer, sock)
+        peer.worker_id = str(ack.get("worker", peer.address))
+        peer.pid = ack.get("pid")
+        peer.warm = set(ack.get("warm", ()))
+
+    def _fork(self, peer: _Peer, world) -> None:
+        parent_end, child_end = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            status = 0
             try:
-                sock = socket.create_connection(
-                    (host, int(port)), timeout=self.connect_timeout)
-                send_frame(sock, {"type": "hello",
-                                  "protocol": PROTOCOL_VERSION,
-                                  "world": self.spec.world_key})
-                ack = recv_frame(sock)
-            except (OSError, WireError):
-                continue
-            if (not isinstance(ack, dict) or ack.get("type") != "hello-ack"
-                    or ack.get("protocol") != PROTOCOL_VERSION):
-                sock.close()
-                continue
-            sock.settimeout(None)
-            sock.setblocking(False)
-            peer.sock = sock
-            peer.decoder = FrameDecoder()
-            peer.worker_id = str(ack.get("worker", peer.address))
-            peer.pid = ack.get("pid")
-            peer.warm = set(ack.get("warm", ()))
-            peer.last_seen = self._clock()
-        return sum(1 for p in self.peers if p.connected)
+                # drop every inherited parent end, so a sibling's EOF
+                # means that sibling died and the parent's close reaches
+                # each child
+                parent_end.close()
+                self._selector.close()
+                for other in self.peers:
+                    if other.sock is not None:
+                        other.sock.close()
+                TaskLoop(WorldCache(inherited=world),
+                         peer.worker_id).serve(child_end)
+            except BaseException:
+                status = 1
+            finally:
+                os._exit(status)
+        child_end.close()
+        self._adopt(peer, parent_end)
+        peer.pid = pid
+        peer.warm = {self.spec.world_key} if world is not None else set()
+
+    def _adopt(self, peer: _Peer, sock: socket.socket) -> None:
+        sock.settimeout(None)
+        sock.setblocking(False)
+        peer.sock = sock
+        peer.decoder = FrameDecoder()
+        peer.last_seen = self._clock()
+
+    def _disconnect(self, peer: _Peer, kill: bool = True) -> None:
+        """Close a peer's connection; SIGKILL (or, with ``kill=False``,
+        await) and reap a local child."""
+        if peer.sock is not None:
+            try:
+                self._selector.unregister(peer.sock)
+            except (KeyError, ValueError):
+                pass
+            peer.sock.close()
+            peer.sock = None
+        peer.busy_unit = None
+        if peer.local and peer.pid is not None:
+            _reap(peer.pid, 0.0 if kill else _EXIT_GRACE)
+            peer.pid = None
 
     def close(self) -> None:
+        """Shut every connection and reap every child.  Idle workers get
+        a ``shutdown`` frame; busy local children (a hung unit, a losing
+        steal twin) are SIGKILLed."""
         for peer in self.peers:
-            if peer.sock is not None:
+            if peer.sock is not None and peer.busy_unit is None:
                 try:
                     send_frame(peer.sock, {"type": "shutdown"})
                 except OSError:
                     pass
-                peer.sock.close()
-                peer.sock = None
+        for peer in self.peers:
+            self._disconnect(peer, kill=peer.busy_unit is not None)
+        self._selector.close()
 
     def _live(self) -> list[_Peer]:
         return [p for p in self.peers if p.connected]
 
     # -- one wave ----------------------------------------------------------
 
-    def run(self, indexes, attempt: int, results: dict,
-            timeout: float | None = None) -> dict[int, str]:
-        """Drain one wave; returns ``unit -> failure text`` for whatever
-        could not be resolved (empty on full success)."""
-        wave = _Wave(indexes, attempt, results)
-        if not wave.outstanding():
-            return {}
-        if self.connect() == 0:
-            return {i: f"no reachable socket workers "
-                       f"(peers: {[p.address for p in self.peers]})"
-                    for i in wave.outstanding()}
+    def start_wave(self, indexes, attempt: int, results: dict, *,
+                   timeout: float | None = None, world=None) -> None:
+        """Connect and place one wave; returns without waiting for it.
+
+        Busy local children left over from the previous wave are hung:
+        they are SIGKILLed and reaped first, and their slots re-forked.
+        """
+        if self._wave is not None:
+            raise CoordinatorError("previous wave still in flight")
+        for peer in self.peers:
+            if peer.local and peer.busy_unit is not None:
+                self._disconnect(peer)
         deadline = None if timeout is None else self._clock() + timeout
-        selector = selectors.DefaultSelector()
-        try:
-            for peer in self._live():
-                selector.register(peer.sock, selectors.EVENT_READ, peer)
-            self._loop(wave, selector, deadline)
-        finally:
-            selector.close()
+        wave = _Wave(indexes, attempt, results, timeout, deadline)
+        self._wave = wave
+        outstanding = wave.outstanding()
+        if not outstanding:
+            return
+        if self.connect(world, want=len(outstanding)) == 0:
+            addresses = [p.address for p in self.peers]
+            for unit in outstanding:
+                wave.reasons[unit] = (f"unit {unit}: no reachable workers "
+                                      f"(peers: {addresses})")
+            return
+        self._assign(wave)
+
+    def finish_wave(self) -> dict[int, str]:
+        """Drain the wave in flight; returns ``unit -> failure text`` for
+        whatever could not be resolved (empty on full success)."""
+        wave, self._wave = self._wave, None
+        if wave is None:
+            raise CoordinatorError("no wave in flight")
+        self._loop(wave)
         failures = {}
         for unit in wave.outstanding():
-            failures[unit] = wave.reasons.get(
-                unit, f"no result within the {timeout}s wave deadline "
-                      "(worker lost or straggling)")
+            runners = wave.running.get(unit)
+            if runners:
+                names = ", ".join(sorted(p.worker_id for p in runners))
+                failures[unit] = (
+                    f"unit {unit}: worker hung ({names}): no result "
+                    f"within the {wave.timeout}s wave deadline")
+            else:
+                failures[unit] = wave.reasons.get(
+                    unit, f"unit {unit}: not placed within the "
+                          f"{wave.timeout}s wave deadline (workers busy)")
         return failures
 
-    def _loop(self, wave: _Wave, selector, deadline) -> None:
+    def _loop(self, wave: _Wave) -> None:
         while wave.outstanding():
-            self._assign(wave, selector)
+            self._assign(wave)
             if not wave.recoverable():
                 return                       # every missing unit abandoned
             if not self._live():
                 for unit in wave.outstanding():
-                    wave.reasons.setdefault(unit, "all socket workers lost")
+                    wave.reasons.setdefault(unit,
+                                            f"unit {unit}: all workers lost")
                 return
             now = self._clock()
-            if deadline is not None and now >= deadline:
-                return
-            wait = 0.2 if deadline is None else max(
-                0.01, min(0.2, deadline - now))
-            for key, _ in selector.select(wait):
-                self._pump(key.data, wave, selector)
+            wait = 0.2 if wave.deadline is None else max(
+                0.0, min(0.2, wave.deadline - now))
+            for key, _ in self._selector.select(wait):
+                if key.data.connected:
+                    self._pump(key.data, wave)
             now = self._clock()
             for peer in self._live():
                 if (peer.busy_unit is not None
                         and now - peer.last_seen > self.heartbeat_timeout):
-                    self._lose(peer, "heartbeat lost "
-                               f"(silent for {self.heartbeat_timeout}s)",
-                               wave, selector)
-            self._maybe_steal(wave, selector, self._clock())
+                    self._lose(peer, "heartbeat lost (silent for "
+                               f"{self.heartbeat_timeout}s)", wave)
+            self._maybe_steal(wave, self._clock())
+            if wave.deadline is not None and self._clock() >= wave.deadline:
+                return
 
     # -- event handling ----------------------------------------------------
 
-    def _pump(self, peer: _Peer, wave: _Wave, selector) -> None:
+    def _pump(self, peer: _Peer, wave: _Wave) -> None:
         """Drain one readable socket into message handling."""
         try:
-            data = peer.sock.recv(1 << 16)
+            data = peer.sock.recv(1 << 18)
         except BlockingIOError:      # spurious wakeup
             return
         except OSError as exc:
-            self._lose(peer, f"recv failed: {exc}", wave, selector)
+            self._lose(peer, f"worker crashed (recv failed: {exc})", wave)
             return
         if not data:
-            self._lose(peer, "connection closed by worker", wave, selector)
+            self._lose(peer, "worker crashed (connection closed)", wave)
             return
         try:
             messages = peer.decoder.feed(data)
         except WireError as exc:
-            self._lose(peer, f"protocol error: {exc}", wave, selector)
+            self._lose(peer, f"protocol error: {exc}", wave)
             return
         peer.last_seen = self._clock()
         for message in messages:
@@ -286,8 +393,9 @@ class Coordinator:
             runners = wave.running.get(unit)
             if runners is not None:
                 runners.discard(peer)
-            self._drop_unit(unit, f"worker {peer.worker_id}: "
-                            f"{message.get('error', 'failed')}", wave)
+            self._drop_unit(unit, f"unit {unit}: worker {peer.worker_id} "
+                            f"raised {message.get('error', 'an error')}",
+                            wave)
             return
         # hello-ack duplicates and unknown types are ignored: the wire
         # checksum already guarantees they are well-formed
@@ -313,29 +421,21 @@ class Coordinator:
         self.redispatches += 1
         wave.pending.append(unit)
 
-    def _lose(self, peer: _Peer, reason: str, wave: _Wave,
-              selector) -> None:
-        """Declare a worker lost: requeue its units, drop the socket."""
+    def _lose(self, peer: _Peer, reason: str, wave: _Wave) -> None:
+        """Declare a worker lost: drop (and reap) it, requeue its units."""
         self.lost_workers.append({
             "worker": peer.worker_id, "address": peer.address,
             "reason": reason, "busy_unit": peer.busy_unit,
         })
-        try:
-            selector.unregister(peer.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            peer.sock.close()
-        finally:
-            peer.sock = None
-        peer.lost_this_wave = True
+        self._disconnect(peer)
         dropped = [unit for unit, runners in wave.running.items()
                    if peer in runners]
+        when = ("" if wave.timeout is None
+                else f" before the {wave.timeout}s wave deadline")
         for unit in dropped:
             wave.running[unit].discard(peer)
-            self._drop_unit(unit, f"worker {peer.worker_id} lost: {reason}",
-                            wave)
-        peer.busy_unit = None
+            self._drop_unit(unit, f"unit {unit}: {reason} on "
+                            f"{peer.worker_id}{when}", wave)
 
     # -- scheduling --------------------------------------------------------
 
@@ -344,7 +444,7 @@ class Coordinator:
         return min(idle, key=lambda p: (self.spec.world_key not in p.warm,
                                         p.index))
 
-    def _assign(self, wave: _Wave, selector) -> None:
+    def _assign(self, wave: _Wave) -> None:
         while wave.pending:
             idle = [p for p in self._live() if p.busy_unit is None]
             if not idle:
@@ -354,11 +454,11 @@ class Coordinator:
                 continue
             peer = self._choose(idle)
             if not self._send_task(peer, unit, wave.attempts[unit],
-                                   wave, selector, steal=False):
+                                   wave, steal=False):
                 wave.pending.appendleft(unit)
 
     def _send_task(self, peer: _Peer, unit: int, attempt: int,
-                   wave: _Wave, selector, *, steal: bool) -> bool:
+                   wave: _Wave, *, steal: bool) -> bool:
         warm = self.spec.world_key in peer.warm
         try:
             send_frame(peer.sock, {
@@ -372,10 +472,12 @@ class Coordinator:
                 },
             })
         except OSError as exc:
-            self._lose(peer, f"send failed: {exc}", wave, selector)
+            self._lose(peer, f"worker lost (send failed: {exc})", wave)
             return False
         peer.busy_unit = unit
-        peer.dispatched_at = self._clock()
+        # the heartbeat clock starts at dispatch: an idle worker has had
+        # nothing to heartbeat about
+        peer.dispatched_at = peer.last_seen = self._clock()
         if warm:
             peer.warm_hits += 1
         wave.running.setdefault(unit, set()).add(peer)
@@ -385,7 +487,7 @@ class Coordinator:
         })
         return True
 
-    def _maybe_steal(self, wave: _Wave, selector, now: float) -> None:
+    def _maybe_steal(self, wave: _Wave, now: float) -> None:
         if wave.pending:
             return
         idle = [p for p in self._live() if p.busy_unit is None]
@@ -411,14 +513,15 @@ class Coordinator:
             # same attempt as the original dispatch: the unit is a pure
             # function of (seed, scale, config, unit), twins tie safely
             if self._send_task(thief, unit, wave.attempts.get(unit, 0),
-                               wave, selector, steal=True):
+                               wave, steal=True):
                 self.steals += 1
 
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict:
         return {
-            "transport": "socket",
+            "transport": ("local" if all(p.local for p in self.peers)
+                          else "socket"),
             "units": self.spec.shard_count,
             "peers": [p.address for p in self.peers],
             "placements": list(self.placements),
@@ -436,3 +539,27 @@ class Coordinator:
                 for p in self.peers
             },
         }
+
+
+def _reap(pid: int, grace: float) -> None:
+    """Wait up to ``grace`` seconds for a child to exit, then SIGKILL it;
+    either way it is reaped (no zombie is left behind)."""
+    deadline = time.monotonic() + grace
+    while True:
+        try:
+            done, _status = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if done:
+            return
+        if time.monotonic() >= deadline:
+            break
+        time.sleep(0.005)
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass

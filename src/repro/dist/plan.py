@@ -1,11 +1,10 @@
 """The fine-grained shard plan: units, world keys, and task specs.
 
-A *unit* is one sha256-partition of the sample corpus — the same
-partition function the pool runner always used
-(:func:`repro.determinism.shard_of`), just cut finer: the coordinator
-dispatches ``unit_count`` units (default
-:data:`UNITS_PER_WORKER` × workers) so that placement, stealing, and
-re-dispatch have something to schedule.  Because every occurrence of a
+A *unit* is one sha256-partition of the sample corpus
+(:func:`repro.determinism.shard_of`), cut as fine as the run asks: the
+coordinator dispatches ``unit_count`` units (one per local slot by
+default, :data:`UNITS_PER_WORKER` × the fleet over TCP peers) so that
+placement, stealing, and re-dispatch have something to schedule.  Because every occurrence of a
 hash lands in the same unit for a given ``unit_count``, deduplication
 stays unit-local and **any** assignment of units to workers merges to
 the same digest — the property the distributed runner's correctness

@@ -1,13 +1,16 @@
-"""The ``repro worker`` daemon: executes shard units for a coordinator.
+"""The ``repro worker`` task loop and the daemon that serves it over TCP.
 
-One :class:`WorkerServer` listens on a TCP port and serves any number
-of coordinator connections, one thread per connection (the
-``cs2620_hw3`` peer-mesh idiom: daemon threads around blocking
-sockets, a stop event for shutdown).  Per task it runs
-:func:`repro.core.parallel.execute_shard` in an executor thread while
-the connection thread keeps heartbeats flowing — so a unit that is
-merely slow looks alive to the coordinator, and only a worker that is
-truly gone (process killed, network cut) goes silent.
+:class:`TaskLoop` executes the task frames arriving on one coordinator
+connection.  Per task it runs :func:`repro.core.parallel.execute_shard`
+in an executor thread while the connection thread keeps heartbeats
+flowing — so a unit that is merely slow looks alive to the coordinator,
+and only a worker that is truly gone (process killed, network cut)
+goes silent.  The loop has two hosts: :class:`WorkerServer` listens on
+a TCP port and serves any number of coordinator connections, one
+thread per connection (the ``cs2620_hw3`` peer-mesh idiom: daemon
+threads around blocking sockets, a stop event for shutdown); and a
+coordinator's *local slot*, a forked child serving one end of a
+socketpair (:mod:`repro.dist.coordinator`).
 
 Worlds are the expensive part of a unit (generation dwarfs the
 pipeline at small unit sizes), so the daemon keeps a small LRU of
@@ -16,13 +19,14 @@ pipeline at small unit sizes), so the daemon keeps a small LRU of
 ~8× cheaper than regenerating, and byte-identical because world
 generation is a pure function of ``(seed, scale)``.  The cache keys
 are reported in every ``hello-ack``/``result`` frame, which is what
-lets the coordinator place units cache-aware.
+lets the coordinator place units cache-aware.  A local slot forked
+while the parent's world was still pristine runs its first unit on that
+inherited copy as is — no regeneration, no deepcopy.
 
-Chaos parity: a fault plan's ``worker_crashes`` draw makes a pool
-worker ``os._exit`` with its task lost.  Here the same draw makes the
-daemon drop the coordinator's connection without a reply — the daemon
-survives (it is one process serving many tasks), but the coordinator
-sees exactly what a dead sandbox looks like: EOF, no result.
+Chaos: a fault plan's ``worker_crashes`` draw makes the loop drop the
+coordinator's connection without a reply.  A daemon survives it (it is
+one process serving many tasks) and a local slot's child exits; either
+way the coordinator sees what a dead sandbox looks like: EOF, no result.
 """
 
 from __future__ import annotations
@@ -37,17 +41,23 @@ from collections import OrderedDict
 from .plan import world_key
 from .wire import PROTOCOL_VERSION, WireError, recv_frame, send_frame
 
-__all__ = ["WorkerServer", "WorldCache"]
+__all__ = ["TaskLoop", "WorkerServer", "WorldCache"]
 
 
 class WorldCache:
-    """Thread-safe LRU of pristine generated worlds."""
+    """Thread-safe LRU of pristine generated worlds.
 
-    def __init__(self, limit: int = 4):
+    ``inherited`` (a local slot's fork snapshot) is handed as is to the
+    first lease, if that lease is for its key; it never enters the LRU,
+    because that lease mutates it.
+    """
+
+    def __init__(self, limit: int = 4, inherited=None):
         if limit < 1:
             raise ValueError("world cache limit must be >= 1")
         self.limit = limit
         self._worlds: OrderedDict[str, object] = OrderedDict()
+        self._inherited = inherited
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -56,6 +66,10 @@ class WorldCache:
         """A private, mutable copy of the world for ``(seed, scale)``."""
         key = world_key(seed, scale)
         with self._lock:
+            inherited, self._inherited = self._inherited, None
+            if (inherited is not None
+                    and world_key(inherited.seed, inherited.scale) == key):
+                return inherited
             pristine = self._worlds.get(key)
             if pristine is not None:
                 self._worlds.move_to_end(key)
@@ -82,56 +96,21 @@ class _ChaosDrop(Exception):
     """Internal: this task's chaos draw says 'die'; drop the connection."""
 
 
-class WorkerServer:
-    """Accept loop + per-connection task execution."""
+class TaskLoop:
+    """The task loop on a coordinator connection: hello, task, shutdown."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 heartbeat_interval: float = 0.5,
-                 world_cache_limit: int = 4):
-        self._listener = socket.create_server((host, port))
-        self.host, self.port = self._listener.getsockname()[:2]
-        self.worker_id = f"{self.host}:{self.port}"
+    def __init__(self, worlds: WorldCache, worker_id: str,
+                 heartbeat_interval: float = 0.5):
+        self.worlds = worlds
+        self.worker_id = worker_id
         self.heartbeat_interval = heartbeat_interval
-        self.worlds = WorldCache(world_cache_limit)
         self.tasks_run = 0
-        self._stop = threading.Event()
-        self._accept_thread: threading.Thread | None = None
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def serve_forever(self) -> None:
-        """Blocking accept loop; returns after :meth:`shutdown`."""
-        self._listener.settimeout(0.5)
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:      # listener closed under us
-                break
-            threading.Thread(target=self._serve_client, args=(conn,),
-                             daemon=True).start()
-        self._listener.close()
-
-    def start(self) -> "WorkerServer":
-        """Run the accept loop in a daemon thread (tests, embedding)."""
-        if self._accept_thread is not None:
-            raise RuntimeError("worker already started")
-        self._accept_thread = threading.Thread(target=self.serve_forever,
-                                               daemon=True)
-        self._accept_thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        self._stop.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-
-    # -- per-connection protocol -------------------------------------------
-
-    def _serve_client(self, conn: socket.socket) -> None:
+    def serve(self, conn: socket.socket, stop=None) -> None:
+        """Serve ``conn`` until shutdown, EOF, a chaos drop, or ``stop``
+        (a :class:`threading.Event`) is set; closes ``conn``."""
         try:
-            while not self._stop.is_set():
+            while stop is None or not stop.is_set():
                 try:
                     message = recv_frame(conn)
                 except WireError:
@@ -174,7 +153,7 @@ class WorkerServer:
                 world = self.worlds.lease(spec["seed"], spec["scale"])
                 box["result"] = execute_shard(
                     spec["seed"], spec["scale"], config, attempt,
-                    spec["telemetry"], world=world, chaos="raise")
+                    spec["telemetry"], world=world)
             except WorkerCrash:
                 box["crash"] = True
             except BaseException as exc:  # ship the failure, stay alive
@@ -198,3 +177,47 @@ class WorkerServer:
                           "attempt": attempt, "result": result,
                           "warm": self.worlds.keys(),
                           "wall": result.wall_seconds})
+
+
+class WorkerServer(TaskLoop):
+    """Accept loop + the task loop on each accepted connection."""
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+                 heartbeat_interval: float = 0.5,
+                 world_cache_limit: int = 4):
+        self._listener = socket.create_server((host, port))
+        self.host, self.port = self._listener.getsockname()[:2]
+        super().__init__(WorldCache(world_cache_limit),
+                         f"{self.host}:{self.port}", heartbeat_interval)
+        self._stop = threading.Event()
+        self._accept_thread: threading.Thread | None = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def serve_forever(self) -> None:
+        """Blocking accept loop; returns after :meth:`shutdown`."""
+        self._listener.settimeout(0.5)
+        while not self._stop.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:      # listener closed under us
+                break
+            threading.Thread(target=self.serve, args=(conn, self._stop),
+                             daemon=True).start()
+        self._listener.close()
+
+    def start(self) -> "WorkerServer":
+        """Run the accept loop in a daemon thread (tests, embedding)."""
+        if self._accept_thread is not None:
+            raise RuntimeError("worker already started")
+        self._accept_thread = threading.Thread(target=self.serve_forever,
+                                               daemon=True)
+        self._accept_thread.start()
+        return self
+
+    def shutdown(self) -> None:
+        self._stop.set()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)

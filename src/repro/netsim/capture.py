@@ -353,19 +353,14 @@ class Capture:
                 f"label={self.label!r})")
 
     # pickles carry the columnar tail as columns (arrays serialize far
-    # smaller than Packet objects), so shard transport stays lazy; the
-    # legacy (packets, label) shape is still accepted on load
+    # smaller than Packet objects), so shard results stay lazy
     def __getstate__(self):
         cols = self._cols if self._cols is not None and len(self._cols) \
             else None
         return ("columnar-v1", self._packets, cols, self.label)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 4 and state[0] == "columnar-v1":
-            _tag, self._packets, self._cols, self.label = state
-        else:
-            self._packets, self.label = state
-            self._cols = None
+        _tag, self._packets, self._cols, self.label = state
 
     # -- field-level reads --------------------------------------------------
 

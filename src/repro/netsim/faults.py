@@ -27,8 +27,8 @@ and answers the per-event questions.  Hook points:
 * :meth:`CncHunterSandbox.analyze_offline
   <repro.sandbox.sandbox.CncHunterSandbox.analyze_offline>` — transient
   activation crashes, retried by the pipeline;
-* :func:`repro.core.parallel._run_shard` — injected worker crashes/hangs
-  for chaos-testing the runner's re-dispatch path.
+* :func:`repro.core.parallel.execute_shard` — injected worker
+  crashes/hangs for chaos-testing the runner's re-dispatch path.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ Routes::
     GET  /rules             firewall rule feed, text/plain (?technology=...)
     GET  /metrics           Prometheus exposition of the live registry
     POST /ingest/day        ingest N more feed days (?days=N | "all")
-    POST /finalize          TI re-query + shard merge + probing (idempotent)
+    POST /finalize          TI re-query + probing (idempotent)
 
 Every JSON error body is ``{"error": ...}``; the request counter
 ``service_requests_total{route,code}`` uses the route *patterns* above,

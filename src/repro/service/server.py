@@ -38,19 +38,17 @@ class StudyService:
     Construction resumes automatically: if ``checkpoint_dir`` holds a
     valid checkpoint for this study's fingerprint, its state is adopted
     and ingestion continues from the first unfinished day (``resumed``
-    is True).  A checkpoint whose shape no longer matches (different
-    shard count, different study length) is discarded with a warning
-    event and the study restarts from day 0 — never a crash, never a
-    silently wrong result.
+    is True).  A checkpoint whose shape no longer matches (a different
+    study length, or per-shard states from the removed in-process shard
+    mode) is discarded with a warning event and the study restarts from
+    day 0 — never a crash, never a silently wrong result.
     """
 
     def __init__(self, seed: int, scale, config: PipelineConfig | None = None,
-                 shards: int = 1, telemetry=None,
-                 checkpoint_dir: str | None = None):
+                 telemetry=None, checkpoint_dir: str | None = None):
         self.seed = seed
         self.scale = scale
         self.config = config or PipelineConfig()
-        self.shards = shards
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.lock = threading.RLock()
         self.fingerprint = study_fingerprint(seed, scale, self.config)
@@ -64,10 +62,10 @@ class StudyService:
             "service_checkpoints_total", "checkpoints written")
         world = generate_world(seed=seed, scale=scale)
         self.runner = DayRunner(world=world, config=self.config,
-                                telemetry=self.telemetry, shards=shards)
+                                telemetry=self.telemetry)
         self._maybe_resume()
         self.telemetry.events.emit(
-            "service.start", seed=seed, shards=shards,
+            "service.start", seed=seed,
             resumed=self.resumed, next_day=self.runner.next_day,
             total_days=self.runner.total_days)
 
@@ -80,8 +78,9 @@ class StudyService:
         try:
             self.runner.restore_state(checkpoint.state)
         except ValueError as exc:
-            # same study, incompatible execution shape (e.g. the shard
-            # count changed) — restart from day 0 rather than guess
+            # same study, incompatible checkpoint shape (e.g. one written
+            # by the in-process shard mode) — restart from day 0 rather
+            # than guess
             self.store.rejected += 1
             self.telemetry.events.emit(
                 "service.checkpoint_discarded", level="warning",
@@ -109,7 +108,6 @@ class StudyService:
             return {
                 "seed": self.seed,
                 "sample_fraction": self.scale.sample_fraction,
-                "shards": self.shards,
                 "fingerprint": self.fingerprint,
                 "next_day": runner.next_day,
                 "total_days": runner.total_days,
@@ -170,7 +168,7 @@ class StudyService:
             }
 
     def finalize(self) -> dict:
-        """TI re-query + shard merge + probing campaign (idempotent)."""
+        """TI re-query + probing campaign (idempotent)."""
         with self.lock:
             already = self.runner.finalized
             self._finalize_locked()
@@ -193,9 +191,9 @@ class StudyService:
             return
         runner = self.runner
         self.store.save(StudyCheckpoint(
-            fingerprint=self.fingerprint, shards=self.shards,
-            next_day=runner.next_day, total_days=runner.total_days,
-            finalized=runner.finalized, state=runner.state_snapshot()))
+            fingerprint=self.fingerprint, next_day=runner.next_day,
+            total_days=runner.total_days, finalized=runner.finalized,
+            state=runner.state_snapshot()))
         self._checkpoints.inc()
 
     def flush(self) -> None:

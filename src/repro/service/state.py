@@ -11,8 +11,8 @@ always restarts from the last *completed* day: a checkpoint is either
 the previous complete one or the new complete one, never a torn write.
 
 The checkpoint body is :meth:`DayRunner.state_snapshot
-<repro.core.study.DayRunner.state_snapshot>` — per-shard dedup sets,
-feed cursors, and datasets, plus the probing results once finalized.
+<repro.core.study.DayRunner.state_snapshot>` — the dedup set, feed
+cursors, and datasets, plus the probing results once finalized.
 World content is never stored; a resumed runner regenerates it from
 ``(seed, scale)``.
 """
@@ -38,7 +38,6 @@ class StudyCheckpoint:
     """
 
     fingerprint: str
-    shards: int
     next_day: int
     total_days: int
     finalized: bool

@@ -31,6 +31,12 @@ class TestStudyCommand:
         _c, b = run_cli("--scale", "smoke", "--seed", "3", "study")
         assert a == b
 
+    def test_workers_and_peers_are_exclusive(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("--scale", "smoke", "study", "--workers", "2",
+                    "--peers", "127.0.0.1:9")
+        assert "exclusive" in str(excinfo.value)
+
 
 class TestReportCommand:
     def test_default_report(self):
@@ -242,8 +248,3 @@ class TestServeAndQueryCommands:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("query", "http://127.0.0.1:9", "health")
         assert "cannot reach" in str(excinfo.value)
-
-    def test_serve_rejects_negative_workers(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("serve", "--workers", "-2", "--port", "0")
-        assert "--workers" in str(excinfo.value)

@@ -1,11 +1,11 @@
 """The distributed runner end-to-end: wire format, worker daemon,
 coordinator scheduling, and the byte-identity guarantee over TCP.
 
-The expensive sections run one smoke study per fault plan through real
-``SocketTransport`` machinery — in-process :class:`WorkerServer`
-threads for the scheduling tests (correctness is GIL-independent), and
-``python -m repro worker`` subprocesses for the SIGKILL test, where a
-worker must be killable mid-unit without the digest moving.
+The expensive sections run one smoke study per fault plan through the
+coordinator's TCP peers — in-process :class:`WorkerServer` threads for
+the scheduling tests (correctness is GIL-independent), and ``python -m
+repro worker`` subprocesses for the SIGKILL test, where a worker must
+be killable mid-unit without the digest moving.
 """
 
 import dataclasses
@@ -20,10 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.cache import dataset_digest
+from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
-from repro.dist import (LocalTransport, SocketTransport, WireError,
-                        recv_frame, send_frame)
+from repro.dist import WireError, recv_frame, send_frame
 from repro.dist.wire import FrameDecoder
 from repro.dist.worker import WorkerServer, WorldCache
 from repro.netsim.faults import FAULT_PLANS
@@ -202,6 +202,22 @@ def test_world_cache_leases_are_private_copies():
     assert third.probe_start == second.probe_start != 12345.0
 
 
+def test_world_cache_hands_over_an_inherited_world_once():
+    """A local slot's first unit runs on its fork-inherited world as is;
+    later units lease from the LRU (regenerate once, then deepcopy)."""
+    tiny = StudyScale(sample_fraction=0.02, probe_days=2,
+                      observe_duration=600.0, observe_poll_interval=300.0,
+                      scan_budget=60)
+    inherited = generate_world(seed=7, scale=tiny)
+    cache = WorldCache(inherited=inherited)
+    assert cache.lease(7, tiny) is inherited
+    assert (cache.hits, cache.misses, cache.keys()) == (0, 0, [])
+    second = cache.lease(7, tiny)
+    third = cache.lease(7, tiny)
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert inherited is not second is not third
+
+
 def test_world_cache_evicts_least_recently_used():
     cache = WorldCache(limit=2)
     tiny = StudyScale(sample_fraction=0.02, probe_days=2,
@@ -217,15 +233,15 @@ def test_world_cache_evicts_least_recently_used():
     assert cache.misses == 4
 
 
-# -- socket transport end-to-end ----------------------------------------------
+# -- TCP peers end-to-end -----------------------------------------------------
 
 
 def _socket_study(peers, config, unit_count=UNIT_COUNT, **kwargs):
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
     _malnet, _campaign, datasets = run_study(
-        world, config=config, telemetry=telemetry, transport="socket",
-        peers=peers, unit_count=unit_count, **kwargs)
+        world, config=config, telemetry=telemetry, peers=peers,
+        unit_count=unit_count, **kwargs)
     return datasets, telemetry.manifest
 
 
@@ -279,8 +295,7 @@ def test_socket_counter_totals_match_serial():
 
     procs, peers = _spawn_fleet(2)
     try:
-        assert totals() == totals(transport="socket", peers=peers,
-                                  unit_count=UNIT_COUNT)
+        assert totals() == totals(peers=peers, unit_count=UNIT_COUNT)
     finally:
         _stop_fleet(procs)
 
@@ -303,7 +318,7 @@ def test_unreachable_workers_fail_the_units_not_the_run():
     probe.close()                           # nobody listens here now
     world = generate_world(seed=SEED, scale=SCALE)
     _malnet, _campaign, datasets = run_study(
-        world, transport="socket", peers=[f"127.0.0.1:{dead_port}"],
+        world, peers=[f"127.0.0.1:{dead_port}"],
         unit_count=3, shard_timeout=10.0, max_redispatch=0)
     assert sorted(datasets.failed_shards) == [0, 1, 2]
     assert datasets.profiles == []          # no unit ever ran
@@ -330,21 +345,54 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
         _stop_fleet(procs)
 
 
-# -- transport contract edges -------------------------------------------------
+# -- coordinator contract edges -----------------------------------------------
 
 
-def test_local_transport_rejects_double_wave():
+def test_start_places_the_first_wave_on_tcp_peers(workers):
+    """``start()`` dials the peers and places one unit per worker, so the
+    parent's probing overlaps remote units too."""
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(world, peers=_peers(workers), unit_count=4)
+    runner.start()
+    try:
+        assert len(runner.coordinator.placements) == 2
+        assert {p["worker"] for p in runner.coordinator.placements} == \
+            set(_peers(workers))
+    finally:
+        results = runner.join()
+    assert [r.shard_index for r in results] == [0, 1, 2, 3]
+
+
+def test_idle_worker_is_not_lost_when_it_steals(workers, serial_straggler):
+    """The heartbeat clock starts at dispatch: a worker idle for longer
+    than ``heartbeat_timeout`` before a steal hands it a task is not
+    declared lost before its first heartbeat can arrive."""
+    datasets, manifest = _socket_study(
+        _peers(workers), STRAGGLER, unit_count=4,
+        transport_options={"heartbeat_timeout": 2.0,
+                           "min_steal_seconds": 3.0, "steal_factor": 0.5})
+    assert dataset_digest(datasets) == serial_straggler
+    dist = manifest["extra"]["dist"]
+    assert dist["lost_workers"] == []
+    assert dist["steals"] >= 1
+
+
+def test_coordinator_rejects_double_wave():
+    from repro.dist import Coordinator
+    from repro.dist.coordinator import CoordinatorError
     from repro.dist.plan import TaskSpec
 
     spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
                     shard_count=2)
-    transport = LocalTransport(spec, workers=2, shard_timeout=30.0)
+    coordinator = Coordinator(spec, ["127.0.0.1:1"])
     try:
-        transport.start_wave([0, 1], 0)
-        with pytest.raises(RuntimeError):
-            transport.start_wave([0, 1], 0)
-        with pytest.raises(RuntimeError):
-            SocketTransport(spec, ["127.0.0.1:1"]).collect_wave({})
+        with pytest.raises(CoordinatorError):
+            coordinator.finish_wave()
+        coordinator.start_wave([0, 1], 0, {})
+        with pytest.raises(CoordinatorError):
+            coordinator.start_wave([0, 1], 0, {})
+        failures = coordinator.finish_wave()
+        assert sorted(failures) == [0, 1]
+        assert "no reachable workers" in failures[0]
     finally:
-        transport.abort_wave()
-        transport.close()
+        coordinator.close()

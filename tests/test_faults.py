@@ -317,9 +317,9 @@ def test_faults_change_the_output(serial_faulty):
 
 
 def test_crashed_shard_worker_is_redispatched(serial_faulty):
-    """Shard 1's worker dies mid-study (os._exit: no exception, no
-    result); the runner re-dispatches it and the merge is still
-    byte-identical to the serial run."""
+    """Shard 1's worker dies mid-study (its connection drops: no
+    exception, no result); the EOF re-queues the unit at once and the
+    merge is still byte-identical to the serial run."""
     plan = dataclasses.replace(PLAN, crash_shards=(1,), crash_attempts=1)
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
@@ -353,18 +353,29 @@ def test_exhausted_redispatch_reports_partial_merge(serial_faulty):
         {p.sha256 for p in serial_faulty.profiles}
 
 
-def test_worker_raising_is_also_redispatched():
-    """A worker that raises (instead of dying) fails fast through the
-    pool and is retried the same way."""
+def test_worker_raising_is_also_redispatched(monkeypatch, serial_faulty):
+    """A unit that raises (instead of dying) comes back as a ``failed``
+    frame from its forked child; the unit is re-queued and the child
+    lives on to run it."""
+    from repro.core import parallel
     from repro.core.parallel import ShardedStudyRunner
 
-    world = generate_world(seed=SEED, scale=SCALE)
-    runner = ShardedStudyRunner(world, workers=2, shard_timeout=30.0)
-    # simulate by calling the collector directly with a poisoned result
-    class Poisoned:
-        def get(self, timeout=None):
-            raise RuntimeError("worker exploded")
+    execute_shard = parallel.execute_shard
 
-    results = {}
-    failures = runner._collect({1: Poisoned()}, results)
-    assert failures == {1: "RuntimeError: worker exploded"} and not results
+    def exploding(seed, scale, config, attempt, *args, **kwargs):
+        if config.shard_index == 1 and attempt == 0:
+            raise RuntimeError("worker exploded")
+        return execute_shard(seed, scale, config, attempt, *args, **kwargs)
+
+    # patched before start(): the forked children inherit it
+    monkeypatch.setattr(parallel, "execute_shard", exploding)
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(world, workers=2,
+                                config=PipelineConfig(faults=PLAN))
+    results = runner.start().join()
+    assert [r.shard_index for r in results] == [0, 1]
+    assert results[1].attempt == 1
+    assert runner.redispatches == 1 and runner.failed_shards == []
+    assert runner.transport_stats["lost_workers"] == []
+    merged = Datasets.merge([r.datasets for r in results])
+    assert merged.profiles == serial_faulty.profiles

@@ -3,20 +3,23 @@
 Covers the three layers separately so a regression points at its cause:
 the sha256 partition itself, :meth:`Datasets.merge` semantics on
 synthetic conflicting records, in-process shard+merge against the serial
-pipeline, and the full multiprocessing path through ``run_study``.
+pipeline, and the full forked-local-slot path through ``run_study``.
 """
 
 import os
+import time
 
 import pytest
 
 from repro.botnet.protocols.base import AttackCommand
+from repro.core.cache import dataset_digest
 from repro.core.datasets import Datasets
-from repro.core.parallel import ShardedStudyRunner, fold_counters
+from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import run_study
 from repro.determinism import shard_of
 from repro.obs import MetricsRegistry
+from repro.obs.merge import fold_counters
 from repro.world import XL_SCALE, StudyScale, generate_world
 
 SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
@@ -192,8 +195,19 @@ def test_runner_rejects_bad_arguments():
     world = generate_world(seed=SEED, scale=SCALE)
     with pytest.raises(ValueError, match="workers"):
         ShardedStudyRunner(world, workers=0)
+    with pytest.raises(ValueError, match="exclusive"):
+        ShardedStudyRunner(world, workers=2, peers=["127.0.0.1:1"])
+    with pytest.raises(ValueError, match="exclusive"):
+        run_study(world, workers=2, peers=["127.0.0.1:1"])
     world.seed = None
     with pytest.raises(ValueError, match="seeded world"):
+        ShardedStudyRunner(world, workers=2)
+
+
+def test_local_slots_without_fork_point_to_worker_peers(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    world = generate_world(seed=SEED, scale=SCALE)
+    with pytest.raises(RuntimeError, match="repro worker"):
         ShardedStudyRunner(world, workers=2)
 
 
@@ -228,20 +242,22 @@ def _chaos_runner(plan, **kwargs):
 
 
 def test_timed_out_crash_is_reported_as_a_crash():
-    """A pool worker that died (nonzero exit) reads differently from one
-    that is merely stuck — the 3 a.m. difference between 'restart the
-    box' and 'attach a profiler'."""
+    """A worker that died reads differently from one that is merely
+    stuck — the 3 a.m. difference between 'restart the box' and 'attach
+    a profiler'.  A crash is EOF on the slot's socketpair, so it is
+    reported at once, not after the wave deadline."""
     from repro.netsim.faults import FaultPlan
 
     plan = FaultPlan(name="crash-forever", crash_shards=(1,),
                      crash_attempts=99)
     runner = _chaos_runner(plan, shard_timeout=10.0, max_redispatch=0)
+    started = time.monotonic()
     runner.start()
     runner.join()
+    assert time.monotonic() - started < 10.0
     assert runner.failed_shards == [1]
     assert "worker crashed" in runner.failures[1]
-    assert "exit codes" in runner.failures[1]
-    assert "wave deadline" in runner.failures[1]
+    assert "before the 10.0s wave deadline" in runner.failures[1]
 
 
 def test_timed_out_hang_is_reported_as_a_hang():
@@ -251,10 +267,7 @@ def test_timed_out_hang_is_reported_as_a_hang():
                      hang_attempts=99, hang_seconds=120.0)
     runner = _chaos_runner(plan, shard_timeout=8.0, max_redispatch=0)
     runner.start()
-    try:
-        runner.join()
-    finally:
-        pass  # transport teardown terminates the hung pool
+    runner.join()        # SIGKILLs and reaps the hung children
     assert runner.failed_shards == [1]
     assert "worker hung" in runner.failures[1]
     assert "wave deadline" in runner.failures[1]
@@ -264,8 +277,6 @@ def test_shard_timeout_budget_is_per_wave():
     """A retry wave gets a *fresh* ``shard_timeout`` budget: a unit that
     hangs past the first wave's deadline succeeds on re-dispatch even
     though total elapsed exceeds one budget."""
-    import time
-
     from repro.netsim.faults import FaultPlan
 
     plan = FaultPlan(name="hang-once", hang_shards=(1,),
@@ -298,3 +309,134 @@ def test_parallel_counter_totals_match_serial():
         }
 
     assert totals(None) == totals(2)
+
+
+# -- local slots: forked coordinator workers ----------------------------------
+
+
+def _slot_pids(runner):
+    return [peer.pid for peer in runner.coordinator.peers
+            if peer.pid is not None]
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_start_places_the_first_wave_on_local_slots():
+    """Units run from ``start()`` on, so the parent's probing overlaps
+    them: one unit per slot is already placed when ``start()`` returns."""
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(world, workers=2, unit_count=4).start()
+    try:
+        placements = runner.coordinator.placements
+        assert len(placements) == 2
+        # forked while the parent's world was pristine: warm first units
+        assert all(p["warm"] for p in placements)
+    finally:
+        results = runner.join()
+    assert [r.shard_index for r in results] == [0, 1, 2, 3]
+
+
+def test_first_units_run_on_the_inherited_world(monkeypatch, serial):
+    """Slots forked by ``start()`` never regenerate the world for their
+    first unit: they run on the copy they inherited from the parent."""
+    import repro.world
+
+    parent = os.getpid()
+    generate = repro.world.generate_world
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a local slot regenerated the world")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(repro.world, "generate_world", parent_only)
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(world, workers=2)
+    results = runner.start().join()
+    assert runner.redispatches == 0 and runner.failed_shards == []
+    merged = Datasets.merge([r.datasets for r in results])
+    assert merged.profiles == serial.profiles
+
+
+def test_join_leaves_no_child_process():
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(world, workers=2).start()
+    pids = _slot_pids(runner)
+    results = runner.join()
+    assert len(results) == 2
+    _assert_reaped(pids)
+
+
+def test_failed_probing_still_reaps_the_children(monkeypatch):
+    import repro.core.study as study
+
+    pids = []
+    start = ShardedStudyRunner.start
+
+    def recording_start(runner):
+        start(runner)
+        pids.extend(_slot_pids(runner))
+        return runner
+
+    def failing_probing(*args, **kwargs):
+        raise RuntimeError("probing failed")
+
+    monkeypatch.setattr(ShardedStudyRunner, "start", recording_start)
+    monkeypatch.setattr(study, "run_probing", failing_probing)
+    world = generate_world(seed=SEED, scale=SCALE)
+    with pytest.raises(RuntimeError, match="probing failed"):
+        run_study(world, workers=2)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+def test_sigkilled_local_slot_is_lost_by_eof(serial):
+    """A child killed mid-wave is noticed by EOF on its socketpair — far
+    sooner than the heartbeat timeout — and its unit moves to the other
+    slot without moving a byte."""
+    import signal
+
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(world, workers=2, unit_count=4,
+                                transport_options={"heartbeat_timeout": 60})
+    started = time.monotonic()
+    runner.start()
+    pids = _slot_pids(runner)
+    os.kill(pids[0], signal.SIGKILL)
+    results = runner.join()
+    assert time.monotonic() - started < 60
+    lost = runner.transport_stats["lost_workers"]
+    assert [entry["worker"] for entry in lost] == ["local[0]"]
+    assert "connection closed" in lost[0]["reason"]
+    assert "heartbeat" not in lost[0]["reason"]
+    assert runner.failed_shards == [] and runner.redispatches >= 1
+    merged = Datasets.merge([r.datasets for r in results])
+    merged.d_pc2 = list(serial.d_pc2)
+    assert dataset_digest(merged) == dataset_digest(serial)
+    _assert_reaped(pids)
+
+
+def test_patched_pipeline_runs_in_forked_children(tmp_path, monkeypatch,
+                                                  serial):
+    """Class attributes patched before ``run_study`` reach the units,
+    which run in children forked by ``start()`` — never in the parent.
+    (Benchmarks time each worker's own work this way.)"""
+    parent = os.getpid()
+    complete = MalNet.complete
+
+    def recording_complete(malnet):
+        if os.getpid() == parent:
+            raise AssertionError("a unit ran in the parent process")
+        (tmp_path / str(os.getpid())).touch()
+        return complete(malnet)
+
+    monkeypatch.setattr(MalNet, "complete", recording_complete)
+    world = generate_world(seed=SEED, scale=SCALE)
+    _malnet, _campaign, datasets = run_study(world, workers=2)
+    assert datasets == serial
+    pids = {int(path.name) for path in tmp_path.iterdir()}
+    assert len(pids) >= 2 and parent not in pids

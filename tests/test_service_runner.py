@@ -1,12 +1,11 @@
 """The service tentpole's hard invariant: day-granular == monolithic.
 
-A study executed one feed-day at a time — optionally sharded in-process,
-optionally checkpointed to disk and resumed in a *different* runner —
-must reproduce the monolithic ``run_study`` datasets byte for byte
-(``dataset_digest`` equality, the same oracle the golden tests use).
-Also covers the checkpoint store's paranoia: corruption, fingerprint
-mismatch, and shape mismatch all degrade to a fresh start, never to a
-wrong result.
+A study executed one feed-day at a time — optionally checkpointed to
+disk and resumed in a *different* runner — must reproduce the
+monolithic ``run_study`` datasets byte for byte (``dataset_digest``
+equality, the same oracle the golden tests use).  Also covers the
+checkpoint store's paranoia: corruption, fingerprint mismatch, and
+shape mismatch all degrade to a fresh start, never to a wrong result.
 """
 
 import os
@@ -14,7 +13,7 @@ import os
 import pytest
 
 from repro.core.cache import dataset_digest, study_fingerprint
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import DayRunner, run_study
 from repro.netsim.faults import FAULT_PLANS
 from repro.service import CheckpointStore, StudyCheckpoint, StudyService
@@ -45,11 +44,9 @@ def baselines():
 # -- incremental == monolithic ------------------------------------------------
 
 
-@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("faults", sorted(CONFIGS))
-def test_day_by_day_equals_monolithic(shards, faults, baselines):
-    runner = DayRunner(seed=SEED, scale=SCALE, config=CONFIGS[faults],
-                       shards=shards)
+def test_day_by_day_equals_monolithic(faults, baselines):
+    runner = DayRunner(seed=SEED, scale=SCALE, config=CONFIGS[faults])
     days = 0
     while not runner.pipeline_done:
         result = runner.run_next_day()
@@ -68,13 +65,14 @@ def test_run_study_still_uses_day_runner_serially(baselines):
 
 
 def test_mid_study_datasets_are_a_consistent_prefix():
-    """At a day boundary the merged view equals a fresh runner's view."""
-    a = DayRunner(seed=SEED, scale=SCALE, shards=2)
-    b = DayRunner(seed=SEED, scale=SCALE, shards=1)
-    for _ in range(120):
-        a.run_next_day()
-        b.run_next_day()
-    assert dataset_digest(a.datasets) == dataset_digest(b.datasets)
+    """At a day boundary the runner's view equals a bare pipeline's
+    after the same days."""
+    runner = DayRunner(seed=SEED, scale=SCALE)
+    malnet = MalNet(generate_world(seed=SEED, scale=SCALE))
+    for day in range(120):
+        runner.run_next_day()
+        malnet.run_day(day)
+    assert dataset_digest(runner.datasets) == dataset_digest(malnet.datasets)
 
 
 def test_run_next_day_raises_when_done():
@@ -100,18 +98,18 @@ def test_restart_resume_mid_study(tmp_path, baselines):
     byte-identical to the uninterrupted monolithic run."""
     fingerprint = study_fingerprint(SEED, SCALE)
     store = CheckpointStore(str(tmp_path))
-    first = DayRunner(seed=SEED, scale=SCALE, shards=2)
+    first = DayRunner(seed=SEED, scale=SCALE)
     for _ in range(100):
         first.run_next_day()
     store.save(StudyCheckpoint(
-        fingerprint=fingerprint, shards=2, next_day=first.next_day,
+        fingerprint=fingerprint, next_day=first.next_day,
         total_days=first.total_days, finalized=False,
         state=first.state_snapshot()))
     del first  # the "restart": nothing survives but the file
 
     loaded = store.load(fingerprint)
     assert loaded is not None and loaded.next_day == 100
-    resumed = DayRunner(seed=SEED, scale=SCALE, shards=2)
+    resumed = DayRunner(seed=SEED, scale=SCALE)
     resumed.restore_state(loaded.state)
     assert resumed.next_day == 100
     resumed.run_remaining_days()
@@ -126,7 +124,7 @@ def test_resume_after_finalize_preserves_probing(tmp_path, baselines):
     first.run_remaining_days()
     first.finalize()
     store.save(StudyCheckpoint(
-        fingerprint=fingerprint, shards=1, next_day=first.next_day,
+        fingerprint=fingerprint, next_day=first.next_day,
         total_days=first.total_days, finalized=True,
         state=first.state_snapshot()))
     resumed = DayRunner(seed=SEED, scale=SCALE)
@@ -135,12 +133,21 @@ def test_resume_after_finalize_preserves_probing(tmp_path, baselines):
     assert dataset_digest(resumed.datasets) == baselines["plain"]
 
 
+def _legacy_shard_state(runner, shards=2):
+    """A state in the shape the removed in-process shard mode wrote."""
+    return {"shards": shards, "next_day": runner.next_day,
+            "total_days": runner.total_days,
+            "shard_states": [runner.front.state_snapshot()] * shards,
+            "completed": False}
+
+
 def test_restore_rejects_mismatched_shape():
-    runner = DayRunner(seed=SEED, scale=SCALE, shards=2)
+    runner = DayRunner(seed=SEED, scale=SCALE)
     runner.run_next_day()
     state = runner.state_snapshot()
-    with pytest.raises(ValueError):
-        DayRunner(seed=SEED, scale=SCALE, shards=3).restore_state(state)
+    with pytest.raises(ValueError, match="in-process shard"):
+        DayRunner(seed=SEED, scale=SCALE).restore_state(
+            _legacy_shard_state(runner))
     truncated = DayRunner(seed=SEED, scale=SCALE,
                           config=PipelineConfig(study_days=5))
     with pytest.raises(ValueError):
@@ -157,7 +164,7 @@ def test_corrupt_checkpoint_loads_as_none(tmp_path):
                        config=PipelineConfig(study_days=2))
     runner.run_next_day()
     path = store.save(StudyCheckpoint(
-        fingerprint=fingerprint, shards=1, next_day=1,
+        fingerprint=fingerprint, next_day=1,
         total_days=2, finalized=False, state=runner.state_snapshot()))
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-7])  # truncate: checksum must fail
@@ -174,7 +181,7 @@ def test_checkpoint_under_wrong_fingerprint_is_rejected(tmp_path):
                        config=PipelineConfig(study_days=2))
     runner.run_next_day()
     path = store.save(StudyCheckpoint(
-        fingerprint="aaaa", shards=1, next_day=1, total_days=2,
+        fingerprint="aaaa", next_day=1, total_days=2,
         finalized=False, state=runner.state_snapshot()))
     os.rename(path, store.path_for("bbbb"))
     assert store.load("bbbb") is None
@@ -188,13 +195,13 @@ SHORT = PipelineConfig(study_days=40)
 
 
 def test_service_restart_resumes_and_matches_batch(tmp_path, baselines):
-    first = StudyService(seed=SEED, scale=SCALE, shards=2,
+    first = StudyService(seed=SEED, scale=SCALE,
                          checkpoint_dir=str(tmp_path))
     first.ingest_days(17)
     assert not first.resumed
     del first
 
-    second = StudyService(seed=SEED, scale=SCALE, shards=2,
+    second = StudyService(seed=SEED, scale=SCALE,
                           checkpoint_dir=str(tmp_path))
     assert second.resumed
     assert second.runner.next_day == 17
@@ -204,14 +211,24 @@ def test_service_restart_resumes_and_matches_batch(tmp_path, baselines):
 
 
 def test_service_discards_checkpoint_with_different_shard_count(tmp_path):
-    first = StudyService(seed=SEED, scale=SCALE, config=SHORT, shards=2,
+    """A checkpoint of the removed in-process shard mode (two per-shard
+    pipeline states) is discarded with a warning, not half-restored."""
+    from repro.obs import create_telemetry
+
+    first = StudyService(seed=SEED, scale=SCALE, config=SHORT,
                          checkpoint_dir=str(tmp_path))
     first.ingest_days(5)
-    second = StudyService(seed=SEED, scale=SCALE, config=SHORT, shards=1,
-                          checkpoint_dir=str(tmp_path))
+    first.store.save(StudyCheckpoint(
+        fingerprint=first.fingerprint, next_day=5, total_days=40,
+        finalized=False, state=_legacy_shard_state(first.runner)))
+    telemetry = create_telemetry()
+    second = StudyService(seed=SEED, scale=SCALE, config=SHORT,
+                          telemetry=telemetry, checkpoint_dir=str(tmp_path))
     assert not second.resumed
     assert second.runner.next_day == 0
     assert second.store.rejected == 1
+    assert any(e["event"] == "service.checkpoint_discarded"
+               for e in telemetry.events.events)
 
 
 def test_service_without_checkpoint_dir_never_persists():
