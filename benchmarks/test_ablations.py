@@ -33,7 +33,7 @@ def _exploit_yield(world, threshold: int, budget: int = 260) -> int:
         process = emulator.run(planned.sample.data, SANDBOX_IP)
         handshaker = Handshaker(SANDBOX_IP, random.Random(1),
                                 fanout_threshold=threshold)
-        process.bot.scan_burst(handshaker, budget)
+        handshaker.scan(process.bot, budget)
         captured += len(handshaker.captures)
     return captured
 

@@ -7,16 +7,17 @@ observable network behavior — C2 check-in and keepalive, proliferation
 scanning with credential/exploit delivery, P2P bootstrap for Mozi/Hajime,
 and DDoS execution when commanded.
 
-All network I/O goes through a :class:`NetworkAdapter` so the sandbox can
-interpose: fake the Internet entirely (observe mode), redirect C2 traffic
-to arbitrary probe targets (weaponized mode, CnCHunter's MITM trick), or
-complete handshakes as a fake victim (the handshaker of section 2.4).
+All C2, P2P and attack I/O goes through a :class:`NetworkAdapter` so the
+sandbox can interpose: fake the Internet entirely (observe mode) or
+redirect C2 traffic to arbitrary probe targets (weaponized mode,
+CnCHunter's MITM trick).  Proliferation scanning is drawn in batches —
+:meth:`Bot.scan_targets` and :meth:`Bot.attack_payloads` — that the
+handshaker of section 2.4 consumes one burst at a time.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Protocol as TypingProtocol
 
 from ..binary.config import BotConfig
@@ -25,7 +26,7 @@ from ..netsim.capture import Capture
 from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH
 from ..netsim.packet import Packet, udp_packet
 from .ddos import AttackVariant, generate_attack
-from .exploits import EXPLOIT_INDEX, Vulnerability, vulnerability_for_index
+from .exploits import EXPLOIT_INDEX, vulnerability_for_index
 from .families import C2Dialect, Family, dga_domains, get_family
 from .protocols import daddyl33t, gafgyt, irc, mirai, p2p
 from .protocols.base import AttackCommand
@@ -40,6 +41,9 @@ TELNET_CREDENTIALS = (
     (b"root", b"default"),
     (b"support", b"support"),
 )
+
+#: what a bot sends to a victim port it carries no exploit for
+_PROBE = (b"GET / HTTP/1.0\r\n\r\n",)
 
 
 class BotSession(TypingProtocol):
@@ -64,16 +68,6 @@ class NetworkAdapter(TypingProtocol):
     def clock_now(self) -> float: ...
 
 
-@dataclass(slots=True)
-class ScanHit:
-    """One completed proliferation interaction (victim engaged)."""
-
-    target: int
-    port: int
-    payload: bytes
-    vulnerability: Vulnerability | None
-
-
 class Bot:
     """Family behavior model driven by a recovered bot config."""
 
@@ -86,12 +80,11 @@ class Bot:
         self._bot_id = bytes(
             rng.choice(b"abcdefghijklmnopqrstuvwxyz") for _ in range(8)
         )
-        # scan-path caches: the port list, the per-port armed exploits,
-        # and built payloads are pure functions of the (immutable) config,
-        # so they are computed once per bot instead of once per target
+        # scan-path caches: the port list and the per-port payload options
+        # are pure functions of the (immutable) config, so they are
+        # computed once per bot instead of once per target
         self._scan_ports: list[int] | None = None
-        self._armed_by_port: dict[int, list[Vulnerability]] | None = None
-        self._payload_cache: dict[object, bytes] = {}
+        self._payload_table: dict[int, tuple[tuple[bytes, ...], int]] = {}
         #: the DGA candidate that last resolved (diagnostics/tests)
         self.last_dga_domain: str | None = None
 
@@ -232,79 +225,66 @@ class Bot:
         return ports
 
     def scan_targets(self, count: int) -> list[tuple[int, int]]:
-        """Pick ``count`` random (ip, port) scan targets in one batch."""
+        """Pick ``count`` random (ip, port) scan targets in one batch.
+
+        Per target: an address, redrawn until it is routable, then a
+        port.  The draws are the ``_randbelow`` calls that
+        ``randrange(0x01000000, 0xDF000000)`` and ``choice(ports)`` make.
+        """
         ports = self.scan_port_list()
-        randrange = self.rng.randrange
-        choice = self.rng.choice
+        nports = len(ports)
+        randbelow = self.rng._randbelow
         targets: list[tuple[int, int]] = []
         append = targets.append
         for _ in range(count):
-            # same draw order as the one-at-a-time loop: addresses are
-            # redrawn until one is routable, then the port is drawn
-            address = randrange(0x01000000, 0xDF000000)
+            address = 0x01000000 + randbelow(0xDE000000)
             while is_reserved(address):
-                address = randrange(0x01000000, 0xDF000000)
-            append((address, choice(ports)))
+                address = 0x01000000 + randbelow(0xDE000000)
+            append((address, ports[randbelow(nports)]))
         return targets
 
-    def _armed_for_port(self, port: int) -> list[Vulnerability]:
-        table = self._armed_by_port
-        if table is None:
-            table = {}
-            for index in self.config.exploit_ids:
-                if index in EXPLOIT_INDEX:
-                    vuln = vulnerability_for_index(index)
-                    table.setdefault(vuln.port, []).append(vuln)
-            self._armed_by_port = table
-        return table.get(port, ())
-
-    def attack_payload_for_port(self, port: int) -> tuple[bytes, Vulnerability | None]:
-        """What the bot sends once a victim on ``port`` accepts.
+    def payload_options(self, port: int) -> tuple[tuple[bytes, ...], int]:
+        """``(options, width)``: the payloads the bot picks from once a
+        victim on ``port`` accepts.
 
         Telnet ports get a credential attempt; exploit ports get the
-        exploit request for the (first) armed vulnerability on that port.
+        exploit request of an armed vulnerability on that port (bots
+        cycle through every exploit they carry for a service, so victims
+        on a shared port see each of them over time); any other port a
+        bare GET probe.  The pick is ``options[rng._randbelow(width)]``,
+        i.e. ``choice(options)``, which draws even from one option; width
+        0 sends the lone probe without a draw.  Entries are pure
+        functions of the (immutable) config, built once per port.
         """
-        cache = self._payload_cache
-        if port in TELNET_PORTS:
-            user, password = self.rng.choice(TELNET_CREDENTIALS)
-            key = (user, password)
-            payload = cache.get(key)
-            if payload is None:
-                payload = cache[key] = user + b"\r\n" + password + b"\r\n"
-            return payload, None
-        matching = self._armed_for_port(port)
-        if matching:
-            # bots cycle through every exploit they carry for a service,
-            # so victims on a shared port see each of them over time
-            vuln = self.rng.choice(matching)
-            payload = cache.get(vuln.key)
-            if payload is None:
+        entry = self._payload_table.get(port)
+        if entry is None:
+            if port in TELNET_PORTS:
+                options = tuple(user + b"\r\n" + password + b"\r\n"
+                                for user, password in TELNET_CREDENTIALS)
+            else:
                 downloader = self.config.downloader or self.config.c2_host
                 loader = self.config.loader_name or "bot.sh"
-                payload = cache[vuln.key] = vuln.build_payload(
-                    downloader, loader)
-            return payload, vuln
-        # scanning a port it has no exploit for: probe with a bare GET
-        return b"GET / HTTP/1.0\r\n\r\n", None
+                armed = [vulnerability_for_index(index)
+                         for index in self.config.exploit_ids
+                         if index in EXPLOIT_INDEX]
+                options = tuple(vuln.build_payload(downloader, loader)
+                                for vuln in armed if vuln.port == port)
+            entry = (options, len(options)) if options else (_PROBE, 0)
+            self._payload_table[port] = entry
+        return entry
 
-    def scan_burst(
-        self, adapter: NetworkAdapter, count: int, trace: Capture | None = None
-    ) -> list[ScanHit]:
-        """Scan ``count`` random targets, exploiting any that engage."""
-        hits: list[ScanHit] = []
-        connect = adapter.tcp_connect
-        payload_for = self.attack_payload_for_port
-        append = hits.append
-        for address, port in self.scan_targets(count):
-            session = connect(address, port, trace)
-            if session is None:
-                continue
-            payload, vuln = payload_for(port)
-            session.send(payload)
-            session.recv()
-            session.close()
-            append(ScanHit(address, port, payload, vuln))
-        return hits
+    def attack_payloads(self, ports: list[int]) -> list[bytes]:
+        """What the bot sends to each victim accepting on ``ports``: its
+        pick from :meth:`payload_options`, drawn in order."""
+        table = self._payload_table
+        options_for = self.payload_options
+        randbelow = self.rng._randbelow
+        payloads: list[bytes] = []
+        append = payloads.append
+        for port in ports:
+            options, width = table.get(port) or options_for(port)
+            append(options[randbelow(width)] if width else options[0])
+        return payloads
 
     # -- attacks -----------------------------------------------------------------
 

@@ -40,6 +40,7 @@ from ..netsim.faults import FaultInjector, FaultPlan, FeedUnavailable, \
 from ..netsim.packet import encode_memo_stats
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH
+from ..sandbox.handshaker import ExploitCapture
 from ..sandbox.qemu import EmulationError, MipsEmulator
 from ..sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
 from ..world.calibration import ACTIVE_WEEKS, MAY_7_2022
@@ -474,18 +475,24 @@ class MalNet:
 
     def _record_exploits(self, profile, report, day: int) -> None:
         profile.scan_ports = report.scan_ports
-        seen: set[str] = set()
+        # a bot sends a handful of distinct payloads to hundreds of
+        # victims: classify each distinct payload once, at its first
+        # capture, which is also where its vulnerability is first seen
+        first: dict[bytes, ExploitCapture] = {}
         for capture in report.exploits:
-            vuln = classify_exploit(capture.payload)
+            first.setdefault(capture.payload, capture)
+        seen: set[str] = set()
+        for payload, capture in first.items():
+            vuln = classify_exploit(payload)
             if vuln is None or vuln.key in seen:
                 continue
             seen.add(vuln.key)
             observation = ExploitObservation(
                 vuln_key=vuln.key,
-                loader=extract_loader(capture.payload),
-                downloader=extract_downloader(capture.payload),
+                loader=extract_loader(payload),
+                downloader=extract_downloader(payload),
                 port=capture.port,
-                payload=capture.payload,
+                payload=payload,
             )
             profile.exploits.append(observation)
             self._m_exploit_records.inc()

@@ -347,6 +347,10 @@ class Coordinator:
             data = peer.sock.recv(1 << 18)
         except BlockingIOError:      # spurious wakeup
             return
+        except ConnectionResetError:
+            # a worker killed with bytes of ours still unread resets the
+            # connection instead of closing it: the same crash as EOF
+            data = b""
         except OSError as exc:
             self._lose(peer, f"worker crashed (recv failed: {exc})", wave)
             return

@@ -25,7 +25,7 @@ from ..binary.builder import MalwareSample
 from ..intel.vendors import IocIntel, VendorDirectory
 from ..obs import LATENCY_BUCKETS, NULL_TELEMETRY, Telemetry
 from .pull import pull_window as _pull
-from .yara import RuleSet, community_iot_rules
+from .yara import RuleSet, community_iot_rules, families_of
 
 ENGINE_COUNT = 75
 DETECTION_THRESHOLD = 5  # established best practice (section 2.2)
@@ -139,7 +139,7 @@ class VirusTotalService:
             sha256=sample.sha256,
             detections=detections,
             yara_matches=[rule.name for rule in matches],
-            yara_families=self.rules.families(sample.data),
+            yara_families=families_of(matches),
             first_submission=first,
         )
 

@@ -44,6 +44,11 @@ class YaraRule:
         return hits >= int(self.condition)
 
 
+def families_of(matches: list[YaraRule]) -> list[str]:
+    """Family tags of a scan's matching rules, deduplicated in match order."""
+    return list(dict.fromkeys(rule.family for rule in matches if rule.family))
+
+
 class RuleSet:
     """An ordered collection of rules evaluated against a binary."""
 
@@ -61,11 +66,7 @@ class RuleSet:
 
     def families(self, data: bytes) -> list[str]:
         """Family tags of matching rules, deduplicated in match order."""
-        seen: list[str] = []
-        for rule in self.scan(data):
-            if rule.family and rule.family not in seen:
-                seen.append(rule.family)
-        return seen
+        return families_of(self.scan(data))
 
     def __len__(self) -> int:
         return len(self.rules)

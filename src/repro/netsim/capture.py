@@ -205,6 +205,11 @@ class PacketColumns:
                              pkt.icmp_code, pkt.payload))
         COLUMN_STATS["rows"] += 1
 
+    def extend(self, rows: list[tuple]) -> None:
+        """Stage already-built 13-field column tuples in one append."""
+        self._staged.extend(rows)
+        COLUMN_STATS["rows"] += len(rows)
+
     def _flush(self) -> None:
         """Transpose staged rows into the typed arrays (one bulk pass)."""
         if not self._staged:
@@ -327,6 +332,17 @@ class Capture:
         if cols is None:
             cols = self._cols = PacketColumns()
         cols.append_udp(src, dst, sport, dport, payload, timestamp)
+
+    def add_rows(self, rows: list[tuple]) -> None:
+        """Record a batch of packets as columnar rows in one append.
+
+        Each row is the full column tuple in array order — ``(timestamp,
+        src, dst, sport, dport, protocol, flags, seq, ack, ttl,
+        icmp_type, icmp_code, payload)`` with integer protocol and flags
+        — exactly what :meth:`add_tcp`/:meth:`add_udp` stage one at a
+        time, so a batch reads back like the same rows added singly.
+        """
+        self._tail().extend(rows)
 
     def extend(self, packets: Iterable[Packet]) -> None:
         if self._cols is not None:

@@ -7,63 +7,46 @@ malware's next connections there.  The malware completes the TCP
 handshake with the fake target and sends its first data packets — which
 contain the exploit.
 
-:class:`Handshaker` implements the bot-facing
-:class:`~repro.botnet.bot.NetworkAdapter`: connection attempts feed the
-fanout counters; redirected connections return a recording session.
+:meth:`Handshaker.scan` runs a whole scan burst of a bot as one batched
+kernel: draw the targets, decide redirection for the batch, draw the
+ephemeral ports and payloads, record every row in one bulk append.
+Each draw goes through ``Random._randbelow`` — the call ``randrange(a,
+b)`` and ``choice`` make — in the order a one-connection-at-a-time scan
+made it, so the trace, the captures and both random streams are exactly
+what that scan produced.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
-from ..determinism import stable_seed
-from ..netsim.addresses import ephemeral_port
+from ..botnet.bot import Bot
 from ..netsim.capture import Capture
-from ..netsim.packet import Packet, TcpFlags
+from ..netsim.packet import DEFAULT_TTL, Protocol, TcpFlags
 
 #: ports contacted on more than this many distinct IPs get a fake victim
 DEFAULT_FANOUT_THRESHOLD = 20
 
-_SYN = TcpFlags.SYN
-_PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
+#: seconds between consecutive trace rows
+_TICK = 0.005
+#: ephemeral source ports: ``_EPHEMERAL + _randbelow(_EPHEMERAL_SPAN)``
+#: is ``randrange(49152, 65536)``
+_EPHEMERAL = 49152
+_EPHEMERAL_SPAN = 16384
+_TCP = int(Protocol.TCP)
+_SYN = int(TcpFlags.SYN)
+_PSH_ACK = int(TcpFlags.PSH | TcpFlags.ACK)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExploitCapture:
     """One payload collected from a completed fake-victim handshake."""
 
     port: int
     target: int          # the address the malware believed it attacked
     payload: bytes
-
-
-class _VictimSession:
-    """Fake-victim endpoint handed back to the malware."""
-
-    __slots__ = ("_handshaker", "_target", "_port", "_received", "closed")
-
-    def __init__(self, handshaker: "Handshaker", target: int, port: int):
-        self._handshaker = handshaker
-        self._target = target
-        self._port = port
-        self._received = b""
-        self.closed = False
-
-    def send(self, data: bytes) -> None:
-        if self.closed:
-            return
-        self._received += data
-        self._handshaker._collect(self._target, self._port, self._received)
-
-    def recv(self) -> bytes:
-        # a real service banner for the port keeps some payloads coming
-        if self._port in (23, 2323) and not self.closed:
-            return b"login: "
-        return b""
-
-    def close(self) -> None:
-        self.closed = True
 
 
 class Handshaker:
@@ -83,83 +66,112 @@ class Handshaker:
         self.rng = rng
         self.fanout_threshold = fanout_threshold
         self.trace = trace if trace is not None else Capture(label="handshaker")
-        self._tcp_row = self.trace.add_tcp
         self.base_time = base_time
-        self._ticks = 0
+        #: rows recorded so far; row ``n`` is stamped ``base_time + n * 0.005``
+        self.ticks = 0
         #: port -> distinct target IPs observed
         self.fanout: dict[int, set[int]] = {}
         #: ports currently redirected to fake victims
         self.redirected_ports: set[int] = set()
         self.captures: list[ExploitCapture] = []
         self._latest: dict[tuple[int, int], ExploitCapture] = {}
-        self.datagrams: list[Packet] = []
 
-    # -- NetworkAdapter interface ----------------------------------------------
+    # -- the kernel ------------------------------------------------------------
 
-    def tcp_connect(self, dst: int, port: int, trace: Capture | None = None):
-        self._record_syn(dst, port)
-        targets = self.fanout.get(port)
-        if targets is None:
-            targets = self.fanout[port] = set()
-        targets.add(dst)
-        if port not in self.redirected_ports:
-            if len(targets) > self.fanout_threshold:
-                self.redirected_ports.add(port)
+    def scan(self, bot: Bot, count: int) -> int:
+        """Run one scan burst of ``count`` targets; returns victims engaged.
+
+        The targets and the payloads come from the bot's random stream,
+        the ephemeral ports from this handshaker's, so the two must be
+        separate streams for each to see its draws in the order a
+        connection-at-a-time scan made them.
+        """
+        if bot.rng is self.rng:
+            raise ValueError("the bot and the handshaker share one random "
+                             "stream; a scan burst needs two")
+        targets = bot.scan_targets(count)
+        engaged = self._engage(targets)
+        hits = list(compress(targets, engaged))
+        payloads = bot.attack_payloads([port for _address, port in hits])
+        self._record(targets, engaged, payloads)
+        self._capture(hits, payloads)
+        return len(hits)
+
+    def _engage(self, targets: list[tuple[int, int]]) -> list[bool]:
+        """The fan-out rule, over a batch in order; draws nothing.
+
+        Every target joins its port's set of distinct IPs, and engages
+        once that set holds more than ``fanout_threshold`` of them —
+        from the target that crosses it on, the port is redirected (the
+        set only grows, so it stays redirected).
+        """
+        fanout = self.fanout
+        redirected = self.redirected_ports
+        threshold = self.fanout_threshold
+        engaged: list[bool] = []
+        append = engaged.append
+        for address, port in targets:
+            ips = fanout.get(port)
+            if ips is None:
+                ips = fanout[port] = set()
+            ips.add(address)
+            if len(ips) > threshold:
+                redirected.add(port)
+                append(True)
             else:
-                return None  # not redirected yet: connection goes nowhere
-        return _VictimSession(self, dst, port)
+                append(False)
+        return engaged
 
-    def send_datagram(self, pkt: Packet, trace: Capture | None = None) -> None:
-        self.datagrams.append(pkt)
-        self._stamp(pkt)
-        self.trace.add(pkt)
+    def _record(self, targets: list[tuple[int, int]], engaged: list[bool],
+                payloads: list[bytes]) -> None:
+        """The trace rule: a SYN row per target, then, for an engaged one,
+        a PSH/ACK row carrying its payload.
 
-    def dns_lookup(self, name: str, trace: Capture | None = None) -> int | None:
-        # exploit extraction runs offline; names resolve into fake space
-        # (stable digest, not builtin hash: that one is salted per process,
-        # which would make shard workers resolve differently than the
-        # serial run)
-        return 0xC6120001 + (stable_seed("handshaker-dns", name) & 0xFF)
+        Each row draws its ephemeral port from this handshaker's stream
+        and takes the next tick, in row order; the rows land in the
+        trace in one bulk append.
+        """
+        randbelow = self.rng._randbelow
+        bot_ip = self.bot_ip
+        base = self.base_time
+        tick = self.ticks
+        payload_of = iter(payloads).__next__
+        rows: list[tuple] = []
+        append = rows.append
+        for (address, port), hit in zip(targets, engaged):
+            tick += 1
+            append((base + tick * _TICK, bot_ip, address,
+                    _EPHEMERAL + randbelow(_EPHEMERAL_SPAN), port, _TCP,
+                    _SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
+            if hit:
+                tick += 1
+                append((base + tick * _TICK, bot_ip, address,
+                        _EPHEMERAL + randbelow(_EPHEMERAL_SPAN), port, _TCP,
+                        _PSH_ACK, 0, 0, DEFAULT_TTL, 0, 0, payload_of()))
+        self.ticks = tick
+        self.trace.add_rows(rows)
 
-    # -- internals -----------------------------------------------------------------
-
-    def _stamp(self, pkt: Packet) -> None:
-        self._ticks += 1
-        pkt.timestamp = self.base_time + self._ticks * 0.005
-
-    def _record_syn(self, dst: int, port: int) -> None:
-        # the SYN's randomness (ephemeral port) and timestamp are drawn
-        # NOW, in trace order; the packet itself lands as one columnar
-        # row — most scan-phase packets are recorded but never read, and
-        # the trace rebuilds byte-identical Packet objects only on demand
-        self._ticks += 1
-        self._tcp_row(
-            self.bot_ip, dst, self.rng.randrange(49152, 65536), port,
-            _SYN, b"", 0, 0, self.base_time + self._ticks * 0.005)
-
-    def _collect(self, target: int, port: int, payload: bytes) -> None:
-        self._ticks += 1
-        self._tcp_row(
-            self.bot_ip, target, self.rng.randrange(49152, 65536), port,
-            _PSH_ACK, payload, 0, 0, self.base_time + self._ticks * 0.005)
-        key = (target, port)
-        existing = self._latest.get(key)
-        if existing is None:
-            capture = ExploitCapture(port=port, target=target, payload=payload)
-            self._latest[key] = capture
-            self.captures.append(capture)
-        else:
-            existing.payload = payload  # cumulative stream for this victim
+    def _capture(self, hits: list[tuple[int, int]],
+                 payloads: list[bytes]) -> None:
+        """The capture rule: one :class:`ExploitCapture` per victim
+        ``(target, port)``, holding the latest payload it received."""
+        latest = self._latest
+        captures = self.captures
+        for key, payload in zip(hits, payloads):
+            existing = latest.get(key)
+            if existing is None:
+                latest[key] = capture = ExploitCapture(key[1], key[0], payload)
+                captures.append(capture)
+            else:
+                existing.payload = payload
 
     # -- results ----------------------------------------------------------------------
 
     def popular_ports(self) -> list[int]:
         """Ports whose fanout crossed the threshold, most popular first."""
-        crossed = [
-            (len(ips), port) for port, ips in self.fanout.items()
-            if len(ips) > self.fanout_threshold
-        ]
-        return [port for _count, port in sorted(crossed, reverse=True)]
+        fanout = self.fanout
+        return sorted(self.redirected_ports,
+                      key=lambda port: (len(fanout[port]), port), reverse=True)
 
     def distinct_payloads(self) -> list[bytes]:
         seen: set[bytes] = set()

@@ -93,6 +93,11 @@ class FakeInternetAdapter:
         self._name_cache: dict[str, int] = {}
 
     @property
+    def last_timestamp(self) -> float:
+        """Time of the latest packet recorded (``base_time`` before any)."""
+        return self.base_time + self.ticks * 0.01
+
+    @property
     def name_bindings(self) -> dict[str, int]:
         """Names resolved so far and the fake addresses handed out."""
         return dict(self._name_cache)

@@ -176,12 +176,14 @@ class CncHunterSandbox:
             span.set_attribute("sha256", process.sha256)
             report = OfflineReport(sha256=process.sha256, activated=True,
                                    yara_input=data)
-            self._run_c2_phase(process, report)
-            self._run_exploit_phase(process, report, scan_budget)
+            c2_end = self._run_c2_phase(process, report)
+            self._run_exploit_phase(process, report, scan_budget, c2_end)
             self._m_handshaker.inc(len(report.exploits))
         return report
 
-    def _run_c2_phase(self, process: EmulatedProcess, report: OfflineReport) -> None:
+    def _run_c2_phase(self, process: EmulatedProcess,
+                      report: OfflineReport) -> float:
+        """Fake-Internet C2 phase; returns the time of its last packet."""
         base_time = self.internet.clock.now if self.internet else 0.0
         fake = FakeInternetAdapter(self.bot_ip, self.rng, base_time=base_time)
         bot = process.bot
@@ -202,14 +204,19 @@ class CncHunterSandbox:
             best = report.c2_candidates[0]
             report.c2_endpoint = resolve_endpoint_name(best, fake.name_bindings)
             report.c2_port = best.port
+        return fake.last_timestamp
 
     def _run_exploit_phase(
-        self, process: EmulatedProcess, report: OfflineReport, scan_budget: int
+        self, process: EmulatedProcess, report: OfflineReport,
+        scan_budget: int, start: float,
     ) -> None:
         if process.bot.config.is_p2p:
             return
-        handshaker = Handshaker(self.bot_ip, self.rng, trace=report.capture)
-        process.bot.scan_burst(handshaker, scan_budget)
+        # the scan rows continue the C2 phase's clock, so the capture (and
+        # the pcap written from it) runs forward in time
+        handshaker = Handshaker(self.bot_ip, self.rng, trace=report.capture,
+                                base_time=start)
+        handshaker.scan(process.bot, scan_budget)
         report.exploits = list(handshaker.captures)
         report.scan_ports = handshaker.popular_ports()
 

@@ -11,7 +11,8 @@ from repro.botnet.protocols import p2p
 from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int, is_reserved
 from repro.netsim.capture import Capture
-from repro.netsim.packet import Protocol
+from repro.netsim.packet import Protocol, TcpFlags
+from repro.sandbox.handshaker import Handshaker
 
 BOT_IP = ip_to_int("198.51.100.77")
 TARGET = ip_to_int("192.0.2.50")
@@ -116,29 +117,49 @@ class TestScanning:
         ports = {port for _ip, port in bot.scan_targets(100)}
         assert ports <= set(TELNET_PORTS)
 
-    def test_scan_burst_hits_on_accepted_connections(self):
-        adapter = RecordingAdapter(accept_every=5)
-        hits = mirai_bot().scan_burst(adapter, 50)
-        assert len(hits) == 10
-        assert all(session.closed for _key, session in adapter.sessions)
+    def test_scan_hits_only_redirected_victims(self):
+        # each port's first 5 distinct IPs go nowhere; every later target
+        # on it is a fake victim that gets one payload
+        handshaker = Handshaker(BOT_IP, random.Random(9), fanout_threshold=5)
+        hits = handshaker.scan(mirai_bot(), 50)
+        flags = [row[6] for row in handshaker.trace.iter_rows()]
+        assert flags.count(TcpFlags.SYN) == 50
+        assert flags.count(TcpFlags.PSH | TcpFlags.ACK) == hits
+        assert all(len(ips) > 5 for ips in handshaker.fanout.values())
+        assert hits == 50 - 5 * len(handshaker.fanout)
+        assert len(handshaker.captures) == hits
+
+    def test_attack_payloads_pick_like_choice(self):
+        # one choice() per accepting victim over the port's options, and
+        # no draw at all for the bare probe
+        ports = [23, 8080, 37215, 2323, 8080] * 20
+        bot, rng = mirai_bot(), random.Random()
+        rng.setstate(bot.rng.getstate())
+        picks = bot.attack_payloads(ports)
+        expected = []
+        for port in ports:
+            options, width = bot.payload_options(port)
+            expected.append(rng.choice(options) if width else options[0])
+        assert picks == expected
 
     def test_telnet_hit_sends_credentials(self):
         bot = mirai_bot(exploit_ids=[])
-        payload, vuln = bot.attack_payload_for_port(23)
-        assert vuln is None
+        (payload,) = bot.attack_payloads([23])
+        assert classify_exploit(payload) is None
         assert any(payload.startswith(user) for user, _pw in TELNET_CREDENTIALS)
 
     def test_exploit_hit_sends_classifiable_payload(self):
         bot = mirai_bot()
-        payload, vuln = bot.attack_payload_for_port(8080)
-        assert vuln is BY_KEY["CVE-2018-10561"]
-        assert classify_exploit(payload) is vuln
+        (payload,) = bot.attack_payloads([8080])
+        assert classify_exploit(payload) is BY_KEY["CVE-2018-10561"]
         assert b"8UsA.sh" in payload
 
     def test_unarmed_port_gets_plain_probe(self):
-        payload, vuln = mirai_bot().attack_payload_for_port(37215)
-        assert vuln is None
+        bot = mirai_bot()
+        state = bot.rng.getstate()
+        (payload,) = bot.attack_payloads([37215])
         assert payload.startswith(b"GET / ")
+        assert bot.rng.getstate() == state      # the probe draws nothing
 
 
 class TestP2p:

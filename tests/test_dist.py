@@ -377,6 +377,31 @@ def test_idle_worker_is_not_lost_when_it_steals(workers, serial_straggler):
     assert dist["steals"] >= 1
 
 
+def test_reset_connection_is_a_crash_like_eof():
+    # a local child SIGKILLed before reading what we sent resets its end
+    # of the socketpair: recv raises ECONNRESET instead of returning b""
+    from repro.dist import Coordinator
+    from repro.dist.coordinator import _Wave
+    from repro.dist.plan import TaskSpec
+
+    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
+                    shard_count=1)
+    coordinator = Coordinator(spec, ["127.0.0.1:1"])
+    ours, theirs = socket.socketpair()
+    try:
+        ours.sendall(b"a task frame the worker never read")
+        theirs.close()
+        peer = coordinator.peers[0]
+        peer.sock = ours
+        coordinator._pump(peer, _Wave([0], 0, {}, None, None))
+        (lost,) = coordinator.lost_workers
+        assert lost["reason"] == "worker crashed (connection closed)"
+        assert peer.sock is None and ours.fileno() == -1
+    finally:
+        ours.close()
+        coordinator.close()
+
+
 def test_coordinator_rejects_double_wave():
     from repro.dist import Coordinator
     from repro.dist.coordinator import CoordinatorError

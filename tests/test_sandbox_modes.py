@@ -13,7 +13,7 @@ from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.internet import Listener, VirtualInternet
 from repro.netsim.packet import Protocol
-from repro.sandbox.qemu import MipsEmulator
+from repro.sandbox.qemu import EmulationError, MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
 
 C2_IP = ip_to_int("203.0.113.10")
@@ -96,6 +96,26 @@ class TestOfflineMode:
 
         restored = Capture.from_pcap_bytes(report.capture.to_pcap_bytes())
         assert len(restored) == len(report.capture)
+
+    def test_offline_captures_run_forward_in_time(self, smoke_world):
+        # the scan rows continue the C2 phase's clock, so no capture (and
+        # no pcap written from one) steps back in time
+        now = smoke_world.internet.clock.now
+        sandbox = CncHunterSandbox(
+            random.Random(0), smoke_world.internet,
+            emulator=MipsEmulator(random.Random(1), activation_rate=1.0),
+        )
+        scanned = 0
+        for planned in smoke_world.truth.all_samples:
+            try:
+                report = sandbox.analyze_offline(planned.sample.data)
+            except EmulationError:
+                continue
+            times = [row[12] for row in report.capture.iter_rows()]
+            assert times == sorted(times), planned.sample.sha256
+            assert all(t >= now for t in times), planned.sample.sha256
+            scanned += bool(report.scan_ports)
+        assert scanned > 10
 
     def test_unactivated_sample_reported(self):
         sandbox = CncHunterSandbox(
