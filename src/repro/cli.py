@@ -13,6 +13,7 @@ Usage (also via ``python -m repro``)::
     python -m repro serve  --scale smoke --port 8321 --checkpoint-dir /tmp/ckpt
     python -m repro query http://127.0.0.1:8321 ingest --days all
     python -m repro query http://127.0.0.1:8321 profile --sha256 <hash>
+    python -m repro query http://127.0.0.1:8321 alerts
 
 Scales: ``smoke`` (~70 samples, seconds), ``mid`` (~430), ``full`` (the
 paper's 1447 samples, ~10 s), ``xl`` (~720 samples with smoke-sized
@@ -57,7 +58,7 @@ REPORT_CHOICES = (
 
 QUERY_CHOICES = (
     "status", "digest", "health", "profiles", "profile", "c2", "lifespans",
-    "ddos", "exploits", "rules", "metrics", "ingest", "finalize",
+    "ddos", "exploits", "alerts", "rules", "metrics", "ingest", "finalize",
 )
 
 
@@ -689,6 +690,7 @@ def _cmd_query(args, out) -> int:
                 "lifespans": client.lifespans,
                 "ddos": client.ddos_summary,
                 "exploits": client.exploits_summary,
+                "alerts": client.alerts,
                 "finalize": client.finalize,
             }[args.what]()
         print(json.dumps(document, indent=2), file=out)

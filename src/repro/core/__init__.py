@@ -15,7 +15,7 @@ from .datasets import (
     ProbeObservation,
 )
 from .firewall import FirewallRule, RuleBundle, compile_rules, coverage_report
-from .monitor import Alert, AlertKind, ContinuousMonitor, DailyDigest
+from .monitor import Alert, AlertKind
 from .pipeline import MalNet, PipelineConfig
 from .probing import ProbingCampaign
 from .profiles import (
@@ -31,8 +31,6 @@ __all__ = [
     "AttackObservation",
     "BinaryNetworkProfile",
     "C2Record",
-    "ContinuousMonitor",
-    "DailyDigest",
     "FirewallRule",
     "RuleBundle",
     "Datasets",

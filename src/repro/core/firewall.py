@@ -50,9 +50,16 @@ class RuleBundle:
     """All rules compiled from one dataset snapshot."""
 
     rules: list[FirewallRule] = field(default_factory=list)
+    #: membership index beside ``rules``: a list scan made compiling
+    #: quadratic in the rule count
+    _seen: set[FirewallRule] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._seen = set(self.rules)
 
     def add(self, rule: FirewallRule) -> None:
-        if rule not in self.rules:
+        if rule not in self._seen:
+            self._seen.add(rule)
             self.rules.append(rule)
 
     def by_technology(self, technology: str) -> list[FirewallRule]:

@@ -6,21 +6,19 @@ firewalls, ISPs and threat-intel exchanges — with *just-in-time* value:
 two of the attack-issuing C2s were unknown to every TI feed on launch
 day, so only someone listening live could have acted.
 
-:class:`ContinuousMonitor` wraps the daily pipeline into that service
-shape: call :meth:`tick` once per study day and receive typed alerts —
-new C2 discovered, C2 unknown to threat intel, exploit seen for a
-vulnerability, DDoS command eavesdropped — plus the incremental firewall
-rules that should ship to subscribers that day.
+The study service is that infrastructure, and this module is its alert
+feed (``GET /alerts?since=DAY``).  The alerts are a pure function of
+the profiles, because a profile never changes after its study day.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..obs import NULL_TELEMETRY, Telemetry
-from .firewall import FirewallRule, compile_rules
-from .pipeline import MalNet, PipelineConfig
+from ..netsim.addresses import int_to_ip
+
+__all__ = ["Alert", "AlertKind", "alerts"]
 
 
 class AlertKind(enum.Enum):
@@ -32,7 +30,7 @@ class AlertKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Alert:
-    """One actionable event emitted by the monitor."""
+    """One actionable event of the alert feed."""
 
     kind: AlertKind
     day: int
@@ -43,139 +41,45 @@ class Alert:
         return f"[day {self.day:>3}] {self.kind.value:<14} {self.subject}: {self.detail}"
 
 
-@dataclass
-class DailyDigest:
-    """Everything the service would push to subscribers for one day."""
+def alerts(profiles, since: int = 0) -> list[Alert]:
+    """The alerts ``profiles`` raise, in emission order, from day ``since``.
 
-    day: int
-    alerts: list[Alert] = field(default_factory=list)
-    new_rules: list[FirewallRule] = field(default_factory=list)
-    profiles_analyzed: int = 0
-
-
-class ContinuousMonitor:
-    """Day-by-day streaming wrapper around the MalNet pipeline."""
-
-    def __init__(self, world, config: PipelineConfig | None = None,
-                 telemetry: Telemetry | None = None):
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self.malnet = MalNet(world, config, telemetry=self.telemetry)
-        self._known_c2s: set[str] = set()
-        self._known_vulns: set[str] = set()
-        self._seen_commands: set[tuple] = set()
-        self._shipped_rules: set[tuple[str, str]] = set()
-        self.digests: list[DailyDigest] = []
-        metrics = self.telemetry.metrics
-        self._m_alerts = metrics.counter(
-            "monitor_alerts", "typed alerts pushed to subscribers",
-            labelnames=("kind",))
-        self._m_rules = metrics.counter(
-            "monitor_rules_shipped", "incremental firewall/IDS rules shipped")
-
-    # -- the daily tick ------------------------------------------------------
-
-    def tick(self, day: int) -> DailyDigest:
-        """Run one collection day and compute its alerts and rule delta."""
-        with self.telemetry.tracer.span("monitor.tick", day=day):
-            profiles = self.malnet.run_day(day)
-            digest = DailyDigest(day=day, profiles_analyzed=len(profiles))
-            for profile in profiles:
-                self._c2_alerts(day, profile, digest)
-                self._exploit_alerts(day, profile, digest)
-                self._attack_alerts(day, profile, digest)
-            self._rule_delta(digest)
-        for alert in digest.alerts:
-            self._m_alerts.labels(kind=alert.kind.value).inc()
-            self.telemetry.events.emit(
-                "monitor.alert", kind=alert.kind.value, day=day,
-                subject=alert.subject, detail=alert.detail,
-            )
-        self._m_rules.inc(len(digest.new_rules))
-        self.digests.append(digest)
-        return digest
-
-    def run(self, days: int) -> list[DailyDigest]:
-        """Tick through ``days`` consecutive study days."""
-        for day in range(days):
-            self.tick(day)
-        self.malnet.recheck_threat_intel()
-        return self.digests
-
-    # -- alert derivation -----------------------------------------------------
-
-    def _c2_alerts(self, day: int, profile, digest: DailyDigest) -> None:
-        if not profile.has_c2 or profile.c2_endpoint in self._known_c2s:
-            return
-        self._known_c2s.add(profile.c2_endpoint)
-        digest.alerts.append(Alert(
-            AlertKind.NEW_C2, day, profile.c2_endpoint,
-            f"{profile.family_label or 'unknown'} C2 on port "
-            f"{profile.c2_port}; live={profile.c2_live_on_day0}",
-        ))
-        if profile.c2_live_on_day0 and not profile.vt_flagged_day0:
-            digest.alerts.append(Alert(
-                AlertKind.TI_BLIND_SPOT, day, profile.c2_endpoint,
-                "live C2 unknown to all 89 TI feeds — block it now",
-            ))
-
-    def _exploit_alerts(self, day: int, profile, digest: DailyDigest) -> None:
+    ``profiles`` must be in ``(day, sha256)`` order, as
+    ``Datasets.profiles`` is in serial, resumed and merged runs alike.
+    The first profile to show a C2, a vulnerability or a (C2, method,
+    target) command raises its alert, so no alert's day depends on
+    ``since``.
+    """
+    seen: set[tuple] = set()
+    found: list[Alert] = []
+    for profile in profiles:
+        day, c2 = profile.day, profile.c2_endpoint
+        if profile.has_c2 and ("c2", c2) not in seen:
+            seen.add(("c2", c2))
+            found.append(Alert(
+                AlertKind.NEW_C2, day, c2,
+                f"{profile.family_label or 'unknown'} C2 on port "
+                f"{profile.c2_port}; live={profile.c2_live_on_day0}"))
+            if profile.c2_live_on_day0 and not profile.vt_flagged_day0:
+                found.append(Alert(
+                    AlertKind.TI_BLIND_SPOT, day, c2,
+                    "live C2 unknown to all 89 TI feeds — block it now"))
         for observation in profile.exploits:
-            if observation.vuln_key in self._known_vulns:
-                continue
-            self._known_vulns.add(observation.vuln_key)
-            digest.alerts.append(Alert(
-                AlertKind.NEW_EXPLOIT, day, observation.vuln_key,
-                f"first exploit sighting (loader {observation.loader}, "
-                f"port {observation.port})",
-            ))
-
-    def _attack_alerts(self, day: int, profile, digest: DailyDigest) -> None:
-        from ..netsim.addresses import int_to_ip
-
+            if ("vuln", observation.vuln_key) not in seen:
+                seen.add(("vuln", observation.vuln_key))
+                found.append(Alert(
+                    AlertKind.NEW_EXPLOIT, day, observation.vuln_key,
+                    f"first exploit sighting (loader {observation.loader}, "
+                    f"port {observation.port})"))
         for attack in profile.attacks:
-            key = (profile.c2_endpoint, attack.command.method,
-                   attack.command.target_ip, attack.command.target_port)
-            if key in self._seen_commands:
-                continue
-            self._seen_commands.add(key)
-            digest.alerts.append(Alert(
-                AlertKind.ATTACK_IN_PROGRESS, day,
-                int_to_ip(attack.command.target_ip),
-                f"{attack.command.attack_type} ordered by "
-                f"{profile.c2_endpoint} (duration "
-                f"{attack.command.duration}s) — notify the victim's AS",
-            ))
-
-    def _rule_delta(self, digest: DailyDigest) -> None:
-        bundle = compile_rules(self.malnet.datasets)
-        for rule in bundle.rules:
-            key = (rule.technology, rule.text)
-            if key not in self._shipped_rules:
-                self._shipped_rules.add(key)
-                digest.new_rules.append(rule)
-
-    # -- summaries ----------------------------------------------------------------
-
-    @property
-    def datasets(self):
-        return self.malnet.datasets
-
-    def alert_counts(self) -> dict[AlertKind, int]:
-        counts: dict[AlertKind, int] = {}
-        for digest in self.digests:
-            for alert in digest.alerts:
-                counts[alert.kind] = counts.get(alert.kind, 0) + 1
-        return counts
-
-    def time_to_first_rule(self, endpoint: str) -> int | None:
-        """Study day on which a block rule for ``endpoint`` first shipped.
-
-        Matches the rule's ``endpoint`` metadata, not a substring of its
-        rendered text — ``"1.2.3.4"`` must not claim credit for a rule
-        that blocks ``"11.2.3.45"``.
-        """
-        for digest in self.digests:
-            for rule in digest.new_rules:
-                if rule.endpoint == endpoint:
-                    return digest.day
-        return None
+            command = attack.command
+            key = ("attack", c2, command.method, command.target_ip,
+                   command.target_port)
+            if key not in seen:
+                seen.add(key)
+                found.append(Alert(
+                    AlertKind.ATTACK_IN_PROGRESS, day,
+                    int_to_ip(command.target_ip),
+                    f"{command.attack_type} ordered by {c2} (duration "
+                    f"{command.duration}s) — notify the victim's AS"))
+    return [alert for alert in found if alert.day >= since]

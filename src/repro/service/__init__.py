@@ -7,8 +7,9 @@ one at a time (explicitly via ``POST /ingest/day``, or on a simulated
 clock), checkpoints after every day through
 :class:`~repro.service.state.CheckpointStore`, and serves the study's
 artifacts — per-binary profiles, C2 lifespan CDFs, DDoS/exploit
-summaries, the firewall rule feed, progress, and Prometheus metrics —
-over a ``http.server``-based JSON API.  Everything is stdlib-only.
+summaries, the monitoring alert feed, the firewall rule feed, progress,
+and Prometheus metrics — over a ``http.server``-based JSON API.
+Everything is stdlib-only.
 
 Module map::
 

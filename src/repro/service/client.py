@@ -36,22 +36,29 @@ class StudyClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _request(self, method: str, path: str,
-                 params: dict | None = None) -> tuple[str, bytes]:
+    def _request(self, method: str, path: str, params: dict | None = None,
+                 headers: dict | None = None):
+        """The one request path: ``(status, response headers, body)``.
+
+        A ``304`` (only a conditional GET can earn one) comes back with
+        an empty body; any other non-2xx raises :class:`ServiceError`
+        with the server's ``{"error": ...}`` text.
+        """
         url = self.base_url + path
         if params:
             clean = {k: v for k, v in params.items() if v is not None}
             if clean:
                 url += "?" + urllib.parse.urlencode(clean)
-        request = urllib.request.Request(url, method=method,
-                                         data=b"" if method == "POST"
-                                         else None)
+        request = urllib.request.Request(
+            url, method=method, headers=headers or {},
+            data=b"" if method == "POST" else None)
         try:
             with urllib.request.urlopen(request,
                                         timeout=self.timeout) as response:
-                return (response.headers.get("Content-Type", ""),
-                        response.read())
+                return response.status, response.headers, response.read()
         except urllib.error.HTTPError as exc:
+            if exc.code == 304:
+                return 304, exc.headers, b""
             body = exc.read()
             try:
                 message = json.loads(body.decode()).get("error", "")
@@ -69,30 +76,15 @@ class StudyClient:
         Pass the etag from a previous call; a ``304`` comes back with an
         empty body, meaning the cached copy is still byte-fresh.
         """
-        request = urllib.request.Request(self.base_url + path)
-        if etag:
-            request.add_header("If-None-Match", etag)
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return (response.status, response.headers.get("ETag"),
-                        response.read())
-        except urllib.error.HTTPError as exc:
-            if exc.code == 304:
-                return 304, exc.headers.get("ETag"), b""
-            raise ServiceError(exc.code, exc.reason) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                0, f"cannot reach {self.base_url + path}: {exc.reason}") \
-                from None
+        status, headers, body = self._request(
+            "GET", path, headers={"If-None-Match": etag} if etag else None)
+        return status, headers.get("ETag"), body
 
     def _json(self, method: str, path: str, params: dict | None = None):
-        _, body = self._request(method, path, params)
-        return json.loads(body.decode())
+        return json.loads(self._request(method, path, params)[2].decode())
 
     def _text(self, path: str, params: dict | None = None) -> str:
-        _, body = self._request("GET", path, params)
-        return body.decode()
+        return self._request("GET", path, params)[2].decode()
 
     # -- routes ------------------------------------------------------------
 
@@ -124,8 +116,13 @@ class StudyClient:
     def exploits_summary(self) -> dict:
         return self._json("GET", "/summary/exploits")
 
-    def rules(self, technology: str | None = None) -> str:
-        return self._text("/rules", {"technology": technology})
+    def alerts(self, since: int | None = None) -> dict:
+        return self._json("GET", "/alerts", {"since": since})
+
+    def rules(self, technology: str | None = None,
+              since: int | None = None) -> str:
+        return self._text("/rules", {"technology": technology,
+                                     "since": since})
 
     def metrics(self) -> str:
         return self._text("/metrics")

@@ -18,7 +18,9 @@ Routes::
     GET  /c2/lifespans      C2 lifespan CDFs (ip + dns, Figure 6)
     GET  /summary/ddos      D-DDOS rollup (Figure 10/11 inputs)
     GET  /summary/exploits  measured Table 4 rows
-    GET  /rules             firewall rule feed, text/plain (?technology=...)
+    GET  /alerts            the monitoring alert feed (?since=DAY)
+    GET  /rules             firewall rule feed, text/plain
+                            (?technology=..., ?since=DAY)
     GET  /metrics           Prometheus exposition of the live registry
     POST /ingest/day        ingest N more feed days (?days=N | "all")
     POST /finalize          TI re-query + probing (idempotent)
@@ -35,6 +37,10 @@ and a request presenting it back via ``If-None-Match`` is answered
 ``304 Not Modified`` with an empty body *before* the handler runs, so
 a revalidation costs neither serialization nor dataset traversal.
 ``service_cache_total{result=hit|miss}`` counts both outcomes.
+
+``?since=DAY`` keeps the alerts and the rules first shipped on day
+``DAY`` or later (finalize's rules carry ``total_days``).  No route
+compiles rules: the service compiles them once per ingested day.
 """
 
 from __future__ import annotations
@@ -45,10 +51,11 @@ from ..core.c2_analysis import lifetime_cdf
 from ..core.ddos_analysis import (attacks_per_family, protocol_distribution,
                                   type_by_family)
 from ..core.exploit_analysis import table4
-from ..core.firewall import compile_rules
+from ..core.firewall import RuleBundle
+from ..core.monitor import alerts
 from ..obs.exporters import to_prometheus
-from .serialization import (c2_doc, cdf_doc, ddos_doc, encode,
-                            exploit_usage_doc, profile_doc, summary_doc)
+from .serialization import (alert_doc, c2_doc, cdf_doc, ddos_doc, encode,
+                            exploit_usage_doc, profile_doc)
 
 __all__ = ["CACHEABLE_ROUTES", "ServiceApi", "RULE_TECHNOLOGIES"]
 
@@ -59,7 +66,7 @@ RULE_TECHNOLOGIES = ("iptables", "dnsmasq", "snort")
 #: /status (progress) or /metrics (counters move on every request)
 CACHEABLE_ROUTES = frozenset({
     "/digest", "/profiles", "/profiles/:sha256", "/c2", "/c2/lifespans",
-    "/summary/ddos", "/summary/exploits", "/rules",
+    "/summary/ddos", "/summary/exploits", "/alerts", "/rules",
 })
 
 _JSON = "application/json"
@@ -68,6 +75,14 @@ _TEXT = "text/plain; charset=utf-8"
 
 def _error(status: int, message: str) -> tuple[int, str, bytes]:
     return status, _JSON, encode({"error": message})
+
+
+def _since(query) -> int | None:
+    """``?since=DAY`` (0 when absent), or None when it is no integer."""
+    try:
+        return int(query.get("since", 0))
+    except ValueError:
+        return None
 
 
 class ServiceApi:
@@ -105,28 +120,29 @@ class ServiceApi:
         ``If-None-Match`` is consulted).  Never raises: unexpected
         handler failures become a 500 with the exception text.
 
-        The etag is sampled *before* dispatch; an ingest racing a read
-        can therefore tag a response with the just-staled validator,
-        which only costs the client one extra revalidation — it can
-        never serve stale bytes as fresh.
+        A cacheable GET samples the etag and builds its body inside one
+        ``service.lock`` section: an ingest racing the read waits for
+        it, so the tag always names the bytes served.
         """
         path = "/" + path.strip("/")
-        etag = None
-        if method == "GET" and self._route_pattern(path) in CACHEABLE_ROUTES:
+        pattern = self._route_pattern(path)
+        if method != "GET" or pattern not in CACHEABLE_ROUTES:
+            return self._respond(method, path, query, body, None)
+        with self.service.lock:
             etag = self.service.etag()
             if headers and headers.get("If-None-Match") == etag:
                 self._cache.labels(result="hit").inc()
-                self._requests.labels(route=self._route_pattern(path),
-                                      code="304").inc()
+                self._requests.labels(route=pattern, code="304").inc()
                 return 304, _JSON, b"", {"ETag": etag}
             self._cache.labels(result="miss").inc()
-        route, response = self._dispatch(method, path, query, body)
-        self._requests.labels(route=route, code=str(response[0])).inc()
-        status, content_type, payload = response
-        out_headers = {}
-        if etag is not None and status == 200:
-            out_headers["ETag"] = etag
-        return status, content_type, payload, out_headers
+            return self._respond(method, path, query, body, etag)
+
+    def _respond(self, method, path, query, body, etag):
+        route, (status, content_type, payload) = self._dispatch(
+            method, path, query, body)
+        self._requests.labels(route=route, code=str(status)).inc()
+        tagged = etag is not None and status == 200
+        return status, content_type, payload, {"ETag": etag} if tagged else {}
 
     def _dispatch(self, method, path, query, body):
         path = "/" + path.strip("/")
@@ -154,6 +170,9 @@ class ServiceApi:
                 return path, self._get_only(method, self._ddos_summary)
             if path == "/summary/exploits":
                 return path, self._get_only(method, self._exploit_summary)
+            if path == "/alerts":
+                return path, self._get_only(
+                    method, lambda: self._alerts(query))
             if path == "/rules":
                 return path, self._get_only(
                     method, lambda: self._rules(query))
@@ -188,7 +207,9 @@ class ServiceApi:
                 "GET /profiles?day=N&limit=N", "GET /profiles/<sha256>",
                 "GET /c2", "GET /c2/lifespans",
                 "GET /summary/ddos", "GET /summary/exploits",
-                "GET /rules?technology=" + "|".join(RULE_TECHNOLOGIES),
+                "GET /alerts?since=DAY",
+                "GET /rules?technology=" + "|".join(RULE_TECHNOLOGIES)
+                + "&since=DAY",
                 "GET /metrics",
                 "POST /ingest/day?days=N|all", "POST /finalize",
             ],
@@ -278,6 +299,15 @@ class ServiceApi:
                                 for u in table4(datasets)],
         })
 
+    def _alerts(self, query):
+        if (since := _since(query)) is None:
+            return _error(400, "since must be an integer")
+        found = alerts(self.service.datasets().profiles, since)
+        return 200, _JSON, encode({
+            "total": len(found),
+            "alerts": [alert_doc(alert) for alert in found],
+        })
+
     def _rules(self, query):
         technology = query.get("technology")
         if technology in (None, "", "all"):
@@ -286,7 +316,13 @@ class ServiceApi:
             return _error(
                 400, f"technology must be one of "
                      f"{', '.join(RULE_TECHNOLOGIES)} or all")
-        bundle = compile_rules(self.service.datasets())
+        if (since := _since(query)) is None:
+            return _error(400, "since must be an integer")
+        bundle = self.service.rules
+        if since:
+            days = self.service.rule_days
+            bundle = RuleBundle([rule for rule in bundle.rules
+                                 if days[rule.technology, rule.text] >= since])
         text = bundle.render(technology)
         return 200, _TEXT, (text + "\n" if text else "").encode()
 
@@ -308,9 +344,9 @@ class ServiceApi:
         if days in (None, ""):
             days = 1
         if days != "all":
-            try:
+            if isinstance(days, str) and days.isascii() and days.isdigit():
                 days = int(days)
-            except (TypeError, ValueError):
+            if type(days) is not int:   # rejects true and 1.9 as well
                 return _error(400, 'days must be an integer or "all"')
             if days < 1:
                 return _error(400, "days must be >= 1")

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 
 from ..analysis.stats import CdfPoint
-from ..core.datasets import C2Record, Datasets, DdosRecord
+from ..core.datasets import C2Record, DdosRecord
 from ..core.profiles import BinaryNetworkProfile
 from ..netsim.addresses import int_to_ip
 
 __all__ = [
+    "alert_doc",
     "attack_doc",
     "c2_doc",
     "cdf_doc",
@@ -25,13 +26,22 @@ __all__ = [
     "encode",
     "exploit_usage_doc",
     "profile_doc",
-    "summary_doc",
 ]
 
 
 def encode(document) -> bytes:
     """Canonical UTF-8 JSON bytes for a response body."""
     return (json.dumps(document, indent=2, sort_keys=False) + "\n").encode()
+
+
+def alert_doc(alert) -> dict:
+    """One :class:`~repro.core.monitor.Alert` of the monitoring feed."""
+    return {
+        "day": alert.day,
+        "kind": alert.kind.value,
+        "subject": alert.subject,
+        "detail": alert.detail,
+    }
 
 
 def attack_doc(observation) -> dict:
@@ -141,8 +151,3 @@ def exploit_usage_doc(usage) -> dict:
         "sample_count": usage.sample_count,
         "age_years_at_study": usage.age_years_at_study,
     }
-
-
-def summary_doc(datasets: Datasets) -> dict:
-    """The dataset-size rows of Table 1."""
-    return dict(datasets.summary())

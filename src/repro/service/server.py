@@ -4,9 +4,10 @@
 :class:`~repro.core.study.DayRunner`.  Every mutation (ingest, finalize)
 and every dataset read goes through one re-entrant lock, so the
 threading HTTP server can fan requests out without ever observing a
-half-ingested day; after each completed day the service checkpoints
-through :class:`~repro.service.state.CheckpointStore`, so a SIGTERM —
-or a power cut — between any two days loses nothing.
+half-ingested day.  After each completed day the service compiles the
+firewall rule feed once, dates each new rule, and checkpoints through
+:class:`~repro.service.state.CheckpointStore`, so a SIGTERM — or a
+power cut — between any two days loses nothing.
 
 :func:`build_server` binds a ``ThreadingHTTPServer`` whose handler is a
 thin adapter over :class:`~repro.service.handlers.ServiceApi`;
@@ -22,11 +23,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 from ..core.cache import dataset_digest, study_fingerprint
+from ..core.firewall import compile_rules
 from ..core.pipeline import PipelineConfig
 from ..core.study import DayRunner
 from ..obs import NULL_TELEMETRY
 from ..world import generate_world
 from .handlers import ServiceApi
+from .serialization import encode
 from .state import CheckpointStore, StudyCheckpoint
 
 __all__ = ["StudyService", "build_server", "serve_forever"]
@@ -63,7 +66,12 @@ class StudyService:
         world = generate_world(seed=seed, scale=scale)
         self.runner = DayRunner(world=world, config=self.config,
                                 telemetry=self.telemetry)
+        #: (technology, text) -> the day whose ingest first produced the
+        #: rule (``total_days`` for the finalize step); checkpointed, so
+        #: ``/rules?since=DAY`` answers the same after a restart
+        self.rule_days: dict[tuple[str, str], int] = {}
         self._maybe_resume()
+        self._compile_rules()
         self.telemetry.events.emit(
             "service.start", seed=seed,
             resumed=self.resumed, next_day=self.runner.next_day,
@@ -86,6 +94,7 @@ class StudyService:
                 "service.checkpoint_discarded", level="warning",
                 reason=str(exc))
             return
+        self.rule_days = dict(checkpoint.rule_days)
         self.resumed = True
 
     # -- progress ----------------------------------------------------------
@@ -119,8 +128,18 @@ class StudyService:
             }
 
     def datasets(self):
+        """The live datasets; iterate them only while holding ``lock``."""
         with self.lock:
             return self.runner.datasets
+
+    def first_rule_day(self, endpoint: str) -> int | None:
+        """Day a block rule for ``endpoint`` first shipped, matched on the
+        rule's ``endpoint`` metadata: ``"1.2.3.4"`` must not claim a rule
+        that blocks ``"11.2.3.45"``."""
+        with self.lock:
+            return min((self.rule_days[rule.technology, rule.text]
+                        for rule in self.rules.rules
+                        if rule.endpoint == endpoint), default=None)
 
     def digest(self) -> str:
         with self.lock:
@@ -151,6 +170,7 @@ class StudyService:
             while not self.runner.pipeline_done and (
                     days is None or ingested < days):
                 last = self.runner.run_next_day()
+                self._compile_rules()
                 ingested += 1
                 self._days_ingested.inc()
                 self.telemetry.events.emit(
@@ -181,8 +201,18 @@ class StudyService:
     def _finalize_locked(self) -> None:
         if not self.runner.finalized:
             self.runner.finalize()
+            self._compile_rules()
             self._checkpoint()
             self.telemetry.events.emit("service.finalized")
+
+    def _compile_rules(self) -> None:
+        """Compile the rule feed ``/rules`` serves until the next ingest,
+        and date the rules it holds for the first time."""
+        runner = self.runner
+        day = runner.total_days if runner.finalized else runner.next_day - 1
+        self.rules = compile_rules(runner.datasets)
+        for rule in self.rules.rules:
+            self.rule_days.setdefault((rule.technology, rule.text), day)
 
     # -- persistence -------------------------------------------------------
 
@@ -193,7 +223,7 @@ class StudyService:
         self.store.save(StudyCheckpoint(
             fingerprint=self.fingerprint, next_day=runner.next_day,
             total_days=runner.total_days, finalized=runner.finalized,
-            state=runner.state_snapshot()))
+            state=runner.state_snapshot(), rule_days=self.rule_days))
         self._checkpoints.inc()
 
     def flush(self) -> None:
@@ -204,6 +234,10 @@ class StudyService:
 
 # -- HTTP adapter ------------------------------------------------------------
 
+#: largest request body read; the only body the API takes is the small
+#: ingest JSON, so anything bigger is refused with 413 unread
+MAX_BODY_BYTES = 1 << 16
+
 
 class _RequestHandler(BaseHTTPRequestHandler):
     """Socket plumbing around :meth:`ServiceApi.handle` — nothing more."""
@@ -212,12 +246,27 @@ class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _respond(self) -> None:
+        # never dispatch on a Content-Length that is not a plain count, is
+        # over the cap, or promises more than the body that arrived; the
+        # refusal hangs up, so an unread body is not parsed as a request
+        header = self.headers.get("Content-Length") or "0"
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        body = self.rfile.read(length) if 0 < length <= MAX_BODY_BYTES \
+            else b""
+        if length < 0 or length > MAX_BODY_BYTES or len(body) < length:
+            return self._send(
+                413 if length > MAX_BODY_BYTES else 400, "application/json",
+                encode({"error": f"Content-Length {header!r}: not a byte "
+                                 f"count, over {MAX_BODY_BYTES}, or past "
+                                 "the end of the body"}),
+                {"Connection": "close"})
         split = urlsplit(self.path)
         query = dict(parse_qsl(split.query))
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, content_type, payload, extra_headers = self.api.handle(
-            self.command, split.path, query, body, dict(self.headers))
+        self._send(*self.api.handle(
+            self.command, split.path, query, body, dict(self.headers)))
+
+    def _send(self, status: int, content_type: str, payload: bytes,
+              extra_headers: dict) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))

@@ -12,7 +12,8 @@ the previous complete one or the new complete one, never a torn write.
 
 The checkpoint body is :meth:`DayRunner.state_snapshot
 <repro.core.study.DayRunner.state_snapshot>` — the dedup set, feed
-cursors, and datasets, plus the probing results once finalized.
+cursors, and datasets, plus the probing results once finalized — and
+the first day of every rule the service has shipped.
 World content is never stored; a resumed runner regenerates it from
 ``(seed, scale)``.
 """
@@ -34,7 +35,8 @@ class StudyCheckpoint:
     The header fields mirror the snapshot so progress can be reported
     without interpreting ``state``; ``state`` itself is the
     ``DayRunner.state_snapshot()`` dict handed back to
-    ``DayRunner.restore_state()`` on resume.
+    ``DayRunner.restore_state()`` on resume.  ``rule_days`` is the
+    service's first day of each ``(technology, text)`` rule.
     """
 
     fingerprint: str
@@ -42,6 +44,7 @@ class StudyCheckpoint:
     total_days: int
     finalized: bool
     state: dict
+    rule_days: dict = dataclasses.field(default_factory=dict)
 
 
 class CheckpointStore:
@@ -80,10 +83,3 @@ class CheckpointStore:
         path = self.path_for(checkpoint.fingerprint)
         write_atomic(path, pack_entry(checkpoint))
         return path
-
-    def clear(self, fingerprint: str) -> None:
-        """Drop the checkpoint for ``fingerprint`` (missing is fine)."""
-        try:
-            os.unlink(self.path_for(fingerprint))
-        except OSError:
-            pass

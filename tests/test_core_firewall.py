@@ -81,6 +81,26 @@ class TestCompilation:
         bundle.add(rule)
         assert len(bundle) == 1
 
+    def test_set_dedup_matches_list_reference(self, mid_study, bundle,
+                                              monkeypatch):
+        """The membership set keeps the list scan's order and contents,
+        and re-adding any compiled rule is a no-op."""
+        _w, _m, _c, datasets = mid_study
+
+        def list_add(self, rule):
+            if rule not in self.rules:
+                self.rules.append(rule)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RuleBundle, "add", list_add)
+            reference = compile_rules(datasets)
+        assert bundle.rules == reference.rules
+        again = compile_rules(datasets)
+        for rule in reference.rules:
+            again.add(rule)
+        assert again.rules == reference.rules
+        assert RuleBundle(list(reference.rules)).render() == bundle.render()
+
     def test_unverified_excluded_by_default(self, mid_study):
         _w, _m, _c, datasets = mid_study
         strict = compile_rules(datasets, include_unverified=False)

@@ -4,7 +4,7 @@ Three layers of coverage:
 
 * unit: :func:`is_ip_literal` strictness, :class:`FaultInjector` purity,
   the endpoint-parsing regressions ("1234" is a DNS name, not an IP),
-  the monitor's metadata-based rule matching, the backbone-cap counter;
+  the backbone-cap counter;
 * pipeline: a raising sample is quarantined (stub profile + counter +
   warning event) while the rest of the day proceeds; feed outages are
   backfilled by the next successful pull;
@@ -21,8 +21,6 @@ import pytest
 from repro.botnet.protocols.base import AttackCommand
 from repro.core.datasets import Datasets, DdosRecord
 from repro.core.ddos_analysis import issuing_c2_countries
-from repro.core.firewall import FirewallRule
-from repro.core.monitor import ContinuousMonitor, DailyDigest
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.retry import RetryPolicy
 from repro.core.study import run_study
@@ -87,26 +85,6 @@ def test_ddos_country_analysis_survives_numeric_names():
     datasets.d_ddos.append(DdosRecord("999.1.1.1", "mirai", command, when=0.0))
     counts = issuing_c2_countries(datasets, world.asdb)
     assert counts == {"??": 2}
-
-
-# -- monitor rule matching (substring bug) ------------------------------------
-
-
-def test_time_to_first_rule_matches_endpoint_metadata():
-    monitor = ContinuousMonitor.__new__(ContinuousMonitor)
-    wide = FirewallRule("iptables", "-A OUTPUT -d 11.2.3.45 -j DROP",
-                        "C2", endpoint="11.2.3.45")
-    narrow = FirewallRule("iptables", "-A OUTPUT -d 1.2.3.4 -j DROP",
-                          "C2", endpoint="1.2.3.4")
-    monitor.digests = [
-        DailyDigest(day=0, new_rules=[wide]),
-        DailyDigest(day=3, new_rules=[narrow]),
-    ]
-    # "1.2.3.4" is a substring of "11.2.3.45": the old text match would
-    # have credited day 0
-    assert monitor.time_to_first_rule("1.2.3.4") == 3
-    assert monitor.time_to_first_rule("11.2.3.45") == 0
-    assert monitor.time_to_first_rule("5.6.7.8") is None
 
 
 # -- backbone cap accounting --------------------------------------------------

@@ -9,12 +9,15 @@ parseable ``/metrics`` scrape, and digest equality against a batch
 
 import json
 import re
+import socket
 import threading
 import urllib.request
 
 import pytest
 
 from repro.core.cache import dataset_digest
+from repro.core.monitor import alerts
+from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
 from repro.obs import create_telemetry
 from repro.service import (ServiceError, StudyClient, StudyService,
@@ -158,9 +161,9 @@ def test_exploits_summary(daemon, batch_datasets):
 
 def test_rule_feed_is_plain_text(daemon):
     service, client = daemon
-    content_type, body = client._request("GET", "/rules",
-                                         {"technology": "iptables"})
-    assert content_type.startswith("text/plain")
+    _status, headers, body = client._request("GET", "/rules",
+                                             {"technology": "iptables"})
+    assert headers["Content-Type"].startswith("text/plain")
     for line in body.decode().strip().splitlines():
         assert line.startswith("-A "), line
 
@@ -170,6 +173,32 @@ def test_rule_feed_rejects_unknown_technology(daemon):
     with pytest.raises(ServiceError) as excinfo:
         client.rules("pf")
     assert excinfo.value.status == 400
+
+
+def test_rule_feed_since_keeps_later_first_days(daemon):
+    service, client = daemon
+    last = max(service.rule_days.values())
+    later = client.rules("iptables", since=last).splitlines()
+    assert later == [
+        rule.render() for rule in service.rules.by_technology("iptables")
+        if service.rule_days[rule.technology, rule.text] >= last]
+    assert client.rules(since=0) == client.rules()
+
+
+# -- the alert feed -----------------------------------------------------------
+
+
+def test_alert_feed_matches_the_batch_profiles(daemon, batch_datasets):
+    _service, client = daemon
+    expected = alerts(batch_datasets.profiles)
+    document = client.alerts()
+    assert document["total"] == len(expected) > 0
+    assert [(d["day"], d["kind"], d["subject"], d["detail"])
+            for d in document["alerts"]] == [
+        (a.day, a.kind.value, a.subject, a.detail) for a in expected]
+    since = expected[-1].day
+    assert client.alerts(since=since)["total"] == sum(
+        1 for a in expected if a.day >= since)
 
 
 def test_metrics_scrape_parses(daemon):
@@ -237,7 +266,7 @@ def test_bad_ingest_body_is_400(daemon):
 
 @pytest.mark.parametrize("path", ["/digest", "/profiles", "/c2",
                                   "/summary/ddos", "/summary/exploits",
-                                  "/rules"])
+                                  "/alerts", "/rules"])
 def test_cacheable_routes_revalidate_to_304(daemon, path):
     _service, client = daemon
     status, etag, body = client.conditional_get(path)
@@ -303,6 +332,134 @@ def test_cache_counter_tracks_hits_and_misses(daemon):
         r'service_cache_total\{result="miss"\} (\d+)', text)
     assert hits and int(hits.group(1)) >= 1
     assert misses and int(misses.group(1)) >= 1
+
+
+def test_conditional_get_carries_the_error_text(daemon):
+    _service, client = daemon
+    with pytest.raises(ServiceError) as excinfo:
+        client.conditional_get("/profiles/" + "f" * 64)
+    assert excinfo.value.status == 404
+    assert "no profile for sha256" in excinfo.value.message
+
+
+def test_read_racing_an_ingest_waits_for_it(monkeypatch):
+    """An ingest that starts while /c2 is being built waits for the
+    read: the read answers 200, with the bytes its etag names."""
+    import repro.service.handlers as handlers
+    from repro.service.handlers import ServiceApi
+
+    service = StudyService(seed=SEED, scale=SCALE,
+                           config=PipelineConfig(study_days=60))
+    service.ingest_days(30)
+    c2s = len(service.runner.datasets.d_c2s)
+    ingest = threading.Thread(target=service.ingest_days, args=(None,))
+    waited = []
+    build = handlers.c2_doc
+
+    def racing_c2_doc(record):
+        if not waited:
+            ingest.start()
+            ingest.join(timeout=0.5)
+            waited.append(ingest.is_alive())
+        return build(record)
+
+    monkeypatch.setattr(handlers, "c2_doc", racing_c2_doc)
+    status, _ctype, body, headers = ServiceApi(service).handle(
+        "GET", "/c2", {})
+    ingest.join(timeout=60)
+    assert not ingest.is_alive()
+    assert waited == [True]
+    assert status == 200
+    assert json.loads(body)["total"] == c2s
+    assert headers["ETag"] == f'"{service.fingerprint[:16]}-30-0"'
+    assert service.finalized
+
+
+def test_reads_under_concurrent_ingest_stay_consistent():
+    """More reader threads than cores, on a short switch interval, while
+    the study ingests day by day: every read answers 200, and one etag
+    never names two different bodies."""
+    import sys
+    import time
+
+    from repro.service.handlers import ServiceApi
+
+    service = StudyService(seed=SEED, scale=SCALE,
+                           config=PipelineConfig(study_days=40))
+    api = ServiceApi(service)
+    done = threading.Event()
+    bodies: dict = {}
+    problems: list = []
+
+    def read():
+        while not done.is_set():
+            for path in ("/rules", "/c2", "/alerts", "/profiles"):
+                status, _ctype, body, headers = api.handle("GET", path, {})
+                if status != 200:
+                    problems.append((path, status, body[:120]))
+                elif bodies.setdefault((path, headers["ETag"]), body) \
+                        != body:
+                    problems.append((path, headers["ETag"]))
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for reader in readers:
+            reader.start()
+        while not service.finalized:
+            service.ingest_days(1)
+            time.sleep(0.001)   # let the readers in between days
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+        for reader in readers:
+            reader.join(timeout=60)
+    assert not any(reader.is_alive() for reader in readers)
+    assert problems == []
+    assert len({etag for _path, etag in bodies}) > 2
+
+
+def _raw_request(port: int, head: str, body: bytes = b"") -> int:
+    """Send bytes as they are, half-close, and return the status code."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head.replace("\n", "\r\n").encode() + body)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+def test_untrusted_request_bodies_are_refused_undispatched():
+    service = StudyService(seed=SEED, scale=SCALE,
+                           config=PipelineConfig(study_days=5))
+    server = build_server(service)
+    thread = threading.Thread(target=serve_forever, args=(server, service),
+                              daemon=True)
+    thread.start()
+    port = server.server_address[1]
+
+    def ingest(length: str, body: bytes = b"") -> int:
+        return _raw_request(port, (
+            "POST /ingest/day HTTP/1.1\nHost: test\nConnection: close\n"
+            f"Content-Length: {length}\n\n"), body)
+
+    try:
+        assert ingest("abc") == 400
+        assert ingest("-1", b"{}") == 400
+        assert ingest("100", b"{}") == 400      # the body ended early
+        assert ingest(str(10**9)) == 413
+        for days in (b"true", b"1.9", b'"1.9"', b"[1]"):
+            body = b'{"days": ' + days + b"}"
+            assert ingest(str(len(body)), body) == 400, days
+        assert service.runner.next_day == 0
+        body = b'{"days": 2}'
+        assert ingest(str(len(body)), body) == 200
+        assert service.runner.next_day == 2
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
 
 
 def test_connection_refused_raises_service_error():
