@@ -334,6 +334,12 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
     if peers and workers:
         raise SystemExit("repro: --workers and --peers are exclusive: "
                          "the peer list decides where units run")
+    units = getattr(args, "units", None)
+    if units is not None and units < 1:
+        raise SystemExit(f"repro: --units must be >= 1, got {units}")
+    if units is not None and not (workers or peers):
+        raise SystemExit("repro: --units needs --workers or --peers: "
+                         "a serial study is not cut into units")
     world = generate_world(seed=args.seed, scale=scale)
     config = None
     faults = getattr(args, "faults", None)
@@ -343,8 +349,7 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
                                            telemetry=telemetry,
                                            workers=workers,
                                            peers=peers,
-                                           unit_count=getattr(args, "units",
-                                                              None),
+                                           unit_count=units,
                                            cache=getattr(args, "cache_dir",
                                                          None))
     if datasets.failed_shards:

@@ -30,21 +30,21 @@ placement merges to the same digest.
 
 **Failure handling**: a real fleet loses sandboxes.  One failure model
 covers both kinds of peer: a crash is EOF, a lost worker is heartbeat
-silence, a unit that raises comes back as a ``failed`` frame — each
-re-queues its units within the wave — and a hang is the wave deadline
-(``shard_timeout``, a **per-wave** budget: every re-dispatch wave gets
-a fresh one, so worst-case wall time is ``shard_timeout × (1 +
-max_redispatch)``).  :meth:`join` re-dispatches the units a wave left
-unresolved, up to ``max_redispatch`` extra waves; before each retry
-wave the coordinator SIGKILLs and reaps its hung children and forks
-fresh ones.  Slots forked in :meth:`start` run their first unit on the
-fork-inherited world; slots forked for a retry wave regenerate it from
-``(seed, scale)`` instead, because by then the parent's probing
-campaign has mutated the parent world.  Because each unit's output is a
-pure function of ``(seed, scale, config)``, a retried unit produces the
-same bytes it would have produced on the first try.  Units that keep
-failing land in :attr:`ShardedStudyRunner.failed_shards` so a partial
-merge is reported, never silent.
+silence, a unit that raises comes back as a ``failed`` frame, and a hang
+is a dispatch still running ``shard_timeout`` seconds after its
+placement.  Each failed dispatch costs its unit one of
+``max_redispatch`` re-dispatches: the unit goes back in the queue at
+``attempt + 1`` (a hung or lost local child is SIGKILLed and reaped
+first), so a unit gets at most ``1 + max_redispatch`` tries on any
+fleet.  Slots forked in :meth:`start` run their first unit on the
+fork-inherited world; slots re-forked after the whole fleet was lost
+regenerate it from ``(seed, scale)`` instead, because by then the
+parent's probing campaign has mutated the parent world.  Because each
+unit's output is a pure function of ``(seed, scale, config)``, a
+retried unit produces the same bytes it would have produced on the
+first try.  Units that use up their budget land in
+:attr:`ShardedStudyRunner.failed_shards` so a partial merge is
+reported, never silent.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class ShardResult:
     ``events`` are portable tracer/event-log snapshots, populated only
     when the parent ran with telemetry enabled.  ``wall_seconds`` is the
     executor-measured wall time of the whole unit task, ``attempt`` the
-    dispatch wave that produced this result (0 = first try), and
-    ``worker`` the worker that ran it (a daemon's address, or
+    try that produced this result (0 = first try, each re-dispatch adds
+    one), and ``worker`` the worker that ran it (a daemon's address, or
     ``local[i]`` for a local slot).
     """
 
@@ -158,15 +158,15 @@ class ShardedStudyRunner:
     unit count merges to the same digest.  ``transport_options`` passes
     coordinator tuning (heartbeat/steal thresholds) through.
 
-    After :meth:`join`, :attr:`failed_shards` lists the unit indexes
-    that never produced a result (crashed/hung/raised through every
-    re-dispatch wave) and :attr:`failures` keeps the last error text per
-    failed unit; :attr:`transport_stats` carries the coordinator's
+    ``shard_timeout`` bounds each dispatch of a unit and
+    ``max_redispatch`` is each unit's re-dispatch budget; both belong to
+    the coordinator (:mod:`repro.dist.coordinator`).  After :meth:`join`,
+    :attr:`failed_shards` lists the unit indexes that never produced a
+    result (crashed/hung/raised on every try) and :attr:`failures` keeps
+    the last error text of every unit that failed at least once;
+    :attr:`transport_stats` carries the coordinator's
     placement/steal/wall accounting for the manifest.  Callers must
     treat a non-empty :attr:`failed_shards` as a partial merge.
-
-    ``shard_timeout`` is a **per-wave** deadline: every wave the
-    coordinator places gets a fresh budget (see the module docstring).
     """
 
     def __init__(self, world: World, workers: int | None = None,
@@ -205,21 +205,15 @@ class ShardedStudyRunner:
         #: when True, executors run real tracer/event-log instruments and
         #: ship their snapshots back for the cross-shard merge
         self.telemetry_enabled = telemetry_enabled
-        #: wall-clock seconds granted to each dispatch wave before its
-        #: missing units are declared failed (``None``: wait forever)
-        self.shard_timeout = shard_timeout
-        #: extra dispatch waves granted to failed units
-        self.max_redispatch = max_redispatch
         #: sha256-partition granularity: how many units the corpus is
         #: cut into (== workers on local slots by default)
         self.shard_count = unit_count or (
             default_unit_count(self.workers) if self.peers else workers)
-        #: unit indexes with no result after all waves (set by ``join``)
+        #: unit indexes with no result (set by ``join``)
         self.failed_shards: list[int] = []
-        #: last error text per failed unit index
+        #: last error text of each unit that failed at least once
         self.failures: dict[int, str] = {}
-        #: total unit re-dispatches performed (set by ``join``; includes
-        #: in-wave re-queues after lost workers)
+        #: placements that re-ran a failed unit (set by ``join``)
         self.redispatches = 0
         #: coordinator placement/steal/wall accounting (set by ``join``)
         self.transport_stats: dict = {}
@@ -228,13 +222,13 @@ class ShardedStudyRunner:
                         telemetry=telemetry_enabled)
         self.coordinator = Coordinator(
             spec, self.peers, local_slots=0 if self.peers else workers,
+            shard_timeout=shard_timeout, max_redispatch=max_redispatch,
             **(transport_options or {}))
-        self._results: dict[int, ShardResult] = {}
         self._started = False
         self._drained = False
 
     def start(self) -> "ShardedStudyRunner":
-        """Connect the fleet and place the first wave (non-blocking).
+        """Connect the fleet and place the first units (non-blocking).
 
         Local slots fork here, while the parent's world is pristine, and
         run their first unit on that inherited copy."""
@@ -242,9 +236,7 @@ class ShardedStudyRunner:
             raise RuntimeError("runner already started")
         self._started = True
         try:
-            self.coordinator.start_wave(
-                range(self.shard_count), 0, self._results,
-                timeout=self.shard_timeout, world=self.world)
+            self.coordinator.start(self.world)
         except BaseException:
             self.coordinator.close()
             raise
@@ -253,10 +245,7 @@ class ShardedStudyRunner:
     def join(self) -> list[ShardResult]:
         """Wait for every unit; returns results ordered by unit index.
 
-        Units a wave left unresolved are re-dispatched in a fresh wave
-        (hung children killed, fresh slots forked, world regenerated) up
-        to ``max_redispatch`` times — each wave under a fresh
-        ``shard_timeout`` budget; whatever still fails is recorded in
+        Units that used up their re-dispatch budget are recorded in
         :attr:`failed_shards` / :attr:`failures` and simply absent from
         the returned list.  Every child is reaped before this returns.
         """
@@ -266,27 +255,13 @@ class ShardedStudyRunner:
             raise RuntimeError("runner already joined")
         self._drained = True
         coordinator = self.coordinator
-        results = self._results
-        attempt = 0
         try:
-            while True:
-                failures = coordinator.finish_wave()
-                if not failures:
-                    break
-                self.failures.update(failures)
-                attempt += 1
-                if attempt > self.max_redispatch:
-                    self.failed_shards = sorted(failures)
-                    break
-                self.redispatches += len(failures)
-                coordinator.start_wave(sorted(failures), attempt, results,
-                                       timeout=self.shard_timeout)
+            coordinator.join()
         finally:
-            coordinator.close()
-            self.redispatches += coordinator.redispatches
             self.transport_stats = coordinator.stats()
-        return [results[index] for index in sorted(results)]
-
-    def run(self) -> list[ShardResult]:
-        """Blocking convenience: :meth:`start` then :meth:`join`."""
-        return self.start().join()
+        results = coordinator.results
+        self.failed_shards = sorted(set(range(self.shard_count))
+                                    - set(results))
+        self.failures = dict(coordinator.failures)
+        self.redispatches = coordinator.redispatches
+        return sorted(results.values(), key=lambda r: r.shard_index)

@@ -269,7 +269,7 @@ def _run_parallel(
     """Sharded pipeline on the coordinator, probing overlapped in the
     parent.
 
-    :meth:`ShardedStudyRunner.start` places the first wave on local
+    :meth:`ShardedStudyRunner.start` places the first units on local
     slots and TCP peers alike, so the units run while the parent probes.
     The campaign only reads world state the pipeline never writes (host
     online windows, listener tables, per-server responsiveness chains are
@@ -279,7 +279,8 @@ def _run_parallel(
 
     Returns the campaign plus a run-info dict (per-shard timings,
     re-dispatch/failure accounting, coordinator placement stats) consumed
-    by the manifest.
+    by the manifest; ``transport`` is the coordinator's own account of
+    which kind of peer ran the units.
     """
     runner = ShardedStudyRunner(world, workers, config=malnet.config,
                                 shard_timeout=shard_timeout,
@@ -310,8 +311,8 @@ def _run_parallel(
     merged.failed_shards = list(runner.failed_shards)
     if runner.failed_shards:
         telemetry.metrics.counter(
-            "shards_failed", "shards with no result after every "
-            "re-dispatch wave (partial merge)",
+            "shards_failed", "shard units with no result after their "
+            "re-dispatch budget (partial merge)",
         ).inc(len(runner.failed_shards))
         telemetry.events.warning(
             "study.partial_merge", failed_shards=runner.failed_shards,
@@ -348,7 +349,7 @@ def _run_parallel(
              "sizes": dict(shard.datasets.summary())}
             for shard in shards
         ],
-        "transport": "socket" if peers else "local",
+        "transport": runner.transport_stats["transport"],
         "redispatches": runner.redispatches,
         "failed_shards": list(runner.failed_shards),
         "failures": {str(k): runner.failures[k]
@@ -443,10 +444,11 @@ def run_study(
     ``workers=None`` (or 0) runs everything in-process; ``workers=N`` for
     N >= 1 shards the daily pipeline over N forked local slots and
     merges, with identical results; ``workers="auto"`` picks a width that
-    fits the machine.  ``shard_timeout``/``max_redispatch`` bound how long a lost
-    shard worker is waited for and how often it is retried (see
-    :class:`~repro.core.parallel.ShardedStudyRunner`); shards that still
-    fail are reported in ``datasets.failed_shards``.
+    fits the machine.  ``shard_timeout`` bounds each dispatch of a shard
+    unit (one still running after it counts as hung), and each failed
+    dispatch costs its unit one of ``max_redispatch`` re-dispatches (see
+    :mod:`repro.dist.coordinator`); units that use up their budget are
+    reported in ``datasets.failed_shards``.
 
     ``peers`` (``["host:port", ...]``, exclusive with ``workers``)
     dispatches the shard units to ``repro worker`` daemons instead —

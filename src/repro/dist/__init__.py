@@ -12,7 +12,8 @@ children of the study process) and ``repro worker`` daemons over TCP.
     keys, default unit counts
 ``coordinator.py``
     local slots and TCP peers, cache-aware unit placement, adaptive
-    work stealing, one failure model (EOF, heartbeat, wave deadline)
+    work stealing, one failure model (EOF, heartbeat, a ``failed``
+    frame, ``shard_timeout``) and one re-dispatch budget per unit
 ``worker.py``
     the ``repro worker`` task loop — served by a local slot's child on a
     socketpair, or by the TCP daemon — executing shard units against a

@@ -9,15 +9,15 @@ address — connecting dials a ``repro worker`` daemon over TCP — or a
 one failure model; only connecting and reaping ask which kind a peer
 is.
 
-Work moves in dispatch *waves* (the unit of retry for
-:meth:`ShardedStudyRunner.join <repro.core.parallel.
-ShardedStudyRunner.join>`): :meth:`start_wave` connects and places the
-first units, :meth:`finish_wave` runs a single-threaded ``selectors``
-event loop over three structures::
+:meth:`start` connects and places the first units without waiting;
+:meth:`join` runs one single-threaded ``selectors`` event loop until
+every unit has a result or has used its re-dispatch budget, then closes
+every connection and reaps every child.  The loop works over three
+structures::
 
-    pending   deque of unit indexes not yet placed
+    pending   deque of unit indexes waiting for a worker
     running   unit -> the set of peers currently executing it
-    results   unit -> ShardResult (shared across waves by the runner)
+    results   unit -> ShardResult
 
 and four policies:
 
@@ -35,20 +35,23 @@ Because every unit is a pure function of ``(seed, scale, config,
 unit)``, twins produce identical bytes — stealing can only move wall
 clock, never the digest.
 
-*loss detection* — a crash is EOF (the chaos draw drops the
-connection; a local child then exits), a lost worker is a busy
-connection silent for ``heartbeat_timeout``, and a unit that raises
-comes back as a ``failed`` frame.  The units of a crashed or lost
-worker are re-queued with ``attempt + 1``; the peer is reconnected (a
-local slot re-forked) by the next wave's :meth:`connect` pass.  A hang
-is the wave deadline: whatever is still running then is reported hung,
-and the next :meth:`start_wave` SIGKILLs and reaps the coordinator's
-own busy children before it forks fresh ones (remote daemons are left
-alone).
+*failure* — five events take one path: EOF on a connection, a
+connection reset, a busy connection silent for ``heartbeat_timeout``, a
+``failed`` frame, and a dispatch older than ``shard_timeout`` (a hang;
+counted from placement, so time a unit waits in ``pending`` is never
+charged).  A lost local child is SIGKILLed and reaped, a lost TCP
+connection closed.  Unless a steal twin still runs the unit, the unit
+goes back to ``pending`` at ``attempt + 1`` while it has re-dispatches
+left, and fails with its last reason when it has none.  Each unit has
+``max_redispatch`` of them, whatever the fleet size: ``max_redispatch=0``
+is exactly one try.  A steal twin keeps its unit's attempt and costs
+nothing.
 
-*retry bounding* — a unit re-queued more than ``max_unit_retries``
-times within one wave is abandoned to the wave's failure report; the
-runner's ``max_redispatch`` waves then decide whether to try again.
+*reconnection* — only when a unit is pending and no peer is connected:
+:meth:`connect` redials every address and re-forks local slots, which
+regenerate the world (the parent's copy is no longer pristine once its
+probing campaign runs).  If nothing connects, the pending units fail
+with ``no reachable workers``.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class _Peer:
         self.busy_unit: int | None = None
         self.dispatched_at = 0.0
         self.last_seen = 0.0
-        # lifetime accounting (across waves), surfaced by stats()
+        # lifetime accounting, surfaced by stats()
         self.completed = 0
         self.wall = 0.0
         self.warm_hits = 0
@@ -101,59 +104,49 @@ class _Peer:
         return self.sock is not None
 
 
-class _Wave:
-    """Mutable state of one dispatch wave."""
-
-    def __init__(self, indexes, attempt, results, timeout, deadline):
-        self.indexes = list(indexes)
-        self.results = results
-        self.timeout = timeout
-        self.deadline = deadline
-        self.pending = deque(sorted(i for i in self.indexes
-                                    if i not in results))
-        self.attempts = {i: attempt for i in self.pending}
-        self.retries = {i: 0 for i in self.pending}
-        self.abandoned: set[int] = set()
-        self.running: dict[int, set[_Peer]] = {}
-        self.reasons: dict[int, str] = {}
-        self.walls: list[float] = []
-
-    def outstanding(self) -> list[int]:
-        return [i for i in self.indexes if i not in self.results]
-
-    def recoverable(self) -> bool:
-        """Something could still produce a missing result this wave."""
-        return bool(self.pending) or bool(self.running)
-
-
 class Coordinator:
     def __init__(self, spec: TaskSpec, peers=(), *, local_slots: int = 0,
+                 shard_timeout: float | None, max_redispatch: int,
                  heartbeat_timeout: float = 15.0,
                  steal_factor: float = 3.0,
                  min_steal_seconds: float = 1.0,
                  connect_timeout: float = 5.0,
-                 max_unit_retries: int = 3,
                  clock=time.monotonic):
         if not peers and local_slots < 1:
             raise CoordinatorError("coordinator needs at least one peer")
         self.spec = spec
+        #: seconds one dispatch may run before it counts as hung
+        #: (``None``: wait forever)
+        self.shard_timeout = shard_timeout
+        #: re-dispatches each unit may use after its first try
+        self.max_redispatch = max_redispatch
         self.heartbeat_timeout = heartbeat_timeout
         self.steal_factor = steal_factor
         self.min_steal_seconds = min_steal_seconds
         self.connect_timeout = connect_timeout
-        self.max_unit_retries = max_unit_retries
         self._clock = clock
         self.peers = [_Peer(i, address) for i, address in enumerate(peers)]
         self.peers += [_Peer(len(self.peers) + i, f"local[{i}]", local=True)
                        for i in range(local_slots)]
         self._selector = selectors.DefaultSelector()
-        self._wave: _Wave | None = None
-        # lifetime accounting across waves
-        self.redispatches = 0     # units re-queued (lost worker / failure)
+        self.pending = deque(range(spec.shard_count))
+        #: each unit's current attempt (0 = first try)
+        self.attempts = dict.fromkeys(self.pending, 0)
+        self.running: dict[int, set[_Peer]] = {}
+        self.results: dict = {}
+        #: last failure text of each unit that failed at least once
+        self.failures: dict[int, str] = {}
+        self._walls: list[float] = []
         self.steals = 0
         self.stolen_wasted = 0
         self.lost_workers: list[dict] = []
         self.placements: list[dict] = []
+
+    @property
+    def redispatches(self) -> int:
+        """Placements that re-ran a failed unit (steal twins excluded)."""
+        return sum(1 for p in self.placements
+                   if p["attempt"] and not p["steal"])
 
     # -- connection management ---------------------------------------------
 
@@ -164,7 +157,7 @@ class Coordinator:
         ``want`` peers are live.  ``world`` is the parent's world while
         it is still pristine: a slot forked now runs its first unit on
         its inherited copy.  Unreachable addresses are skipped, not
-        fatal — the wave reports its units failed instead.
+        fatal.
         """
         live = sum(1 for p in self.peers if p.connected)
         for peer in self.peers:
@@ -264,84 +257,57 @@ class Coordinator:
     def _live(self) -> list[_Peer]:
         return [p for p in self.peers if p.connected]
 
-    # -- one wave ----------------------------------------------------------
+    # -- the event loop ----------------------------------------------------
 
-    def start_wave(self, indexes, attempt: int, results: dict, *,
-                   timeout: float | None = None, world=None) -> None:
-        """Connect and place one wave; returns without waiting for it.
+    def start(self, world) -> None:
+        """Connect the fleet and place the first units; returns without
+        waiting for them.  ``world`` is the parent's still-pristine
+        world: slots forked now run their first unit on it."""
+        self._connect(world)
+        self._assign()
 
-        Busy local children left over from the previous wave are hung:
-        they are SIGKILLed and reaped first, and their slots re-forked.
-        """
-        if self._wave is not None:
-            raise CoordinatorError("previous wave still in flight")
-        for peer in self.peers:
-            if peer.local and peer.busy_unit is not None:
-                self._disconnect(peer)
-        deadline = None if timeout is None else self._clock() + timeout
-        wave = _Wave(indexes, attempt, results, timeout, deadline)
-        self._wave = wave
-        outstanding = wave.outstanding()
-        if not outstanding:
+    def join(self) -> None:
+        """Run the event loop until every unit has a result or has used
+        its re-dispatch budget, then close every connection and reap
+        every child."""
+        try:
+            while self.pending or self.running:
+                if self.pending and not self._live():
+                    self._connect(None)
+                    continue
+                self._assign()
+                for key, _ in self._selector.select(0.2):
+                    if key.data.connected:
+                        self._pump(key.data)
+                now = self._clock()
+                for peer in self._live():
+                    if peer.busy_unit is None:
+                        continue
+                    if now - peer.last_seen > self.heartbeat_timeout:
+                        self._lose(peer, "heartbeat lost (silent for "
+                                   f"{self.heartbeat_timeout}s)")
+                    elif (self.shard_timeout is not None and
+                          now - peer.dispatched_at > self.shard_timeout):
+                        self._lose(peer, "worker hung (no result within "
+                                   f"shard_timeout={self.shard_timeout}s)")
+                self._maybe_steal(self._clock())
+        finally:
+            self.close()
+
+    def _connect(self, world) -> None:
+        """Connect peers for the pending units; if none is reachable,
+        the pending units fail."""
+        if self.connect(world, want=len(self.pending)):
             return
-        if self.connect(world, want=len(outstanding)) == 0:
-            addresses = [p.address for p in self.peers]
-            for unit in outstanding:
-                wave.reasons[unit] = (f"unit {unit}: no reachable workers "
-                                      f"(peers: {addresses})")
-            return
-        self._assign(wave)
-
-    def finish_wave(self) -> dict[int, str]:
-        """Drain the wave in flight; returns ``unit -> failure text`` for
-        whatever could not be resolved (empty on full success)."""
-        wave, self._wave = self._wave, None
-        if wave is None:
-            raise CoordinatorError("no wave in flight")
-        self._loop(wave)
-        failures = {}
-        for unit in wave.outstanding():
-            runners = wave.running.get(unit)
-            if runners:
-                names = ", ".join(sorted(p.worker_id for p in runners))
-                failures[unit] = (
-                    f"unit {unit}: worker hung ({names}): no result "
-                    f"within the {wave.timeout}s wave deadline")
-            else:
-                failures[unit] = wave.reasons.get(
-                    unit, f"unit {unit}: not placed within the "
-                          f"{wave.timeout}s wave deadline (workers busy)")
-        return failures
-
-    def _loop(self, wave: _Wave) -> None:
-        while wave.outstanding():
-            self._assign(wave)
-            if not wave.recoverable():
-                return                       # every missing unit abandoned
-            if not self._live():
-                for unit in wave.outstanding():
-                    wave.reasons.setdefault(unit,
-                                            f"unit {unit}: all workers lost")
-                return
-            now = self._clock()
-            wait = 0.2 if wave.deadline is None else max(
-                0.0, min(0.2, wave.deadline - now))
-            for key, _ in self._selector.select(wait):
-                if key.data.connected:
-                    self._pump(key.data, wave)
-            now = self._clock()
-            for peer in self._live():
-                if (peer.busy_unit is not None
-                        and now - peer.last_seen > self.heartbeat_timeout):
-                    self._lose(peer, "heartbeat lost (silent for "
-                               f"{self.heartbeat_timeout}s)", wave)
-            self._maybe_steal(wave, self._clock())
-            if wave.deadline is not None and self._clock() >= wave.deadline:
-                return
+        addresses = [p.address for p in self.peers]
+        while self.pending:
+            unit = self.pending.popleft()
+            self.failures[unit] = (f"unit {unit}: no reachable workers "
+                                   f"(peers: {addresses})")
 
     # -- event handling ----------------------------------------------------
 
-    def _pump(self, peer: _Peer, wave: _Wave) -> None:
+    def _pump(self, peer: _Peer) -> None:
         """Drain one readable socket into message handling."""
         try:
             data = peer.sock.recv(1 << 18)
@@ -352,21 +318,21 @@ class Coordinator:
             # connection instead of closing it: the same crash as EOF
             data = b""
         except OSError as exc:
-            self._lose(peer, f"worker crashed (recv failed: {exc})", wave)
+            self._lose(peer, f"worker crashed (recv failed: {exc})")
             return
         if not data:
-            self._lose(peer, "worker crashed (connection closed)", wave)
+            self._lose(peer, "worker crashed (connection closed)")
             return
         try:
             messages = peer.decoder.feed(data)
         except WireError as exc:
-            self._lose(peer, f"protocol error: {exc}", wave)
+            self._lose(peer, f"protocol error: {exc}")
             return
         peer.last_seen = self._clock()
         for message in messages:
-            self._handle(peer, message, wave)
+            self._handle(peer, message)
 
-    def _handle(self, peer: _Peer, message: dict, wave: _Wave) -> None:
+    def _handle(self, peer: _Peer, message: dict) -> None:
         kind = message.get("type")
         if kind == "heartbeat":
             return
@@ -375,71 +341,57 @@ class Coordinator:
             peer.busy_unit = None
             peer.warm = set(message.get("warm", peer.warm))
             wall = float(message.get("wall", 0.0))
-            if unit in wave.results:
+            if unit in self.results:
                 # a steal twin lost the race; identical bytes discarded
                 self.stolen_wasted += 1
             else:
                 result = message["result"]
                 result.worker = peer.worker_id
-                wave.results[unit] = result
-                wave.abandoned.discard(unit)
-                wave.walls.append(wall)
+                self.results[unit] = result
+                self._walls.append(wall)
             peer.completed += 1
             peer.wall += wall
-            runners = wave.running.pop(unit, set())
-            runners.discard(peer)
             # twins still executing stay busy until their (now wasted)
             # result drains; the unit itself is settled
+            self.running.pop(unit, None)
             return
         if kind == "failed":
             unit = message["unit"]
             peer.busy_unit = None
-            runners = wave.running.get(unit)
-            if runners is not None:
-                runners.discard(peer)
-            self._drop_unit(unit, f"unit {unit}: worker {peer.worker_id} "
-                            f"raised {message.get('error', 'an error')}",
-                            wave)
+            self._drop(peer, unit, f"unit {unit}: worker {peer.worker_id} "
+                       f"raised {message.get('error', 'an error')}")
             return
         # hello-ack duplicates and unknown types are ignored: the wire
         # checksum already guarantees they are well-formed
 
-    def _drop_unit(self, unit: int, reason: str, wave: _Wave) -> None:
-        """A unit lost one executor; re-queue unless a twin survives."""
-        wave.reasons[unit] = reason
-        if unit in wave.results:
-            return
-        if wave.running.get(unit):
-            return                       # a steal twin is still on it
-        wave.running.pop(unit, None)
-        if unit not in wave.retries:     # stale unit from a prior wave
-            return
-        wave.retries[unit] += 1
-        if wave.retries[unit] > self.max_unit_retries:
-            wave.abandoned.add(unit)
-            wave.reasons[unit] = (
-                f"{reason} (gave up after {self.max_unit_retries} "
-                "re-queues this wave)")
-            return
-        wave.attempts[unit] += 1
-        self.redispatches += 1
-        wave.pending.append(unit)
+    def _drop(self, peer: _Peer, unit: int, reason: str) -> None:
+        """The one failure path: ``peer`` no longer runs ``unit``.
 
-    def _lose(self, peer: _Peer, reason: str, wave: _Wave) -> None:
-        """Declare a worker lost: drop (and reap) it, requeue its units."""
+        A settled unit, or one a steal twin still runs, costs nothing.
+        Otherwise the unit is re-queued at ``attempt + 1`` while it has
+        re-dispatches left, and fails with ``reason`` when it has none.
+        """
+        runners = self.running.get(unit, set())
+        runners.discard(peer)
+        if unit in self.results or runners:
+            return
+        self.running.pop(unit, None)
+        self.failures[unit] = reason
+        if self.attempts[unit] < self.max_redispatch:
+            self.attempts[unit] += 1
+            self.pending.append(unit)
+
+    def _lose(self, peer: _Peer, reason: str) -> None:
+        """Declare a worker lost: drop (and reap) it, fail its unit."""
+        unit = peer.busy_unit
         self.lost_workers.append({
             "worker": peer.worker_id, "address": peer.address,
-            "reason": reason, "busy_unit": peer.busy_unit,
+            "reason": reason, "busy_unit": unit,
         })
         self._disconnect(peer)
-        dropped = [unit for unit, runners in wave.running.items()
-                   if peer in runners]
-        when = ("" if wave.timeout is None
-                else f" before the {wave.timeout}s wave deadline")
-        for unit in dropped:
-            wave.running[unit].discard(peer)
-            self._drop_unit(unit, f"unit {unit}: {reason} on "
-                            f"{peer.worker_id}{when}", wave)
+        if unit is not None:
+            self._drop(peer, unit,
+                       f"unit {unit}: {reason} on {peer.worker_id}")
 
     # -- scheduling --------------------------------------------------------
 
@@ -448,77 +400,60 @@ class Coordinator:
         return min(idle, key=lambda p: (self.spec.world_key not in p.warm,
                                         p.index))
 
-    def _assign(self, wave: _Wave) -> None:
-        while wave.pending:
+    def _assign(self) -> None:
+        while self.pending:
             idle = [p for p in self._live() if p.busy_unit is None]
             if not idle:
                 return
-            unit = wave.pending.popleft()
-            if unit in wave.results or unit in wave.abandoned:
-                continue
-            peer = self._choose(idle)
-            if not self._send_task(peer, unit, wave.attempts[unit],
-                                   wave, steal=False):
-                wave.pending.appendleft(unit)
+            self._send_task(self._choose(idle), self.pending.popleft(),
+                            steal=False)
 
-    def _send_task(self, peer: _Peer, unit: int, attempt: int,
-                   wave: _Wave, *, steal: bool) -> bool:
+    def _send_task(self, peer: _Peer, unit: int, *, steal: bool) -> None:
+        # a steal twin runs the unit's current attempt: the unit is a
+        # pure function of (seed, scale, config, unit), twins tie safely
+        attempt = self.attempts[unit]
         warm = self.spec.world_key in peer.warm
-        try:
-            send_frame(peer.sock, {
-                "type": "task", "unit": unit, "attempt": attempt,
-                "spec": {
-                    "seed": self.spec.seed,
-                    "scale": self.spec.scale,
-                    "config": self.spec.config,
-                    "unit_count": self.spec.shard_count,
-                    "telemetry": self.spec.telemetry,
-                },
-            })
-        except OSError as exc:
-            self._lose(peer, f"worker lost (send failed: {exc})", wave)
-            return False
         peer.busy_unit = unit
-        # the heartbeat clock starts at dispatch: an idle worker has had
-        # nothing to heartbeat about
+        # the heartbeat clock and the shard_timeout both start at
+        # dispatch: an idle or queued worker has had nothing to report
         peer.dispatched_at = peer.last_seen = self._clock()
         if warm:
             peer.warm_hits += 1
-        wave.running.setdefault(unit, set()).add(peer)
+        self.running.setdefault(unit, set()).add(peer)
         self.placements.append({
             "unit": unit, "attempt": attempt, "worker": peer.worker_id,
             "warm": warm, "steal": steal,
         })
-        return True
+        try:
+            send_frame(peer.sock, {"type": "task", "unit": unit,
+                                   "attempt": attempt, "spec": self.spec})
+        except OSError as exc:
+            self._lose(peer, f"worker lost (send failed: {exc})")
 
-    def _maybe_steal(self, wave: _Wave, now: float) -> None:
-        if wave.pending:
+    def _maybe_steal(self, now: float) -> None:
+        if self.pending:
             return
         idle = [p for p in self._live() if p.busy_unit is None]
         if not idle:
             return
         threshold = self.min_steal_seconds
-        if wave.walls:
+        if self._walls:
             threshold = max(self.min_steal_seconds,
-                            self.steal_factor * statistics.median(wave.walls))
+                            self.steal_factor * statistics.median(self._walls))
         stragglers = [
             p for p in self._live()
             if p.busy_unit is not None
-            and len(wave.running.get(p.busy_unit, ())) == 1
+            and len(self.running.get(p.busy_unit, ())) == 1
             and now - p.dispatched_at > threshold
         ]
         stragglers.sort(key=lambda p: now - p.dispatched_at, reverse=True)
         for straggler in stragglers:
             if not idle:
                 return
-            unit = straggler.busy_unit
             thief = self._choose(idle)
             idle.remove(thief)
-            # same attempt as the original dispatch: the unit is a pure
-            # function of (seed, scale, config, unit), twins tie safely
-            if self._send_task(thief, unit, wave.attempts.get(unit, 0),
-                               wave, steal=True):
-                self.steals += 1
+            self.steals += 1
+            self._send_task(thief, straggler.busy_unit, steal=True)
 
     # -- reporting ---------------------------------------------------------
 

@@ -53,9 +53,10 @@ def world_key(seed: int, scale) -> str:
 class TaskSpec:
     """Everything a worker needs to execute any unit of one study.
 
-    One spec is shared by every unit of a run; only ``(unit, attempt)``
-    varies per dispatch.  ``config`` is the *base* pipeline config — the
-    per-unit shard window is stamped on by :meth:`config_for`.
+    One spec is shared by every unit of a run and rides in every
+    ``task`` frame; only ``(unit, attempt)`` varies per dispatch.
+    ``config`` is the *base* pipeline config — the worker stamps the
+    per-unit shard window on with :meth:`config_for`.
     """
 
     seed: int

@@ -13,7 +13,7 @@ Message catalogue (all frames are dicts with a ``"type"`` key)::
 
     hello       coordinator -> worker   {protocol, world}
     hello-ack   worker -> coordinator   {protocol, worker, pid, warm}
-    task        coordinator -> worker   {unit, attempt, spec}
+    task        coordinator -> worker   {unit, attempt, spec: TaskSpec}
     heartbeat   worker -> coordinator   {unit}           (while executing)
     result      worker -> coordinator   {unit, attempt, result, warm, wall}
     failed      worker -> coordinator   {unit, attempt, error}
@@ -36,7 +36,7 @@ __all__ = ["FrameDecoder", "PROTOCOL_VERSION", "WireError",
            "recv_frame", "send_frame"]
 
 #: bumped whenever a message's meaning changes; hello/hello-ack carry it
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: refuse absurd frame lengths before allocating (a corrupt header would
 #: otherwise ask for gigabytes); a smoke-scale ShardResult is ~100 KiB

@@ -32,7 +32,6 @@ way the coordinator sees what a dead sandbox looks like: EOF, no result.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import os
 import socket
 import threading
@@ -144,16 +143,15 @@ class TaskLoop:
         unit = message["unit"]
         attempt = message["attempt"]
         spec = message["spec"]
-        config = dataclasses.replace(spec["config"], shard_index=unit,
-                                     shard_count=spec["unit_count"])
+        config = spec.config_for(unit)
         box: dict = {}
 
         def execute():
             try:
-                world = self.worlds.lease(spec["seed"], spec["scale"])
+                world = self.worlds.lease(spec.seed, spec.scale)
                 box["result"] = execute_shard(
-                    spec["seed"], spec["scale"], config, attempt,
-                    spec["telemetry"], world=world)
+                    spec.seed, spec.scale, config, attempt, spec.telemetry,
+                    world=world)
             except WorkerCrash:
                 box["crash"] = True
             except BaseException as exc:  # ship the failure, stay alive

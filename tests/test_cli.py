@@ -37,6 +37,19 @@ class TestStudyCommand:
                     "--peers", "127.0.0.1:9")
         assert "exclusive" in str(excinfo.value)
 
+    def test_units_must_be_positive(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("--scale", "smoke", "study", "--workers", "2",
+                    "--units", "0")
+        assert str(excinfo.value) == "repro: --units must be >= 1, got 0"
+
+    def test_units_need_workers_or_peers(self):
+        # a serial study has no units: the flag must not be ignored
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("--scale", "smoke", "study", "--units", "3")
+        assert str(excinfo.value).startswith(
+            "repro: --units needs --workers or --peers")
+
 
 class TestReportCommand:
     def test_default_report(self):

@@ -106,6 +106,16 @@ def _stop_fleet(procs):
             proc.wait(timeout=10)
 
 
+def _assert_exact_redispatches(manifest):
+    """``redispatches`` counts exactly the placements that re-ran a
+    failed unit: attempt > 0, steal twins excluded."""
+    placements = manifest["extra"]["dist"]["placements"]
+    expected = sum(1 for p in placements if p["attempt"] > 0
+                   and not p["steal"])
+    assert manifest["run"]["redispatches"] == expected
+    assert manifest["extra"]["dist"]["redispatches"] == expected
+
+
 # -- wire format --------------------------------------------------------------
 
 
@@ -182,6 +192,46 @@ def test_decoder_reassembles_fragmented_and_coalesced_frames():
 def test_decoder_rejects_absurd_header():
     with pytest.raises(WireError):
         FrameDecoder().feed(b"\xff\xff\xff\xff")
+
+
+def test_worker_does_not_ack_a_version_1_hello(workers):
+    """Version 2 task frames carry the frozen ``TaskSpec``; a worker
+    never accepts a coordinator that would send the old dict."""
+    server = workers[0]
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5) as sock:
+        send_frame(sock, {"type": "hello", "protocol": 1, "world": "w"})
+        assert recv_frame(sock) is None          # closed, no hello-ack
+
+
+def test_coordinator_skips_a_version_1_peer():
+    from repro.dist import Coordinator
+    from repro.dist.plan import TaskSpec
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def old_worker():
+        conn, _addr = listener.accept()
+        with conn:
+            recv_frame(conn)                      # the coordinator's hello
+            send_frame(conn, {"type": "hello-ack", "protocol": 1,
+                              "worker": "old", "pid": 0, "warm": []})
+            recv_frame(conn)                      # until it hangs up
+
+    thread = threading.Thread(target=old_worker, daemon=True)
+    thread.start()
+    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
+                    shard_count=1)
+    coordinator = Coordinator(spec, [f"127.0.0.1:{port}"],
+                              shard_timeout=None, max_redispatch=0)
+    try:
+        assert coordinator.connect(None, want=1) == 0
+        assert not coordinator.peers[0].connected
+    finally:
+        coordinator.close()
+        listener.close()
+        thread.join(timeout=5)
 
 
 # -- world cache --------------------------------------------------------------
@@ -309,6 +359,7 @@ def test_straggling_unit_is_stolen(workers, serial_straggler):
     dist = manifest["extra"]["dist"]
     assert dist["steals"] >= 1
     assert any(p["steal"] for p in dist["placements"])
+    _assert_exact_redispatches(manifest)
 
 
 def test_unreachable_workers_fail_the_units_not_the_run():
@@ -316,12 +367,20 @@ def test_unreachable_workers_fail_the_units_not_the_run():
     probe.bind(("127.0.0.1", 0))
     dead_port = probe.getsockname()[1]
     probe.close()                           # nobody listens here now
+    telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
     _malnet, _campaign, datasets = run_study(
-        world, peers=[f"127.0.0.1:{dead_port}"],
-        unit_count=3, shard_timeout=10.0, max_redispatch=0)
+        world, peers=[f"127.0.0.1:{dead_port}"], unit_count=3,
+        telemetry=telemetry)
     assert sorted(datasets.failed_shards) == [0, 1, 2]
     assert datasets.profiles == []          # no unit ever ran
+    manifest = telemetry.manifest
+    failures = manifest["extra"]["failures"]
+    assert sorted(failures) == ["0", "1", "2"]
+    assert all("no reachable workers" in text for text in failures.values())
+    # nothing was placed, so nothing was re-dispatched
+    assert manifest["extra"]["dist"]["placements"] == []
+    _assert_exact_redispatches(manifest)
 
 
 def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
@@ -341,6 +400,7 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
         assert dataset_digest(datasets) == serial_straggler
         dist = manifest["extra"]["dist"]
         assert len(dist["lost_workers"]) >= 1
+        _assert_exact_redispatches(manifest)
     finally:
         _stop_fleet(procs)
 
@@ -375,49 +435,34 @@ def test_idle_worker_is_not_lost_when_it_steals(workers, serial_straggler):
     dist = manifest["extra"]["dist"]
     assert dist["lost_workers"] == []
     assert dist["steals"] >= 1
+    _assert_exact_redispatches(manifest)
 
 
 def test_reset_connection_is_a_crash_like_eof():
     # a local child SIGKILLed before reading what we sent resets its end
     # of the socketpair: recv raises ECONNRESET instead of returning b""
     from repro.dist import Coordinator
-    from repro.dist.coordinator import _Wave
     from repro.dist.plan import TaskSpec
 
     spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
                     shard_count=1)
-    coordinator = Coordinator(spec, ["127.0.0.1:1"])
+    coordinator = Coordinator(spec, ["127.0.0.1:1"], shard_timeout=None,
+                              max_redispatch=1)
     ours, theirs = socket.socketpair()
     try:
-        ours.sendall(b"a task frame the worker never read")
-        theirs.close()
         peer = coordinator.peers[0]
         peer.sock = ours
-        coordinator._pump(peer, _Wave([0], 0, {}, None, None))
+        coordinator._assign()                   # unit 0's first try...
+        theirs.close()                          # ...dies unread
+        coordinator._pump(peer)
         (lost,) = coordinator.lost_workers
         assert lost["reason"] == "worker crashed (connection closed)"
         assert peer.sock is None and ours.fileno() == -1
+        # the one failure path: the unit is re-queued at attempt 1
+        assert list(coordinator.pending) == [0]
+        assert coordinator.attempts[0] == 1
+        assert coordinator.failures[0] == (
+            "unit 0: worker crashed (connection closed) on 127.0.0.1:1")
     finally:
         ours.close()
-        coordinator.close()
-
-
-def test_coordinator_rejects_double_wave():
-    from repro.dist import Coordinator
-    from repro.dist.coordinator import CoordinatorError
-    from repro.dist.plan import TaskSpec
-
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
-                    shard_count=2)
-    coordinator = Coordinator(spec, ["127.0.0.1:1"])
-    try:
-        with pytest.raises(CoordinatorError):
-            coordinator.finish_wave()
-        coordinator.start_wave([0, 1], 0, {})
-        with pytest.raises(CoordinatorError):
-            coordinator.start_wave([0, 1], 0, {})
-        failures = coordinator.finish_wave()
-        assert sorted(failures) == [0, 1]
-        assert "no reachable workers" in failures[0]
-    finally:
         coordinator.close()

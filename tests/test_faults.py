@@ -24,6 +24,7 @@ from repro.core.ddos_analysis import issuing_c2_countries
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.retry import RetryPolicy
 from repro.core.study import run_study
+from repro.determinism import shard_of
 from repro.netsim.addresses import ip_to_int, is_ip_literal
 from repro.netsim.faults import FAULT_PLANS, FaultInjector, FaultPlan
 from repro.netsim.internet import VirtualInternet
@@ -294,6 +295,13 @@ def test_faults_change_the_output(serial_faulty):
 # -- chaos: shard worker loss -------------------------------------------------
 
 
+def _assert_exact_redispatches(redispatches, placements):
+    """``redispatches`` counts exactly the placements that re-ran a
+    failed unit: attempt > 0, steal twins excluded."""
+    assert redispatches == sum(1 for p in placements
+                               if p["attempt"] > 0 and not p["steal"])
+
+
 def test_crashed_shard_worker_is_redispatched(serial_faulty):
     """Shard 1's worker dies mid-study (its connection drops: no
     exception, no result); the EOF re-queues the unit at once and the
@@ -309,11 +317,15 @@ def test_crashed_shard_worker_is_redispatched(serial_faulty):
     assert telemetry.metrics.value("shard_redispatches") == 1
     assert any(e["event"] == "study.shard_redispatched"
                for e in telemetry.events.events)
+    _assert_exact_redispatches(
+        telemetry.manifest["run"]["redispatches"],
+        telemetry.manifest["extra"]["dist"]["placements"])
 
 
 def test_exhausted_redispatch_reports_partial_merge(serial_faulty):
-    """A shard that keeps dying is reported in failed_shards — a partial
-    result, not an exception and not a silent gap."""
+    """A shard that keeps dying gets exactly ``1 + max_redispatch`` tries,
+    however many slots are idle, and is then reported in failed_shards —
+    a partial result, not an exception and not a silent gap."""
     plan = dataclasses.replace(PLAN, crash_shards=(1,), crash_attempts=99)
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
@@ -325,10 +337,17 @@ def test_exhausted_redispatch_reports_partial_merge(serial_faulty):
     partial = [e for e in telemetry.events.events
                if e["event"] == "study.partial_merge"]
     assert len(partial) == 1 and partial[0]["failed_shards"] == [1]
-    # shard 0's slice of the corpus still made it into the merge
-    assert datasets.profiles
-    assert {p.sha256 for p in datasets.profiles} < \
-        {p.sha256 for p in serial_faulty.profiles}
+    assert "worker crashed" in partial[0]["failures"]["1"]
+    # max_redispatch=0 is one try, although the other slot was free
+    placements = telemetry.manifest["extra"]["dist"]["placements"]
+    assert [p["attempt"] for p in placements if p["unit"] == 1] == [0]
+    assert telemetry.metrics.value("shard_redispatches") == 0
+    _assert_exact_redispatches(telemetry.manifest["run"]["redispatches"],
+                               placements)
+    # shard 0's slice of the corpus still made it into the merge, in
+    # serial order
+    assert datasets.profiles == [p for p in serial_faulty.profiles
+                                 if shard_of(p.sha256, 2) == 0]
 
 
 def test_worker_raising_is_also_redispatched(monkeypatch, serial_faulty):
@@ -355,5 +374,7 @@ def test_worker_raising_is_also_redispatched(monkeypatch, serial_faulty):
     assert results[1].attempt == 1
     assert runner.redispatches == 1 and runner.failed_shards == []
     assert runner.transport_stats["lost_workers"] == []
+    _assert_exact_redispatches(runner.redispatches,
+                               runner.transport_stats["placements"])
     merged = Datasets.merge([r.datasets for r in results])
     assert merged.profiles == serial_faulty.profiles

@@ -199,6 +199,12 @@ def test_runner_rejects_bad_arguments():
         ShardedStudyRunner(world, workers=2, peers=["127.0.0.1:1"])
     with pytest.raises(ValueError, match="exclusive"):
         run_study(world, workers=2, peers=["127.0.0.1:1"])
+    # the retry budget and the dispatch bound are set in one place: the
+    # runner's own arguments, never through the coordinator tuning
+    for option in ("max_unit_retries", "max_redispatch", "shard_timeout"):
+        with pytest.raises(TypeError):
+            ShardedStudyRunner(world, workers=2,
+                               transport_options={option: 1})
     world.seed = None
     with pytest.raises(ValueError, match="seeded world"):
         ShardedStudyRunner(world, workers=2)
@@ -232,20 +238,36 @@ def test_fold_counters_sums_worker_snapshots():
     assert parent.value("samples_skipped", reason="duplicate") == 9
 
 
-# -- shard_timeout semantics: per-wave deadline, crash vs hang ---------------
+# -- one retry model: per-dispatch shard_timeout, per-unit budget -------------
 
 
-def _chaos_runner(plan, **kwargs):
+def _chaos_runner(plan, workers=2, **kwargs):
     world = generate_world(seed=SEED, scale=SCALE)
-    return ShardedStudyRunner(world, workers=2,
+    return ShardedStudyRunner(world, workers=workers,
                               config=PipelineConfig(faults=plan), **kwargs)
+
+
+def _attempts(runner, unit):
+    """The attempts ``unit`` was placed at (steal twins excluded)."""
+    return [p["attempt"] for p in runner.transport_stats["placements"]
+            if p["unit"] == unit and not p["steal"]]
+
+
+def _assert_exact_redispatches(runner):
+    """``redispatches`` counts exactly the placements that re-ran a
+    failed unit: attempt > 0, steal twins excluded."""
+    placements = runner.transport_stats["placements"]
+    assert runner.redispatches == sum(
+        1 for p in placements if p["attempt"] > 0 and not p["steal"])
+    assert runner.transport_stats["redispatches"] == runner.redispatches
 
 
 def test_timed_out_crash_is_reported_as_a_crash():
     """A worker that died reads differently from one that is merely
     stuck — the 3 a.m. difference between 'restart the box' and 'attach
     a profiler'.  A crash is EOF on the slot's socketpair, so it is
-    reported at once, not after the wave deadline."""
+    reported at once, not after ``shard_timeout``; with
+    ``max_redispatch=0`` the unit gets exactly one try."""
     from repro.netsim.faults import FaultPlan
 
     plan = FaultPlan(name="crash-forever", crash_shards=(1,),
@@ -256,8 +278,10 @@ def test_timed_out_crash_is_reported_as_a_crash():
     runner.join()
     assert time.monotonic() - started < 10.0
     assert runner.failed_shards == [1]
-    assert "worker crashed" in runner.failures[1]
-    assert "before the 10.0s wave deadline" in runner.failures[1]
+    assert "worker crashed (connection closed)" in runner.failures[1]
+    assert "shard_timeout" not in runner.failures[1]
+    assert _attempts(runner, 1) == [0]
+    _assert_exact_redispatches(runner)
 
 
 def test_timed_out_hang_is_reported_as_a_hang():
@@ -267,30 +291,80 @@ def test_timed_out_hang_is_reported_as_a_hang():
                      hang_attempts=99, hang_seconds=120.0)
     runner = _chaos_runner(plan, shard_timeout=8.0, max_redispatch=0)
     runner.start()
-    runner.join()        # SIGKILLs and reaps the hung children
+    pids = _slot_pids(runner)
+    runner.join()        # SIGKILLs and reaps the hung child
     assert runner.failed_shards == [1]
     assert "worker hung" in runner.failures[1]
-    assert "wave deadline" in runner.failures[1]
+    assert "shard_timeout=8.0s" in runner.failures[1]
+    assert _attempts(runner, 1) == [0]
+    _assert_exact_redispatches(runner)
+    _assert_reaped(pids)
 
 
-def test_shard_timeout_budget_is_per_wave():
-    """A retry wave gets a *fresh* ``shard_timeout`` budget: a unit that
-    hangs past the first wave's deadline succeeds on re-dispatch even
-    though total elapsed exceeds one budget."""
+def test_shard_timeout_bounds_each_dispatch(serial):
+    """``shard_timeout`` counts from a dispatch's placement; time a unit
+    waits in the queue is never charged.  On one slot, unit 1 waits out
+    unit 0's whole hang (a full ``shard_timeout``) and still runs at
+    attempt 0; the hung unit 0 is re-dispatched once and succeeds."""
     from repro.netsim.faults import FaultPlan
 
-    plan = FaultPlan(name="hang-once", hang_shards=(1,),
+    plan = FaultPlan(name="hang-once", hang_shards=(0,),
                      hang_attempts=1, hang_seconds=60.0)
-    runner = _chaos_runner(plan, shard_timeout=8.0, max_redispatch=1)
+    runner = _chaos_runner(plan, workers=1, unit_count=2,
+                           shard_timeout=8.0, max_redispatch=1)
     started = time.monotonic()
-    runner.start()
-    results = runner.join()
-    elapsed = time.monotonic() - started
+    results = runner.start().join()
+    assert time.monotonic() - started > 8.0
     assert runner.failed_shards == []
+    assert [(r.shard_index, r.attempt) for r in results] == [(0, 1), (1, 0)]
+    assert _attempts(runner, 0) == [0, 1]
+    assert "shard_timeout=8.0s" in runner.failures[0]
     assert runner.redispatches == 1
-    assert len(results) == 2
-    # the retry ran in wave 2's own budget, past wave 1's deadline
-    assert elapsed > 8.0
+    _assert_exact_redispatches(runner)
+    merged = Datasets.merge([r.datasets for r in results])
+    assert merged.profiles == serial.profiles
+
+
+def test_a_unit_that_keeps_crashing_does_not_starve_the_others(serial):
+    """One slot, four units, unit 1 kills its worker on every try: it
+    uses exactly its own budget, and the healthy units each run once."""
+    from repro.netsim.faults import FaultPlan
+
+    plan = FaultPlan(name="crash-forever", crash_shards=(1,),
+                     crash_attempts=99)
+    runner = _chaos_runner(plan, workers=1, unit_count=4, max_redispatch=2)
+    results = runner.start().join()
+    assert runner.failed_shards == [1]
+    assert [(r.shard_index, r.attempt) for r in results] == \
+        [(0, 0), (2, 0), (3, 0)]
+    assert _attempts(runner, 1) == [0, 1, 2]
+    assert "worker crashed" in runner.failures[1]
+    _assert_exact_redispatches(runner)
+    merged = Datasets.merge([r.datasets for r in results])
+    assert merged.profiles == [p for p in serial.profiles
+                               if shard_of(p.sha256, 4) != 1]
+
+
+@pytest.mark.parametrize("slots", [1, 2, 4])
+def test_retry_budget_does_not_depend_on_the_fleet(slots, serial):
+    """A failing unit gets ``1 + max_redispatch`` tries at attempts
+    ``0 … max_redispatch`` on any fleet, and no healthy unit re-runs."""
+    from repro.netsim.faults import FaultPlan
+
+    for crash_attempts, failed in ((2, []), (3, [1])):
+        plan = FaultPlan(name="crash-n", crash_shards=(1,),
+                         crash_attempts=crash_attempts)
+        runner = _chaos_runner(plan, workers=slots, unit_count=4,
+                               max_redispatch=2)
+        results = runner.start().join()
+        assert runner.failed_shards == failed
+        assert _attempts(runner, 1) == [0, 1, 2]
+        assert all(r.attempt == 0 for r in results if r.shard_index != 1)
+        _assert_exact_redispatches(runner)
+        if not failed:
+            merged = Datasets.merge([r.datasets for r in results])
+            merged.d_pc2 = list(serial.d_pc2)
+            assert dataset_digest(merged) == dataset_digest(serial)
 
 
 def test_parallel_counter_totals_match_serial():
@@ -413,7 +487,8 @@ def test_sigkilled_local_slot_is_lost_by_eof(serial):
     assert [entry["worker"] for entry in lost] == ["local[0]"]
     assert "connection closed" in lost[0]["reason"]
     assert "heartbeat" not in lost[0]["reason"]
-    assert runner.failed_shards == [] and runner.redispatches >= 1
+    assert runner.failed_shards == [] and runner.redispatches == 1
+    _assert_exact_redispatches(runner)
     merged = Datasets.merge([r.datasets for r in results])
     merged.d_pc2 = list(serial.d_pc2)
     assert dataset_digest(merged) == dataset_digest(serial)
