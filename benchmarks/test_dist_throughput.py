@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.cache import dataset_diff
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
 from repro.netsim.faults import FAULT_PLANS
@@ -102,7 +103,8 @@ def test_dist_throughput_socket_vs_local(benchmark, fleet):
     elapsed, datasets = benchmark.pedantic(socket_run, rounds=1,
                                            iterations=1)
     assert not datasets.failed_shards
-    assert datasets == local_datasets
+    diff = dataset_diff(local_datasets, datasets)
+    assert diff is None, diff
     samples = len(datasets.profiles)
     benchmark.extra_info["transport"] = "socket"
     benchmark.extra_info["workers"] = 2
@@ -131,7 +133,8 @@ def test_dist_warm_worker_speedup(benchmark, fleet):
 
     warm_elapsed, warm_datasets = benchmark.pedantic(warm_run, rounds=1,
                                                      iterations=1)
-    assert warm_datasets == cold_datasets
+    diff = dataset_diff(cold_datasets, warm_datasets)
+    assert diff is None, diff
     benchmark.extra_info["cold_seconds"] = round(cold_elapsed, 3)
     benchmark.extra_info["warm_seconds"] = round(warm_elapsed, 3)
     benchmark.extra_info["warm_speedup"] = \
@@ -153,7 +156,8 @@ def test_xl_dist_throughput_guard(benchmark, fleet):
     elapsed, datasets = benchmark.pedantic(socket_run, rounds=1,
                                            iterations=1)
     assert not datasets.failed_shards
-    assert datasets == local_datasets
+    diff = dataset_diff(local_datasets, datasets)
+    assert diff is None, diff
     samples = len(datasets.profiles)
     benchmark.extra_info["scale"] = "xl"
     benchmark.extra_info["samples"] = samples

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.core.cache import StudyCache
+from repro.core.cache import StudyCache, dataset_diff
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import run_study
 from repro.netsim.faults import FAULT_PLANS
@@ -71,7 +71,8 @@ def test_study_throughput_two_workers(benchmark):
     elapsed, datasets = benchmark.pedantic(_timed_study, args=(2,),
                                            rounds=1, iterations=1)
     # the merged parallel output must be the serial output, bit for bit
-    assert datasets == serial_datasets
+    diff = dataset_diff(serial_datasets, datasets)
+    assert diff is None, diff
     samples = len(datasets.profiles)
     benchmark.extra_info["samples"] = samples
     benchmark.extra_info["samples_per_second"] = round(samples / elapsed, 2)
@@ -125,7 +126,8 @@ def test_study_cache_warm_speedup(benchmark, tmp_path):
 
     warm_elapsed, warm_datasets = benchmark.pedantic(warm, rounds=1,
                                                      iterations=1)
-    assert warm_datasets == cold_datasets
+    diff = dataset_diff(cold_datasets, warm_datasets)
+    assert diff is None, diff
     assert cache.hits == 1
     speedup = cold_elapsed / warm_elapsed
     benchmark.extra_info["cold_seconds"] = round(cold_elapsed, 3)
@@ -170,7 +172,8 @@ def test_xl_study_throughput_guard(benchmark):
     serial_elapsed, serial_datasets = timed_xl()
     elapsed, datasets = benchmark.pedantic(timed_xl, args=(2,),
                                            rounds=1, iterations=1)
-    assert datasets == serial_datasets
+    diff = dataset_diff(serial_datasets, datasets)
+    assert diff is None, diff
     samples = len(datasets.profiles)
     benchmark.extra_info["scale"] = "xl"
     benchmark.extra_info["samples"] = samples

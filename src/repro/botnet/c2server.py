@@ -119,20 +119,6 @@ class C2Server:
         #: schedule indexes bucketed by 4h slot; rebuilt lazily after
         #: schedule changes (see :meth:`_schedule_wheel`)
         self._wheel: TimeWheel | None = None
-        #: DGA lifecycle: every (domain, since, until) window the operator
-        #: registered for this server, across all address generations
-        self.domain_schedule: list[tuple[str, float, float]] = []
-
-    # -- domain churn ---------------------------------------------------------
-
-    def register_domain_window(self, domain: str, since: float, until: float) -> None:
-        """Record that ``domain`` pointed at this server in [since, until)."""
-        self.domain_schedule.append((domain, since, until))
-
-    def active_domains(self, now: float) -> list[str]:
-        """Domains reaching this server at ``now`` (end-exclusive)."""
-        return [d for d, since, until in self.domain_schedule
-                if since <= now < until]
 
     # -- scheduling -----------------------------------------------------------
 

@@ -271,14 +271,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _telemetry_for(args) -> tuple[Telemetry, str | None]:
-    """An enabled telemetry bundle when ``--telemetry PATH`` was given.
+def _telemetry_for(
+    args, always: bool = False,
+) -> tuple[Telemetry, str | None]:
+    """An enabled telemetry bundle when ``--telemetry PATH`` was given
+    (or ``always``, for commands that read their own instruments).
 
     The output directory is created eagerly so a bad path fails before
     the study runs, not after."""
     path = getattr(args, "telemetry", None)
     if path is None:
-        return NULL_TELEMETRY, None
+        return (create_telemetry() if always else NULL_TELEMETRY), None
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -454,7 +457,7 @@ def _cmd_report(args, out) -> int:
 
 def _cmd_stats(args, out) -> int:
     """Run the study with telemetry on; render the per-stage summary."""
-    telemetry = create_telemetry()
+    telemetry, telemetry_path = _telemetry_for(args, always=True)
     _run(args, telemetry)
     aggregate = telemetry.tracer.aggregate()
     stage_rows = [
@@ -500,7 +503,7 @@ def _cmd_stats(args, out) -> int:
         print(file=out)
         print(render_table(["histogram", "count", "p50", "p95", "p99"],
                            histogram_rows, title="Histograms"), file=out)
-    _finish_telemetry(out, telemetry, getattr(args, "telemetry", None))
+    _finish_telemetry(out, telemetry, telemetry_path)
     return 0
 
 
@@ -620,9 +623,8 @@ def _cmd_serve(args, out) -> int:
     """Run the ingestion daemon until SIGTERM/SIGINT."""
     from .service import StudyService, build_server, serve_forever
 
-    telemetry, telemetry_path = _telemetry_for(args)
-    if not telemetry.enabled:
-        telemetry = create_telemetry()  # /metrics should never be empty
+    # /metrics should never be empty
+    telemetry, telemetry_path = _telemetry_for(args, always=True)
     config = PipelineConfig(
         faults=FAULT_PLANS[args.faults] if args.faults else None,
         study_days=args.study_days)

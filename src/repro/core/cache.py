@@ -3,10 +3,10 @@
 A study's output is a pure function of ``(seed, scale, PipelineConfig)``
 — that is the invariant PR 2/3 enforce — plus the code that computes it.
 :class:`StudyCache` exploits this: :func:`study_fingerprint` hashes all
-four ingredients (the fault plan and retry policies ride along inside
-the config, the code version is a digest over the ``repro`` package
-sources), and the cache stores the serialized :class:`Datasets` together
-with the probing campaign's observations under that fingerprint.  A hit
+four ingredients (the fault plan rides along inside the config, the
+code version is a digest over the ``repro`` package sources), and the
+cache stores the serialized :class:`Datasets` together with the
+probing campaign's observations under that fingerprint.  A hit
 reconstructs the exact bytes a fresh run would produce; any change to
 seed, scale, faults, config, or code changes the fingerprint and misses.
 
@@ -29,7 +29,7 @@ import tempfile
 from .datasets import Datasets
 from .pipeline import PipelineConfig
 
-__all__ = ["CachedStudy", "StudyCache", "dataset_digest",
+__all__ = ["CachedStudy", "StudyCache", "dataset_diff", "dataset_digest",
            "code_fingerprint", "study_fingerprint",
            "pack_entry", "unpack_entry", "write_atomic"]
 
@@ -67,18 +67,119 @@ def _canon(value):
     return value
 
 
+def _canon_text(canonical) -> str:
+    return json.dumps(canonical, separators=(",", ":"), sort_keys=False)
+
+
 def dataset_digest(datasets) -> str:
     """Canonical sha256 over a :class:`Datasets` (or any dataclass tree).
 
     Stable across processes and ``PYTHONHASHSEED`` values: sets are
     sorted, floats use ``repr``, and non-compare fields (caches, indexes)
     are excluded — two equal datasets always digest identically.  This is
-    the byte-identity oracle used by the golden tests and the cache
-    correctness tests.
+    the byte-identity oracle of the golden tests; :func:`dataset_diff`
+    explains a mismatch.
     """
-    text = json.dumps(_canon(datasets), separators=(",", ":"),
-                      sort_keys=False)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(_canon_text(_canon(datasets)).encode()).hexdigest()
+
+
+#: the fields that name a record of each dataset in :func:`dataset_diff`
+_RECORD_KEYS = {
+    "profiles": ("sha256", "day"),
+    "d_c2s": ("endpoint",),
+    "d_exploits": ("sha256", "vuln_key"),
+    "d_ddos": ("origin",),
+    "d_pc2": ("c2_address", "c2_port", "slot"),
+}
+
+
+def _short(value, width: int = 60) -> str:
+    """A canonical value for a report line: long strings cut to 8 chars."""
+    if isinstance(value, str) and len(value) > 16:
+        return repr(value[:8] + "…")
+    if isinstance(value, list):
+        text = "[" + ", ".join(_short(item) for item in value) + "]"
+    else:
+        text = repr(value)
+    return text if len(text) <= width else text[:width - 1] + "…"
+
+
+def _first_difference(expected, actual) -> tuple[str, object, object]:
+    """``(path, expected, actual)`` at the first differing canonical leaf."""
+    if isinstance(expected, dict) and isinstance(actual, dict) \
+            and expected.keys() == actual.keys():
+        for key in expected:
+            if _canon_text(expected[key]) != _canon_text(actual[key]):
+                path, left, right = _first_difference(expected[key],
+                                                      actual[key])
+                return f".{key}{path}", left, right
+    if isinstance(expected, list) and isinstance(actual, list) \
+            and len(expected) == len(actual):
+        for index, (left, right) in enumerate(zip(expected, actual)):
+            if _canon_text(left) != _canon_text(right):
+                path, left, right = _first_difference(left, right)
+                return f"[{index}]{path}", left, right
+    return "", expected, actual
+
+
+def _records(name: str, rows: list) -> list[tuple[str, str, object]]:
+    """``(identity, label, body)`` of each canonical record of a dataset."""
+    if name == "d_c2s":     # a dict: [endpoint, record] pairs
+        rows = [record for _endpoint, record in rows]
+    fields = _RECORD_KEYS[name]
+    return [(_canon_text([row[f] for f in fields]),
+             " ".join(f"{f}={_short(row[f])}" for f in fields), row)
+            for row in rows]
+
+
+def _record_difference(name: str, expected: list, actual: list) -> str:
+    """Name the first record of one dataset where the two runs part."""
+    left, right = _records(name, expected), _records(name, actual)
+    counts = f"({len(left)} vs {len(right)} records)"
+    left_ids = {identity for identity, _label, _body in left}
+    right_ids = {identity for identity, _label, _body in right}
+    for index in range(max(len(left), len(right))):
+        mine = left[index] if index < len(left) else None
+        theirs = right[index] if index < len(right) else None
+        if mine and theirs and mine[0] == theirs[0] \
+                and _canon_text(mine[2]) == _canon_text(theirs[2]):
+            continue
+        if theirs is None or (mine and mine[0] not in right_ids):
+            return f"{name}[{index}] ({mine[1]}): only in expected {counts}"
+        if mine is None or theirs[0] not in left_ids:
+            return f"{name}[{index}] ({theirs[1]}): only in actual {counts}"
+        if mine[0] != theirs[0]:
+            return (f"{name}[{index}]: order differs: expected "
+                    f"({mine[1]}), actual ({theirs[1]})")
+        path, was, now = _first_difference(mine[2], theirs[2])
+        return (f"{name}[{index}] ({mine[1]}){path}: "
+                f"{_short(was)} != {_short(now)}")
+    return f"{name}: differs"
+
+
+def dataset_diff(expected, actual) -> str | None:
+    """The first difference between two :class:`Datasets`, or None.
+
+    None exactly when both digest alike (:func:`dataset_digest`): it
+    walks the same canonical form, so fields with ``compare=False`` are
+    invisible to both.  Otherwise one line names the dataset, the record
+    by its key (:data:`_RECORD_KEYS`) and the field, with both values
+    truncated, e.g. ``d_ddos[3] (origin=[25, '55e3e238…', 0]).verified:
+    True != False``.  A record present on one side only reads ``only in
+    expected``/``only in actual``; records present on both sides at
+    different positions read as an order difference.
+    """
+    left, right = _canon(expected), _canon(actual)
+    if _canon_text(left) == _canon_text(right):
+        return None
+    if isinstance(left, dict) and isinstance(right, dict) \
+            and left.keys() == right.keys():
+        for name in left:
+            if name in _RECORD_KEYS \
+                    and _canon_text(left[name]) != _canon_text(right[name]):
+                return _record_difference(name, left[name], right[name])
+    path, was, now = _first_difference(left, right)
+    return f"{path.lstrip('.') or 'value'}: {_short(was)} != {_short(now)}"
 
 
 def code_fingerprint() -> str:
@@ -109,9 +210,9 @@ def study_fingerprint(seed: int, scale, config: PipelineConfig | None = None,
     """Content address of one study: (seed, scale, config, code version).
 
     ``config=None`` fingerprints identically to an explicit default
-    ``PipelineConfig()`` — they run the same study.  The fault plan and
-    retry policies are dataclass fields of the config, so they are part
-    of the address automatically.
+    ``PipelineConfig()`` — they run the same study.  The fault plan is a
+    dataclass field of the config, so it is part of the address
+    automatically.
     """
     ingredients = {
         "seed": seed,

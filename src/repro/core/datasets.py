@@ -148,10 +148,6 @@ class Datasets:
 
     # -- D-Samples ---------------------------------------------------------
 
-    @property
-    def d_samples(self) -> list[BinaryNetworkProfile]:
-        return self.profiles
-
     def profile_by_sha256(self, sha256: str) -> BinaryNetworkProfile | None:
         """O(1) profile lookup by binary hash.
 

@@ -37,7 +37,6 @@ from ..netsim.addresses import ip_to_int, is_ip_literal
 from ..netsim.capture import columnar_stats
 from ..netsim.faults import FaultInjector, FaultPlan, FeedUnavailable, \
     SandboxCrash
-from ..netsim.packet import encode_memo_stats
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH
 from ..sandbox.handshaker import ExploitCapture
@@ -47,7 +46,14 @@ from ..world.calibration import ACTIVE_WEEKS, MAY_7_2022
 from ..world.generator import ANALYSIS_HOUR_OFFSET, World
 from .datasets import Datasets, ExploitRecord
 from .profiles import AttackObservation, BinaryNetworkProfile, ExploitObservation
-from .retry import FEED_RETRY, SANDBOX_RETRY, RetryPolicy
+
+#: attempts at a feed pull that hits an outage window before the day is
+#: left to backfill (control-plane retries: the simulation clock stays)
+FEED_ATTEMPTS = 3
+#: attempts at a sandbox activation that crashes before quarantine
+ACTIVATION_ATTEMPTS = 3
+#: simulation seconds between two weaponized liveness probes of a C2
+LIVENESS_SPACING = 4 * 3600.0
 
 
 @dataclass
@@ -69,10 +75,6 @@ class PipelineConfig:
     shard_count: int = 1
     #: deterministic fault plan (repro.netsim.faults); None = reliable world
     faults: FaultPlan | None = None
-    #: control-plane retries for a feed pull that hits an outage window
-    feed_retry: RetryPolicy = FEED_RETRY
-    #: retries for transient sandbox activation crashes before quarantine
-    sandbox_retry: RetryPolicy = SANDBOX_RETRY
 
 
 def total_study_days(config: PipelineConfig | None = None) -> int:
@@ -172,35 +174,22 @@ class MalNet:
             "pipeline_retries", "retries of fallible pipeline operations",
             labelnames=("stage",))
         # allocation-path telemetry for the columnar packet core.  The
-        # underlying tallies live in module-level dicts (the hot loops
+        # underlying tallies live in a module-level dict (the hot loops
         # can't afford a labelled-counter call per packet), so the
-        # pipeline snapshots them at construction and publishes deltas —
+        # pipeline snapshots it at construction and publishes deltas —
         # a worker process therefore reports only its own shard's work.
-        self._m_encode_memo = metrics.counter(
-            "packet_encode_memo_total",
-            "pcap encode-memo lookups by result",
-            labelnames=("result",))
         self._m_columnar = metrics.counter(
             "capture_columnar_total",
             "columnar capture rows appended / packets materialized",
             labelnames=("event",))
-        self._encode_base = encode_memo_stats()
         self._columnar_base = columnar_stats()
         # pre-seed every known label so zero-valued series still show up
         # in ``repro stats`` / ``obs diff`` output
-        for result in self._encode_base:
-            self._m_encode_memo.labels(result=result)
         for event in self._columnar_base:
             self._m_columnar.labels(event=event)
 
     def _drain_alloc_stats(self) -> None:
-        """Publish columnar/encode-memo deltas since the last drain."""
-        encode = encode_memo_stats()
-        for result, total in encode.items():
-            delta = total - self._encode_base[result]
-            if delta:
-                self._m_encode_memo.labels(result=result).inc(delta)
-        self._encode_base = encode
+        """Publish columnar capture deltas since the last drain."""
         columnar = columnar_stats()
         for event, total in columnar.items():
             delta = total - self._columnar_base[event]
@@ -339,12 +328,12 @@ class MalNet:
         # setdefault, not get: if the very first pull fails, the cursor
         # must already mark its window as uncovered or day 0 is lost
         window_start = self._feed_cursor.setdefault(name, start)
-        for attempt in range(self.config.feed_retry.attempts):
+        for attempt in range(FEED_ATTEMPTS):
             try:
                 entries = service.feed_between(window_start, end,
                                                attempt=attempt)
             except FeedUnavailable:
-                if attempt + 1 < self.config.feed_retry.attempts:
+                if attempt + 1 < FEED_ATTEMPTS:
                     self._m_retries.labels(stage="feed").inc()
                 continue
             if window_start < start:
@@ -433,8 +422,7 @@ class MalNet:
         recovered transient crash leaves no trace in the datasets — the
         property the fault-determinism tests pin down.
         """
-        attempts = self.config.sandbox_retry.attempts
-        for attempt in range(attempts):
+        for attempt in range(ACTIVATION_ATTEMPTS):
             self._reseed_for(sha256)
             try:
                 return self.sandbox.analyze_offline(
@@ -442,7 +430,7 @@ class MalNet:
                     sha256=sha256, attempt=attempt,
                 )
             except SandboxCrash:
-                if attempt + 1 >= attempts:
+                if attempt + 1 >= ACTIVATION_ATTEMPTS:
                     raise
                 self._m_retries.labels(stage="sandbox").inc()
 
@@ -577,18 +565,17 @@ class MalNet:
                         sha256: str | None = None, dga_seed: int = 0,
                         dga_family: str = "") -> bool:
         """Weaponized probe of the binary's own C2 (with 4h retries)."""
-        policy = RetryPolicy(attempts=1 + self.config.liveness_retries,
-                             backoff=4 * 3600.0, multiplier=1.0)
-        for attempt in range(policy.attempts):
+        attempts = 1 + self.config.liveness_retries
+        for attempt in range(attempts):
             address = self._resolve_endpoint(endpoint, dga_seed, dga_family)
             if address is not None:
                 results = self.sandbox.probe_targets(
                     data, [(address, port)], sha256=sha256)
                 if results and results[0].engaged:
                     return True
-            if attempt + 1 < policy.attempts:
+            if attempt + 1 < attempts:
                 self._m_retries.labels(stage="liveness").inc()
-                self.world.internet.clock.advance(policy.delay(attempt))
+                self.world.internet.clock.advance(LIVENESS_SPACING)
         return False
 
     def _observe_attacks(self, profile, record, data: bytes) -> None:

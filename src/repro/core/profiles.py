@@ -70,10 +70,6 @@ class BinaryNetworkProfile:
     def has_c2(self) -> bool:
         return self.c2_endpoint is not None
 
-    @property
-    def has_exploits(self) -> bool:
-        return bool(self.exploits)
-
     def summary_line(self) -> str:
         """One-line triage summary used by the report renderer."""
         if self.quarantined:

@@ -197,14 +197,6 @@ class PacketColumns:
                              0, 0, DEFAULT_TTL, 0, 0, payload))
         COLUMN_STATS["rows"] += 1
 
-    def append_packet(self, pkt: Packet) -> None:
-        """Decompose an existing packet into one columnar row."""
-        self._staged.append((pkt.timestamp, pkt.src, pkt.dst, pkt.sport,
-                             pkt.dport, int(pkt.protocol), int(pkt.flags),
-                             pkt.seq, pkt.ack, pkt.ttl, pkt.icmp_type,
-                             pkt.icmp_code, pkt.payload))
-        COLUMN_STATS["rows"] += 1
-
     def extend(self, rows: list[tuple]) -> None:
         """Stage already-built 13-field column tuples in one append."""
         self._staged.extend(rows)

@@ -123,7 +123,7 @@ class FaultPlan:
 
 #: Presets selectable with ``--faults`` on the CLI.  "mild" keeps every
 #: degradation path warm without drowning the study; "heavy" is the chaos
-#: setting the CI smoke job runs.
+#: setting, where faults leave a trace in the datasets.
 FAULT_PLANS: dict[str, FaultPlan] = {
     "mild": FaultPlan(
         name="mild",

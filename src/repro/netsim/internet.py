@@ -212,13 +212,6 @@ class TcpService(TypingProtocol):
         """Called with each chunk of client application data."""
 
 
-class UdpService(TypingProtocol):
-    """Server-side application attached to a UDP port."""
-
-    def on_datagram(self, host: "Host", pkt: Packet, now: float) -> list[bytes]:
-        """Return zero or more reply payloads."""
-
-
 @dataclass
 class Listener:
     """A bound TCP or UDP port on a host."""
@@ -247,9 +240,6 @@ class Host:
         if key in self.listeners:
             raise ValueError(f"port already bound: {self.name} {key}")
         self.listeners[key] = listener
-
-    def unbind(self, protocol: Protocol, port: int) -> None:
-        self.listeners.pop((protocol, port), None)
 
     def listener(self, protocol: Protocol, port: int) -> Listener | None:
         return self.listeners.get((protocol, port))

@@ -190,35 +190,8 @@ def _encode_icmp(pkt: Packet) -> bytes:
     return body[:2] + struct.pack("!H", check) + body[4:]
 
 
-#: memoized wire bytes for repeated header shapes — flood traffic and
-#: scan SYNs re-encode the same few (addresses, ports, flags, payload)
-#: combinations thousands of times; the timestamp lives only in the pcap
-#: record header, so it is not part of the key
-_ENCODE_CACHE: dict[tuple, bytes] = {}
-_ENCODE_CACHE_MAX = 4096
-
-#: cumulative memo outcomes for this process; the pipeline snapshots a
-#: baseline and publishes deltas as the labelled telemetry counter
-#: ``packet_encode_memo_total{result=hit|miss|evict}`` (``evict`` counts
-#: entries discarded by the clear-on-full bound, not clear events)
-ENCODE_MEMO_STATS = {"hit": 0, "miss": 0, "evict": 0}
-
-
-def encode_memo_stats() -> dict[str, int]:
-    """A point-in-time copy of the process-wide encode-memo outcomes."""
-    return dict(ENCODE_MEMO_STATS)
-
-
 def encode_packet(pkt: Packet) -> bytes:
     """Serialize a :class:`Packet` to IPv4 wire bytes with valid checksums."""
-    key = (pkt.src, pkt.dst, pkt.protocol, pkt.sport, pkt.dport,
-           pkt.payload, pkt.flags, pkt.seq, pkt.ack, pkt.ttl,
-           pkt.icmp_type, pkt.icmp_code)
-    data = _ENCODE_CACHE.get(key)
-    if data is not None:
-        ENCODE_MEMO_STATS["hit"] += 1
-        return data
-    ENCODE_MEMO_STATS["miss"] += 1
     if pkt.protocol == Protocol.TCP:
         transport = _encode_tcp(pkt)
     elif pkt.protocol == Protocol.UDP:
@@ -227,12 +200,7 @@ def encode_packet(pkt: Packet) -> bytes:
         transport = _encode_icmp(pkt)
     else:  # pragma: no cover - Protocol enum is closed
         raise PacketError(f"unsupported protocol: {pkt.protocol}")
-    data = _ipv4_header(pkt, IPV4_HEADER_LEN + len(transport)) + transport
-    if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
-        ENCODE_MEMO_STATS["evict"] += len(_ENCODE_CACHE)
-        _ENCODE_CACHE.clear()
-    _ENCODE_CACHE[key] = data
-    return data
+    return _ipv4_header(pkt, IPV4_HEADER_LEN + len(transport)) + transport
 
 
 # -- decoding ---------------------------------------------------------------

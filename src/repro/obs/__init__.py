@@ -30,8 +30,6 @@ from .events import LEVELS, EventLog, NullEventLog
 from .exporters import escape_help, escape_label_value, to_prometheus
 from .manifest import build_manifest, read_manifest, write_manifest
 from .merge import (
-    fold_counters,
-    fold_histograms,
     fold_metrics,
     graft_span_tree,
     merge_shard_telemetry,
@@ -81,8 +79,6 @@ __all__ = [
     "diff_runs",
     "escape_help",
     "escape_label_value",
-    "fold_counters",
-    "fold_histograms",
     "fold_metrics",
     "graft_span_tree",
     "histogram_quantiles",

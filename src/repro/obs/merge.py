@@ -33,8 +33,6 @@ from .tracing import Span, Tracer
 __all__ = [
     "WORLD_GLOBAL_SERIES",
     "is_world_global",
-    "fold_counters",
-    "fold_histograms",
     "fold_metrics",
     "graft_span_tree",
     "merge_shard_telemetry",
@@ -61,26 +59,6 @@ def is_world_global(name: str, labels: dict[str, str]) -> bool:
         if all(labels.get(key) == value for key, value in subset):
             return True
     return False
-
-
-def fold_counters(metrics, snapshot: dict, exclude: tuple = ()) -> None:
-    """Add a worker's counter totals into a parent registry.
-
-    Sums every counter series in ``snapshot`` (a
-    ``MetricsRegistry.snapshot()`` dict); gauges and histograms are left
-    to :func:`fold_histograms`.  ``exclude`` names counters whose
-    per-shard values must not be summed — creation counters for records
-    deduplicated *across* shards, which the merge re-counts from the
-    merged result.
-    """
-    fold_metrics(metrics, snapshot, exclude=exclude, kinds=("counter",),
-                 world_global=True)
-
-
-def fold_histograms(metrics, snapshot: dict, world_global: bool = True) -> None:
-    """Add a worker's histogram buckets into a parent registry bucket-wise."""
-    fold_metrics(metrics, snapshot, kinds=("histogram",),
-                 world_global=world_global)
 
 
 def fold_metrics(metrics, snapshot: dict, exclude: tuple = (),

@@ -326,8 +326,6 @@ class WorldGenerator:
                 self.internet.resolver.register(domain, active[0], since=since)
                 self.internet.resolver.register(domain, None, since=until)
                 deployment.dga_domains.append((day, domain))
-                if deployment.server is not None:
-                    deployment.server.register_domain_window(domain, since, until)
 
     # -- campaign planning ----------------------------------------------------------------
 

@@ -108,10 +108,6 @@ class GroundTruth:
     def all_samples(self) -> list[PlannedSample]:
         return [s for c in self.campaigns for s in c.samples]
 
-    @property
-    def c2_samples(self) -> list[PlannedSample]:
-        return [s for s in self.all_samples if s.c2 is not None]
-
     def deployment_for(self, endpoint: str) -> C2Deployment | None:
         for deployment in self.deployments:
             if deployment.endpoint == endpoint:

@@ -1,12 +1,11 @@
-"""Persistent study cache: fingerprinting, correctness, and the golden
-byte-identity values.
+"""Persistent study cache and the digest oracle: fingerprinting,
+correctness, corrupt entries, and :func:`dataset_diff`'s reports.
 
-The golden digests below were captured from the pre-optimization code on
-the same (seed, scale); they pin down that the batched scan path, the
-lazy capture, and the TI memoization did not change a single byte of the
-study's output.
+The golden digests and the cold/warm cache equivalence live in the
+equivalence matrix (``tests/test_equivalence.py``).
 """
 
+import copy
 import os
 import pickle
 
@@ -16,9 +15,11 @@ from repro.core.cache import (
     CachedStudy,
     StudyCache,
     code_fingerprint,
+    dataset_diff,
     dataset_digest,
     study_fingerprint,
 )
+from repro.core.datasets import Datasets
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
 from repro.netsim.faults import FAULT_PLANS
@@ -28,39 +29,16 @@ from .conftest import SMOKE
 
 SEED = 20220322
 
-#: dataset_digest of the smoke study at SEED, captured before the PR 5
-#: hot-path optimizations landed — the byte-identity oracle
-GOLDEN_PLAIN = "8c5016ee222516adeade02048d2a7804b66842692b764217a0ad3655273d3e85"
-#: same study under the mild fault plan (recovered faults are traceless
-#: at smoke scale, so it coincides with the plain digest — see PR 3)
-GOLDEN_MILD = GOLDEN_PLAIN
-#: and under the heavy plan, where faults do leave a trace
-GOLDEN_HEAVY = "1492e3a37e318a6398404f090ac1bfc9750f59110ae28f0a60797d5e8babaadc"
-
 
 class TestGoldenByteIdentity:
-    def test_smoke_study_matches_preoptimization_bytes(self, smoke_study):
-        _world, _malnet, _campaign, datasets = smoke_study
-        assert dataset_digest(datasets) == GOLDEN_PLAIN
-
-    def test_mild_faults_match_preoptimization_bytes(self):
-        world = generate_world(seed=SEED, scale=SMOKE)
-        config = PipelineConfig(faults=FAULT_PLANS["mild"])
-        _m, _c, datasets = run_study(world, config=config)
-        assert dataset_digest(datasets) == GOLDEN_MILD
-
-    def test_heavy_faults_match_preoptimization_bytes(self):
-        world = generate_world(seed=SEED, scale=SMOKE)
-        config = PipelineConfig(faults=FAULT_PLANS["heavy"])
-        _m, _c, datasets = run_study(world, config=config)
-        assert dataset_digest(datasets) == GOLDEN_HEAVY
-
     def test_digest_discriminates(self, smoke_study):
         # the oracle is only an oracle if different outputs digest
         # differently
+        _world, _malnet, _campaign, reference = smoke_study
         world = generate_world(seed=99, scale=SMOKE)
         _m, _c, datasets = run_study(world)
-        assert dataset_digest(datasets) != GOLDEN_PLAIN
+        assert dataset_digest(datasets) != dataset_digest(reference)
+        assert dataset_diff(reference, datasets) is not None
 
 
 class TestFingerprint:
@@ -102,14 +80,12 @@ class TestStudyCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = StudyCache(str(tmp_path))
         world = generate_world(seed=SEED, scale=SMOKE)
-        _m, campaign, datasets = run_study(world, cache=cache)
+        _m, campaign, _datasets = run_study(world, cache=cache)
         assert cache.misses == 1 and cache.hits == 0
 
         world = generate_world(seed=SEED, scale=SMOKE)
-        _m2, campaign2, datasets2 = run_study(world, cache=cache)
+        _m2, campaign2, _datasets2 = run_study(world, cache=cache)
         assert cache.hits == 1
-        assert datasets2 == datasets
-        assert dataset_digest(datasets2) == dataset_digest(datasets)
         assert campaign2.observations == campaign.observations
         assert campaign2.discovered == campaign.discovered
         assert campaign2.response_matrix() == campaign.response_matrix()
@@ -150,15 +126,6 @@ class TestStudyCache:
         assert not os.path.exists(str(tmp_path)) or \
             not os.listdir(str(tmp_path))
 
-    def test_cache_accepts_directory_path(self, tmp_path):
-        root = str(tmp_path / "by-path")
-        run_study(generate_world(seed=SEED, scale=SMOKE), cache=root)
-        _m, _c, cached = run_study(
-            generate_world(seed=SEED, scale=SMOKE), cache=root)
-        world = generate_world(seed=SEED, scale=SMOKE)
-        _m2, _c2, fresh = run_study(world)
-        assert cached == fresh
-
 
 class TestCorruptEntries:
     """Any damaged entry must read as a miss — never crash, never serve
@@ -174,7 +141,8 @@ class TestCorruptEntries:
     def _recompute_equals_fresh(self, cache, datasets):
         world = generate_world(seed=SEED, scale=SMOKE)
         _m, _c, recomputed = run_study(world, cache=cache)
-        assert recomputed == datasets
+        diff = dataset_diff(datasets, recomputed)
+        assert diff is None, diff
 
     def test_truncated_entry_recomputes(self, tmp_path):
         cache, fingerprint, datasets = self._populate(tmp_path)
@@ -241,7 +209,8 @@ class TestCorruptEntries:
         # ...so the next lookup hits
         entry = cache.get(fingerprint)
         assert entry is not None
-        assert entry.datasets == datasets
+        diff = dataset_diff(datasets, entry.datasets)
+        assert diff is None, diff
 
 
 class TestCachedStudyPickleStability:
@@ -251,6 +220,99 @@ class TestCachedStudyPickleStability:
                             observations=campaign.observations,
                             discovered=campaign.discovered)
         clone = pickle.loads(pickle.dumps(entry))
-        assert clone.datasets == datasets
+        diff = dataset_diff(datasets, clone.datasets)
+        assert diff is None, diff
         assert clone.observations == campaign.observations
         assert clone.discovered == campaign.discovered
+
+
+class TestDatasetDiff:
+    """The oracle's report: None exactly when the digests match, else the
+    first differing dataset, record (by key) and field."""
+
+    @pytest.fixture
+    def reference(self, smoke_study):
+        return smoke_study[3]
+
+    @staticmethod
+    def _diff(expected, actual):
+        report = dataset_diff(expected, actual)
+        assert (report is None) == \
+            (dataset_digest(expected) == dataset_digest(actual))
+        return report
+
+    def test_equal_inputs_have_no_diff(self, reference):
+        assert self._diff(reference, copy.deepcopy(reference)) is None
+        assert self._diff(Datasets(), Datasets()) is None
+
+    def test_non_compare_fields_are_invisible(self, reference):
+        other = copy.deepcopy(reference)
+        other.failed_shards = [1, 3]
+        next(iter(other.d_c2s.values())).churn_key = "rotating"
+        assert self._diff(reference, other) is None
+
+    def test_names_a_changed_profile_field(self, reference):
+        other = copy.deepcopy(reference)
+        profile = other.profiles[5]
+        profile.activated = not profile.activated
+        assert self._diff(reference, other) == (
+            f"profiles[5] (sha256='{profile.sha256[:8]}…' "
+            f"day={profile.day}).activated: "
+            f"{not profile.activated} != {profile.activated}")
+
+    def test_names_a_changed_c2_field(self, reference):
+        other = copy.deepcopy(reference)
+        endpoint, record = list(other.d_c2s.items())[4]
+        record.live_observations += 1
+        assert self._diff(reference, other) == (
+            f"d_c2s[4] (endpoint='{endpoint}').live_observations: "
+            f"{record.live_observations - 1} != {record.live_observations}")
+
+    def test_names_a_changed_probe_field(self, reference):
+        other = copy.deepcopy(reference)
+        probe = other.d_pc2[7]
+        probe.engaged = not probe.engaged
+        assert self._diff(reference, other) == (
+            f"d_pc2[7] (c2_address={probe.c2_address} "
+            f"c2_port={probe.c2_port} slot={probe.slot}).engaged: "
+            f"{not probe.engaged} != {probe.engaged}")
+
+    def test_names_a_changed_exploit_field(self, reference):
+        other = copy.deepcopy(reference)
+        record = other.d_exploits[2]
+        before, record.loader = record.loader, "changed"
+        assert self._diff(reference, other) == (
+            f"d_exploits[2] (sha256='{record.sha256[:8]}…' "
+            f"vuln_key='{record.vuln_key}').loader: "
+            f"{before!r} != 'changed'")
+
+    def test_names_a_changed_ddos_field(self, reference):
+        other = copy.deepcopy(reference)
+        record = other.d_ddos[3]
+        record.verified = not record.verified
+        day, sha256, seq = record.origin
+        assert self._diff(reference, other) == (
+            f"d_ddos[3] (origin=[{day}, '{sha256[:8]}…', {seq}]).verified: "
+            f"{not record.verified} != {record.verified}")
+
+    def test_swapped_c2_pair_is_an_order_difference(self, reference):
+        other = copy.deepcopy(reference)
+        items = list(other.d_c2s.items())
+        items[2], items[3] = items[3], items[2]
+        other.d_c2s = dict(items)
+        assert other == reference    # dataclass equality cannot see it
+        assert self._diff(reference, other) == (
+            f"d_c2s[2]: order differs: expected (endpoint='{items[3][0]}'), "
+            f"actual (endpoint='{items[2][0]}')")
+
+    def test_missing_and_extra_records_are_only_in_one_side(self,
+                                                           reference):
+        fewer = copy.deepcopy(reference)
+        gone = fewer.profiles.pop(8)
+        total = len(reference.profiles)
+        assert self._diff(reference, fewer) == (
+            f"profiles[8] (sha256='{gone.sha256[:8]}…' day={gone.day}): "
+            f"only in expected ({total} vs {total - 1} records)")
+        assert self._diff(fewer, reference) == (
+            f"profiles[8] (sha256='{gone.sha256[:8]}…' day={gone.day}): "
+            f"only in actual ({total - 1} vs {total} records)")

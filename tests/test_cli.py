@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core.cache import StudyCache
 
 
 def run_cli(*argv):
@@ -49,6 +50,60 @@ class TestStudyCommand:
             run_cli("--scale", "smoke", "study", "--units", "3")
         assert str(excinfo.value).startswith(
             "repro: --units needs --workers or --peers")
+
+
+#: (serial flags, extra flags of the sharded run); ``PEERS`` stands for
+#: the session's two ``repro worker`` daemons.  Plain smoke studies
+#: print the same under mild faults as under none, so only heavy faults
+#: (or the dga scenario) show a fault plan lost on the way to the units.
+SHARDED_STUDIES = [
+    pytest.param(["--faults", "heavy"], ["--workers", "2"],
+                 id="heavy-workers"),
+    pytest.param(["--dga", "--faults", "mild"], ["--workers", "2"],
+                 id="dga-mild-workers"),
+    pytest.param([], ["--peers", "PEERS"], id="peers"),
+    pytest.param(["--faults", "heavy"], ["--peers", "PEERS", "--units", "8"],
+                 id="heavy-peers-units"),
+]
+
+
+class TestStudyFlagsReachTheRun:
+    """A sharded or cached ``study`` prints exactly what the serial one
+    prints, so every flag reaches the sharded run as it reaches the
+    serial one."""
+
+    @pytest.mark.parametrize("flags, sharding", SHARDED_STUDIES)
+    def test_sharded_study_prints_the_serial_output(self, flags, sharding,
+                                                    request):
+        if "PEERS" in sharding:
+            peers = ",".join(request.getfixturevalue("worker_fleet"))
+            sharding = [peers if flag == "PEERS" else flag
+                        for flag in sharding]
+        code, serial = run_cli("--scale", "smoke", "study", *flags)
+        assert code == 0
+        code, sharded = run_cli("--scale", "smoke", "study", *flags,
+                                *sharding)
+        assert code == 0
+        assert sharded == serial
+        if "--dga" in flags:
+            assert "DGA campaigns observed" in serial
+
+    def test_cold_then_warm_cache_prints_the_serial_output(self, tmp_path,
+                                                           monkeypatch):
+        entries = []
+        get = StudyCache.get
+
+        def recording_get(cache, fingerprint):
+            entries.append(get(cache, fingerprint))
+            return entries[-1]
+
+        monkeypatch.setattr(StudyCache, "get", recording_get)
+        _code, serial = run_cli("--scale", "smoke", "study")
+        argv = ("--scale", "smoke", "study", "--cache-dir", str(tmp_path))
+        _code, cold = run_cli(*argv)
+        _code, warm = run_cli(*argv)
+        assert [entry is not None for entry in entries] == [False, True]
+        assert cold == warm == serial
 
 
 class TestReportCommand:
@@ -159,6 +214,17 @@ class TestStatsCommand:
         assert "Histograms" in text
         assert "p50" in text and "p95" in text and "p99" in text
         assert "feed_latency_seconds" in text
+
+    def test_bad_telemetry_path_fails_before_the_study(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "smoke", "stats", "--telemetry",
+                  str(blocker / "x")], out=out)
+        assert str(excinfo.value).startswith(
+            f"repro: --telemetry '{blocker / 'x'}':")
+        assert out.getvalue() == ""
 
     def test_honours_workers_flag(self):
         code, serial = run_cli("--scale", "smoke", "--seed", "3", "stats")

@@ -27,12 +27,7 @@ from repro.netsim.capture import (
 )
 from repro.netsim.flows import FlowTable
 from repro.netsim.internet import STUDY_EPOCH, SimClock, TimeWheel
-from repro.netsim.packet import (
-    TcpFlags,
-    encode_memo_stats,
-    tcp_packet,
-    udp_packet,
-)
+from repro.netsim.packet import TcpFlags, tcp_packet, udp_packet
 
 _FLAG_CHOICES = (
     TcpFlags.SYN,
@@ -190,7 +185,6 @@ def test_packets_read_materializes_once():
 
 def test_stats_counters_exposed():
     assert set(COLUMN_STATS) == {"rows", "built"}
-    assert set(encode_memo_stats()) == {"hit", "miss", "evict"}
     before = columnar_stats()["rows"]
     PacketColumns().append_udp(1, 2, 3, 4, b"", 0.0)
     assert columnar_stats()["rows"] == before + 1

@@ -25,13 +25,13 @@ from repro.service import StudyService
 from repro.service.handlers import RULE_TECHNOLOGIES, ServiceApi
 from repro.world import StudyScale, generate_world
 
+from .conftest import SMOKE
+
 SCALE = StudyScale(sample_fraction=0.06, probe_days=2,
                    observe_duration=1200.0, scan_budget=80)
 SEED = 11
 #: the heavy-fault world of tests/test_faults.py
-FAULT_SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
-                         observe_duration=1800.0,
-                         observe_poll_interval=300.0, scan_budget=120)
+FAULT_SCALE = SMOKE
 FAULT_SEED = 1337
 HEAVY = PipelineConfig(faults=FAULT_PLANS["heavy"])
 

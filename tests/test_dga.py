@@ -15,10 +15,8 @@ from repro.botnet.families import (
     dga_schedule_seed,
 )
 from repro.core import c2_analysis as ca
-from repro.core.cache import dataset_digest
 from repro.core.datasets import C2Record, Datasets
 from repro.core.profiles import BinaryNetworkProfile
-from repro.core.study import run_study
 from repro.defense import (
     APPEAL_SUCCESS_RATE,
     APPEAL_WINDOW,
@@ -279,11 +277,9 @@ class TestDgaWorld:
             assert planned.sample.config.dga_seed == 0
 
 
-@pytest.fixture(scope="module")
-def dga_datasets():
-    world = generate_world(seed=SEED, scale=DGA_SCALE)
-    _, _, datasets = run_study(world)
-    return datasets
+@pytest.fixture
+def dga_datasets(serial_reference):
+    return serial_reference(SEED, DGA_SCALE)[2]
 
 
 class TestDgaStudy:
@@ -320,14 +316,8 @@ class TestDgaStudy:
         rate = ca.block_evasion_rate(dga_datasets)
         assert 0.0 < rate <= 1.0
 
-    def test_serial_equals_parallel(self, dga_datasets):
-        world = generate_world(seed=SEED, scale=DGA_SCALE)
-        _, _, parallel = run_study(world, workers=2)
-        assert dataset_digest(parallel) == dataset_digest(dga_datasets)
-
-    def test_plain_study_has_no_churn(self):
-        world = generate_world(seed=SEED, scale=SMOKE_SCALE)
-        _, _, datasets = run_study(world)
+    def test_plain_study_has_no_churn(self, serial_reference):
+        datasets = serial_reference(SEED, SMOKE_SCALE)[2]
         assert ca.domain_churn_clusters(datasets) == {}
         assert ca.domain_churn_lifetime_cdf(datasets) == []
         assert ca.block_evasion_rate(datasets) == 0.0

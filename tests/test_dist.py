@@ -1,25 +1,22 @@
 """The distributed runner end-to-end: wire format, worker daemon,
-coordinator scheduling, and the byte-identity guarantee over TCP.
+coordinator scheduling, and its accounting over TCP.
 
-The expensive sections run one smoke study per fault plan through the
-coordinator's TCP peers — in-process :class:`WorkerServer` threads for
-the scheduling tests (correctness is GIL-independent), and ``python -m
-repro worker`` subprocesses for the SIGKILL test, where a worker must
-be killable mid-unit without the digest moving.
+The expensive sections run smoke studies through the coordinator's TCP
+peers — in-process :class:`WorkerServer` threads for the scheduling
+tests (correctness is GIL-independent), and ``python -m repro worker``
+subprocesses for the counter totals and the SIGKILL test, where a
+worker must be killable mid-unit without the datasets moving.  Serial
+== TCP peers for every input is a column of the equivalence matrix
+(``tests/test_equivalence.py``).
 """
 
 import dataclasses
-import os
-import re
 import socket
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from repro.core.cache import dataset_digest
+from repro.core.cache import dataset_diff
 from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
@@ -30,9 +27,8 @@ from repro.netsim.faults import FAULT_PLANS
 from repro.obs import create_telemetry
 from repro.world import StudyScale, generate_world
 
-SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
-                   observe_duration=1800.0, observe_poll_interval=300.0,
-                   scan_budget=120)
+from .conftest import SMOKE, spawn_fleet, stop_fleet
+
 SEED = 1337
 UNIT_COUNT = 8
 
@@ -44,25 +40,9 @@ STRAGGLER = PipelineConfig(faults=dataclasses.replace(
     hang_shards=(2,), hang_attempts=1, hang_seconds=6.0))
 
 
-def _serial(config):
-    world = generate_world(seed=SEED, scale=SCALE)
-    _malnet, _campaign, datasets = run_study(world, config=config)
-    return dataset_digest(datasets)
-
-
-@pytest.fixture(scope="module")
-def serial_plain():
-    return _serial(None)
-
-
-@pytest.fixture(scope="module")
-def serial_mild():
-    return _serial(MILD)
-
-
-@pytest.fixture(scope="module")
-def serial_straggler():
-    return _serial(STRAGGLER)
+@pytest.fixture
+def serial_straggler(serial_reference):
+    return serial_reference(SEED, SMOKE, STRAGGLER)[2]
 
 
 @pytest.fixture(scope="module")
@@ -76,34 +56,6 @@ def workers():
 
 def _peers(servers):
     return [f"{s.host}:{s.port}" for s in servers]
-
-
-_ANNOUNCE = re.compile(r"listening on ([\d.]+):(\d+)")
-
-
-def _spawn_fleet(count):
-    """``repro worker`` daemons as real subprocesses -> (procs, peers)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    procs, peers = [], []
-    for _ in range(count):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, env=env)
-        procs.append(proc)
-        match = _ANNOUNCE.search(proc.stdout.readline())
-        assert match, "worker did not announce its address"
-        peers.append(f"{match.group(1)}:{match.group(2)}")
-    return procs, peers
-
-
-def _stop_fleet(procs):
-    for proc in procs:
-        if proc.poll() is None:
-            proc.terminate()
-            proc.wait(timeout=10)
 
 
 def _assert_exact_redispatches(manifest):
@@ -221,7 +173,7 @@ def test_coordinator_skips_a_version_1_peer():
 
     thread = threading.Thread(target=old_worker, daemon=True)
     thread.start()
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
+    spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
                     shard_count=1)
     coordinator = Coordinator(spec, [f"127.0.0.1:{port}"],
                               shard_timeout=None, max_redispatch=0)
@@ -288,17 +240,16 @@ def test_world_cache_evicts_least_recently_used():
 
 def _socket_study(peers, config, unit_count=UNIT_COUNT, **kwargs):
     telemetry = create_telemetry()
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     _malnet, _campaign, datasets = run_study(
         world, config=config, telemetry=telemetry, peers=peers,
         unit_count=unit_count, **kwargs)
     return datasets, telemetry.manifest
 
 
-def test_socket_transport_matches_serial(workers, serial_plain):
+def test_socket_transport_accounting(workers):
     datasets, manifest = _socket_study(_peers(workers), None)
     assert not datasets.failed_shards
-    assert dataset_digest(datasets) == serial_plain
     assert manifest["run"]["transport"] == "socket"
     dist = manifest["extra"]["dist"]
     assert dist["units"] == UNIT_COUNT
@@ -311,18 +262,16 @@ def test_socket_transport_matches_serial(workers, serial_plain):
     assert sum(s.worlds.hits for s in workers) >= UNIT_COUNT - 2
 
 
-def test_socket_transport_matches_serial_under_mild_faults(workers,
-                                                           serial_mild):
+def test_socket_transport_warm_placement_under_mild_faults(workers):
     datasets, manifest = _socket_study(_peers(workers), MILD)
     assert not datasets.failed_shards
-    assert dataset_digest(datasets) == serial_mild
     # same (seed, scale) as the previous run: placement sees warm workers
     dist = manifest["extra"]["dist"]
     assert sum(w["warm_placements"]
                for w in dist["per_worker"].values()) >= 1
 
 
-def test_socket_counter_totals_match_serial():
+def test_socket_counter_totals_match_serial(worker_fleet):
     """Remote ShardResults carry their telemetry snapshots over the
     wire, so the merged counters equal the serial run's — dedup'd
     record counters included.
@@ -334,7 +283,7 @@ def test_socket_counter_totals_match_serial():
     """
     def totals(**kwargs):
         telemetry = create_telemetry()
-        world = generate_world(seed=SEED, scale=SCALE)
+        world = generate_world(seed=SEED, scale=SMOKE)
         run_study(world, telemetry=telemetry, **kwargs)
         return {
             (family.name, tuple(sorted(labels.items()))): child.value
@@ -343,11 +292,7 @@ def test_socket_counter_totals_match_serial():
             for labels, child in family.series()
         }
 
-    procs, peers = _spawn_fleet(2)
-    try:
-        assert totals() == totals(peers=peers, unit_count=UNIT_COUNT)
-    finally:
-        _stop_fleet(procs)
+    assert totals() == totals(peers=worker_fleet, unit_count=UNIT_COUNT)
 
 
 def test_straggling_unit_is_stolen(workers, serial_straggler):
@@ -355,7 +300,8 @@ def test_straggling_unit_is_stolen(workers, serial_straggler):
         _peers(workers), STRAGGLER, unit_count=4,
         transport_options={"min_steal_seconds": 0.3, "steal_factor": 0.5})
     assert not datasets.failed_shards
-    assert dataset_digest(datasets) == serial_straggler
+    diff = dataset_diff(serial_straggler, datasets)
+    assert diff is None, diff
     dist = manifest["extra"]["dist"]
     assert dist["steals"] >= 1
     assert any(p["steal"] for p in dist["placements"])
@@ -368,7 +314,7 @@ def test_unreachable_workers_fail_the_units_not_the_run():
     dead_port = probe.getsockname()[1]
     probe.close()                           # nobody listens here now
     telemetry = create_telemetry()
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     _malnet, _campaign, datasets = run_study(
         world, peers=[f"127.0.0.1:{dead_port}"], unit_count=3,
         telemetry=telemetry)
@@ -384,7 +330,7 @@ def test_unreachable_workers_fail_the_units_not_the_run():
 
 
 def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
-    procs, peers = _spawn_fleet(2)
+    procs, peers = spawn_fleet(2)
     try:
         # the straggler unit hangs 6s: the study is guaranteed to still
         # be mid-wave when the axe falls
@@ -397,12 +343,13 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
             axe.cancel()
         assert procs[0].wait(timeout=10) != 0   # it really died
         assert not datasets.failed_shards
-        assert dataset_digest(datasets) == serial_straggler
+        diff = dataset_diff(serial_straggler, datasets)
+        assert diff is None, diff
         dist = manifest["extra"]["dist"]
         assert len(dist["lost_workers"]) >= 1
         _assert_exact_redispatches(manifest)
     finally:
-        _stop_fleet(procs)
+        stop_fleet(procs)
 
 
 # -- coordinator contract edges -----------------------------------------------
@@ -411,7 +358,7 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
 def test_start_places_the_first_wave_on_tcp_peers(workers):
     """``start()`` dials the peers and places one unit per worker, so the
     parent's probing overlaps remote units too."""
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     runner = ShardedStudyRunner(world, peers=_peers(workers), unit_count=4)
     runner.start()
     try:
@@ -431,7 +378,8 @@ def test_idle_worker_is_not_lost_when_it_steals(workers, serial_straggler):
         _peers(workers), STRAGGLER, unit_count=4,
         transport_options={"heartbeat_timeout": 2.0,
                            "min_steal_seconds": 3.0, "steal_factor": 0.5})
-    assert dataset_digest(datasets) == serial_straggler
+    diff = dataset_diff(serial_straggler, datasets)
+    assert diff is None, diff
     dist = manifest["extra"]["dist"]
     assert dist["lost_workers"] == []
     assert dist["steals"] >= 1
@@ -444,7 +392,7 @@ def test_reset_connection_is_a_crash_like_eof():
     from repro.dist import Coordinator
     from repro.dist.plan import TaskSpec
 
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
+    spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
                     shard_count=1)
     coordinator = Coordinator(spec, ["127.0.0.1:1"], shard_timeout=None,
                               max_redispatch=1)

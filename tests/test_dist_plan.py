@@ -22,19 +22,16 @@ import dataclasses
 
 import pytest
 
-from repro.core.cache import dataset_digest
+from repro.core.cache import dataset_diff
 from repro.core.datasets import Datasets
 from repro.core.parallel import execute_shard
 from repro.core.pipeline import PipelineConfig
-from repro.core.study import run_study
 from repro.determinism import shard_of
 from repro.dist.plan import TaskSpec, default_unit_count, world_key
 from repro.netsim.faults import FAULT_PLANS
-from repro.world import StudyScale, generate_world
 
-SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
-                   observe_duration=1800.0, observe_poll_interval=300.0,
-                   scan_budget=120)
+from .conftest import SMOKE
+
 SEED = 1337
 UNIT_COUNT = 4
 
@@ -51,31 +48,29 @@ def plan_name(request):
     return request.param
 
 
-@pytest.fixture(scope="module")
-def serial(plan_name):
-    world = generate_world(seed=SEED, scale=SCALE)
-    _malnet, _campaign, datasets = run_study(world,
-                                             config=_config(plan_name))
-    return datasets
+@pytest.fixture
+def serial(plan_name, serial_reference):
+    return serial_reference(SEED, SMOKE, _config(plan_name))[2]
 
 
 @pytest.fixture(scope="module")
 def unit_results(plan_name):
     """The four unit datasets, computed once per plan, in-process."""
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=_config(plan_name),
+    spec = TaskSpec(seed=SEED, scale=SMOKE, config=_config(plan_name),
                     shard_count=UNIT_COUNT)
     return [
-        execute_shard(SEED, SCALE, spec.config_for(unit), 0, False).datasets
+        execute_shard(SEED, SMOKE, spec.config_for(unit), 0, False).datasets
         for unit in range(UNIT_COUNT)
     ]
 
 
-def _digest_with_probing(unit_datasets, serial):
-    """Merge unit outputs the way the runner does: the probing results
-    (d_pc2) come from the parent, not the units."""
+def _diff_with_probing(unit_datasets, serial):
+    """Merge unit outputs the way the runner does — the probing results
+    (d_pc2) come from the parent, not the units — and diff the merge
+    against the serial study."""
     merged = Datasets.merge(list(unit_datasets))
     merged.d_pc2 = list(serial.d_pc2)
-    return dataset_digest(merged)
+    return dataset_diff(serial, merged)
 
 
 # -- partition stability ------------------------------------------------------
@@ -99,12 +94,12 @@ def test_partition_covers_and_is_stable_across_unit_counts(serial):
 
 
 def test_world_key_is_stable_and_discriminating():
-    key = world_key(SEED, SCALE)
-    assert key == world_key(SEED, SCALE)
-    assert key != world_key(SEED + 1, SCALE)
+    key = world_key(SEED, SMOKE)
+    assert key == world_key(SEED, SMOKE)
+    assert key != world_key(SEED + 1, SMOKE)
     assert key != world_key(SEED, dataclasses.replace(
-        SCALE, sample_fraction=0.06))
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
+        SMOKE, sample_fraction=0.06))
+    spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
                     shard_count=UNIT_COUNT)
     assert spec.world_key == key
 
@@ -137,39 +132,40 @@ def test_any_worker_grouping_merges_to_the_serial_digest(
     a coordinator harvest has after any placement/steal schedule."""
     per_worker = [Datasets.merge([unit_results[u] for u in worker_units])
                   for worker_units in grouping]
-    merged = Datasets.merge(per_worker)
-    merged.d_pc2 = list(serial.d_pc2)
-    assert dataset_digest(merged) == dataset_digest(serial)
+    diff = _diff_with_probing(per_worker, serial)
+    assert diff is None, diff
 
 
 def test_harvest_order_does_not_matter(unit_results, serial):
-    expected = dataset_digest(serial)
     for order in ([3, 1, 0, 2], [2, 3, 0, 1], [1, 0, 3, 2]):
         shuffled = [unit_results[u] for u in order]
-        assert _digest_with_probing(shuffled, serial) == expected
+        diff = _diff_with_probing(shuffled, serial)
+        assert diff is None, (order, diff)
 
 
 def test_redispatch_attempt_does_not_change_the_bytes(plan_name,
                                                       unit_results, serial):
     """A re-queued unit runs with attempt+1 (and a steal twin with the
     original attempt): both must reproduce the first try's bytes."""
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=_config(plan_name),
+    spec = TaskSpec(seed=SEED, scale=SMOKE, config=_config(plan_name),
                     shard_count=UNIT_COUNT)
-    retried = execute_shard(SEED, SCALE, spec.config_for(2), 3,
+    retried = execute_shard(SEED, SMOKE, spec.config_for(2), 3,
                             False).datasets
-    assert retried == unit_results[2]
+    diff = dataset_diff(unit_results[2], retried)
+    assert diff is None, diff
     substituted = list(unit_results)
     substituted[2] = retried
-    assert _digest_with_probing(substituted, serial) == \
-        dataset_digest(serial)
+    diff = _diff_with_probing(substituted, serial)
+    assert diff is None, diff
 
 
 def test_finer_units_merge_to_the_same_digest(plan_name, serial):
     """unit_count is a free parameter: 7 units == 4 units == serial."""
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=_config(plan_name),
+    spec = TaskSpec(seed=SEED, scale=SMOKE, config=_config(plan_name),
                     shard_count=7)
     units = [
-        execute_shard(SEED, SCALE, spec.config_for(unit), 0, False).datasets
+        execute_shard(SEED, SMOKE, spec.config_for(unit), 0, False).datasets
         for unit in range(7)
     ]
-    assert _digest_with_probing(units, serial) == dataset_digest(serial)
+    diff = _diff_with_probing(units, serial)
+    assert diff is None, diff

@@ -17,17 +17,15 @@ from repro.obs import (
     Span,
     Tracer,
     create_telemetry,
-    fold_histograms,
     fold_metrics,
     graft_span_tree,
     merge_shard_telemetry,
 )
 from repro.obs.merge import is_world_global
-from repro.world import StudyScale, generate_world
+from repro.world import generate_world
 
-SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
-                   observe_duration=1800.0, observe_poll_interval=300.0,
-                   scan_budget=120)
+from .conftest import SMOKE
+
 SEED = 1337
 
 
@@ -43,8 +41,8 @@ def test_fold_histograms_adds_bucketwise():
 
     parent = MetricsRegistry()
     parent.histogram("latency", "help", buckets=(1.0, 5.0)).observe(2.0)
-    fold_histograms(parent, snapshot)
-    fold_histograms(parent, snapshot)
+    fold_metrics(parent, snapshot, kinds=("histogram",), world_global=True)
+    fold_metrics(parent, snapshot, kinds=("histogram",), world_global=True)
     child = parent.get("latency").labels()
     assert child.counts == [4, 3, 2]
     assert child.count == 9
@@ -57,7 +55,8 @@ def test_fold_histograms_creates_family_with_source_buckets():
     worker = MetricsRegistry()
     worker.histogram("h", buckets=(0.25, 2.0)).observe(1.0)
     parent = MetricsRegistry()
-    fold_histograms(parent, worker.snapshot())
+    fold_metrics(parent, worker.snapshot(), kinds=("histogram",),
+                 world_global=True)
     assert parent.get("h").labels().buckets == (0.25, 2.0)
     assert parent.get("h").labels().count == 1
 
@@ -172,7 +171,7 @@ def test_merge_shard_telemetry_one_call(tmp_path):
 
 def _totals(workers, config):
     telemetry = create_telemetry()
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     run_study(world, config=config, telemetry=telemetry, workers=workers)
     counters = {
         (family.name, tuple(sorted(labels.items()))): child.value
@@ -213,7 +212,7 @@ def test_merged_parallel_totals_equal_serial(workers, serial_totals):
 
 def test_parallel_run_keeps_full_trace_and_events():
     telemetry = create_telemetry()
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     run_study(world, telemetry=telemetry, workers=2)
     aggregate = telemetry.tracer.aggregate()
     # worker-side stages survive the merge, re-rooted per shard

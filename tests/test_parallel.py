@@ -1,9 +1,11 @@
-"""The sharded runner's hard invariant: parallel output == serial output.
+"""The sharded runner's machinery: parallel output == serial output.
 
-Covers the three layers separately so a regression points at its cause:
-the sha256 partition itself, :meth:`Datasets.merge` semantics on
-synthetic conflicting records, in-process shard+merge against the serial
-pipeline, and the full forked-local-slot path through ``run_study``.
+Covers the layers separately so a regression points at its cause: the
+sha256 partition itself, :meth:`Datasets.merge` semantics on synthetic
+conflicting records, in-process shard+merge against the serial
+pipeline, and the local slots' retry, crash and reaping accounting.
+``run_study(workers=N)`` as a whole is a column of the equivalence
+matrix (``tests/test_equivalence.py``).
 """
 
 import os
@@ -12,74 +14,45 @@ import time
 import pytest
 
 from repro.botnet.protocols.base import AttackCommand
-from repro.core.cache import dataset_digest
+from repro.core.cache import dataset_diff
 from repro.core.datasets import Datasets
 from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import run_study
 from repro.determinism import shard_of
 from repro.obs import MetricsRegistry
-from repro.obs.merge import fold_counters
-from repro.world import XL_SCALE, StudyScale, generate_world
+from repro.obs.merge import fold_metrics
+from repro.world import generate_world
 
-SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
-                   observe_duration=1800.0, observe_poll_interval=300.0,
-                   scan_budget=120)
+from .conftest import SMOKE
+
 SEED = 1337
 
 
-@pytest.fixture(scope="module")
-def serial():
-    world = generate_world(seed=SEED, scale=SCALE)
-    _malnet, _campaign, datasets = run_study(world)
-    return datasets
+@pytest.fixture
+def serial(serial_reference):
+    return serial_reference(SEED, SMOKE)[2]
 
 
-# -- the equivalence property -------------------------------------------------
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_study_equals_serial(workers, serial):
-    world = generate_world(seed=SEED, scale=SCALE)
-    _malnet, _campaign, datasets = run_study(world, workers=workers)
-    assert datasets == serial
-    # dataclass equality compares dicts order-insensitively; the invariant
-    # includes serial insertion order, so check it explicitly
-    assert list(datasets.d_c2s) == list(serial.d_c2s)
-    assert [p.sha256 for p in datasets.profiles] == \
-        [p.sha256 for p in serial.profiles]
-
-
-@pytest.mark.skipif(not os.environ.get("REPRO_XL"),
-                    reason="XL-scale invariant check; set REPRO_XL=1")
-def test_parallel_study_equals_serial_at_xl_scale():
-    """The invariant at ~10x smoke volume (the columnar-core stress run)."""
-    world = generate_world(seed=SEED, scale=XL_SCALE)
-    _malnet, _campaign, serial_xl = run_study(world)
-    for workers in (1, 2, 4):
-        world = generate_world(seed=SEED, scale=XL_SCALE)
-        _malnet, _campaign, datasets = run_study(world, workers=workers)
-        assert datasets == serial_xl
-        assert list(datasets.d_c2s) == list(serial_xl.d_c2s)
-        assert [p.sha256 for p in datasets.profiles] == \
-            [p.sha256 for p in serial_xl.profiles]
+def _merged_diff(unit_datasets, serial):
+    """``dataset_diff`` of merged unit outputs against the serial study;
+    the probing results (``d_pc2``) come from the parent, not the units."""
+    merged = Datasets.merge(unit_datasets)
+    merged.d_pc2 = list(serial.d_pc2)
+    return dataset_diff(serial, merged)
 
 
 def test_inprocess_shards_merge_to_serial(serial):
     """Shard + merge equivalence without multiprocessing in the loop."""
     shards = []
     for index in range(3):
-        world = generate_world(seed=SEED, scale=SCALE)
+        world = generate_world(seed=SEED, scale=SMOKE)
         malnet = MalNet(world, PipelineConfig(shard_index=index,
                                               shard_count=3))
         malnet.run()
         shards.append(malnet.datasets)
-    merged = Datasets.merge(shards)
-    assert merged.profiles == serial.profiles
-    assert merged.d_c2s == serial.d_c2s
-    assert list(merged.d_c2s) == list(serial.d_c2s)
-    assert merged.d_exploits == serial.d_exploits
-    assert merged.d_ddos == serial.d_ddos
+    diff = _merged_diff(shards, serial)
+    assert diff is None, diff
 
 
 def test_shards_partition_the_corpus(serial):
@@ -192,7 +165,7 @@ def test_merge_orders_profiles_and_exploits(serial):
 
 
 def test_runner_rejects_bad_arguments():
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     with pytest.raises(ValueError, match="workers"):
         ShardedStudyRunner(world, workers=0)
     with pytest.raises(ValueError, match="exclusive"):
@@ -212,7 +185,7 @@ def test_runner_rejects_bad_arguments():
 
 def test_local_slots_without_fork_point_to_worker_peers(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     with pytest.raises(RuntimeError, match="repro worker"):
         ShardedStudyRunner(world, workers=2)
 
@@ -227,13 +200,14 @@ def test_fold_counters_sums_worker_snapshots():
 
     parent = MetricsRegistry()
     parent.counter("samples_collected", "help").inc(1)
-    fold_counters(parent, snapshot)
-    fold_counters(parent, snapshot)
+    fold_metrics(parent, snapshot, kinds=("counter",), world_global=True)
+    fold_metrics(parent, snapshot, kinds=("counter",), world_global=True)
     assert parent.value("samples_collected") == 15
     assert parent.value("samples_skipped", reason="duplicate") == 6
     assert parent.get("some_gauge") is None
     # excluded counters (cross-shard deduplicated records) are not summed
-    fold_counters(parent, snapshot, exclude=("samples_collected",))
+    fold_metrics(parent, snapshot, exclude=("samples_collected",),
+                 kinds=("counter",), world_global=True)
     assert parent.value("samples_collected") == 15
     assert parent.value("samples_skipped", reason="duplicate") == 9
 
@@ -242,7 +216,7 @@ def test_fold_counters_sums_worker_snapshots():
 
 
 def _chaos_runner(plan, workers=2, **kwargs):
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     return ShardedStudyRunner(world, workers=workers,
                               config=PipelineConfig(faults=plan), **kwargs)
 
@@ -321,8 +295,8 @@ def test_shard_timeout_bounds_each_dispatch(serial):
     assert "shard_timeout=8.0s" in runner.failures[0]
     assert runner.redispatches == 1
     _assert_exact_redispatches(runner)
-    merged = Datasets.merge([r.datasets for r in results])
-    assert merged.profiles == serial.profiles
+    diff = _merged_diff([r.datasets for r in results], serial)
+    assert diff is None, diff
 
 
 def test_a_unit_that_keeps_crashing_does_not_starve_the_others(serial):
@@ -362,9 +336,8 @@ def test_retry_budget_does_not_depend_on_the_fleet(slots, serial):
         assert all(r.attempt == 0 for r in results if r.shard_index != 1)
         _assert_exact_redispatches(runner)
         if not failed:
-            merged = Datasets.merge([r.datasets for r in results])
-            merged.d_pc2 = list(serial.d_pc2)
-            assert dataset_digest(merged) == dataset_digest(serial)
+            diff = _merged_diff([r.datasets for r in results], serial)
+            assert diff is None, diff
 
 
 def test_parallel_counter_totals_match_serial():
@@ -373,7 +346,7 @@ def test_parallel_counter_totals_match_serial():
 
     def totals(workers):
         telemetry = create_telemetry()
-        world = generate_world(seed=SEED, scale=SCALE)
+        world = generate_world(seed=SEED, scale=SMOKE)
         run_study(world, telemetry=telemetry, workers=workers)
         return {
             (family.name, tuple(sorted(labels.items()))): child.value
@@ -402,7 +375,7 @@ def _assert_reaped(pids):
 def test_start_places_the_first_wave_on_local_slots():
     """Units run from ``start()`` on, so the parent's probing overlaps
     them: one unit per slot is already placed when ``start()`` returns."""
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     runner = ShardedStudyRunner(world, workers=2, unit_count=4).start()
     try:
         placements = runner.coordinator.placements
@@ -428,16 +401,16 @@ def test_first_units_run_on_the_inherited_world(monkeypatch, serial):
         return generate(*args, **kwargs)
 
     monkeypatch.setattr(repro.world, "generate_world", parent_only)
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     runner = ShardedStudyRunner(world, workers=2)
     results = runner.start().join()
     assert runner.redispatches == 0 and runner.failed_shards == []
-    merged = Datasets.merge([r.datasets for r in results])
-    assert merged.profiles == serial.profiles
+    diff = _merged_diff([r.datasets for r in results], serial)
+    assert diff is None, diff
 
 
 def test_join_leaves_no_child_process():
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     runner = ShardedStudyRunner(world, workers=2).start()
     pids = _slot_pids(runner)
     results = runner.join()
@@ -461,7 +434,7 @@ def test_failed_probing_still_reaps_the_children(monkeypatch):
 
     monkeypatch.setattr(ShardedStudyRunner, "start", recording_start)
     monkeypatch.setattr(study, "run_probing", failing_probing)
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     with pytest.raises(RuntimeError, match="probing failed"):
         run_study(world, workers=2)
     assert len(pids) == 2
@@ -474,7 +447,7 @@ def test_sigkilled_local_slot_is_lost_by_eof(serial):
     slot without moving a byte."""
     import signal
 
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     runner = ShardedStudyRunner(world, workers=2, unit_count=4,
                                 transport_options={"heartbeat_timeout": 60})
     started = time.monotonic()
@@ -489,9 +462,8 @@ def test_sigkilled_local_slot_is_lost_by_eof(serial):
     assert "heartbeat" not in lost[0]["reason"]
     assert runner.failed_shards == [] and runner.redispatches == 1
     _assert_exact_redispatches(runner)
-    merged = Datasets.merge([r.datasets for r in results])
-    merged.d_pc2 = list(serial.d_pc2)
-    assert dataset_digest(merged) == dataset_digest(serial)
+    diff = _merged_diff([r.datasets for r in results], serial)
+    assert diff is None, diff
     _assert_reaped(pids)
 
 
@@ -510,8 +482,9 @@ def test_patched_pipeline_runs_in_forked_children(tmp_path, monkeypatch,
         return complete(malnet)
 
     monkeypatch.setattr(MalNet, "complete", recording_complete)
-    world = generate_world(seed=SEED, scale=SCALE)
+    world = generate_world(seed=SEED, scale=SMOKE)
     _malnet, _campaign, datasets = run_study(world, workers=2)
-    assert datasets == serial
+    diff = dataset_diff(serial, datasets)
+    assert diff is None, diff
     pids = {int(path.name) for path in tmp_path.iterdir()}
     assert len(pids) >= 2 and parent not in pids

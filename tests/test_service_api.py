@@ -15,24 +15,21 @@ import urllib.request
 
 import pytest
 
-from repro.core.cache import dataset_digest
+from repro.core.cache import dataset_diff, dataset_digest
 from repro.core.monitor import alerts
 from repro.core.pipeline import PipelineConfig
-from repro.core.study import run_study
 from repro.obs import create_telemetry
 from repro.service import (ServiceError, StudyClient, StudyService,
                            build_server, serve_forever)
-from repro.world import StudyScale, generate_world
 
-SCALE = StudyScale(sample_fraction=0.05, probe_days=4,
-                   observe_duration=1800.0, observe_poll_interval=300.0,
-                   scan_budget=120)
+from .conftest import SMOKE
+
 SEED = 20220322
 
 
 @pytest.fixture(scope="module")
 def daemon():
-    service = StudyService(seed=SEED, scale=SCALE,
+    service = StudyService(seed=SEED, scale=SMOKE,
                            telemetry=create_telemetry())
     server = build_server(service)  # port 0: ephemeral
     thread = threading.Thread(target=serve_forever, args=(server, service),
@@ -46,21 +43,20 @@ def daemon():
     thread.join(timeout=10)
 
 
-@pytest.fixture(scope="module")
-def batch_datasets():
-    world = generate_world(seed=SEED, scale=SCALE)
-    _malnet, _campaign, datasets = run_study(world)
-    return datasets
+@pytest.fixture
+def batch_datasets(serial_reference):
+    return serial_reference(SEED, SMOKE)[2]
 
 
 # -- the service == batch oracle ---------------------------------------------
 
 
 def test_digest_matches_batch_run_study(daemon, batch_datasets):
-    _service, client = daemon
+    service, client = daemon
     document = client.digest()
     assert document["finalized"] is True
-    assert document["dataset_digest"] == dataset_digest(batch_datasets)
+    assert document["dataset_digest"] == dataset_digest(batch_datasets), \
+        dataset_diff(batch_datasets, service.runner.datasets)
 
 
 def test_status_document(daemon):
@@ -299,7 +295,7 @@ def test_etag_moves_with_ingest_and_finalize():
     ingested day and again at finalization."""
     from repro.service.handlers import ServiceApi
 
-    service = StudyService(seed=SEED, scale=SCALE,
+    service = StudyService(seed=SEED, scale=SMOKE,
                            telemetry=create_telemetry())
     api = ServiceApi(service)
 
@@ -348,7 +344,7 @@ def test_read_racing_an_ingest_waits_for_it(monkeypatch):
     import repro.service.handlers as handlers
     from repro.service.handlers import ServiceApi
 
-    service = StudyService(seed=SEED, scale=SCALE,
+    service = StudyService(seed=SEED, scale=SMOKE,
                            config=PipelineConfig(study_days=60))
     service.ingest_days(30)
     c2s = len(service.runner.datasets.d_c2s)
@@ -384,7 +380,7 @@ def test_reads_under_concurrent_ingest_stay_consistent():
 
     from repro.service.handlers import ServiceApi
 
-    service = StudyService(seed=SEED, scale=SCALE,
+    service = StudyService(seed=SEED, scale=SMOKE,
                            config=PipelineConfig(study_days=40))
     api = ServiceApi(service)
     done = threading.Event()
@@ -432,7 +428,7 @@ def _raw_request(port: int, head: str, body: bytes = b"") -> int:
 
 
 def test_untrusted_request_bodies_are_refused_undispatched():
-    service = StudyService(seed=SEED, scale=SCALE,
+    service = StudyService(seed=SEED, scale=SMOKE,
                            config=PipelineConfig(study_days=5))
     server = build_server(service)
     thread = threading.Thread(target=serve_forever, args=(server, service),
