@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from ..botnet.families import FAMILIES, get_family
@@ -62,19 +64,54 @@ class MalwareSample:
         return len(self.data)
 
 
+#: common MIPS opcodes (addiu, lw, sw, jal, nop, beq, addiu sp, jr ra)
+_MIPS_OPCODES = (0x24000000, 0x8C000000, 0xAC000000, 0x0C000000, 0x00000000,
+                 0x10000000, 0x27BD0000, 0x03E00008)
+
+if array("I").itemsize != 4:
+    raise ImportError("repro.binary.builder needs a 4-byte array('I') word")
+
+
+def _accepted_words(rng: random.Random, count: int) -> list[int]:
+    """The next ``count`` Mersenne Twister words whose bit 31 is clear.
+
+    These are exactly the words ``count`` calls of ``rng._randbelow(2**m)``
+    (``choice`` over 2**m items, ``randrange(2**m)``) accept: on CPython
+    each attempt is ``getrandbits(m + 1)``, one 32-bit word shifted right
+    by ``31 - m``, and it is accepted iff the word's bit 31 is 0.  The
+    accepted draw is then ``word >> (31 - m)``.  ``randbytes(4 * n)`` is
+    the next ``n`` words, little-endian; every accepted word is needed,
+    so asking for as many words as are still missing never over-draws.
+    """
+    words: list[int] = []
+    while len(words) < count:
+        batch = array("I", rng.randbytes(4 * (count - len(words))))
+        if sys.byteorder == "big":
+            batch.byteswap()
+        words += [w for w in batch if w < 0x80000000]
+    return words
+
+
+def _random_bytes(rng: random.Random, count: int) -> bytes:
+    """``bytes(rng.randrange(256) for _ in range(count))``, draw for draw."""
+    return bytes([w >> 23 for w in _accepted_words(rng, count)])
+
+
 def _mips_text(rng: random.Random, words: int) -> bytes:
     """Plausible big-endian MIPS machine words for a ``.text`` section.
 
     Mixes common opcodes (addiu, lw, sw, jal, nop) so entropy resembles
-    real code rather than random bytes.
+    real code rather than random bytes.  Word ``i`` is
+    ``choice(_MIPS_OPCODES) | randrange(1 << 16)``, drawn in bulk: the
+    accepted words alternate opcode (``a >> 28``) and immediate
+    (``b >> 15``), see :func:`_accepted_words`.
     """
-    opcodes = (0x24000000, 0x8C000000, 0xAC000000, 0x0C000000, 0x00000000,
-               0x10000000, 0x27BD0000, 0x03E00008)
-    out = bytearray()
-    for _ in range(words):
-        word = rng.choice(opcodes) | rng.randrange(0, 1 << 16)
-        out += word.to_bytes(4, "big")
-    return bytes(out)
+    drawn = iter(_accepted_words(rng, 2 * words))
+    text = array("I", [_MIPS_OPCODES[a >> 28] | (b >> 15)
+                       for a, b in zip(drawn, drawn)])
+    if sys.byteorder == "little":
+        text.byteswap()
+    return text.tobytes()
 
 
 def _arm_text(rng: random.Random, words: int) -> bytes:
@@ -144,10 +181,10 @@ def build_chaff(rng: random.Random, kind: str = "arm") -> bytes:
     all), or ``"truncated"`` (ELF magic, cut short).
     """
     if kind == "junk":
-        return bytes(rng.randrange(256) for _ in range(rng.randrange(64, 512)))
+        return _random_bytes(rng, rng.randrange(64, 512))
     if kind == "truncated":
-        return b"\x7fELF" + bytes(rng.randrange(256) for _ in range(8))
+        return b"\x7fELF" + _random_bytes(rng, 8)
     machine = EM_ARM if kind == "arm" else EM_386
     image = ElfImage(machine=machine, endianness="little")
-    image.add_section(".text", bytes(rng.randrange(256) for _ in range(256)))
+    image.add_section(".text", _random_bytes(rng, 256))
     return image.encode()

@@ -146,6 +146,17 @@ class Datasets:
     #: it describes how the value was produced, not the value itself
     failed_shards: list = field(default_factory=list, compare=False)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal exactly when :func:`~repro.core.cache.dataset_diff`
+        finds no difference, so record order counts: field-wise equality
+        would ignore the insertion order of ``d_c2s``, which the digest
+        hashes."""
+        if not isinstance(other, Datasets):
+            return NotImplemented
+        from .cache import dataset_diff     # core.cache imports this module
+
+        return dataset_diff(self, other) is None
+
     # -- D-Samples ---------------------------------------------------------
 
     def profile_by_sha256(self, sha256: str) -> BinaryNetworkProfile | None:

@@ -24,7 +24,7 @@ and four policies:
 *placement* — an idle worker gets the next pending unit; among idle
 workers, one whose world cache already holds this study's
 :func:`~repro.dist.plan.world_key` wins (a warm world is a deepcopy,
-a cold one is a full regeneration, ~8× slower at full scale).  A slot
+a cold one is a full regeneration, ~5× slower at full scale).  A slot
 forked with the parent's world counts as warm for its first unit.
 
 *stealing* — once ``pending`` is empty, an idle worker speculatively

@@ -13,7 +13,7 @@ rests on, tested in ``tests/test_dist_plan.py``.
 ``world_key`` names the generated world a unit needs: workers keep a
 small cache of pristine worlds keyed by it, and the coordinator prefers
 placing units on workers that already hold the key warm (generating a
-world costs ~8× a deepcopy of a cached one at full scale).
+world costs ~5× a deepcopy of a cached one at full scale).
 """
 
 from __future__ import annotations

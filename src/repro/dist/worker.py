@@ -16,7 +16,7 @@ Worlds are the expensive part of a unit (generation dwarfs the
 pipeline at small unit sizes), so the daemon keeps a small LRU of
 *pristine* generated worlds keyed by
 :func:`~repro.dist.plan.world_key` and hands each task a deepcopy —
-~8× cheaper than regenerating, and byte-identical because world
+~5× cheaper than regenerating, and byte-identical because world
 generation is a pure function of ``(seed, scale)``.  The cache keys
 are reported in every ``hello-ack``/``result`` frame, which is what
 lets the coordinator place units cache-aware.  A local slot forked

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from repro.binary.builder import build_chaff, build_sample
+from repro.binary.builder import (
+    _MIPS_OPCODES,
+    _mips_text,
+    build_chaff,
+    build_sample,
+)
 from repro.binary.config import BotConfig, unpack_config
-from repro.binary.elf import ElfImage, is_mips32_elf
+from repro.binary.elf import EM_386, EM_ARM, ElfImage, is_mips32_elf
 from repro.binary.strings import (
     contains_any,
     extract_domains,
@@ -14,6 +19,36 @@ from repro.binary.strings import (
     extract_strings,
     extract_urls,
 )
+
+
+def reference_mips_text(rng, words):
+    """Frozen per-word ``.text`` loop the bulk kernel replaced."""
+    out = bytearray()
+    for _ in range(words):
+        word = rng.choice(_MIPS_OPCODES) | rng.randrange(0, 1 << 16)
+        out += word.to_bytes(4, "big")
+    return bytes(out)
+
+
+def reference_chaff(rng, kind):
+    """Frozen per-byte chaff builder the bulk kernel replaced."""
+    if kind == "junk":
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(64, 512)))
+    if kind == "truncated":
+        return b"\x7fELF" + bytes(rng.randrange(256) for _ in range(8))
+    machine = EM_ARM if kind == "arm" else EM_386
+    image = ElfImage(machine=machine, endianness="little")
+    image.add_section(".text", bytes(rng.randrange(256) for _ in range(256)))
+    return image.encode()
+
+
+def twin_rngs(seed, advance):
+    """Two generators in the same state, ``advance`` draws past ``seed``."""
+    a, b = random.Random(seed), random.Random(seed)
+    for rng in (a, b):
+        for _ in range(advance):
+            rng.random()
+    return a, b
 
 
 def mirai_config():
@@ -80,6 +115,29 @@ class TestBuildSample:
     def test_len(self):
         sample = build_sample(mirai_config(), random.Random(0))
         assert len(sample) == len(sample.data) > 500
+
+
+class TestDrawExactKernel:
+    """The bulk kernels make the per-word loop's draws, no more, no less."""
+
+    @pytest.mark.parametrize("words", [0, 1, 256, 2047])
+    @pytest.mark.parametrize("seed,advance",
+                             [(0, 0), (1, 0), (20220322, 0), (7, 1), (7, 625),
+                              (99, 3001)])
+    def test_mips_text_equals_per_word_loop(self, words, seed, advance):
+        kernel_rng, reference_rng = twin_rngs(seed, advance)
+        text = _mips_text(kernel_rng, words)
+        assert text == reference_mips_text(reference_rng, words)
+        assert len(text) == 4 * words
+        assert kernel_rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("kind", ["arm", "x86", "junk", "truncated"])
+    def test_chaff_equals_per_byte_loop(self, kind):
+        for seed in range(40):
+            kernel_rng, reference_rng = twin_rngs(seed, seed % 3)
+            assert build_chaff(kernel_rng, kind) == \
+                reference_chaff(reference_rng, kind)
+            assert kernel_rng.getstate() == reference_rng.getstate()
 
 
 class TestChaff:

@@ -238,7 +238,8 @@ class TestDatasetDiff:
     def _diff(expected, actual):
         report = dataset_diff(expected, actual)
         assert (report is None) == \
-            (dataset_digest(expected) == dataset_digest(actual))
+            (dataset_digest(expected) == dataset_digest(actual)) == \
+            (expected == actual)
         return report
 
     def test_equal_inputs_have_no_diff(self, reference):
@@ -300,7 +301,7 @@ class TestDatasetDiff:
         items = list(other.d_c2s.items())
         items[2], items[3] = items[3], items[2]
         other.d_c2s = dict(items)
-        assert other == reference    # dataclass equality cannot see it
+        assert other != reference    # == agrees with dataset_diff
         assert self._diff(reference, other) == (
             f"d_c2s[2]: order differs: expected (endpoint='{items[3][0]}'), "
             f"actual (endpoint='{items[2][0]}')")

@@ -362,6 +362,40 @@ class TestScanKernel:
                 [wrapped.choice(seq) for _ in range(300)]
             assert direct.getstate() == wrapped.getstate()
 
+    # The bulk kernels of repro.binary.builder (_accepted_words) rest on
+    # three CPython facts; each has its own test, so a release that
+    # changes one fails here under its name, not as a digest mismatch.
+
+    def test_getrandbits_up_to_32_is_one_shifted_word(self):
+        for k in (1, 4, 9, 17, 31, 32):
+            bits, words = random.Random(k), random.Random(k)
+            assert [bits.getrandbits(k) for _ in range(300)] == \
+                [words.getrandbits(32) >> (32 - k) for _ in range(300)]
+            assert bits.getstate() == words.getstate()
+
+    def test_randbytes_is_little_endian_getrandbits(self):
+        for n in (0, 1, 3, 4, 64, 1001):
+            direct, wide = random.Random(n), random.Random(n)
+            assert direct.randbytes(n) == \
+                wide.getrandbits(8 * n).to_bytes(n, "little")
+            assert direct.getstate() == wide.getstate()
+        # so randbytes(4 * n) is the next n words, first word first
+        direct, words = random.Random(4), random.Random(4)
+        assert direct.randbytes(4 * 300) == b"".join(
+            words.getrandbits(32).to_bytes(4, "little") for _ in range(300))
+        assert direct.getstate() == words.getstate()
+
+    def test_randbelow_power_of_two_accepts_iff_bit31_clear(self):
+        for m in (3, 8, 16):
+            direct, words = random.Random(m), random.Random(m)
+            accepted = []
+            while len(accepted) < 300:
+                word = words.getrandbits(32)
+                if not word >> 31:
+                    accepted.append(word >> (31 - m))
+            assert [direct._randbelow(2 ** m) for _ in range(300)] == accepted
+            assert direct.getstate() == words.getstate()
+
 
 class TestInetSim:
     def test_every_name_resolves_stably(self):
