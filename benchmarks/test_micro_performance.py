@@ -460,17 +460,20 @@ def test_scan_observe_allocations_vs_pre_columnar(benchmark):
     blocks_now = _live_blocks(_columnar_scan_observe, events)
     blocks_ref = _live_blocks(_eager_scan_observe, events)
 
-    def best_of(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn(events)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def timed(fn):
+        start = time.perf_counter()
+        fn(events)
+        return time.perf_counter() - start
 
     benchmark(lambda: _columnar_scan_observe(events))
     record_round_histogram(benchmark, "scan_observe_alloc")
-    speedup = best_of(_eager_scan_observe) / best_of(_columnar_scan_observe)
+    # the two loops alternate, so load drift on the machine reaches both
+    # sides of the ratio alike; each side keeps its best of the repeats
+    eager = columnar = float("inf")
+    for _ in range(5):
+        eager = min(eager, timed(_eager_scan_observe))
+        columnar = min(columnar, timed(_columnar_scan_observe))
+    speedup = eager / columnar
     alloc_ratio = blocks_ref / blocks_now
 
     benchmark.extra_info["allocation_blocks"] = blocks_now

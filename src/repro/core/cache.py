@@ -1,20 +1,27 @@
 """Persistent, content-addressed cache of completed studies.
 
 A study's output is a pure function of ``(seed, scale, PipelineConfig)``
-— that is the invariant PR 2/3 enforce — plus the code that computes it.
+— the invariant the sharded runner and the fault layer keep — plus the
+code that computes it.
 :class:`StudyCache` exploits this: :func:`study_fingerprint` hashes all
 four ingredients (the fault plan rides along inside the config, the
 code version is a digest over the ``repro`` package sources), and the
-cache stores the serialized :class:`Datasets` together with the
-probing campaign's observations under that fingerprint.  A hit
+cache stores the finished study's :class:`Datasets` together with the
+probing campaign's discovery set under that fingerprint.  A hit
 reconstructs the exact bytes a fresh run would produce; any change to
 seed, scale, faults, config, or code changes the fingerprint and misses.
 
-Entries are self-verifying: ``magic + format version + payload sha256 +
-pickle``.  Reads treat *any* mismatch — truncation, corruption, foreign
-files, unpicklable payloads — as a miss and fall through to recompute;
-writes are atomic (temp file + ``os.replace``) so a crashed writer never
-leaves a half-entry behind.
+An entry is a finalized study journal (:mod:`repro.core.journal`): a
+versioned header naming the fingerprint, then one sha256-framed snapshot
+record in an explicit JSON codec — the same file a finalized service
+checkpoint holds.  Reads treat *any* mismatch — truncation, corruption,
+foreign or pre-journal files, a study that is not finalized — as a miss
+and fall through to recompute; writes are atomic (temp file +
+``os.replace``) so a crashed writer never leaves a half-entry behind.
+
+:func:`pack_entry`/:func:`unpack_entry` are the checksummed pickle
+envelope of the distributed runner's wire frames
+(:mod:`repro.dist.wire`); nothing on disk uses them.
 """
 
 from __future__ import annotations
@@ -26,14 +33,14 @@ import os
 import pickle
 import tempfile
 
-from .datasets import Datasets
+from .journal import JournalError, StudyState, encode_study, replay
 from .pipeline import PipelineConfig
 
-__all__ = ["CachedStudy", "StudyCache", "dataset_diff", "dataset_digest",
+__all__ = ["StudyCache", "dataset_diff", "dataset_digest",
            "code_fingerprint", "study_fingerprint",
            "pack_entry", "unpack_entry", "write_atomic"]
 
-#: entry file layout: magic + 1-byte format version + payload sha256
+#: wire envelope layout: magic + 1-byte format version + payload sha256
 _MAGIC = b"RPSC"
 _FORMAT_VERSION = 1
 _HEADER_LEN = len(_MAGIC) + 1 + hashlib.sha256().digest_size
@@ -224,12 +231,11 @@ def study_fingerprint(seed: int, scale, config: PipelineConfig | None = None,
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# -- self-verifying entry framing --------------------------------------------
+# -- the wire envelope --------------------------------------------------------
 #
-# Shared by the study cache and the service checkpoint store: one
-# serialized object per file, framed as magic + format version + payload
-# sha256 + pickle, written atomically.  Readers treat any anomaly as
-# "entry does not exist".
+# One pickled message framed as magic + format version + payload sha256 +
+# pickle.  Only the distributed runner's wire frames use it; study files
+# are journals (:mod:`repro.core.journal`).
 
 
 def pack_entry(entry: object) -> bytes:
@@ -281,22 +287,10 @@ def write_atomic(path: str, blob: bytes) -> None:
 # -- the cache ---------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class CachedStudy:
-    """Everything needed to reconstruct a study result without running it.
-
-    The observations list and ``datasets.d_pc2`` share objects; pickling
-    the bundle as one graph preserves that aliasing on load.
-    """
-
-    datasets: Datasets
-    observations: list
-    discovered: set
-
-
 class StudyCache:
     """On-disk study store keyed by :func:`study_fingerprint`.
 
+    An entry is a finalized study journal (:func:`encode_study`).
     ``hits`` / ``misses`` / ``rejected`` count lookups for telemetry and
     tests; ``rejected`` counts entries that existed but failed
     verification (and were treated as misses).
@@ -328,7 +322,7 @@ class StudyCache:
     def path_for(self, fingerprint: str) -> str:
         return os.path.join(self.root, f"{fingerprint}.study")
 
-    def get(self, fingerprint: str) -> CachedStudy | None:
+    def get(self, fingerprint: str) -> StudyState | None:
         """The cached study for ``fingerprint``, or None on any doubt."""
         try:
             with open(self.path_for(fingerprint), "rb") as fh:
@@ -337,22 +331,21 @@ class StudyCache:
             self.misses += 1
             self._count("miss")
             return None
-        entry = self._verify(blob)
-        if entry is None:
+        try:
+            state, end = replay(blob, fingerprint)
+        except JournalError:
+            state = None
+        if state is None or not state.finalized or end != len(blob):
             self.rejected += 1
             self.misses += 1
             self._count("rejected")
             return None
         self.hits += 1
         self._count("hit")
-        return entry
+        return state
 
-    @staticmethod
-    def _verify(blob: bytes) -> CachedStudy | None:
-        return unpack_entry(blob, CachedStudy)
-
-    def put(self, fingerprint: str, entry: CachedStudy) -> str:
-        """Atomically persist ``entry``; returns the entry path."""
+    def put(self, fingerprint: str, state: StudyState) -> str:
+        """Atomically persist a finalized study; returns the entry path."""
         path = self.path_for(fingerprint)
-        write_atomic(path, pack_entry(entry))
+        write_atomic(path, encode_study(fingerprint, state))
         return path

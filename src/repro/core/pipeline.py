@@ -45,6 +45,7 @@ from ..sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
 from ..world.calibration import ACTIVE_WEEKS, MAY_7_2022
 from ..world.generator import ANALYSIS_HOUR_OFFSET, World
 from .datasets import Datasets, ExploitRecord
+from .journal import StudyState
 from .profiles import AttackObservation, BinaryNetworkProfile, ExploitObservation
 
 #: attempts at a feed pull that hits an outage window before the day is
@@ -216,8 +217,8 @@ class MalNet:
         self._drain_alloc_stats()
         return self.datasets
 
-    def state_snapshot(self) -> dict:
-        """Picklable cross-day pipeline state for checkpointing.
+    def state(self) -> StudyState:
+        """The cross-day pipeline state, by reference (not a copy).
 
         These three items are the *only* state a study day leaves behind
         that later days read: the dedup set, the per-feed backfill
@@ -225,20 +226,19 @@ class MalNet:
         by a sample's analysis is re-derived from ``(world seed,
         sha256)`` on the spot (:meth:`_reseed_for`), which is the same
         property the sharded runner relies on — so a fresh ``MalNet``
-        on a regenerated world plus this snapshot continues a study
+        on a regenerated world plus this state continues a study
         byte-identically.
         """
-        return {
-            "seen_hashes": set(self._seen_hashes),
-            "feed_cursor": dict(self._feed_cursor),
-            "datasets": self.datasets,
-        }
+        return StudyState(total_days=total_study_days(self.config),
+                          datasets=self.datasets,
+                          seen_hashes=self._seen_hashes,
+                          feed_cursor=self._feed_cursor)
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`state_snapshot` from an earlier (partial) run."""
-        self._seen_hashes = set(state["seen_hashes"])
-        self._feed_cursor = dict(state["feed_cursor"])
-        self.datasets = state["datasets"]
+    def restore_state(self, state: StudyState) -> None:
+        """Adopt the cross-day state of an earlier (partial) run."""
+        self._seen_hashes = state.seen_hashes
+        self._feed_cursor = state.feed_cursor
+        self.datasets = state.datasets
 
     def run_day(self, day: int) -> list[BinaryNetworkProfile]:
         """Collect and analyze everything published on one study day."""

@@ -20,8 +20,9 @@ from ..obs import NULL_TELEMETRY, Telemetry, build_manifest
 from ..obs.merge import merge_shard_telemetry
 from ..sandbox.qemu import MipsEmulator
 from ..world.generator import World
-from .cache import CachedStudy, StudyCache, code_fingerprint, study_fingerprint
+from .cache import StudyCache, code_fingerprint, study_fingerprint
 from .datasets import Datasets
+from .journal import StudyState
 from .parallel import ShardedStudyRunner
 from .pipeline import MalNet, PipelineConfig, total_study_days
 from .probing import ProbingCampaign
@@ -112,14 +113,15 @@ class DayRunner:
 
     The daily pipeline already advances in day units
     (:meth:`MalNet.run_day`); this runner owns the loop so execution can
-    stop between any two days, snapshot the cross-day state (dedup set,
-    feed cursors, datasets — :meth:`MalNet.state_snapshot`), and
-    continue later: in the same process, or after a full restart via
-    :class:`repro.service.state.CheckpointStore`.  The invariant carried
-    over from the sharded runner — per-sample analysis is a pure
-    function of ``(world seed, sha256)`` — is exactly what makes the
-    resumed run byte-identical to an uninterrupted one.  The runner is
-    serial: sharded execution is ``run_study(workers=N)``.
+    stop between any two days, hand its cross-day state (dedup set,
+    feed cursors, datasets — :meth:`state`) to a journal, and continue
+    later: in the same process, or after a full restart that replays
+    the journal of :class:`repro.service.state.CheckpointStore`.  The
+    invariant carried over from the sharded runner — per-sample
+    analysis is a pure function of ``(world seed, sha256)`` — is
+    exactly what makes the resumed run byte-identical to an
+    uninterrupted one.  The runner is serial: sharded execution is
+    ``run_study(workers=N)``.
 
     Lifecycle::
 
@@ -222,42 +224,37 @@ class DayRunner:
 
     # -- checkpointing -----------------------------------------------------
 
-    def state_snapshot(self) -> dict:
-        """Picklable snapshot of everything a restart cannot re-derive.
+    def state(self, rule_days: dict | None = None) -> StudyState:
+        """The study's persistent state, by reference (not a copy).
 
         World content is *not* included — a restarted runner regenerates
         it from ``(seed, scale)`` — only the cross-day pipeline state,
-        plus the probing results once finalized.
+        plus the probing campaign's discovery set once finalized (its
+        observations are ``datasets.d_pc2``).  ``rule_days`` belongs to
+        the service and rides along for its journal.
         """
-        state = {
-            "next_day": self.next_day,
-            "total_days": self.total_days,
-            "pipeline": self.front.state_snapshot(),
-            "completed": self._completed,
-        }
+        state = self.front.state()
+        state.next_day = self.next_day
+        state.rule_days = {} if rule_days is None else rule_days
         if self.campaign is not None:
-            state["observations"] = self.campaign.observations
-            state["discovered"] = self.campaign.discovered
+            state.discovered = self.campaign.discovered
         return state
 
-    def restore_state(self, state: dict) -> None:
-        """Adopt a :meth:`state_snapshot`; the runner must have been
+    def restore_state(self, state: StudyState) -> None:
+        """Adopt a replayed :class:`StudyState`; the runner must have been
         constructed with the same (seed, scale, config)."""
-        if "pipeline" not in state:
+        if state.total_days != self.total_days:
             raise ValueError(
-                "checkpoint holds per-shard pipeline states from the "
-                "removed in-process shard mode; the day runner is serial")
-        if state["total_days"] != self.total_days:
-            raise ValueError(
-                f"checkpoint covers {state['total_days']} study days, "
+                f"state covers {state.total_days} study days, "
                 f"this runner's config asks for {self.total_days}")
-        self.front.restore_state(state["pipeline"])
-        self.next_day = state["next_day"]
-        self._completed = state["completed"]
-        if "observations" in state:
+        self.front.restore_state(state)
+        self.next_day = state.next_day
+        self._completed = state.finalized
+        self.campaign = None
+        if state.finalized:
             self.campaign = _build_campaign(
                 self.front.world, self.front, self.telemetry,
-                state["observations"], state["discovered"])
+                state.datasets.d_pc2, state.discovered)
 
 
 def _run_parallel(
@@ -417,18 +414,19 @@ def _build_run_manifest(
 
 def _restore_study(
     world: World, config: PipelineConfig | None, telemetry: Telemetry,
-    entry: CachedStudy,
+    entry: StudyState,
 ) -> tuple[MalNet, ProbingCampaign, Datasets]:
     """Rebuild the (malnet, campaign, datasets) triple from a cache hit.
 
-    The campaign's observations and discovery set are restored verbatim,
-    so its derived views (``response_matrix``, repeat-response rate) are
-    the ones a fresh run would compute.
+    The campaign's observations are the restored ``d_pc2`` records
+    themselves, as in a fresh run, and its discovery set is restored
+    verbatim, so its derived views (``response_matrix``, repeat-response
+    rate) are the ones a fresh run would compute.
     """
     malnet = MalNet(world, config, telemetry=telemetry)
     malnet.datasets = entry.datasets
     campaign = _build_campaign(world, malnet, telemetry,
-                               entry.observations, entry.discovered)
+                               entry.datasets.d_pc2, entry.discovered)
     return malnet, campaign, malnet.datasets
 
 
@@ -514,11 +512,10 @@ def run_study(
         with telemetry.tracer.span("study.probing"):
             campaign = runner.run_probing_phase()
     if fingerprint is not None and not malnet.datasets.failed_shards:
-        cache.put(fingerprint, CachedStudy(
-            datasets=malnet.datasets,
-            observations=campaign.observations,
-            discovered=campaign.discovered,
-        ))
+        state = malnet.state()
+        state.next_day = state.total_days
+        state.discovered = campaign.discovered
+        cache.put(fingerprint, state)
         telemetry.events.emit("study.cache_store", fingerprint=fingerprint)
     if telemetry.enabled:
         telemetry.manifest = _build_run_manifest(

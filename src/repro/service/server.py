@@ -5,9 +5,11 @@
 and every dataset read goes through one re-entrant lock, so the
 threading HTTP server can fan requests out without ever observing a
 half-ingested day.  After each completed day the service compiles the
-firewall rule feed once, dates each new rule, and checkpoints through
-:class:`~repro.service.state.CheckpointStore`, so a SIGTERM — or a
-power cut — between any two days loses nothing.
+firewall rule feed once, dates each new rule, and appends the day to
+its journal through :class:`~repro.service.state.CheckpointStore`.  A
+SIGTERM between two days loses nothing.  A killed process loses at
+most the day in flight: the journal reader drops a torn tail.  Nothing
+is fsynced, so what a power cut keeps is up to the operating system.
 
 :func:`build_server` binds a ``ThreadingHTTPServer`` whose handler is a
 thin adapter over :class:`~repro.service.handlers.ServiceApi`;
@@ -24,13 +26,14 @@ from urllib.parse import parse_qsl, urlsplit
 
 from ..core.cache import dataset_digest, study_fingerprint
 from ..core.firewall import compile_rules
+from ..core.journal import JournalError
 from ..core.pipeline import PipelineConfig
 from ..core.study import DayRunner
 from ..obs import NULL_TELEMETRY
 from ..world import generate_world
 from .handlers import ServiceApi
 from .serialization import encode
-from .state import CheckpointStore, StudyCheckpoint
+from .state import CheckpointStore
 
 __all__ = ["StudyService", "build_server", "serve_forever"]
 
@@ -39,12 +42,12 @@ class StudyService:
     """One live study: a locked DayRunner plus checkpoint persistence.
 
     Construction resumes automatically: if ``checkpoint_dir`` holds a
-    valid checkpoint for this study's fingerprint, its state is adopted
+    journal for this study's fingerprint, its replayed state is adopted
     and ingestion continues from the first unfinished day (``resumed``
-    is True).  A checkpoint whose shape no longer matches (a different
-    study length, or per-shard states from the removed in-process shard
-    mode) is discarded with a warning event and the study restarts from
-    day 0 — never a crash, never a silently wrong result.
+    is True).  A file that is not this study's journal (foreign,
+    corrupt, a pre-journal format, a different study length) is
+    discarded with a warning event and the study restarts from day 0 —
+    never a crash, never a silently wrong result.
     """
 
     def __init__(self, seed: int, scale, config: PipelineConfig | None = None,
@@ -62,7 +65,9 @@ class StudyService:
             "service_days_ingested_total",
             "feed days executed by this service process")
         self._checkpoints = self.telemetry.metrics.counter(
-            "service_checkpoints_total", "checkpoints written")
+            "service_checkpoints_total",
+            "checkpoint saves: after each ingested day, at finalize and "
+            "on shutdown (a no-op when the journal is current)")
         world = generate_world(seed=seed, scale=scale)
         self.runner = DayRunner(world=world, config=self.config,
                                 telemetry=self.telemetry)
@@ -80,21 +85,19 @@ class StudyService:
     def _maybe_resume(self) -> None:
         if self.store is None:
             return
-        checkpoint = self.store.load(self.fingerprint)
-        if checkpoint is None:
-            return
         try:
-            self.runner.restore_state(checkpoint.state)
-        except ValueError as exc:
-            # same study, incompatible checkpoint shape (e.g. one written
-            # by the in-process shard mode) — restart from day 0 rather
-            # than guess
-            self.store.rejected += 1
+            state = self.store.load(self.fingerprint, self.runner.total_days)
+        except JournalError as exc:
+            # not this study's journal: restart from day 0 rather than
+            # guess; the first save replaces the file
             self.telemetry.events.emit(
                 "service.checkpoint_discarded", level="warning",
                 reason=str(exc))
             return
-        self.rule_days = dict(checkpoint.rule_days)
+        if state is None:
+            return
+        self.runner.restore_state(state)
+        self.rule_days = state.rule_days
         self.resumed = True
 
     # -- progress ----------------------------------------------------------
@@ -217,17 +220,15 @@ class StudyService:
     # -- persistence -------------------------------------------------------
 
     def _checkpoint(self) -> None:
+        """Journal the days ingested since the last checkpoint, or
+        compact the journal once the study is finalized."""
         if self.store is None:
             return
-        runner = self.runner
-        self.store.save(StudyCheckpoint(
-            fingerprint=self.fingerprint, next_day=runner.next_day,
-            total_days=runner.total_days, finalized=runner.finalized,
-            state=runner.state_snapshot(), rule_days=self.rule_days))
+        self.store.save(self.fingerprint, self.runner.state(self.rule_days))
         self._checkpoints.inc()
 
     def flush(self) -> None:
-        """Write a checkpoint now (shutdown path)."""
+        """Journal anything not yet journaled (shutdown path)."""
         with self.lock:
             self._checkpoint()
 

@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from repro.core.cache import (
-    CachedStudy,
     StudyCache,
     code_fingerprint,
     dataset_diff,
@@ -94,7 +93,7 @@ class TestStudyCache:
 
     def test_hit_shares_observation_objects_with_d_pc2(self, tmp_path):
         # the serial run aliases campaign.observations into datasets.d_pc2;
-        # the pickle graph must preserve that aliasing on a hit
+        # the restore must keep that aliasing on a hit
         cache = StudyCache(str(tmp_path))
         world = generate_world(seed=SEED, scale=SMOKE)
         run_study(world, cache=cache)
@@ -185,10 +184,10 @@ class TestCorruptEntries:
             fh.write(bytes(blob))
         assert cache.get(fingerprint) is None
 
-    def test_checksummed_pickle_of_wrong_type_rejected(self, tmp_path):
-        # a well-formed entry whose payload is not a CachedStudy must
-        # also be refused (defends against fingerprint collisions with
-        # foreign writers)
+    def test_checksummed_pickle_of_wrong_type_rejected(self, tmp_path,
+                                                       monkeypatch):
+        # a well-formed entry of the removed pickle format is refused
+        # without being unpickled
         cache = StudyCache(str(tmp_path))
         import hashlib
 
@@ -198,7 +197,9 @@ class TestCorruptEntries:
         os.makedirs(str(tmp_path), exist_ok=True)
         with open(cache.path_for("f" * 64), "wb") as fh:
             fh.write(blob)
+        monkeypatch.setattr(pickle, "loads", None)
         assert cache.get("f" * 64) is None
+        assert cache.rejected == 1
 
     def test_rewrite_after_corruption_serves_again(self, tmp_path):
         cache, fingerprint, datasets = self._populate(tmp_path)
@@ -211,19 +212,6 @@ class TestCorruptEntries:
         assert entry is not None
         diff = dataset_diff(datasets, entry.datasets)
         assert diff is None, diff
-
-
-class TestCachedStudyPickleStability:
-    def test_entry_is_plain_picklable(self, smoke_study):
-        _world, _malnet, campaign, datasets = smoke_study
-        entry = CachedStudy(datasets=datasets,
-                            observations=campaign.observations,
-                            discovered=campaign.discovered)
-        clone = pickle.loads(pickle.dumps(entry))
-        diff = dataset_diff(datasets, clone.datasets)
-        assert diff is None, diff
-        assert clone.observations == campaign.observations
-        assert clone.discovered == campaign.discovered
 
 
 class TestDatasetDiff:

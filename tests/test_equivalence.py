@@ -27,7 +27,7 @@ from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import DayRunner, run_study
 from repro.netsim.faults import FAULT_PLANS
-from repro.service import CheckpointStore, StudyCheckpoint, StudyService
+from repro.service import CheckpointStore, StudyService
 from repro.world import XL_SCALE, generate_world
 
 from .conftest import SMOKE
@@ -96,24 +96,30 @@ ROWS = [Row(scale_name, scenario, faults)
 
 
 def day_resume(row, request):
-    """A restart after every study day: the snapshot goes through a
-    checkpoint file, and a new runner on a fresh copy of the pristine
-    world restores it and runs the next day."""
+    """A restart after every study day: the day is appended to a journal,
+    and a new runner on a fresh copy of the pristine world replays the
+    journal and runs the next day.  The finalized study compacts, and
+    one more runner replays the snapshot."""
     pristine = row.world()
     store = CheckpointStore(str(request.getfixturevalue("tmp_path")))
     fingerprint = study_fingerprint(SEED, row.scale, row.config)
+
+    def restarted():
+        runner = DayRunner(world=copy.deepcopy(pristine), config=row.config)
+        runner.restore_state(store.load(fingerprint, runner.total_days))
+        return runner
+
     runner = DayRunner(world=copy.deepcopy(pristine), config=row.config)
     for day in range(runner.total_days):
         assert runner.run_next_day()["day"] == day
-        store.save(StudyCheckpoint(
-            fingerprint=fingerprint, next_day=runner.next_day,
-            total_days=runner.total_days, finalized=False,
-            state=runner.state_snapshot()))
-        runner = DayRunner(world=copy.deepcopy(pristine), config=row.config)
-        runner.restore_state(store.load(fingerprint).state)
+        store.save(fingerprint, runner.state())
+        runner = restarted()
         assert runner.next_day == day + 1
     assert runner.pipeline_done
     runner.finalize()
+    store.save(fingerprint, runner.state())
+    runner = restarted()
+    assert runner.finalized
     return runner.datasets
 
 

@@ -1,9 +1,15 @@
 """Adversarial-input tests: every decoder fails *cleanly* on junk.
 
 The pipeline feeds untrusted bytes (feed downloads, captured payloads,
-C2 streams) into parsers; none of them may raise anything but their own
-error type, hang, or succeed on garbage in dangerous ways.
+C2 streams, study journals) into parsers; none of them may raise
+anything but their own error type, hang, or succeed on garbage in
+dangerous ways.
 """
+
+import bisect
+import copy
+import dataclasses
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +18,16 @@ from repro.binary.config import BotConfig, ConfigError, unpack_config
 from repro.binary.elf import ElfError, ElfImage
 from repro.botnet.protocols import daddyl33t, gafgyt, irc, mirai, p2p
 from repro.botnet.protocols.base import ProtocolError
+from repro.core import journal as journal_module
+from repro.core.cache import dataset_diff, dataset_digest
+from repro.core.journal import JournalError, replay
+from repro.core.pipeline import PipelineConfig
+from repro.core.study import DayRunner
 from repro.netsim.capture import CaptureError, PcapReader
 from repro.netsim.dns import DnsError, decode_message
 from repro.netsim.packet import PacketError, decode_packet
+from repro.service import CheckpointStore
+from repro.world import SMOKE_SCALE, generate_world
 
 junk = st.binary(min_size=0, max_size=512)
 
@@ -157,3 +170,107 @@ class TestClassifierFuzz:
         from repro.analysis.ddos_detect import profile_stream
 
         assert isinstance(profile_stream(data), list)
+
+
+class TestJournalFuzz:
+    """The study journal's reader: a real smoke journal, cut or mutated,
+    replays a prefix of whole days or raises JournalError — never another
+    exception, a hang, or a half-applied day."""
+
+    @pytest.fixture(scope="class")
+    def journal(self, tmp_path_factory):
+        return _smoke_journal(tmp_path_factory.mktemp("journal"))
+
+    def test_every_cut_replays_the_last_complete_day(self, journal):
+        blob, ends, days = journal.blob, journal.ends, journal.days
+        for cut in range(len(blob) + 1):
+            if cut < ends[0]:
+                with pytest.raises(JournalError):
+                    replay(blob[:cut], FINGERPRINT)
+                continue
+            state, end = replay(blob[:cut], FINGERPRINT)
+            day = bisect.bisect_right(ends, cut) - 1
+            assert (state.next_day, end) == (day, ends[day]), cut
+            assert _canonical(state) == days[day], \
+                (cut, dataset_diff(journal.datasets[day], state.datasets))
+
+    @pytest.mark.parametrize("day", [3, 16, 21])
+    def test_an_append_after_a_cut_continues_the_journal(self, journal,
+                                                         tmp_path, day):
+        """Cut inside the record of ``day``: the restart replays the days
+        before it, truncates the tail, and its append of ``day`` replays
+        like the uncut journal."""
+        store = CheckpointStore(str(tmp_path))
+        with open(store.path_for(FINGERPRINT), "wb") as fh:
+            fh.write(journal.blob[:journal.ends[day + 1] - 5])
+        runner = DayRunner(world=copy.deepcopy(journal.world),
+                           config=JOURNAL_CONFIG)
+        runner.restore_state(store.load(FINGERPRINT, runner.total_days))
+        assert runner.next_day == day
+        runner.run_next_day()
+        store.save(FINGERPRINT, runner.state())
+        with open(store.path_for(FINGERPRINT), "rb") as fh:
+            blob = fh.read()
+        assert blob == journal.blob[:journal.ends[day + 1]]
+
+    @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_flips_replay_a_prefix_or_fail_typed(self, journal, flips):
+        blob = bytearray(journal.blob)
+        for position, mask in flips:
+            blob[position % len(blob)] ^= mask
+        try:
+            state, end = replay(bytes(blob), FINGERPRINT)
+        except JournalError:
+            return
+        assert journal.ends[state.next_day] == end
+        assert _canonical(state) == journal.days[state.next_day]
+
+    @given(st.binary(min_size=1, max_size=512))
+    @settings(max_examples=60, deadline=None)
+    def test_junk_suffix_is_dropped(self, journal, junk):
+        state, end = replay(journal.blob + junk, FINGERPRINT)
+        assert end == len(journal.blob)
+        assert _canonical(state) == journal.days[-1]
+
+
+#: the first days of the smoke study: C2 records from day 15, DDoS
+#: records from day 16 and exploit rows from day 21
+JOURNAL_CONFIG = PipelineConfig(study_days=22)
+FINGERPRINT = "f" * 64
+
+
+@dataclasses.dataclass
+class _Journal:
+    world: object
+    blob: bytes
+    #: ends[k]: end offset of the record of day k - 1 (ends[0]: header)
+    ends: list
+    #: canonical state after k days, and the datasets themselves
+    days: list
+    datasets: list
+
+
+def _canonical(state) -> tuple:
+    """The state's datasets digest, dedup set and feed cursors."""
+    return (dataset_digest(state.datasets), sorted(state.seen_hashes),
+            dict(state.feed_cursor))
+
+
+def _smoke_journal(root) -> _Journal:
+    world = generate_world(seed=20220322, scale=SMOKE_SCALE)
+    runner = DayRunner(world=copy.deepcopy(world), config=JOURNAL_CONFIG)
+    store = CheckpointStore(str(root))
+    header = journal_module._header(FINGERPRINT, runner.total_days)
+    ends, days, datasets = [len(header)], [_canonical(runner.state())], \
+        [copy.deepcopy(runner.datasets)]
+    while not runner.pipeline_done:
+        runner.run_next_day()
+        path = store.save(FINGERPRINT, runner.state())
+        ends.append(os.path.getsize(path))
+        days.append(_canonical(runner.state()))
+        datasets.append(copy.deepcopy(runner.datasets))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    return _Journal(world, blob, ends, days, datasets)

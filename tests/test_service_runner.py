@@ -1,23 +1,27 @@
 """The day runner and the checkpoint store around it.
 
-A study executed one feed-day at a time — checkpointed to disk and
+A study executed one feed-day at a time — journaled to disk and
 resumed in a *different* runner, or a restarted ``StudyService`` — must
 reproduce the monolithic ``run_study`` datasets byte for byte; those
 are the ``day-resume`` and ``service-restart`` columns of the
 equivalence matrix (``tests/test_equivalence.py``).  Here: the
 mid-study prefix, the runner's lifecycle errors, and the checkpoint
-store's paranoia — corruption, fingerprint mismatch, and shape mismatch
-all degrade to a fresh start, never to a wrong result.
+store's paranoia — a torn tail, a foreign fingerprint, another study
+length and a pre-journal file all degrade to a resume from the last
+complete day or a fresh start, never to a wrong result.
 """
 
+import hashlib
 import os
+import pickle
 
 import pytest
 
 from repro.core.cache import dataset_diff, study_fingerprint
+from repro.core.journal import JournalError
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import DayRunner
-from repro.service import CheckpointStore, StudyCheckpoint, StudyService
+from repro.service import CheckpointStore, StudyService
 from repro.world import generate_world
 
 from .conftest import SMOKE
@@ -58,39 +62,33 @@ def test_complete_pipeline_raises_while_days_pending():
 # -- restart shapes -----------------------------------------------------------
 
 
-def _legacy_shard_state(runner, shards=2):
-    """A state in the shape the removed in-process shard mode wrote."""
-    return {"shards": shards, "next_day": runner.next_day,
-            "total_days": runner.total_days,
-            "shard_states": [runner.front.state_snapshot()] * shards,
-            "completed": False}
-
-
-def test_restore_rejects_mismatched_shape():
+def test_restore_rejects_mismatched_shape(tmp_path):
+    """State of another study length is refused, by the runner and by the
+    store, before any of it is adopted."""
     runner = DayRunner(seed=SEED, scale=SMOKE)
     runner.run_next_day()
-    state = runner.state_snapshot()
-    with pytest.raises(ValueError, match="in-process shard"):
-        DayRunner(seed=SEED, scale=SMOKE).restore_state(
-            _legacy_shard_state(runner))
     truncated = DayRunner(seed=SEED, scale=SMOKE,
                           config=PipelineConfig(study_days=5))
-    with pytest.raises(ValueError):
-        truncated.restore_state(state)
+    with pytest.raises(ValueError, match="study days"):
+        truncated.restore_state(runner.state())
+    assert truncated.next_day == 0
+    store = CheckpointStore(str(tmp_path))
+    store.save("fp", runner.state())
+    with pytest.raises(JournalError, match="study days"):
+        store.load("fp", truncated.total_days)
 
 
 # -- checkpoint store paranoia ------------------------------------------------
 
 
 def test_corrupt_checkpoint_loads_as_none(tmp_path):
+    """A journal whose only day record is torn holds nothing to resume."""
     fingerprint = study_fingerprint(SEED, SMOKE)
     store = CheckpointStore(str(tmp_path))
     runner = DayRunner(seed=SEED, scale=SMOKE,
                        config=PipelineConfig(study_days=2))
     runner.run_next_day()
-    path = store.save(StudyCheckpoint(
-        fingerprint=fingerprint, next_day=1,
-        total_days=2, finalized=False, state=runner.state_snapshot()))
+    path = store.save(fingerprint, runner.state())
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-7])  # truncate: checksum must fail
     assert store.load(fingerprint) is None
@@ -105,11 +103,10 @@ def test_checkpoint_under_wrong_fingerprint_is_rejected(tmp_path):
     runner = DayRunner(seed=SEED, scale=SMOKE,
                        config=PipelineConfig(study_days=2))
     runner.run_next_day()
-    path = store.save(StudyCheckpoint(
-        fingerprint="aaaa", next_day=1, total_days=2,
-        finalized=False, state=runner.state_snapshot()))
+    path = store.save("aaaa", runner.state())
     os.rename(path, store.path_for("bbbb"))
-    assert store.load("bbbb") is None
+    with pytest.raises(JournalError, match="another study"):
+        store.load("bbbb")
     assert store.rejected == 1
 
 
@@ -119,17 +116,28 @@ def test_checkpoint_under_wrong_fingerprint_is_rejected(tmp_path):
 SHORT = PipelineConfig(study_days=40)
 
 
-def test_service_discards_checkpoint_with_different_shard_count(tmp_path):
-    """A checkpoint of the removed in-process shard mode (two per-shard
-    pipeline states) is discarded with a warning, not half-restored."""
+def test_service_discards_checkpoint_with_different_shard_count(
+        tmp_path, monkeypatch):
+    """A pre-journal checkpoint — the checksummed ``RPSC`` pickle entry,
+    here holding two per-shard pipeline states of the removed in-process
+    shard mode — is discarded with a warning, and never unpickled."""
     from repro.obs import create_telemetry
 
     first = StudyService(seed=SEED, scale=SMOKE, config=SHORT,
                          checkpoint_dir=str(tmp_path))
-    first.ingest_days(5)
-    first.store.save(StudyCheckpoint(
-        fingerprint=first.fingerprint, next_day=5, total_days=40,
-        finalized=False, state=_legacy_shard_state(first.runner)))
+    legacy = {"shards": 2, "next_day": 5, "total_days": 40,
+              "shard_states": [{"seen_hashes": set()}] * 2,
+              "completed": False}
+    payload = pickle.dumps(legacy)
+    with open(first.store.path_for(first.fingerprint), "wb") as fh:
+        fh.write(b"RPSC" + bytes([1]) + hashlib.sha256(payload).digest()
+                 + payload)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint read reached pickle")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    monkeypatch.setattr(pickle, "load", refuse)
     telemetry = create_telemetry()
     second = StudyService(seed=SEED, scale=SMOKE, config=SHORT,
                           telemetry=telemetry, checkpoint_dir=str(tmp_path))
@@ -138,6 +146,10 @@ def test_service_discards_checkpoint_with_different_shard_count(tmp_path):
     assert second.store.rejected == 1
     assert any(e["event"] == "service.checkpoint_discarded"
                for e in telemetry.events.events)
+    second.ingest_days(3)           # the first save replaces the file
+    third = StudyService(seed=SEED, scale=SMOKE, config=SHORT,
+                         checkpoint_dir=str(tmp_path))
+    assert third.resumed and third.runner.next_day == 3
 
 
 def test_service_without_checkpoint_dir_never_persists():
