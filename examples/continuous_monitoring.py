@@ -68,7 +68,9 @@ def main() -> None:
           f"found; {on_time} of them were blocked by a rule shipped that "
           "same day — the just-in-time value a binary-centric monitor "
           "provides.")
+    client.close()
     server.shutdown()
+    server.server_close()
     thread.join()
 
 

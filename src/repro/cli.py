@@ -663,47 +663,51 @@ def _cmd_query(args, out) -> int:
 
     from .service import ServiceError, StudyClient
 
-    client = StudyClient(args.url, timeout=args.timeout)
     try:
-        if args.what == "rules":
-            technology = None if args.tech == "all" else args.tech
-            print(client.rules(technology), file=out, end="")
-            return 0
-        if args.what == "metrics":
-            print(client.metrics(), file=out, end="")
-            return 0
-        if args.what == "profile":
-            if not args.sha256:
-                raise SystemExit("repro query: 'profile' needs --sha256")
-            document = client.profile(args.sha256)
-        elif args.what == "profiles":
-            document = client.profiles(day=args.day, limit=args.limit)
-        elif args.what == "ingest":
-            days = args.days
-            if days != "all":
-                try:
-                    days = int(days)
-                except ValueError:
-                    raise SystemExit(
-                        f"repro query: --days must be an integer or "
-                        f"'all', got {args.days!r}")
-            document = client.ingest(days)
-        else:
-            document = {
-                "status": client.status,
-                "digest": client.digest,
-                "health": client.healthz,
-                "c2": client.c2s,
-                "lifespans": client.lifespans,
-                "ddos": client.ddos_summary,
-                "exploits": client.exploits_summary,
-                "alerts": client.alerts,
-                "finalize": client.finalize,
-            }[args.what]()
-        print(json.dumps(document, indent=2), file=out)
-        return 0
-    except ServiceError as exc:
+        client = StudyClient(args.url, timeout=args.timeout)
+    except ValueError as exc:  # not an http:// URL
         raise SystemExit(f"repro query: {exc}")
+    with client:
+        try:
+            if args.what == "rules":
+                technology = None if args.tech == "all" else args.tech
+                print(client.rules(technology), file=out, end="")
+                return 0
+            if args.what == "metrics":
+                print(client.metrics(), file=out, end="")
+                return 0
+            if args.what == "profile":
+                if not args.sha256:
+                    raise SystemExit("repro query: 'profile' needs --sha256")
+                document = client.profile(args.sha256)
+            elif args.what == "profiles":
+                document = client.profiles(day=args.day, limit=args.limit)
+            elif args.what == "ingest":
+                days = args.days
+                if days != "all":
+                    try:
+                        days = int(days)
+                    except ValueError:
+                        raise SystemExit(
+                            f"repro query: --days must be an integer or "
+                            f"'all', got {args.days!r}")
+                document = client.ingest(days)
+            else:
+                document = {
+                    "status": client.status,
+                    "digest": client.digest,
+                    "health": client.healthz,
+                    "c2": client.c2s,
+                    "lifespans": client.lifespans,
+                    "ddos": client.ddos_summary,
+                    "exploits": client.exploits_summary,
+                    "alerts": client.alerts,
+                    "finalize": client.finalize,
+                }[args.what]()
+            print(json.dumps(document, indent=2), file=out)
+            return 0
+        except ServiceError as exc:
+            raise SystemExit(f"repro query: {exc}")
 
 
 def _cmd_worker(args, out) -> int:

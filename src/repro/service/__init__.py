@@ -17,7 +17,7 @@ Module map::
     server.py         StudyService facade, HTTP server, lifecycle
     handlers.py       route table and request handling
     serialization.py  dataclass -> JSON documents
-    client.py         urllib-based client used by ``repro query``
+    client.py         keep-alive client used by ``repro query``
 """
 
 from .client import ServiceError, StudyClient

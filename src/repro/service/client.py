@@ -1,20 +1,38 @@
 """Stdlib client for the query API, used by ``repro query`` and tests.
 
-A thin, dependency-free wrapper over :mod:`urllib.request`: every
-method maps to exactly one route, JSON bodies are decoded, text routes
-(``/rules``, ``/metrics``) come back as strings, and any non-2xx
-response raises :class:`ServiceError` carrying the status code and the
-server's decoded error body.
+A thin, dependency-free wrapper over one kept-alive
+:class:`http.client.HTTPConnection`: every method maps to exactly one
+route, JSON bodies are decoded, text routes (``/rules``, ``/metrics``)
+come back as strings, and any non-2xx response raises
+:class:`ServiceError` carrying the status code and the server's decoded
+error body.
+
+The connection opens on the first request and serves every later one
+until the server answers ``Connection: close`` (the next request then
+opens a fresh one) or :meth:`StudyClient.close` is called; use the
+client as a context manager to close it.  A server may drop an idle
+kept-alive connection (a restart, say), which the next request sees as
+a reset or an EOF before any response.  A GET is then resent once on a
+fresh connection.  A POST is never resent, because ``/ingest/day`` may
+already have been applied: it raises ``ServiceError(0, ...)`` and the
+caller reads ``/status`` to see what landed.  One client holds one
+connection, so use one client per thread.  The ``http_proxy``
+environment variable is not consulted: the client always connects to
+the host in its base URL.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
 import urllib.parse
-import urllib.request
 
 __all__ = ["ServiceError", "StudyClient"]
+
+#: how a request fails on a kept-alive connection that the server
+#: dropped while it sat idle: an EOF or a reset where the response was due
+_DROPPED = (http.client.RemoteDisconnected, ConnectionResetError,
+            BrokenPipeError)
 
 
 class ServiceError(RuntimeError):
@@ -33,8 +51,30 @@ class StudyClient:
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        split = urllib.parse.urlsplit(self.base_url)
+        if split.scheme != "http" or not split.hostname:
+            raise ValueError(f"not an http:// service URL: {base_url!r}")
+        self._path = split.path
+        self._conn = http.client.HTTPConnection(
+            split.hostname, split.port, timeout=timeout)
+
+    def close(self) -> None:
+        """Close the kept-alive connection (a later request reopens one)."""
+        self._conn.close()
+
+    def __enter__(self) -> StudyClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ---------------------------------------------------------
+
+    def _exchange(self, method: str, target: str, headers: dict):
+        self._conn.request(method, target, headers=headers,
+                           body=b"" if method == "POST" else None)
+        response = self._conn.getresponse()
+        return response, response.read()
 
     def _request(self, method: str, path: str, params: dict | None = None,
                  headers: dict | None = None):
@@ -44,30 +84,37 @@ class StudyClient:
         an empty body; any other non-2xx raises :class:`ServiceError`
         with the server's ``{"error": ...}`` text.
         """
-        url = self.base_url + path
         if params:
             clean = {k: v for k, v in params.items() if v is not None}
             if clean:
-                url += "?" + urllib.parse.urlencode(clean)
-        request = urllib.request.Request(
-            url, method=method, headers=headers or {},
-            data=b"" if method == "POST" else None)
+                path += "?" + urllib.parse.urlencode(clean)
+        url = self.base_url + path
+        target = self._path + path
+        headers = headers or {}
+        reused = self._conn.sock is not None
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.status, response.headers, response.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code == 304:
-                return 304, exc.headers, b""
-            body = exc.read()
             try:
-                message = json.loads(body.decode()).get("error", "")
-            except (ValueError, AttributeError):
-                message = body.decode(errors="replace")
-            raise ServiceError(exc.code, message or exc.reason) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, f"cannot reach {url}: {exc.reason}") \
-                from None
+                response, body = self._exchange(method, target, headers)
+            except _DROPPED:
+                self._conn.close()
+                if not reused:
+                    raise
+                if method != "GET":
+                    raise ServiceError(
+                        0, f"{method} {url}: the connection dropped before "
+                           "a response; not resent, as it may have been "
+                           "applied") from None
+                response, body = self._exchange(method, target, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
+            raise ServiceError(0, f"cannot reach {url}: {exc}") from None
+        if 200 <= response.status < 300 or response.status == 304:
+            return response.status, response.headers, body
+        try:
+            message = json.loads(body.decode()).get("error", "")
+        except (ValueError, AttributeError):
+            message = body.decode(errors="replace")
+        raise ServiceError(response.status, message or response.reason)
 
     def conditional_get(self, path: str, etag: str | None = None,
                         ) -> tuple[int, str | None, bytes]:

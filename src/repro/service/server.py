@@ -12,14 +12,23 @@ most the day in flight: the journal reader drops a torn tail.  Nothing
 is fsynced, so what a power cut keeps is up to the operating system.
 
 :func:`build_server` binds a ``ThreadingHTTPServer`` whose handler is a
-thin adapter over :class:`~repro.service.handlers.ServiceApi`;
-:func:`serve_forever` adds the daemon lifecycle: an optional simulated
-ingest clock, SIGTERM/SIGINT-triggered graceful shutdown, and a final
-checkpoint flush on the way out.
+thin adapter over :class:`~repro.service.handlers.ServiceApi`.  It
+speaks HTTP/1.1 keep-alive: one handler thread serves every request a
+client sends on its connection.  The handler sets ``TCP_NODELAY``,
+because it writes a response's headers and its body in two writes, and
+with Nagle's algorithm on, the body of a kept-alive response waits for
+the client's delayed ACK (~40 ms).  :func:`serve_forever` adds the
+daemon lifecycle: an optional simulated ingest clock, SIGTERM/SIGINT-
+triggered graceful shutdown, and a final checkpoint flush on the way
+out.  The server's ``server_close()`` also ends the kept-alive
+connections: a handler waiting for its next request reads EOF and
+exits, a request in flight still gets its whole response, and no
+request is dispatched once the lifecycle has returned.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
@@ -245,8 +254,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     api: ServiceApi = None  # set by build_server on the subclass
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # _send writes headers, then body
 
     def _respond(self) -> None:
+        if self.server.closed:
+            # server_close()'s SHUT_RD wakes a handler waiting for its
+            # next request, but bytes that arrive before it runs are
+            # still read: hang up on them undispatched
+            self.close_connection = True
+            return
         # never dispatch on a Content-Length that is not a plain count, is
         # over the cap, or promises more than the body that arrived; the
         # refusal hangs up, so an unread body is not parsed as a request
@@ -283,6 +299,43 @@ class _RequestHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` whose ``server_close()`` also ends the
+    kept-alive connections, so no request is dispatched after it."""
+
+    daemon_threads = True  # a handler never holds up server_close() or exit
+
+    def __init__(self, *args, **kwargs):
+        #: set by server_close(); a request read after it is hung up on
+        self.closed = False
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        # a handler blocked reading its next request line reads EOF and
+        # exits; one that is answering a request still writes the reply
+        with self._connections_lock:
+            self.closed = True
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # its handler closed it meanwhile
+                pass
+        super().server_close()
+
+
 def build_server(service: StudyService, host: str = "127.0.0.1",
                  port: int = 0) -> ThreadingHTTPServer:
     """A bound (not yet serving) HTTP server over ``service``.
@@ -292,9 +345,7 @@ def build_server(service: StudyService, host: str = "127.0.0.1",
     """
     api = ServiceApi(service)
     handler = type("BoundRequestHandler", (_RequestHandler,), {"api": api})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return _Server((host, port), handler)
 
 
 # -- daemon lifecycle --------------------------------------------------------
@@ -324,9 +375,10 @@ def serve_forever(server: ThreadingHTTPServer, service: StudyService,
                   ready=None) -> None:
     """Run the daemon until SIGTERM/SIGINT, then shut down gracefully.
 
-    Graceful means: stop the ingest clock, let in-flight requests
-    finish, and flush a final checkpoint — so ``kill -TERM`` followed by
-    a restart resumes from the last *completed* day with nothing lost.
+    Graceful means: stop the ingest clock, hang up the idle kept-alive
+    connections, let in-flight requests finish, and flush a final
+    checkpoint — so ``kill -TERM`` followed by a restart resumes from
+    the last *completed* day with nothing lost.
     Signal handlers are installed only when running on the main thread
     (tests drive shutdown by calling ``server.shutdown()`` directly);
     ``ready`` is called once they are, so a caller can announce the

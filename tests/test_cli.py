@@ -327,3 +327,8 @@ class TestServeAndQueryCommands:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("query", "http://127.0.0.1:9", "health")
         assert "cannot reach" in str(excinfo.value)
+
+    def test_a_url_without_http_is_a_clean_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("query", "127.0.0.1:8321", "health")
+        assert "http://" in str(excinfo.value)

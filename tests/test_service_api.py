@@ -7,10 +7,13 @@ parseable ``/metrics`` scrape, and digest equality against a batch
 ``run_study`` of the same world.
 """
 
+import contextlib
 import json
 import re
 import socket
+import statistics
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -39,6 +42,7 @@ def daemon():
     client = StudyClient(f"http://127.0.0.1:{port}")
     client.ingest("all")  # the whole study arrives over the API
     yield service, client
+    client.close()
     server.shutdown()
     thread.join(timeout=10)
 
@@ -416,15 +420,18 @@ def test_reads_under_concurrent_ingest_stay_consistent():
     assert len({etag for _path, etag in bodies}) > 2
 
 
-def _raw_request(port: int, head: str, body: bytes = b"") -> int:
-    """Send bytes as they are, half-close, and return the status code."""
+def _raw_request(port: int, head: str, body: bytes = b"",
+                 half_close: bool = True) -> bytes:
+    """Send bytes as they are, half-close unless told not to, and return
+    the reply up to the server's EOF."""
     with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
         sock.sendall(head.replace("\n", "\r\n").encode() + body)
-        sock.shutdown(socket.SHUT_WR)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
-    return int(reply.split(b" ", 2)[1])
+    return reply
 
 
 def test_untrusted_request_bodies_are_refused_undispatched():
@@ -437,9 +444,9 @@ def test_untrusted_request_bodies_are_refused_undispatched():
     port = server.server_address[1]
 
     def ingest(length: str, body: bytes = b"") -> int:
-        return _raw_request(port, (
+        return int(_raw_request(port, (
             "POST /ingest/day HTTP/1.1\nHost: test\nConnection: close\n"
-            f"Content-Length: {length}\n\n"), body)
+            f"Content-Length: {length}\n\n"), body).split(b" ", 2)[1])
 
     try:
         assert ingest("abc") == 400
@@ -449,6 +456,19 @@ def test_untrusted_request_bodies_are_refused_undispatched():
         for days in (b"true", b"1.9", b'"1.9"', b"[1]"):
             body = b'{"days": ' + days + b"}"
             assert ingest(str(len(body)), body) == 400, days
+        assert service.runner.next_day == 0
+        # on a kept-alive connection a refusal also hangs up, so a valid
+        # request pipelined behind the unread body is never parsed
+        valid = b'{"days": 1}'
+        for length, status in (("abc", b"400"), (str(10**9), b"413")):
+            reply = _raw_request(port, (
+                "POST /ingest/day HTTP/1.1\nHost: test\n"
+                f"Content-Length: {length}\n\n"
+                "POST /ingest/day HTTP/1.1\nHost: test\n"
+                f"Content-Length: {len(valid)}\n\n"), valid,
+                half_close=False)
+            assert reply.split(b" ", 2)[1] == status
+            assert reply.count(b"HTTP/1.1 ") == 1, reply
         assert service.runner.next_day == 0
         body = b'{"days": 2}'
         assert ingest(str(len(body)), body) == 200
@@ -463,3 +483,178 @@ def test_connection_refused_raises_service_error():
     with pytest.raises(ServiceError) as excinfo:
         client.healthz()
     assert excinfo.value.status == 0
+
+
+def test_a_non_http_base_url_is_refused_at_construction():
+    for url in ("https://127.0.0.1:8321", "127.0.0.1:8321", "http://"):
+        with pytest.raises(ValueError):
+            StudyClient(url)
+
+
+# -- keep-alive ---------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _serving(service: StudyService, port: int = 0):
+    """The daemon lifecycle on a thread; stopped (bounded) on exit."""
+    server = build_server(service, port=port)
+    thread = threading.Thread(target=serve_forever, args=(server, service),
+                              daemon=True)
+    thread.start()
+    try:
+        yield server, thread
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+
+
+def _short_study() -> StudyService:
+    return StudyService(seed=SEED, scale=SMOKE,
+                        config=PipelineConfig(study_days=5))
+
+
+def _url(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def _local_port(client: StudyClient) -> int:
+    return client._conn.sock.getsockname()[1]
+
+
+def _handler_threads(before: set) -> list:
+    """Request-handler threads started since ``before``, each given a
+    bounded join first."""
+    threads = [thread for thread in threading.enumerate()
+               if thread not in before
+               and "process_request_thread" in thread.name]
+    for thread in threads:
+        thread.join(timeout=10)
+    return threads
+
+
+def test_one_connection_carries_every_request(daemon):
+    """Keep-alive plus TCP_NODELAY: 21 requests, one local port, and a
+    median far below the ~40 ms a delayed ACK costs with Nagle on."""
+    _service, shared = daemon
+    ports, seconds = set(), []
+    with StudyClient(shared.base_url) as client:
+        for _ in range(21):
+            start = time.perf_counter()
+            client.status()
+            seconds.append(time.perf_counter() - start)
+            ports.add(_local_port(client))
+    assert len(ports) == 1
+    assert statistics.median(seconds) < 0.020, seconds
+
+
+def test_a_restarted_daemon_is_reached_through_one_reconnect():
+    first = _short_study()
+    with _serving(first) as (server, _thread):
+        port = server.server_address[1]
+        client = StudyClient(_url(server))
+        assert client.ingest(1)["next_day"] == 1
+        before = _local_port(client)
+    second = _short_study()         # no checkpoints: it starts at day 0
+    with _serving(second, port=port), client:
+        assert client.status()["next_day"] == 0
+        assert _local_port(client) != before
+
+
+def _patch_send(monkeypatch, server, drop) -> list:
+    """Make the server's handler hang up without a reply whenever
+    ``drop(handler)`` says so; returns the log of (command, path)
+    dispatched."""
+    handler = server.RequestHandlerClass
+    send = handler._send
+    dispatched = []
+
+    def maybe_drop(self, *response):
+        dispatched.append((self.command, self.path))
+        if drop(self):
+            self.close_connection = True
+        else:
+            send(self, *response)
+
+    monkeypatch.setattr(handler, "_send", maybe_drop)
+    return dispatched
+
+
+def test_a_dropped_post_is_never_resent(monkeypatch):
+    service = _short_study()
+    with _serving(service) as (server, _thread), \
+            StudyClient(_url(server)) as client:
+        client.status()             # the POST goes on a reused connection
+        _patch_send(monkeypatch, server, lambda h: h.command == "POST")
+        with pytest.raises(ServiceError) as excinfo:
+            client.ingest(1)
+        assert excinfo.value.status == 0
+        assert "not resent" in excinfo.value.message
+        assert service.runner.next_day == 1    # applied once, not twice
+
+
+def test_a_dropped_get_is_retried_once(monkeypatch):
+    with _serving(_short_study()) as (server, _thread), \
+            StudyClient(_url(server)) as client:
+        client.healthz()
+        drops = []
+        dispatched = _patch_send(monkeypatch, server,
+                                 lambda h: bool(drops and drops.pop()))
+        drops[:] = [True]
+        assert client.status()["next_day"] == 0
+        assert dispatched == [("GET", "/status")] * 2
+        drops[:] = [True, True]
+        with pytest.raises(ServiceError) as excinfo:
+            client.status()
+        assert excinfo.value.status == 0
+        assert dispatched == [("GET", "/status")] * 4
+
+
+def test_no_request_is_dispatched_after_serve_forever_returns():
+    service = _short_study()
+    before = set(threading.enumerate())
+    with _serving(service) as (server, thread), \
+            StudyClient(_url(server)) as client:
+        client.status()             # a kept-alive connection, now idle
+        server.shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        with pytest.raises(ServiceError) as excinfo:
+            client.ingest(1)
+        assert excinfo.value.status == 0
+    assert service.runner.next_day == 0
+    assert not any(t.is_alive() for t in _handler_threads(before))
+
+
+def test_a_request_in_flight_at_shutdown_gets_its_whole_reply(
+        monkeypatch):
+    before = set(threading.enumerate())
+    with _serving(_short_study()) as (server, thread):
+        api = server.RequestHandlerClass.api
+        with StudyClient(_url(server)) as client:
+            expected = client._request("GET", "/c2")[2]
+        handle = api.handle
+        entered = threading.Event()
+
+        def slow_handle(*args, **kwargs):
+            entered.set()
+            time.sleep(0.5)
+            return handle(*args, **kwargs)
+
+        monkeypatch.setattr(api, "handle", slow_handle)
+        replies = []
+
+        def read():
+            with StudyClient(_url(server)) as client:
+                replies.append(client._request("GET", "/c2"))
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert entered.wait(timeout=10)
+        server.shutdown()
+        thread.join(timeout=10)
+        reader.join(timeout=10)
+        assert not thread.is_alive() and not reader.is_alive()
+    status, _headers, body = replies[0]
+    assert status == 200
+    assert body == expected
+    assert not any(t.is_alive() for t in _handler_threads(before))
