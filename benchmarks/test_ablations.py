@@ -25,7 +25,7 @@ from repro.world import StudyScale, generate_world
 
 def _exploit_yield(world, threshold: int, budget: int = 260) -> int:
     """Distinct exploits the handshaker collects at one threshold."""
-    emulator = MipsEmulator(random.Random(0), activation_rate=1.0)
+    emulator = MipsEmulator(activation_rate=1.0)
     captured = 0
     armed = [s for s in world.truth.all_samples
              if s.sample.config.exploit_ids][:25]
@@ -60,12 +60,13 @@ def test_ablation_handshaker_threshold(benchmark, world):
 
 
 def _probing_engagements(world, interval_hours: int):
+    internet = world.internet.for_run(random.Random(6))
     sandbox = CncHunterSandbox(
-        random.Random(4), world.internet,
-        emulator=MipsEmulator(random.Random(5), activation_rate=1.0),
+        random.Random(4), internet,
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     campaign = ProbingCampaign(
-        internet=world.internet, sandbox=sandbox,
+        internet=internet, sandbox=sandbox,
         subnets=list(world.truth.probe_subnets),
         sample_binaries=select_probe_binaries(world),
         start=world.probe_start, days=14,

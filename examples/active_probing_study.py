@@ -14,21 +14,22 @@ import random
 from repro.core.probing import ProbingCampaign
 from repro.core.report import render_probe_matrix
 from repro.core.study import select_probe_binaries
-from repro.sandbox import CncHunterSandbox, MipsEmulator, SANDBOX_IP
+from repro.sandbox import CncHunterSandbox, MipsEmulator
 from repro.world import StudyScale, generate_world
 
 
 def main() -> None:
     scale = StudyScale(sample_fraction=0.03, probe_days=7)
     world = generate_world(seed=1312, scale=scale)
-    world.internet.ensure_host(SANDBOX_IP)
+    # the world is read-only: the campaign drives its own traffic engine
+    internet = world.internet.for_run(random.Random(6))
 
     sandbox = CncHunterSandbox(
-        random.Random(4), world.internet,
-        emulator=MipsEmulator(random.Random(5), activation_rate=1.0),
+        random.Random(4), internet,
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     campaign = ProbingCampaign(
-        internet=world.internet,
+        internet=internet,
         sandbox=sandbox,
         subnets=list(world.truth.probe_subnets),
         sample_binaries=select_probe_binaries(world),

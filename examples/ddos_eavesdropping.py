@@ -50,7 +50,7 @@ def main() -> None:
 
     sandbox = CncHunterSandbox(
         random.Random(3), internet,
-        emulator=MipsEmulator(random.Random(4), activation_rate=1.0),
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     print("connecting the bot to its C2 in restricted mode (2h window)...")
     report = sandbox.observe_live(binary.data, duration=1200.0,

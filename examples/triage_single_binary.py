@@ -51,7 +51,7 @@ def main() -> None:
 
     sandbox = CncHunterSandbox(
         random.Random(2),
-        emulator=MipsEmulator(random.Random(3), activation_rate=1.0),
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     offline = sandbox.analyze_offline(sample.data, scan_budget=400)
     print()

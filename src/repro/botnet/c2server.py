@@ -69,6 +69,13 @@ class ResponsivenessModel:
             threshold = self._p_stay if previous else self._p_reopen
             self._states.append(self._rng.random() < threshold)
 
+    def draw_until(self, when: float) -> None:
+        """Draw the chain through the slot containing ``when``, so that
+        :meth:`is_open` up to ``when`` writes nothing.  The chain is
+        drawn in slot order either way, so drawing ahead changes no
+        value."""
+        self._extend_to(self._slot(when))
+
     def is_open(self, now: float) -> bool:
         """Reachability of the server in the slot containing ``now``."""
         slot = self._slot(now)
@@ -96,9 +103,9 @@ class ScheduledAttack:
 class C2Server:
     """Dialect-aware C2 service for the virtual Internet.
 
-    Implements :class:`repro.netsim.internet.TcpService`.  Per-session
-    protocol state lives on the session object; cross-session state (which
-    scheduled attacks a bot already received) lives here.
+    Implements :class:`repro.netsim.internet.TcpService`.  All protocol
+    state, including which scheduled attacks a bot already received, lives
+    on the session object, so serving a bot writes nothing here.
     """
 
     def __init__(
@@ -112,47 +119,39 @@ class C2Server:
         self.family = family
         self.rng = rng
         self.schedule = schedule or []
-        #: bot addresses that ever completed a check-in
-        self.checked_in: set[int] = set()
-        #: (bot, command) deliveries, for ground-truth accounting
-        self.issued: list[tuple[int, AttackCommand, float]] = []
-        #: schedule indexes bucketed by 4h slot; rebuilt lazily after
-        #: schedule changes (see :meth:`_schedule_wheel`)
-        self._wheel: TimeWheel | None = None
+        self._index_schedule()
 
     # -- scheduling -----------------------------------------------------------
 
     def schedule_attack(self, when: float, command: AttackCommand) -> None:
         self.schedule.append(ScheduledAttack(when, command))
         self.schedule.sort(key=lambda item: item.when)
-        self._wheel = None
+        self._index_schedule()
 
-    def _schedule_wheel(self) -> TimeWheel:
-        """Schedule indexes bucketed under every slot their window spans.
+    def _index_schedule(self) -> None:
+        """Bucket schedule indexes under every slot their window spans.
 
         Every bot poll used to scan the whole schedule; the wheel makes a
         poll touch only the commands whose delivery window overlaps the
         current 4h slot (an idle slot is one dict miss).  Indexes are
         inserted in ascending order, so per-slot candidates come back in
         the same order the full scan would have visited them — the
-        ``delivered`` bookkeeping in session state is unchanged.
+        ``delivered`` bookkeeping in session state is unchanged.  The
+        wheel is rebuilt whenever the schedule changes, so a poll only
+        reads it.
         """
-        wheel = self._wheel
-        if wheel is None:
-            wheel = self._wheel = TimeWheel(SLOT_SECONDS)
-            for index, item in enumerate(self.schedule):
-                wheel.add_window(item.when, item.when + item.window, index)
-        return wheel
+        self._wheel = TimeWheel(SLOT_SECONDS)
+        for index, item in enumerate(self.schedule):
+            self._wheel.add_window(item.when, item.when + item.window, index)
 
     def _due_commands(self, session, now: float) -> list[AttackCommand]:
         delivered: set[int] = session.state.setdefault("delivered", set())
         due: list[AttackCommand] = []
-        for index in self._schedule_wheel().items_at(now):
+        for index in self._wheel.items_at(now):
             item = self.schedule[index]
             if item.due(now) and index not in delivered:
                 delivered.add(index)
                 due.append(item.command)
-                self.issued.append((session.peer, item.command, now))
         return due
 
     # -- TcpService interface ---------------------------------------------------
@@ -185,7 +184,6 @@ class C2Server:
         if not session.state["registered"]:
             if mirai.is_checkin(buffer):
                 session.state["registered"] = True
-                self.checked_in.add(session.peer)
                 session.send(mirai.HANDSHAKE)  # CNC acks with the same word
                 buffer = b""
             session.state["buffer"] = buffer
@@ -199,7 +197,6 @@ class C2Server:
         text = data.upper()
         if text.startswith(b"BUILD"):
             session.state["registered"] = True
-            self.checked_in.add(session.peer)
             session.send(b"!* SCANNER ON\n")
         if b"PING" in text and session.state["registered"]:
             session.send(gafgyt.PONG)
@@ -209,7 +206,6 @@ class C2Server:
     def _daddy_data(self, session, data: bytes) -> None:
         if data.lower().startswith(b"login "):
             session.state["registered"] = True
-            self.checked_in.add(session.peer)
             session.send(b"auth ok\r\n")
         if session.state["registered"]:
             self._push_due(session, daddyl33t.encode_attack)
@@ -217,7 +213,6 @@ class C2Server:
     def _irc_data(self, session, data: bytes) -> None:
         if irc.is_checkin(data) or data.upper().startswith(b"NICK"):
             session.state["registered"] = True
-            self.checked_in.add(session.peer)
             session.send(irc.encode_ping())
         if session.state["registered"]:
             self._push_due(session, irc.encode_attack)
@@ -232,7 +227,6 @@ class DownloaderHttp:
 
     def __init__(self, files: dict[str, bytes] | None = None):
         self.files = files or {}
-        self.requests: list[str] = []
 
     def on_connect(self, session) -> None:
         session.state["buffer"] = b""
@@ -245,7 +239,6 @@ class DownloaderHttp:
         line = buffer.split(b"\r\n", 1)[0].decode("ascii", "replace")
         parts = line.split()
         path = parts[1] if len(parts) >= 2 else "/"
-        self.requests.append(path)
         body = self.files.get(path.lstrip("/"), b"#!/bin/sh\nwget loader stub\n")
         session.send(
             b"HTTP/1.0 200 OK\r\nContent-Length: "

@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="heartbeat cadence while executing a unit "
                              "(default: 0.5)")
     worker.add_argument("--world-cache", type=int, default=4, metavar="N",
-                        help="pristine generated worlds kept warm "
+                        help="generated worlds kept warm "
                              "(default: 4)")
 
     obs = sub.add_parser(

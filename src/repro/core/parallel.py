@@ -5,8 +5,9 @@ slice of the day's binaries.  This module reproduces that topology with
 real executors: samples are partitioned by sha256
 (:func:`~repro.determinism.shard_of`) into *units*, each executor runs
 the full :class:`~repro.core.pipeline.MalNet` pipeline over its unit
-against its own copy of the world, and the parent merges the unit
-outputs with :meth:`Datasets.merge <repro.core.datasets.Datasets.merge>`.
+against the one generated world (read-only; the run owns its traffic
+engine), and the parent merges the unit outputs with
+:meth:`Datasets.merge <repro.core.datasets.Datasets.merge>`.
 
 The hard invariant: **the merged parallel output is byte-identical to the
 serial run** on the same ``(seed, scale)``.  Three properties carry it:
@@ -36,13 +37,12 @@ placement.  Each failed dispatch costs its unit one of
 ``max_redispatch`` re-dispatches: the unit goes back in the queue at
 ``attempt + 1`` (a hung or lost local child is SIGKILLed and reaped
 first), so a unit gets at most ``1 + max_redispatch`` tries on any
-fleet.  Slots forked in :meth:`start` run their first unit on the
-fork-inherited world; slots re-forked after the whole fleet was lost
-regenerate it from ``(seed, scale)`` instead, because by then the
-parent's probing campaign has mutated the parent world.  Because each
-unit's output is a pure function of ``(seed, scale, config)``, a
-retried unit produces the same bytes it would have produced on the
-first try.  Units that use up their budget land in
+fleet.  Every local slot, whether forked in :meth:`start` or re-forked
+after the whole fleet was lost, runs its units on the fork-inherited
+world: no run writes it, so the parent's probing campaign leaves it as
+generated.  Because each unit's output is a pure function of ``(seed,
+scale, config)``, a retried unit produces the same bytes it would have
+produced on the first try.  Units that use up their budget land in
 :attr:`ShardedStudyRunner.failed_shards` so a partial merge is
 reported, never silent.
 """
@@ -92,9 +92,9 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
     """Run the pipeline over one sha256 unit — the executor body of the
     ``repro worker`` task loop.
 
-    ``world`` is an already-generated private copy (a local slot's fork
-    snapshot, or a worker's warm-cache deepcopy); ``None`` regenerates
-    from ``(seed, scale)`` — same bytes either way, world generation is
+    ``world`` is the already-generated world of ``(seed, scale)`` (a
+    worker's cached one, shared by every unit it runs); ``None``
+    regenerates it — same bytes either way, world generation is
     deterministic.  A fault plan's worker-crash draw raises
     :class:`~repro.netsim.faults.WorkerCrash`, on which the task loop
     drops its connection like a dead sandbox host.
@@ -188,10 +188,6 @@ class ShardedStudyRunner:
                     "local worker slots need os.fork(), which this "
                     "platform lacks; start `repro worker` daemons and "
                     "pass their host:port addresses as peers instead")
-        if world.seed is None:
-            raise ValueError(
-                "sharded execution needs a seeded world: workers derive "
-                "their randomness from (world.seed, sha256)")
         if unit_count is not None and unit_count < 1:
             raise ValueError("unit_count must be >= 1")
         from ..dist.coordinator import Coordinator
@@ -230,8 +226,8 @@ class ShardedStudyRunner:
     def start(self) -> "ShardedStudyRunner":
         """Connect the fleet and place the first units (non-blocking).
 
-        Local slots fork here, while the parent's world is pristine, and
-        run their first unit on that inherited copy."""
+        Local slots fork here and run every unit on the world they
+        inherit: the parent's runs share it without writing it."""
         if self._started:
             raise RuntimeError("runner already started")
         self._started = True

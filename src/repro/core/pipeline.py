@@ -37,7 +37,7 @@ from ..netsim.addresses import ip_to_int, is_ip_literal
 from ..netsim.capture import columnar_stats
 from ..netsim.faults import FaultInjector, FaultPlan, FeedUnavailable, \
     SandboxCrash
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs import LATENCY_BUCKETS, NULL_TELEMETRY, Telemetry
 from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH
 from ..sandbox.handshaker import ExploitCapture
 from ..sandbox.qemu import EmulationError, MipsEmulator
@@ -92,7 +92,14 @@ def total_study_days(config: PipelineConfig | None = None) -> int:
 
 
 class MalNet:
-    """Orchestrates the daily measurement over a generated world."""
+    """Orchestrates the daily measurement over a generated world.
+
+    The world is read-only here.  Everything the run writes is its own:
+    the traffic engine :attr:`internet` (clock, stream, fault and metrics
+    bindings over the world's hosts and name zones), the sandbox, the
+    fault injector and the datasets.  So any number of ``MalNet`` runs
+    can share one world, sequentially or at once.
+    """
 
     def __init__(self, world: World, config: PipelineConfig | None = None,
                  telemetry: Telemetry | None = None):
@@ -100,24 +107,23 @@ class MalNet:
         self.config = config or PipelineConfig()
         self.datasets = Datasets()
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.telemetry.bind_sim_clock(lambda: world.internet.clock.now)
-        world.vt.telemetry = self.telemetry
-        world.bazaar.telemetry = self.telemetry
-        self._rng = random.Random(world.rng.getrandbits(32))
         # base for the per-sample reseed: analysis randomness must depend
         # only on (world seed, sha256) so that shard workers and the serial
         # loop draw identical streams for every sample (see _reseed_for)
-        self._seed_base = world.seed if world.seed is not None \
-            else world.rng.getrandbits(32)
+        self._seed_base = world.seed
+        # both streams are reseeded per sample (and the internet's per
+        # probe slot) before their first draw; these seeds only make each
+        # run's streams its own
+        self._rng = random.Random(stable_seed("sandbox", world.seed))
+        self.internet = world.internet.for_run(
+            random.Random(stable_seed("internet", world.seed)))
+        self.telemetry.bind_sim_clock(lambda: self.internet.clock.now)
         self._machines = frozenset(
             ARCH_MACHINES[arch] for arch in self.config.architectures
         )
         self.sandbox = CncHunterSandbox(
-            self._rng, world.internet,
+            self._rng, self.internet,
             emulator=MipsEmulator(
-                # derived from the world seed (not a fixed constant) so two
-                # worlds with different seeds don't share emulator randomness
-                random.Random(world.rng.getrandbits(32)),
                 activation_rate=self.config.activation_rate,
                 machines=self._machines,
             ),
@@ -140,12 +146,9 @@ class MalNet:
                     "fault_injections", "injected fault decisions that fired",
                     labelnames=("kind",)),
             )
-        world.internet.faults = self.faults
-        world.internet.resolver.faults = self.faults
-        world.internet.resolver.bind_metrics(metrics)
-        world.internet.telemetry = self.telemetry
-        world.vt.faults = self.faults
-        world.bazaar.faults = self.faults
+        self.internet.faults = self.faults
+        self.internet.resolver.faults = self.faults
+        self.internet.resolver.bind_metrics(metrics)
         self.sandbox.faults = self.faults
         self._m_collected = metrics.counter(
             "samples_collected", "samples surviving the daily dedup/ELF filter")
@@ -226,8 +229,8 @@ class MalNet:
         by a sample's analysis is re-derived from ``(world seed,
         sha256)`` on the spot (:meth:`_reseed_for`), which is the same
         property the sharded runner relies on — so a fresh ``MalNet``
-        on a regenerated world plus this state continues a study
-        byte-identically.
+        on the same (or a regenerated) world plus this state continues a
+        study byte-identically.
         """
         return StudyState(total_days=total_study_days(self.config),
                           datasets=self.datasets,
@@ -331,11 +334,20 @@ class MalNet:
         for attempt in range(FEED_ATTEMPTS):
             try:
                 entries = service.feed_between(window_start, end,
-                                               attempt=attempt)
+                                               attempt=attempt,
+                                               faults=self.faults)
             except FeedUnavailable:
                 if attempt + 1 < FEED_ATTEMPTS:
                     self._m_retries.labels(stage="feed").inc()
                 continue
+            if entries:
+                latency = self.telemetry.metrics.histogram(
+                    "feed_latency_seconds",
+                    "submission-to-publication latency seen by the daily "
+                    "pull", labelnames=("feed",), buckets=LATENCY_BUCKETS,
+                ).labels(feed=name)
+                for entry in entries:
+                    latency.observe(entry.published - entry.submitted)
             if window_start < start:
                 self.telemetry.events.emit(
                     "pipeline.feed_backfill", feed=name,
@@ -376,7 +388,7 @@ class MalNet:
         output equal the serial run bit for bit.
         """
         self._rng.seed(stable_seed("sandbox", self._seed_base, sha256))
-        self.world.internet.rng.seed(
+        self.internet.rng.seed(
             stable_seed("internet", self._seed_base, sha256))
 
     def _analyze_binary(
@@ -438,7 +450,7 @@ class MalNet:
         self, sha256: str, data: bytes, published: float, day: int, source: str
     ) -> BinaryNetworkProfile | None:
         self._reseed_for(sha256)
-        now = self.world.internet.clock.now
+        now = self.internet.clock.now
         is_malware, family_label, label_source = self._verify_and_label(
             sha256, now)
         if not is_malware:
@@ -497,17 +509,17 @@ class MalNet:
             # a DGA binary walks today's candidate list, so probing its C2
             # must too: a blocked or registrar-lost name is evaded, not
             # fatal, as long as any candidate still resolves
-            now = self.world.internet.clock.now
+            now = self.internet.clock.now
             day = int((now - STUDY_EPOCH) // SECONDS_PER_DAY)
             for domain in dga_domains(dga_seed, dga_family, day):
-                address = self.world.internet.resolver.resolve(domain, now=now)
+                address = self.internet.resolver.resolve(domain, now=now)
                 if address is not None:
                     return address
             return None
         if is_ip_literal(endpoint):
             return ip_to_int(endpoint)
-        return self.world.internet.resolver.resolve(
-            endpoint, now=self.world.internet.clock.now
+        return self.internet.resolver.resolve(
+            endpoint, now=self.internet.clock.now
         )
 
     def _record_c2(self, profile, report, data: bytes, day: int) -> None:
@@ -516,7 +528,7 @@ class MalNet:
         profile.c2_endpoint = endpoint
         profile.c2_port = report.c2_port
         profile.c2_is_dns = is_dns
-        now = self.world.internet.clock.now
+        now = self.internet.clock.now
         profile.vt_flagged_day0 = self.world.vt.is_malicious(endpoint, now)
 
         if endpoint not in self.datasets.d_c2s:
@@ -575,7 +587,7 @@ class MalNet:
                     return True
             if attempt + 1 < attempts:
                 self._m_retries.labels(stage="liveness").inc()
-                self.world.internet.clock.advance(LIVENESS_SPACING)
+                self.internet.clock.advance(LIVENESS_SPACING)
         return False
 
     def _observe_attacks(self, profile, record, data: bytes) -> None:
@@ -653,7 +665,7 @@ class MalNet:
 
     def _set_clock(self, when: float) -> None:
         """Jump the clock to an analysis instant (parallel-sandbox model)."""
-        clock = self.world.internet.clock
+        clock = self.internet.clock
         if clock.now <= when:
             clock.advance_to(when)
         else:

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import random
 import time
 
-from ..determinism import stable_seed
 from ..obs import NULL_TELEMETRY, Telemetry, build_manifest
 from ..obs.merge import merge_shard_telemetry
 from ..sandbox.qemu import MipsEmulator
@@ -50,11 +48,7 @@ def select_probe_binaries(world: World) -> list[bytes]:
     The study selected two of its collected samples; we pick the first
     activating sample of each family from the same corpus.
     """
-    # derived from the world seed, not a hard-coded Random(0): a study is
-    # a function of its seed, and every RNG it touches must trace back to
-    # it (the activation coin itself is hash-based either way)
-    checker = MipsEmulator(
-        random.Random(stable_seed("probe-binary-check", world.seed)))
+    checker = MipsEmulator()
     picks: list[bytes] = []
     for family in ("gafgyt", "mirai"):
         for planned in world.truth.all_samples:
@@ -71,7 +65,7 @@ def run_probing(world: World, malnet: MalNet,
                 telemetry: Telemetry | None = None) -> ProbingCampaign:
     """Run the D-PC2 campaign and merge its observations."""
     campaign = ProbingCampaign(
-        internet=world.internet,
+        internet=malnet.internet,
         sandbox=malnet.sandbox,
         subnets=list(world.truth.probe_subnets),
         sample_binaries=select_probe_binaries(world),
@@ -94,7 +88,7 @@ def _build_campaign(world: World, malnet: MalNet, telemetry: Telemetry,
     are the ones a fresh run would compute.
     """
     campaign = ProbingCampaign(
-        internet=world.internet,
+        internet=malnet.internet,
         sandbox=malnet.sandbox,
         subnets=list(world.truth.probe_subnets),
         sample_binaries=[],
@@ -227,11 +221,12 @@ class DayRunner:
     def state(self, rule_days: dict | None = None) -> StudyState:
         """The study's persistent state, by reference (not a copy).
 
-        World content is *not* included — a restarted runner regenerates
-        it from ``(seed, scale)`` — only the cross-day pipeline state,
-        plus the probing campaign's discovery set once finalized (its
-        observations are ``datasets.d_pc2``).  ``rule_days`` belongs to
-        the service and rides along for its journal.
+        World content is *not* included — a restarted runner reuses the
+        world or regenerates it from ``(seed, scale)`` — only the
+        cross-day pipeline state, plus the probing campaign's discovery
+        set once finalized (its observations are ``datasets.d_pc2``).
+        ``rule_days`` belongs to the service and rides along for its
+        journal.
         """
         state = self.front.state()
         state.next_day = self.next_day
@@ -268,11 +263,10 @@ def _run_parallel(
 
     :meth:`ShardedStudyRunner.start` places the first units on local
     slots and TCP peers alike, so the units run while the parent probes.
-    The campaign only reads world state the pipeline never writes (host
-    online windows, listener tables, per-server responsiveness chains are
-    all slot-indexed), and reseeds the internet RNG per slot — so the
-    parent can run it concurrently with the executors and still produce
-    the same observations as the serial ordering.
+    The campaign drives the parent run's own traffic engine and reseeds
+    its stream per slot, and no run writes the world — so the parent can
+    run it concurrently with the executors and still produce the same
+    observations as the serial ordering.
 
     Returns the campaign plus a run-info dict (per-shard timings,
     re-dispatch/failure accounting, coordinator placement stats) consumed
@@ -365,7 +359,7 @@ def _build_run_manifest(
     """Assemble the flight-recorder manifest for one finished run."""
     effective = config or PipelineConfig()
     plan = effective.faults
-    if fingerprint is None and world.seed is not None:
+    if fingerprint is None:
         fingerprint = study_fingerprint(world.seed, world.scale, config)
     study = {
         "seed": world.seed,
@@ -475,7 +469,7 @@ def run_study(
     if cache is not None:
         cache.bind_metrics(telemetry.metrics)
     fingerprint = None
-    if cache is not None and world.seed is not None:
+    if cache is not None:
         fingerprint = study_fingerprint(world.seed, world.scale, config)
         entry = cache.get(fingerprint)
         if entry is not None:

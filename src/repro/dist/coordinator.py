@@ -23,9 +23,9 @@ and four policies:
 
 *placement* — an idle worker gets the next pending unit; among idle
 workers, one whose world cache already holds this study's
-:func:`~repro.dist.plan.world_key` wins (a warm world is a deepcopy,
-a cold one is a full regeneration, ~5× slower at full scale).  A slot
-forked with the parent's world counts as warm for its first unit.
+:func:`~repro.dist.plan.world_key` wins (a warm world is shared as is,
+a cold one is a full generation).  A local slot is always warm: it
+holds the parent's world from the fork on.
 
 *stealing* — once ``pending`` is empty, an idle worker speculatively
 duplicates the longest-running unit whose elapsed time exceeds
@@ -49,9 +49,8 @@ nothing.
 
 *reconnection* — only when a unit is pending and no peer is connected:
 :meth:`connect` redials every address and re-forks local slots, which
-regenerate the world (the parent's copy is no longer pristine once its
-probing campaign runs).  If nothing connects, the pending units fail
-with ``no reachable workers``.
+inherit the world given to :meth:`start` again (no run writes it).  If
+nothing connects, the pending units fail with ``no reachable workers``.
 """
 
 from __future__ import annotations
@@ -141,6 +140,8 @@ class Coordinator:
         self.stolen_wasted = 0
         self.lost_workers: list[dict] = []
         self.placements: list[dict] = []
+        #: the world local slots fork with (set by :meth:`start`)
+        self.world = None
 
     @property
     def redispatches(self) -> int:
@@ -150,14 +151,12 @@ class Coordinator:
 
     # -- connection management ---------------------------------------------
 
-    def connect(self, world, want: int) -> int:
+    def connect(self, want: int) -> int:
         """(Re)connect every unconnected peer; returns the live count.
 
-        TCP peers are dialed; local slots are forked, at most until
-        ``want`` peers are live.  ``world`` is the parent's world while
-        it is still pristine: a slot forked now runs its first unit on
-        its inherited copy.  Unreachable addresses are skipped, not
-        fatal.
+        TCP peers are dialed; local slots are forked with :attr:`world`,
+        at most until ``want`` peers are live.  Unreachable addresses
+        are skipped, not fatal.
         """
         live = sum(1 for p in self.peers if p.connected)
         for peer in self.peers:
@@ -166,7 +165,7 @@ class Coordinator:
             if not peer.local:
                 self._dial(peer)
             elif live < want:
-                self._fork(peer, world)
+                self._fork(peer)
             if peer.connected:
                 live += 1
                 self._selector.register(peer.sock, selectors.EVENT_READ,
@@ -193,13 +192,13 @@ class Coordinator:
         peer.pid = ack.get("pid")
         peer.warm = set(ack.get("warm", ()))
 
-    def _fork(self, peer: _Peer, world) -> None:
+    def _fork(self, peer: _Peer) -> None:
         parent_end, child_end = socket.socketpair()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child never returns
             status = 0
             try:
-                # drop every inherited parent end, so a sibling's EOF
+                # drop every parent end the fork copied, so a sibling's EOF
                 # means that sibling died and the parent's close reaches
                 # each child
                 parent_end.close()
@@ -207,7 +206,7 @@ class Coordinator:
                 for other in self.peers:
                     if other.sock is not None:
                         other.sock.close()
-                TaskLoop(WorldCache(inherited=world),
+                TaskLoop(WorldCache(world=self.world),
                          peer.worker_id).serve(child_end)
             except BaseException:
                 status = 1
@@ -216,7 +215,8 @@ class Coordinator:
         child_end.close()
         self._adopt(peer, parent_end)
         peer.pid = pid
-        peer.warm = {self.spec.world_key} if world is not None else set()
+        peer.warm = {self.spec.world_key} if self.world is not None \
+            else set()
 
     def _adopt(self, peer: _Peer, sock: socket.socket) -> None:
         sock.settimeout(None)
@@ -261,9 +261,10 @@ class Coordinator:
 
     def start(self, world) -> None:
         """Connect the fleet and place the first units; returns without
-        waiting for them.  ``world`` is the parent's still-pristine
-        world: slots forked now run their first unit on it."""
-        self._connect(world)
+        waiting for them.  ``world`` is the study's generated world:
+        every local slot, forked now or re-forked later, runs on it."""
+        self.world = world
+        self._connect()
         self._assign()
 
     def join(self) -> None:
@@ -273,7 +274,7 @@ class Coordinator:
         try:
             while self.pending or self.running:
                 if self.pending and not self._live():
-                    self._connect(None)
+                    self._connect()
                     continue
                 self._assign()
                 for key, _ in self._selector.select(0.2):
@@ -294,10 +295,10 @@ class Coordinator:
         finally:
             self.close()
 
-    def _connect(self, world) -> None:
+    def _connect(self) -> None:
         """Connect peers for the pending units; if none is reachable,
         the pending units fail."""
-        if self.connect(world, want=len(self.pending)):
+        if self.connect(want=len(self.pending)):
             return
         addresses = [p.address for p in self.peers]
         while self.pending:

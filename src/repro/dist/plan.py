@@ -11,9 +11,10 @@ the same digest — the property the distributed runner's correctness
 rests on, tested in ``tests/test_dist_plan.py``.
 
 ``world_key`` names the generated world a unit needs: workers keep a
-small cache of pristine worlds keyed by it, and the coordinator prefers
-placing units on workers that already hold the key warm (generating a
-world costs ~5× a deepcopy of a cached one at full scale).
+small cache of worlds keyed by it and share a cached world across every
+unit that needs it, and the coordinator prefers placing units on
+workers that already hold the key warm (a warm unit starts at once, a
+cold one first generates its world).
 """
 
 from __future__ import annotations

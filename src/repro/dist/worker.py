@@ -14,14 +14,13 @@ socketpair (:mod:`repro.dist.coordinator`).
 
 Worlds are the expensive part of a unit (generation dwarfs the
 pipeline at small unit sizes), so the daemon keeps a small LRU of
-*pristine* generated worlds keyed by
-:func:`~repro.dist.plan.world_key` and hands each task a deepcopy —
-~5× cheaper than regenerating, and byte-identical because world
-generation is a pure function of ``(seed, scale)``.  The cache keys
-are reported in every ``hello-ack``/``result`` frame, which is what
-lets the coordinator place units cache-aware.  A local slot forked
-while the parent's world was still pristine runs its first unit on that
-inherited copy as is — no regeneration, no deepcopy.
+generated worlds keyed by :func:`~repro.dist.plan.world_key` and hands
+every task of that key the cached world itself: a world is read-only
+(each run owns its traffic engine), so concurrent tasks share it.  The
+cache keys are reported in every ``hello-ack``/``result`` frame, which
+is what lets the coordinator place units cache-aware.  A local slot's
+cache starts with the parent's world, which the fork carried over, so
+it never generates one.
 
 Chaos: a fault plan's ``worker_crashes`` draw makes the loop drop the
 coordinator's connection without a reply.  A daemon survives it (it is
@@ -31,7 +30,6 @@ way the coordinator sees what a dead sandbox looks like: EOF, no result.
 
 from __future__ import annotations
 
-import copy
 import os
 import socket
 import threading
@@ -44,47 +42,41 @@ __all__ = ["TaskLoop", "WorkerServer", "WorldCache"]
 
 
 class WorldCache:
-    """Thread-safe LRU of pristine generated worlds.
+    """Thread-safe LRU of generated worlds, shared by every lease.
 
-    ``inherited`` (a local slot's fork snapshot) is handed as is to the
-    first lease, if that lease is for its key; it never enters the LRU,
-    because that lease mutates it.
+    ``world`` (a local slot's fork snapshot) is the LRU's first entry.
     """
 
-    def __init__(self, limit: int = 4, inherited=None):
+    def __init__(self, limit: int = 4, world=None):
         if limit < 1:
             raise ValueError("world cache limit must be >= 1")
         self.limit = limit
         self._worlds: OrderedDict[str, object] = OrderedDict()
-        self._inherited = inherited
+        if world is not None:
+            self._worlds[world_key(world.seed, world.scale)] = world
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def lease(self, seed: int, scale):
-        """A private, mutable copy of the world for ``(seed, scale)``."""
+        """The world for ``(seed, scale)``, generated on first use.  The
+        same object goes to every lease: no run writes a world."""
         key = world_key(seed, scale)
         with self._lock:
-            inherited, self._inherited = self._inherited, None
-            if (inherited is not None
-                    and world_key(inherited.seed, inherited.scale) == key):
-                return inherited
-            pristine = self._worlds.get(key)
-            if pristine is not None:
+            world = self._worlds.get(key)
+            if world is not None:
                 self._worlds.move_to_end(key)
                 self.hits += 1
-        if pristine is None:
-            from ..world import generate_world
+                return world
+        from ..world import generate_world
 
-            pristine = generate_world(seed=seed, scale=scale)
-            with self._lock:
-                self.misses += 1
-                self._worlds[key] = pristine
-                while len(self._worlds) > self.limit:
-                    self._worlds.popitem(last=False)
-        # the cached original is never mutated, only its copies are —
-        # a deepcopy of a pristine world == a regenerated one
-        return copy.deepcopy(pristine)
+        world = generate_world(seed=seed, scale=scale)
+        with self._lock:
+            self.misses += 1
+            self._worlds[key] = world
+            while len(self._worlds) > self.limit:
+                self._worlds.popitem(last=False)
+        return world
 
     def keys(self) -> list[str]:
         with self._lock:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from ..binary.builder import MalwareSample
 from ..intel.vendors import IocIntel, VendorDirectory
-from ..obs import LATENCY_BUCKETS, NULL_TELEMETRY, Telemetry
 from .pull import pull_window as _pull
 from .yara import RuleSet, community_iot_rules, families_of
 
@@ -84,15 +83,10 @@ class VirusTotalService:
 
     feed_name = "virustotal"
 
-    def __init__(self, rng: random.Random, rules: RuleSet | None = None,
-                 telemetry: Telemetry | None = None):
+    def __init__(self, rng: random.Random, rules: RuleSet | None = None):
         self._rng = rng
         self.rules = rules or community_iot_rules()
         self.vendors = VendorDirectory()
-        self.telemetry = telemetry or NULL_TELEMETRY
-        #: optional fault injector (repro.netsim.faults): outage windows
-        #: and latency-spike days on the daily pull
-        self.faults = None
         self._feed: list[FeedEntry] = []
         self._by_hash: dict[str, FeedEntry] = {}
         self._intel: dict[str, IocIntel] = {}
@@ -155,25 +149,17 @@ class VirusTotalService:
         self._by_hash[sample.sha256] = entry
         return entry
 
-    def feed_between(self, start: float, end: float,
-                     attempt: int = 0) -> list[FeedEntry]:
+    def feed_between(self, start: float, end: float, attempt: int = 0,
+                     faults=None) -> list[FeedEntry]:
         """Feed entries published in [start, end) — the daily pull.
 
-        With a fault injector bound, a pull attempt may raise
-        :class:`~repro.netsim.faults.FeedUnavailable` (outage window) and
-        entries on latency-spike days become visible only once their
-        delayed publication instant falls inside the pull window.
+        With the run's fault injector as ``faults``, a pull attempt may
+        raise :class:`~repro.netsim.faults.FeedUnavailable` (outage
+        window) and entries on latency-spike days become visible only
+        once their delayed publication instant falls inside the pull
+        window.
         """
-        entries = _pull(self, start, end, attempt)
-        if entries:
-            latency = self.telemetry.metrics.histogram(
-                "feed_latency_seconds",
-                "submission-to-publication latency seen by the daily pull",
-                labelnames=("feed",), buckets=LATENCY_BUCKETS,
-            ).labels(feed="virustotal")
-            for entry in entries:
-                latency.observe(entry.published - entry.submitted)
-        return entries
+        return _pull(self, start, end, attempt, faults)
 
     def lookup_hash(self, sha256: str) -> FeedEntry | None:
         return self._by_hash.get(sha256)

@@ -119,6 +119,10 @@ class VendorDirectory:
     later query (``flags_at`` per liveness check, ``eventual_flaggers``
     per Table 7 row, the re-query measurement of Table 3) is a lookup
     over the memoized per-IoC detection-time table.
+
+    This memo is the one cache a generated world declares: every run
+    sharing the world fills it, in any order and from any thread, with
+    the same values a fresh directory would compute.
     """
 
     def __init__(self) -> None:
@@ -156,9 +160,11 @@ class VendorDirectory:
         if table is None:
             table = {vendor.name: self._detection_time(vendor, intel)
                      for vendor in self.vendors}
-            self._tables[key] = table
             times = [when for when in table.values() if when is not None]
+            # the earliest time goes in first: a concurrent reader that
+            # finds the table must find its earliest time too
             self._earliest[key] = min(times) if times else None
+            self._tables[key] = table
         return table
 
     def eventually_flags(self, vendor: Vendor, intel: IocIntel) -> bool:

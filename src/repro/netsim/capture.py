@@ -151,7 +151,7 @@ class PacketColumns:
     payload bytes).  Appends land in a staged row buffer first — one
     tuple per packet, the cheapest possible record — and are transposed
     into the arrays in bulk the first time anything *reads* the store
-    (:meth:`iter_rows`, :meth:`build_into`, pickling).  The scan-phase
+    (:meth:`iter_rows`, :meth:`build_into`).  The scan-phase
     common case — thousands of packets recorded, never read — therefore
     pays neither object construction nor thirteen array appends per row.
     :meth:`build_into` reconstructs :class:`Packet` objects that are
@@ -238,20 +238,6 @@ class PacketColumns:
         for row in self.iter_rows():
             append(Packet(*row))
         COLUMN_STATS["built"] += len(self.ts)
-
-    # arrays pickle compactly; shard results carry columns as columns so
-    # laziness survives the worker -> parent hop
-    def __getstate__(self):
-        self._flush()
-        return (self.ts, self.src, self.dst, self.sport, self.dport,
-                self.proto, self.flags, self.seq, self.ack, self.ttl,
-                self.icmp_type, self.icmp_code, self.payload)
-
-    def __setstate__(self, state) -> None:
-        (self.ts, self.src, self.dst, self.sport, self.dport,
-         self.proto, self.flags, self.seq, self.ack, self.ttl,
-         self.icmp_type, self.icmp_code, self.payload) = state
-        self._staged = []
 
 
 class Capture:
@@ -359,16 +345,6 @@ class Capture:
     def __repr__(self) -> str:
         return (f"Capture(packets=<{len(self)} packets>, "
                 f"label={self.label!r})")
-
-    # pickles carry the columnar tail as columns (arrays serialize far
-    # smaller than Packet objects), so shard results stay lazy
-    def __getstate__(self):
-        cols = self._cols if self._cols is not None and len(self._cols) \
-            else None
-        return ("columnar-v1", self._packets, cols, self.label)
-
-    def __setstate__(self, state) -> None:
-        _tag, self._packets, self._cols, self.label = state
 
     # -- field-level reads --------------------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 QTYPE_A = 1
 QCLASS_IN = 1
@@ -169,6 +170,14 @@ class Resolver:
         #: registrations, scores names, and vetoes blocklisted lookups
         self.defense = None
         self._metrics: tuple | None = None
+
+    def for_run(self) -> "Resolver":
+        """A resolver over these zones and this defender for one run,
+        with its own fault and metrics bindings; it cannot register."""
+        run = Resolver()
+        run._zones = MappingProxyType(self._zones)
+        run.defense = self.defense
+        return run
 
     def bind_metrics(self, metrics) -> None:
         """Attach per-query counters to an obs metrics registry.

@@ -3,9 +3,14 @@
 This is the closed world in which the whole study runs.  Hosts own integer
 IPv4 addresses and expose TCP/UDP/ICMP services; the
 :class:`VirtualInternet` mediates connections and datagrams, stamps
-packets with simulation time, and records everything that crosses it into
-per-session traces so the sandbox can produce pcaps exactly like a real
-capture interface would.
+packets with simulation time, and records what crosses it into the
+caller's per-session traces so the sandbox can produce pcaps exactly like
+a real capture interface would.
+
+A generated world's internet is read-only: each run drives traffic
+through its own engine (:meth:`VirtualInternet.for_run`), which shares the
+host table and name zones and owns the clock, the stream and the fault
+binding that traffic writes.
 
 Time is explicit.  :class:`SimClock` counts seconds from the study epoch
 (2021-03-01 00:00 UTC, matching the paper's collection window) and every
@@ -19,9 +24,9 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Protocol as TypingProtocol
 
-from ..obs import NULL_TELEMETRY
 from .addresses import ephemeral_port, int_to_ip
 from .capture import Capture
 from .dns import DnsQuery, DnsResponse, Resolver, random_transaction_id
@@ -212,6 +217,11 @@ class TcpService(TypingProtocol):
         """Called with each chunk of client application data."""
 
 
+def always_accepts(now: float) -> bool:
+    """The default :attr:`Listener.accepts` gate: never elusive."""
+    return True
+
+
 @dataclass
 class Listener:
     """A bound TCP or UDP port on a host."""
@@ -220,7 +230,7 @@ class Listener:
     protocol: Protocol
     service: object
     #: Gate called per connection attempt; lets C2 servers be "elusive".
-    accepts: Callable[[float], bool] = lambda now: True
+    accepts: Callable[[float], bool] = always_accepts
     banner: bytes = b""
 
 
@@ -331,7 +341,7 @@ class ClientSession:
 
 
 class VirtualInternet:
-    """Routes packets between hosts and records all observable traffic."""
+    """Routes packets between hosts and records observable traffic."""
 
     #: nominal one-way delay applied between request and response
     LATENCY = 0.02
@@ -341,19 +351,22 @@ class VirtualInternet:
         self.clock = clock or SimClock()
         self.hosts: dict[int, Host] = {}
         self.resolver = Resolver()
-        #: every packet that crossed the backbone (for global analyses)
-        self.backbone = Capture(label="backbone")
-        #: optional cap on backbone retention to bound memory in long runs
-        self.backbone_limit: int | None = 2_000_000
-        #: packets the cap kept off the backbone — global analyses on a
-        #: capped run are truncated, and this is the signal saying so
-        self.backbone_dropped = 0
-        self._backbone_warned = False
         #: optional fault injector (repro.netsim.faults)
         self.faults = None
-        #: telemetry sink for the one-shot backbone-full warning; bound by
-        #: the pipeline, no-op by default
-        self.telemetry = NULL_TELEMETRY
+
+    def for_run(self, rng: random.Random) -> "VirtualInternet":
+        """A traffic engine for one run over this internet.
+
+        The engine shares the host table and the resolver's name zones
+        read-only (it cannot add hosts), and owns what traffic writes: a
+        clock at the study epoch, the stream ``rng``, and its fault and
+        metrics bindings.  Any number of engines can drive one internet
+        at once, in threads or forked processes.
+        """
+        engine = VirtualInternet(rng)
+        engine.hosts = MappingProxyType(self.hosts)
+        engine.resolver = self.resolver.for_run()
+        return engine
 
     # -- topology -----------------------------------------------------------
 
@@ -372,19 +385,10 @@ class VirtualInternet:
 
     # -- recording ------------------------------------------------------------
 
-    def _record(self, pkt: Packet, trace: Capture | None) -> None:
+    @staticmethod
+    def _record(pkt: Packet, trace: Capture | None) -> None:
         if trace is not None:
             trace.add(pkt)
-        if self.backbone_limit is None or len(self.backbone) < self.backbone_limit:
-            self.backbone.add(pkt)
-        else:
-            self.backbone_dropped += 1
-            if not self._backbone_warned:
-                self._backbone_warned = True
-                self.telemetry.events.warning(
-                    "netsim.backbone_full", limit=self.backbone_limit,
-                    when=pkt.timestamp,
-                )
 
     def _stamp(self) -> float:
         """Advance the clock by the link latency and return the new time."""

@@ -53,14 +53,12 @@ class MipsEmulator:
     MIPS-only, matching the published study.
     """
 
-    def __init__(self, rng: random.Random,
-                 activation_rate: float = ACTIVATION_RATE,
+    def __init__(self, activation_rate: float = ACTIVATION_RATE,
                  machines: frozenset[int] | None = None):
         if not 0 < activation_rate <= 1:
             raise ValueError("activation_rate must be in (0, 1]")
         from ..binary.elf import EM_MIPS
 
-        self._rng = rng
         self._activation_rate = activation_rate
         self.machines = machines if machines is not None else frozenset({EM_MIPS})
 

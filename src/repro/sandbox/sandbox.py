@@ -126,7 +126,7 @@ class CncHunterSandbox:
         self.rng = rng
         self.internet = internet
         self.bot_ip = bot_ip
-        self.emulator = emulator or MipsEmulator(rng)
+        self.emulator = emulator or MipsEmulator()
         self.telemetry = telemetry or NULL_TELEMETRY
         #: optional fault injector (repro.netsim.faults): transient
         #: activation crashes, retried by the pipeline

@@ -206,9 +206,6 @@ class StudyScale:
     #: fraction of generated samples built for ARM instead of MIPS
     #: (0.0 reproduces the paper's MIPS-only corpus; §6d extension)
     arm_fraction: float = 0.0
-    #: backbone capture cap for this scale (packets kept before the
-    #: internet starts counting ``backbone_dropped``); None = unbounded
-    backbone_limit: int | None = 20_000
     #: opt-in DGA + defender co-simulation (``--dga``); off keeps the
     #: golden digests byte-identical because no extra RNG draws happen
     dga: bool = False
@@ -225,9 +222,8 @@ SMOKE_SCALE = StudyScale(
 )
 #: ~10x the smoke corpus: the columnar-core stress scale.  Smoke-sized
 #: probe/observe windows keep wall-clock in CI range while the sample
-#: count (and hence packet volume) grows an order of magnitude; the
-#: backbone cap is widened to match the bigger world.
+#: count (and hence packet volume) grows an order of magnitude.
 XL_SCALE = StudyScale(
     sample_fraction=0.5, probe_days=4, observe_duration=1800.0,
-    observe_poll_interval=300.0, scan_budget=120, backbone_limit=60_000,
+    observe_poll_interval=300.0, scan_budget=120,
 )

@@ -55,21 +55,27 @@ C2_PORTS = (23, 48101, 666, 1312, 3074, 81, 6969, 1791, 9506, 42516)
 ANALYSIS_HOUR_OFFSET = 12 * 3600.0  # daily analysis batch starts at 12:00
 
 
-@dataclass
+@dataclass(frozen=True)
 class World:
-    """The generated closed world handed to the pipeline."""
+    """The generated closed world handed to the pipeline.
 
-    rng: random.Random
+    A value: no run writes to it.  Each run drives traffic through its
+    own engine (:meth:`VirtualInternet.for_run`) and passes its own fault
+    injector to the feeds, so one world serves any number of runs,
+    threads and forked processes.
+    """
+
     internet: VirtualInternet
     asdb: AsDatabase
     vt: VirusTotalService
     bazaar: MalwareBazaarService
     truth: GroundTruth
     scale: cal.StudyScale
-    probe_start: float = 0.0
-    #: the generator seed, kept so the sharded runner can regenerate this
-    #: exact world in worker processes (None for hand-assembled worlds)
-    seed: int | None = None
+    #: the generator seed: every stream a run draws derives from it, and
+    #: the sharded runner regenerates this exact world from it
+    seed: int
+    #: start of the D-PC2 probing window
+    probe_start: float
 
     @property
     def epoch(self) -> float:
@@ -85,7 +91,6 @@ class WorldGenerator:
         self.scale = scale or cal.FULL_SCALE
         self.rng = random.Random(seed)
         self.internet = VirtualInternet(random.Random(seed + 1))
-        self.internet.backbone_limit = self.scale.backbone_limit
         self.asdb = AsDatabase(random.Random(seed + 2))
         self.vt = VirusTotalService(random.Random(seed + 3))
         self.bazaar = MalwareBazaarService(random.Random(seed + 4))
@@ -117,13 +122,12 @@ class WorldGenerator:
         self._plan_regular_campaigns()
         self._submit_chaff()
         self._register_intel()
-        world = World(
-            rng=self.rng, internet=self.internet, asdb=self.asdb,
-            vt=self.vt, bazaar=self.bazaar, truth=self.truth,
-            scale=self.scale, seed=self.seed,
+        probe_start = self._plan_probing_world()
+        return World(
+            internet=self.internet, asdb=self.asdb, vt=self.vt,
+            bazaar=self.bazaar, truth=self.truth, scale=self.scale,
+            seed=self.seed, probe_start=probe_start,
         )
-        self._plan_probing_world(world)
-        return world
 
     # -- helpers ------------------------------------------------------------------
 
@@ -604,7 +608,7 @@ class WorldGenerator:
 
             carrier = carrier_cache.get(deployment.address)
             if carrier is None:
-                checker = MipsEmulator(random.Random(0))
+                checker = MipsEmulator()
                 activating = [s for s in campaign.samples
                               if checker.activates(s.sample.sha256)]
                 carrier = self.rng.choice(activating or campaign.samples)
@@ -694,11 +698,12 @@ class WorldGenerator:
 
     # -- D-PC2 probing world -----------------------------------------------------------
 
-    def _plan_probing_world(self, world: World) -> None:
-        """Six probe-able /24s with 7 elusive C2s and benign decoys."""
+    def _plan_probing_world(self) -> float:
+        """Six probe-able /24s with 7 elusive C2s and benign decoys;
+        returns the start of the probing window."""
         probe_week = min(10, cal.ACTIVE_WEEKS)
-        world.probe_start = cal.week_start(probe_week)
-        probe_end = world.probe_start + (self.scale.probe_days + 2) * SECONDS_PER_DAY
+        probe_start = cal.week_start(probe_week)
+        probe_end = probe_start + (self.scale.probe_days + 2) * SECONDS_PER_DAY
         subnets: list[Subnet] = []
         top_asns = [record.asn for record in TOP_C2_ASES[:6]]
         for asn in top_asns:
@@ -714,13 +719,16 @@ class WorldGenerator:
             address = self.allocator.allocate(subnet)
             port = self.rng.choice(cal.PROBE_PORTS)
             host = self.internet.add_host(address, name=f"probed-c2-{index}")
-            host.set_lifetime(world.probe_start - SECONDS_PER_DAY, probe_end)
+            host.set_lifetime(probe_start - SECONDS_PER_DAY, probe_end)
             model = ResponsivenessModel(
                 seed=self.seed * 1000 + index,
                 p_open=cal.PROBED_P_OPEN,
                 p_stay_open=cal.PROBED_P_STAY,
-                origin=world.probe_start,
+                origin=probe_start,
             )
+            # the host is offline from probe_end on, so no probe reads
+            # past it: the chain is complete and runs only read it
+            model.draw_until(probe_end)
             server = C2Server(get_family(family),
                               random.Random(self.rng.getrandbits(32)))
             host.bind(Listener(port=port, protocol=Protocol.TCP,
@@ -729,7 +737,7 @@ class WorldGenerator:
                 address=address, port=port, family=family,
                 variant=get_family(family).variants[0],
                 asn=top_asns[index % len(top_asns)],
-                online_from=world.probe_start - SECONDS_PER_DAY,
+                online_from=probe_start - SECONDS_PER_DAY,
                 online_until=probe_end, server=server,
                 obscurity=self.rng.uniform(0.3, 1.2),
                 publicity_delay_days=self.rng.uniform(0.0, 10.0),
@@ -738,7 +746,7 @@ class WorldGenerator:
             self.truth.probed_deployments.append(deployment)
             self.truth.deployments.append(deployment)
             self.vt.register_ioc(IocIntel(
-                ioc=deployment.endpoint, first_public=world.probe_start,
+                ioc=deployment.endpoint, first_public=probe_start,
                 obscurity=deployment.obscurity,
                 publicity_delay_days=deployment.publicity_delay_days,
             ))
@@ -754,6 +762,7 @@ class WorldGenerator:
                     protocol=Protocol.TCP, service=service,
                     banner=b"HTTP/1.0 200 OK\r\nServer: Apache/2.4.41\r\n\r\n",
                 ))
+        return probe_start
 
 
 def generate_world(seed: int = cal.DEFAULT_SEED,

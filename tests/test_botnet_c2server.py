@@ -14,6 +14,7 @@ from repro.botnet.c2server import (
     observed_lifespan_days,
 )
 from repro.botnet.families import get_family
+from repro.botnet.protocols import gafgyt, irc, mirai
 from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.capture import Capture
@@ -24,6 +25,14 @@ BOT_IP = ip_to_int("198.51.100.77")
 C2_IP = ip_to_int("203.0.113.10")
 TARGET = ip_to_int("192.0.2.50")
 C2_PORT = 1312
+
+#: what each dialect's server sends a bot once its check-in registers
+REGISTERED_REPLY = {
+    "mirai": mirai.HANDSHAKE,
+    "gafgyt": b"!* SCANNER ON\n",
+    "daddyl33t": b"auth ok\r\n",
+    "tsunami": irc.encode_ping(),
+}
 
 
 class InternetAdapter:
@@ -64,7 +73,7 @@ class TestCheckins:
         _, server, bot, adapter = build_world(family)
         session = bot.connect_c2(adapter)
         assert session is not None
-        assert BOT_IP in server.checked_in
+        assert REGISTERED_REPLY[family] in bot.server_bytes
 
     def test_p2p_family_has_no_c2_server(self):
         with pytest.raises(ValueError):
@@ -114,17 +123,9 @@ class TestAttackDelivery:
         second = bot.poll_c2(session)
         assert len(first) == 1
         assert len(second) == 1  # cumulative decode still sees one command
-        assert len(server.issued) == 1
-
-    def test_issuance_recorded_with_time(self):
-        internet, server, bot, adapter = build_world("gafgyt")
-        server.schedule_attack(internet.clock.now, self.attack())
-        session = bot.connect_c2(adapter)
-        bot.poll_c2(session)
-        ((peer, command, when),) = server.issued
-        assert peer == BOT_IP
-        assert command == self.attack()
-        assert when >= internet.clock.now - 10
+        # the server sent the command's bytes once, not once per poll
+        sent = gafgyt.encode_attack(self.attack())
+        assert bot.server_bytes.count(sent) == 1
 
 
 class TestResponsivenessModel:
@@ -181,8 +182,8 @@ class TestDownloader:
         session.send(b"GET /8UsA.sh HTTP/1.0\r\n\r\n")
         reply = session.recv()
         assert reply.startswith(b"HTTP/1.0 200 OK")
-        assert b"echo pwned" in reply
-        assert downloader.requests == ["/8UsA.sh"]
+        # the body is the requested file, not the default loader stub
+        assert reply.split(b"\r\n\r\n", 1)[1] == b"#!/bin/sh\necho pwned\n"
 
 
 class TestLifespan:

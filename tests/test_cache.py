@@ -116,15 +116,6 @@ class TestStudyCache:
                   cache=cache)
         assert cache.hits == 0 and cache.misses == 2
 
-    def test_unseeded_world_bypasses_cache(self, tmp_path):
-        cache = StudyCache(str(tmp_path))
-        world = generate_world(seed=SEED, scale=SMOKE)
-        world.seed = None
-        run_study(world, cache=cache)
-        assert cache.hits == cache.misses == 0
-        assert not os.path.exists(str(tmp_path)) or \
-            not os.listdir(str(tmp_path))
-
 
 class TestCorruptEntries:
     """Any damaged entry must read as a miss — never crash, never serve

@@ -252,19 +252,7 @@ def test_next_occupied_after_everything():
     assert wheel.next_occupied(181.0) is None
 
 
-# -- the XL scale and the backbone cap ----------------------------------------
-
-
-def test_backbone_limit_rides_the_scale():
-    from repro.world import StudyScale, generate_world
-
-    scale = StudyScale(sample_fraction=0.05, probe_days=1, backbone_limit=77)
-    world = generate_world(seed=3, scale=scale)
-    assert world.internet.backbone_limit == 77
-    unbounded = StudyScale(sample_fraction=0.05, probe_days=1,
-                           backbone_limit=None)
-    assert generate_world(seed=3, scale=unbounded) \
-        .internet.backbone_limit is None
+# -- the XL scale --------------------------------------------------------------
 
 
 def test_xl_scale_registered_and_sized():
@@ -273,5 +261,3 @@ def test_xl_scale_registered_and_sized():
 
     assert SCALES["xl"] is XL_SCALE
     assert XL_SCALE.total_samples >= 10 * SMOKE_SCALE.total_samples
-    assert XL_SCALE.backbone_limit == 60_000
-    assert SMOKE_SCALE.backbone_limit == 20_000  # presets keep the old cap

@@ -1,5 +1,7 @@
 """Tests for the D-PC2 probing campaign."""
 
+import random
+
 from repro.world.calibration import PROBED_C2_COUNT
 
 
@@ -67,7 +69,8 @@ class TestResponseMatrix:
         from repro.core.probing import ProbingCampaign
 
         campaign = ProbingCampaign(
-            internet=smoke_world.internet, sandbox=None, subnets=[],
+            internet=smoke_world.internet.for_run(random.Random(0)),
+            sandbox=None, subnets=[],
             sample_binaries=[], start=0.0, days=0,
         )
         assert campaign.repeat_response_rate() == 0.0

@@ -15,10 +15,13 @@ from repro.binary.config import BotConfig
 from repro.botnet.c2server import C2Server
 from repro.botnet.families import get_family
 from repro.netsim.addresses import int_to_ip, ip_to_int
+from repro.netsim.capture import Capture
 from repro.netsim.internet import Listener, VirtualInternet
 from repro.netsim.packet import Protocol
 from repro.sandbox.qemu import MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
+
+from .test_botnet_c2server import REGISTERED_REPLY
 
 C2_IP = ip_to_int("203.0.113.30")
 C2_PORT = 666
@@ -40,7 +43,7 @@ def sandbox_with_c2(server_family):
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
     sandbox = CncHunterSandbox(
         random.Random(2), internet,
-        emulator=MipsEmulator(random.Random(3), activation_rate=1.0),
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     return sandbox, server
 
@@ -63,24 +66,26 @@ class TestDialectMatching:
     ])
     def test_mismatched_dialect_does_not_engage(self, server_family,
                                                 probe_family):
-        sandbox, server = sandbox_with_c2(server_family)
+        sandbox, _server = sandbox_with_c2(server_family)
+        trace = Capture()
         (result,) = sandbox.probe_targets(build_probe(probe_family).data,
-                                          [(C2_IP, C2_PORT)])
+                                          [(C2_IP, C2_PORT)], trace=trace)
         assert not result.engaged
         # the TCP connection happened, but no application engagement
-        assert SANDBOX_IP not in server.checked_in
+        from_c2 = [pkt for pkt in trace if pkt.src == C2_IP]
+        assert from_c2 and not any(pkt.payload for pkt in from_c2)
 
     def test_daddyl33t_banner_is_not_engagement_proof(self):
         """Daddyl33t greets on connect; the probe still needs the right
         login to be *registered* (engagement counts bytes, registration
         gates command delivery)."""
-        sandbox, server = sandbox_with_c2("daddyl33t")
+        sandbox, _server = sandbox_with_c2("daddyl33t")
         (result,) = sandbox.probe_targets(build_probe("mirai").data,
                                           [(C2_IP, C2_PORT)])
         # the welcome banner leaks bytes, so the probe "engages"...
         assert result.engaged
         # ...but the server never registers the client as a bot
-        assert SANDBOX_IP not in server.checked_in
+        assert REGISTERED_REPLY["daddyl33t"] not in result.response
 
 
 class TestServerJunkTolerance:
@@ -94,7 +99,9 @@ class TestServerJunkTolerance:
                            service=server))
         session = internet.tcp_connect(SANDBOX_IP, C2_IP, C2_PORT)
         rng = random.Random(7)
+        received = b""
         for _ in range(5):
             session.send(bytes(rng.randrange(256) for _ in range(64)))
-            session.recv()
-        assert SANDBOX_IP not in server.checked_in
+            received += session.recv()
+        # junk never registers as a bot check-in
+        assert REGISTERED_REPLY[family] not in received

@@ -21,6 +21,7 @@ from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
 from repro.dist import WireError, recv_frame, send_frame
+from repro.dist.plan import world_key
 from repro.dist.wire import FrameDecoder
 from repro.dist.worker import WorkerServer, WorldCache
 from repro.netsim.faults import FAULT_PLANS
@@ -178,7 +179,7 @@ def test_coordinator_skips_a_version_1_peer():
     coordinator = Coordinator(spec, [f"127.0.0.1:{port}"],
                               shard_timeout=None, max_redispatch=0)
     try:
-        assert coordinator.connect(None, want=1) == 0
+        assert coordinator.connect(want=1) == 0
         assert not coordinator.peers[0].connected
     finally:
         coordinator.close()
@@ -189,35 +190,32 @@ def test_coordinator_skips_a_version_1_peer():
 # -- world cache --------------------------------------------------------------
 
 
-def test_world_cache_leases_are_private_copies():
+def test_world_cache_leases_share_one_world():
+    """A world is read-only, so every lease of a key is the one cached
+    world: generated on the first lease, shared by the rest."""
     cache = WorldCache(limit=2)
     tiny = StudyScale(sample_fraction=0.02, probe_days=2,
                       observe_duration=600.0, observe_poll_interval=300.0,
                       scan_budget=60)
     first = cache.lease(7, tiny)
-    second = cache.lease(7, tiny)
+    assert cache.lease(7, tiny) is first
     assert (cache.hits, cache.misses) == (1, 1)
-    assert first is not second and first.internet is not second.internet
-    # mutating a lease must not poison later leases
-    first.probe_start = 12345.0
-    third = cache.lease(7, tiny)
-    assert third.probe_start == second.probe_start != 12345.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.probe_start = 12345.0
 
 
-def test_world_cache_hands_over_an_inherited_world_once():
-    """A local slot's first unit runs on its fork-inherited world as is;
-    later units lease from the LRU (regenerate once, then deepcopy)."""
+def test_world_cache_serves_its_fork_snapshot():
+    """A local slot's cache starts with the parent's world: its key is
+    reported warm, and no lease of it ever generates."""
     tiny = StudyScale(sample_fraction=0.02, probe_days=2,
                       observe_duration=600.0, observe_poll_interval=300.0,
                       scan_budget=60)
-    inherited = generate_world(seed=7, scale=tiny)
-    cache = WorldCache(inherited=inherited)
-    assert cache.lease(7, tiny) is inherited
-    assert (cache.hits, cache.misses, cache.keys()) == (0, 0, [])
-    second = cache.lease(7, tiny)
-    third = cache.lease(7, tiny)
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert inherited is not second is not third
+    snapshot = generate_world(seed=7, scale=tiny)
+    cache = WorldCache(world=snapshot)
+    assert cache.keys() == [world_key(7, tiny)]
+    assert cache.lease(7, tiny) is snapshot
+    assert cache.lease(7, tiny) is snapshot
+    assert (cache.hits, cache.misses) == (2, 0)
 
 
 def test_world_cache_evicts_least_recently_used():

@@ -8,12 +8,18 @@ cell must equal its row's serial ``run_study`` (one shared reference per
 row) under one oracle, :func:`~repro.core.cache.dataset_diff`, whose
 text names the first differing record and field.  The serial column is
 pinned to golden digests at smoke scale.
+
+Every cell of a row runs on one generated world, the one its serial
+reference ran on, and must leave it unchanged
+(:func:`~tests.conftest.world_fingerprint`): a world is a value that
+any number of runs share.
 """
 
-import copy
 import dataclasses
 import os
 import signal
+import sys
+import threading
 
 import pytest
 
@@ -28,9 +34,9 @@ from repro.core.pipeline import PipelineConfig
 from repro.core.study import DayRunner, run_study
 from repro.netsim.faults import FAULT_PLANS
 from repro.service import CheckpointStore, StudyService
-from repro.world import XL_SCALE, generate_world
+from repro.world import XL_SCALE
 
-from .conftest import SMOKE
+from .conftest import SMOKE, spawn_fleet, stop_fleet, world_fingerprint
 
 SEED = 20220322
 
@@ -81,9 +87,6 @@ class Row:
     def config(self) -> PipelineConfig | None:
         return FAULTS[self.faults]
 
-    def world(self):
-        return generate_world(seed=SEED, scale=self.scale)
-
 
 SCALE_NAMES = ("smoke", "xl") if os.environ.get("REPRO_XL") else ("smoke",)
 ROWS = [Row(scale_name, scenario, faults)
@@ -95,21 +98,20 @@ ROWS = [Row(scale_name, scenario, faults)
 # -- the columns: ways of running the study ---------------------------------
 
 
-def day_resume(row, request):
+def day_resume(row, world, request):
     """A restart after every study day: the day is appended to a journal,
-    and a new runner on a fresh copy of the pristine world replays the
-    journal and runs the next day.  The finalized study compacts, and
-    one more runner replays the snapshot."""
-    pristine = row.world()
+    and a new runner on the same world replays the journal and runs the
+    next day.  The finalized study compacts, and one more runner replays
+    the snapshot."""
     store = CheckpointStore(str(request.getfixturevalue("tmp_path")))
     fingerprint = study_fingerprint(SEED, row.scale, row.config)
 
     def restarted():
-        runner = DayRunner(world=copy.deepcopy(pristine), config=row.config)
+        runner = DayRunner(world=world, config=row.config)
         runner.restore_state(store.load(fingerprint, runner.total_days))
         return runner
 
-    runner = DayRunner(world=copy.deepcopy(pristine), config=row.config)
+    runner = DayRunner(world=world, config=row.config)
     for day in range(runner.total_days):
         assert runner.run_next_day()["day"] == day
         store.save(fingerprint, runner.state())
@@ -123,7 +125,7 @@ def day_resume(row, request):
     return runner.datasets
 
 
-def service_restart(row, request):
+def service_restart(row, world, request):
     """A service ingests half the days; a second one resumes, ingests
     the rest and finalizes; a third resumes the finished study."""
     root = str(request.getfixturevalue("tmp_path"))
@@ -145,32 +147,32 @@ def service_restart(row, request):
     return third.runner.datasets
 
 
-def cache_hit(row, request):
+def cache_hit(row, world, request):
     """A cold run stores the study under a directory path; a warm run
     through a ``StudyCache`` on the same directory is served from it."""
     root = str(request.getfixturevalue("tmp_path") / "cache")
-    run_study(row.world(), config=row.config, cache=root)
+    run_study(world, config=row.config, cache=root)
     cache = StudyCache(root)
-    _malnet, _campaign, datasets = run_study(row.world(), config=row.config,
+    _malnet, _campaign, datasets = run_study(world, config=row.config,
                                              cache=cache)
     assert (cache.hits, cache.misses) == (1, 0)
     return datasets
 
 
 def slots(count):
-    def run(row, request):
-        return run_study(row.world(), config=row.config, workers=count)[2]
+    def run(row, world, request):
+        return run_study(world, config=row.config, workers=count)[2]
     return run
 
 
-def peers(row, request):
+def peers(row, world, request):
     """Eight units on two ``repro worker`` subprocesses."""
     fleet = request.getfixturevalue("worker_fleet")
-    return run_study(row.world(), config=row.config, peers=fleet,
+    return run_study(world, config=row.config, peers=fleet,
                      unit_count=8)[2]
 
 
-def slot_killed(row, request):
+def slot_killed(row, world, request):
     """The child of ``local[0]`` is SIGKILLed as soon as ``start()``
     returns; its unit moves to the other slot."""
     start = ShardedStudyRunner.start
@@ -185,7 +187,7 @@ def slot_killed(row, request):
     request.getfixturevalue("monkeypatch").setattr(
         ShardedStudyRunner, "start", start_then_kill)
     _malnet, _campaign, datasets = run_study(
-        row.world(), config=row.config, workers=2, unit_count=4)
+        world, config=row.config, workers=2, unit_count=4)
     (runner,) = runners
     assert [lost["worker"] for lost in
             runner.transport_stats["lost_workers"]] == ["local[0]"]
@@ -219,10 +221,53 @@ def test_serial_matches_golden(row, serial_reference):
 
 
 @pytest.mark.parametrize("row, column", CELLS)
-def test_cell_equals_serial(row, column, serial_reference, request):
+def test_cell_equals_serial(row, column, serial_reference, shared_world,
+                            request):
     _malnet, _campaign, expected = serial_reference(SEED, row.scale,
                                                     row.config)
-    actual = COLUMNS[column](row, request)
+    world = shared_world(SEED, row.scale)
+    actual = COLUMNS[column](row, world, request)
     assert actual.failed_shards == []
     diff = dataset_diff(expected, actual)
     assert diff is None, f"{column} differs from serial: {diff}"
+    assert world_fingerprint(world) == shared_world.fingerprint(world), \
+        f"{column} wrote into the shared world"
+
+
+def test_concurrent_studies_share_one_world(serial_reference, shared_world):
+    """Two studies at once on one world object, in two threads, each
+    over the same ``repro worker`` daemon: one without faults, one under
+    the heavy plan.  Each equals its serial reference, and the world is
+    unchanged."""
+    configs = {"none": FAULTS["none"], "heavy": FAULTS["heavy"]}
+    expected = {name: serial_reference(SEED, SMOKE, config)[2]
+                for name, config in configs.items()}
+    world = shared_world(SEED, SMOKE)
+    outcomes = {}
+
+    def study(name):
+        try:
+            outcomes[name] = run_study(world, config=configs[name],
+                                       peers=fleet)[2]
+        except BaseException as exc:   # re-raised in the test's thread
+            outcomes[name] = exc
+
+    procs, fleet = spawn_fleet(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(0.0005)     # interleave the two runs finely
+    try:
+        threads = [threading.Thread(target=study, args=(name,))
+                   for name in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+        stop_fleet(procs)
+    for name in configs:
+        if isinstance(outcomes[name], BaseException):
+            raise outcomes[name]
+        diff = dataset_diff(expected[name], outcomes[name])
+        assert diff is None, f"{name} run differs from serial: {diff}"
+    assert world_fingerprint(world) == shared_world.fingerprint(world)

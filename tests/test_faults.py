@@ -3,8 +3,7 @@
 Three layers of coverage:
 
 * unit: :func:`is_ip_literal` strictness, :class:`FaultInjector` purity,
-  the endpoint-parsing regressions ("1234" is a DNS name, not an IP),
-  the backbone-cap counter;
+  the endpoint-parsing regressions ("1234" is a DNS name, not an IP);
 * pipeline: a raising sample is quarantined (stub profile + counter +
   warning event) while the rest of the day proceeds; feed outages are
   backfilled by the next successful pull;
@@ -27,8 +26,6 @@ from repro.core.study import run_study
 from repro.determinism import shard_of
 from repro.netsim.addresses import ip_to_int, is_ip_literal
 from repro.netsim.faults import FAULT_PLANS, FaultInjector, FaultPlan
-from repro.netsim.internet import VirtualInternet
-from repro.netsim.packet import Packet, Protocol
 from repro.obs import create_telemetry
 from repro.world import generate_world
 
@@ -82,25 +79,6 @@ def test_ddos_country_analysis_survives_numeric_names():
     datasets.d_ddos.append(DdosRecord("999.1.1.1", "mirai", command, when=0.0))
     counts = issuing_c2_countries(datasets, world.asdb)
     assert counts == {"??": 2}
-
-
-# -- backbone cap accounting --------------------------------------------------
-
-
-def test_backbone_cap_counts_drops_and_warns_once():
-    import random
-
-    telemetry = create_telemetry()
-    internet = VirtualInternet(random.Random(0))
-    internet.backbone_limit = 2
-    internet.telemetry = telemetry
-    for i in range(5):
-        internet.send_datagram(Packet(src=1, dst=2, protocol=Protocol.UDP))
-    assert len(internet.backbone) == 2
-    assert internet.backbone_dropped == 3
-    warnings = [e for e in telemetry.events.events
-                if e["event"] == "netsim.backbone_full"]
-    assert len(warnings) == 1 and warnings[0]["limit"] == 2
 
 
 # -- fault injector determinism ----------------------------------------------
@@ -239,7 +217,7 @@ def test_feed_outage_is_backfilled_by_next_pull():
     # window the pulls around the first published entry so the recovered
     # window is guaranteed non-empty
     base = min(e.published for e in service._feed) - 900.0
-    service.faults = DownUntil(base + 2 * day)  # first two pulls fail
+    malnet.faults = DownUntil(base + 2 * day)  # first two pulls fail
     pulls = [malnet._pull_feed(service, base + i * day, base + (i + 1) * day)
              for i in range(3)]
     assert pulls[0] == [] and pulls[1] == []
@@ -247,7 +225,6 @@ def test_feed_outage_is_backfilled_by_next_pull():
     # to the cursor, so it returns everything published in [base, 3d)
     direct = [e for e in service._feed
               if base <= e.published < base + 3 * day]
-    service.faults = None
     assert pulls[2] == direct and direct
     events = telemetry.events.events
     assert len([e for e in events

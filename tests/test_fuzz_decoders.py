@@ -203,8 +203,7 @@ class TestJournalFuzz:
         store = CheckpointStore(str(tmp_path))
         with open(store.path_for(FINGERPRINT), "wb") as fh:
             fh.write(journal.blob[:journal.ends[day + 1] - 5])
-        runner = DayRunner(world=copy.deepcopy(journal.world),
-                           config=JOURNAL_CONFIG)
+        runner = DayRunner(world=journal.world, config=JOURNAL_CONFIG)
         runner.restore_state(store.load(FINGERPRINT, runner.total_days))
         assert runner.next_day == day
         runner.run_next_day()
@@ -260,7 +259,7 @@ def _canonical(state) -> tuple:
 
 def _smoke_journal(root) -> _Journal:
     world = generate_world(seed=20220322, scale=SMOKE_SCALE)
-    runner = DayRunner(world=copy.deepcopy(world), config=JOURNAL_CONFIG)
+    runner = DayRunner(world=world, config=JOURNAL_CONFIG)
     store = CheckpointStore(str(root))
     header = journal_module._header(FINGERPRINT, runner.total_days)
     ends, days, datasets = [len(header)], [_canonical(runner.state())], \

@@ -49,7 +49,7 @@ def tsunami_setup():
     binary = build_sample(config, random.Random(2))
     sandbox = CncHunterSandbox(
         random.Random(3), internet,
-        emulator=MipsEmulator(random.Random(4), activation_rate=1.0),
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     return sandbox, binary
 

@@ -52,24 +52,20 @@ class TestArmBuilds:
 
 class TestMultiArchEmulator:
     def test_default_rejects_arm(self):
-        emulator = MipsEmulator(random.Random(0))
+        emulator = MipsEmulator()
         arm = build_sample(config(), random.Random(0), arch="arm")
         with pytest.raises(EmulationError, match="ARM"):
             emulator.load(arm.data)
 
     def test_extended_emulator_loads_arm(self):
-        emulator = MipsEmulator(
-            random.Random(0), machines=frozenset({EM_MIPS, EM_ARM})
-        )
+        emulator = MipsEmulator(machines=frozenset({EM_MIPS, EM_ARM}))
         arm = build_sample(config(), random.Random(0), arch="arm")
         sha256, recovered = emulator.load(arm.data)
         assert recovered == arm.config
 
     def test_arm_bot_behaves_like_mips_bot(self):
-        emulator = MipsEmulator(
-            random.Random(0), machines=frozenset({EM_ARM}),
-            activation_rate=1.0,
-        )
+        emulator = MipsEmulator(machines=frozenset({EM_ARM}),
+                                activation_rate=1.0)
         arm = build_sample(config(), random.Random(0), arch="arm")
         process = emulator.run(arm.data, bot_ip=0x0A000002)
         assert process.bot.checkin_payload() == b"BUILD MIPS\n"

@@ -178,9 +178,6 @@ def test_runner_rejects_bad_arguments():
         with pytest.raises(TypeError):
             ShardedStudyRunner(world, workers=2,
                                transport_options={option: 1})
-    world.seed = None
-    with pytest.raises(ValueError, match="seeded world"):
-        ShardedStudyRunner(world, workers=2)
 
 
 def test_local_slots_without_fork_point_to_worker_peers(monkeypatch):
@@ -380,7 +377,7 @@ def test_start_places_the_first_wave_on_local_slots():
     try:
         placements = runner.coordinator.placements
         assert len(placements) == 2
-        # forked while the parent's world was pristine: warm first units
+        # each slot holds the parent's world from the fork on
         assert all(p["warm"] for p in placements)
     finally:
         results = runner.join()
@@ -388,8 +385,9 @@ def test_start_places_the_first_wave_on_local_slots():
 
 
 def test_first_units_run_on_the_inherited_world(monkeypatch, serial):
-    """Slots forked by ``start()`` never regenerate the world for their
-    first unit: they run on the copy they inherited from the parent."""
+    """Local slots never generate a world: every unit, not only each
+    slot's first, runs on the world the slot inherited from the parent,
+    and every placement is warm."""
     import repro.world
 
     parent = os.getpid()
@@ -402,9 +400,11 @@ def test_first_units_run_on_the_inherited_world(monkeypatch, serial):
 
     monkeypatch.setattr(repro.world, "generate_world", parent_only)
     world = generate_world(seed=SEED, scale=SMOKE)
-    runner = ShardedStudyRunner(world, workers=2)
+    runner = ShardedStudyRunner(world, workers=2, unit_count=4)
     results = runner.start().join()
     assert runner.redispatches == 0 and runner.failed_shards == []
+    placements = runner.transport_stats["placements"]
+    assert len(placements) == 4 and all(p["warm"] for p in placements)
     diff = _merged_diff([r.datasets for r in results], serial)
     assert diff is None, diff
 

@@ -43,7 +43,7 @@ def sandbox_with_internet(schedule=None, family="gafgyt"):
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
     sandbox = CncHunterSandbox(
         random.Random(4), internet,
-        emulator=MipsEmulator(random.Random(5), activation_rate=1.0),
+        emulator=MipsEmulator(activation_rate=1.0),
     )
     return sandbox, internet, server
 
@@ -52,7 +52,7 @@ class TestOfflineMode:
     def offline_sandbox(self):
         return CncHunterSandbox(
             random.Random(0),
-            emulator=MipsEmulator(random.Random(1), activation_rate=1.0),
+            emulator=MipsEmulator(activation_rate=1.0),
         )
 
     def test_detects_ip_based_c2(self):
@@ -100,10 +100,11 @@ class TestOfflineMode:
     def test_offline_captures_run_forward_in_time(self, smoke_world):
         # the scan rows continue the C2 phase's clock, so no capture (and
         # no pcap written from one) steps back in time
-        now = smoke_world.internet.clock.now
+        internet = smoke_world.internet.for_run(random.Random(2))
+        now = internet.clock.now
         sandbox = CncHunterSandbox(
-            random.Random(0), smoke_world.internet,
-            emulator=MipsEmulator(random.Random(1), activation_rate=1.0),
+            random.Random(0), internet,
+            emulator=MipsEmulator(activation_rate=1.0),
         )
         scanned = 0
         for planned in smoke_world.truth.all_samples:
@@ -120,7 +121,7 @@ class TestOfflineMode:
     def test_unactivated_sample_reported(self):
         sandbox = CncHunterSandbox(
             random.Random(0),
-            emulator=MipsEmulator(random.Random(1), activation_rate=0.0001),
+            emulator=MipsEmulator(activation_rate=0.0001),
         )
         report = sandbox.analyze_offline(build_binary().data)
         assert not report.activated

@@ -24,7 +24,7 @@ def sample(seed=0):
 
 @pytest.fixture
 def emulator():
-    return MipsEmulator(random.Random(0))
+    return MipsEmulator()
 
 
 class TestLoading:
@@ -87,11 +87,11 @@ class TestActivation:
         pytest.fail("no evading sample in 40 seeds")
 
     def test_full_activation_rate_possible(self):
-        emulator = MipsEmulator(random.Random(0), activation_rate=1.0)
+        emulator = MipsEmulator(activation_rate=1.0)
         assert all(emulator.activates(sample(s).sha256) for s in range(30))
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            MipsEmulator(random.Random(0), activation_rate=0.0)
+            MipsEmulator(activation_rate=0.0)
         with pytest.raises(ValueError):
-            MipsEmulator(random.Random(0), activation_rate=1.5)
+            MipsEmulator(activation_rate=1.5)
