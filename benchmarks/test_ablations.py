@@ -14,6 +14,7 @@ from conftest import emit
 from repro.core.probing import ProbingCampaign
 from repro.core.report import render_table
 from repro.core.study import select_probe_binaries
+from repro.netsim.internet import VirtualInternet
 from repro.sandbox.handshaker import Handshaker
 from repro.sandbox.qemu import MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
@@ -60,7 +61,7 @@ def test_ablation_handshaker_threshold(benchmark, world):
 
 
 def _probing_engagements(world, interval_hours: int):
-    internet = world.internet.for_run(random.Random(6))
+    internet = VirtualInternet(world.network, random.Random(6))
     sandbox = CncHunterSandbox(
         random.Random(4), internet,
         emulator=MipsEmulator(activation_rate=1.0),
@@ -69,7 +70,7 @@ def _probing_engagements(world, interval_hours: int):
         internet=internet, sandbox=sandbox,
         subnets=list(world.truth.probe_subnets),
         sample_binaries=select_probe_binaries(world),
-        start=world.probe_start, days=14,
+        start=world.probe_start, world_seed=world.seed, days=14,
         interval_hours=interval_hours,
     )
     campaign.run()

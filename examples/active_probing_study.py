@@ -14,6 +14,7 @@ import random
 from repro.core.probing import ProbingCampaign
 from repro.core.report import render_probe_matrix
 from repro.core.study import select_probe_binaries
+from repro.netsim import VirtualInternet
 from repro.sandbox import CncHunterSandbox, MipsEmulator
 from repro.world import StudyScale, generate_world
 
@@ -21,8 +22,9 @@ from repro.world import StudyScale, generate_world
 def main() -> None:
     scale = StudyScale(sample_fraction=0.03, probe_days=7)
     world = generate_world(seed=1312, scale=scale)
-    # the world is read-only: the campaign drives its own traffic engine
-    internet = world.internet.for_run(random.Random(6))
+    # the world is read-only data: the campaign drives its own traffic
+    # engine over the world's network
+    internet = VirtualInternet(world.network, random.Random(6))
 
     sandbox = CncHunterSandbox(
         random.Random(4), internet,
@@ -34,6 +36,7 @@ def main() -> None:
         subnets=list(world.truth.probe_subnets),
         sample_binaries=select_probe_binaries(world),
         start=world.probe_start,
+        world_seed=world.seed,
         days=scale.probe_days,
     )
     print(f"probing {len(campaign.subnets)} subnets x "

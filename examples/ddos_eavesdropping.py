@@ -21,7 +21,9 @@ from repro.analysis.ddos_detect import (
 )
 from repro.binary import BotConfig, build_sample
 from repro.botnet import AttackCommand, C2Server, get_family
-from repro.netsim import Listener, Protocol, VirtualInternet, int_to_ip, ip_to_int
+from repro.netsim import (
+    Listener, Network, Protocol, VirtualInternet, int_to_ip, ip_to_int,
+)
 from repro.sandbox import CncHunterSandbox, MipsEmulator, SANDBOX_IP
 
 C2_IP = ip_to_int("203.0.113.66")
@@ -29,10 +31,11 @@ C2_PORT = 1312
 
 
 def main() -> None:
-    internet = VirtualInternet(random.Random(0))
-    internet.add_host(SANDBOX_IP, "sandbox")
-    c2_host = internet.add_host(C2_IP, "daddyl33t-c2")
-    server = C2Server(get_family("daddyl33t"), random.Random(1))
+    network = Network()
+    internet = VirtualInternet(network, random.Random(0))
+    network.add_host(SANDBOX_IP, "sandbox")
+    c2_host = network.add_host(C2_IP, "daddyl33t-c2")
+    server = C2Server(get_family("daddyl33t"))
     c2_host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
 
     # the operator queues three attacks: two on one victim (the paper's

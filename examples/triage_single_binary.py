@@ -41,8 +41,8 @@ def main() -> None:
     print(f"  C2 string obfuscated on disk: "
           f"{b'cnc.okiru.example' not in sample.data}")
 
-    vt = VirusTotalService(random.Random(1))
-    vt.submit_sample(sample, when=0.0)
+    vt = VirusTotalService()
+    vt.submit_sample(sample, when=0.0, rng=random.Random(1))
     report = vt.scan(sample, now=0.0)
     print(f"  AV engines detecting: {report.positives}/75 "
           f"(threshold is 5)")

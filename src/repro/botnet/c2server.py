@@ -34,11 +34,16 @@ class ResponsivenessModel:
     measures this at roughly 0.09 (91% of successful probes are not
     followed by a second success 4h later).  ``p_open`` is the stationary
     probability of being reachable in any given slot.
+
+    The whole chain, from ``origin`` through the slot containing
+    ``horizon``, is drawn at construction, so reading it writes nothing;
+    a read past ``horizon`` is an error.
     """
 
     def __init__(
         self,
         seed: int,
+        horizon: float,
         p_open: float = 0.22,
         p_stay_open: float = 0.09,
         origin: float = 0.0,
@@ -47,40 +52,28 @@ class ResponsivenessModel:
             raise ValueError("p_open must be in (0, 1)")
         if not 0 <= p_stay_open <= 1:
             raise ValueError("p_stay_open must be in [0, 1]")
-        self._rng = random.Random(seed)
-        self._p_open = p_open
-        self._p_stay = p_stay_open
         # balance: pi*P(stay) + (1-pi)*P(reopen) = pi
-        self._p_reopen = p_open * (1.0 - p_stay_open) / (1.0 - p_open)
-        if self._p_reopen > 1:
+        p_reopen = p_open * (1.0 - p_stay_open) / (1.0 - p_open)
+        if p_reopen > 1:
             raise ValueError("inconsistent p_open/p_stay_open pair")
         self._origin = origin
-        self._states: list[bool] = []
+        self._horizon = horizon
+        rng = random.Random(seed)
+        states = [rng.random() < p_open]
+        for _ in range(self._slot(horizon)):
+            threshold = p_stay_open if states[-1] else p_reopen
+            states.append(rng.random() < threshold)
+        self._states = tuple(states)
 
     def _slot(self, now: float) -> int:
         return max(0, int((now - self._origin) // SLOT_SECONDS))
 
-    def _extend_to(self, slot: int) -> None:
-        while len(self._states) <= slot:
-            if not self._states:
-                self._states.append(self._rng.random() < self._p_open)
-                continue
-            previous = self._states[-1]
-            threshold = self._p_stay if previous else self._p_reopen
-            self._states.append(self._rng.random() < threshold)
-
-    def draw_until(self, when: float) -> None:
-        """Draw the chain through the slot containing ``when``, so that
-        :meth:`is_open` up to ``when`` writes nothing.  The chain is
-        drawn in slot order either way, so drawing ahead changes no
-        value."""
-        self._extend_to(self._slot(when))
-
     def is_open(self, now: float) -> bool:
         """Reachability of the server in the slot containing ``now``."""
-        slot = self._slot(now)
-        self._extend_to(slot)
-        return self._states[slot]
+        if now > self._horizon:
+            raise ValueError(
+                f"time {now} is past the chain's horizon {self._horizon}")
+        return self._states[self._slot(now)]
 
 
 @dataclass
@@ -111,13 +104,11 @@ class C2Server:
     def __init__(
         self,
         family: Family,
-        rng: random.Random,
         schedule: list[ScheduledAttack] | None = None,
     ):
         if family.dialect == C2Dialect.P2P:
             raise ValueError("P2P families have no central C2 server")
         self.family = family
-        self.rng = rng
         self.schedule = schedule or []
         self._index_schedule()
 

@@ -38,7 +38,7 @@ from ..netsim.capture import columnar_stats
 from ..netsim.faults import FaultInjector, FaultPlan, FeedUnavailable, \
     SandboxCrash
 from ..obs import LATENCY_BUCKETS, NULL_TELEMETRY, Telemetry
-from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH
+from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH, VirtualInternet
 from ..sandbox.handshaker import ExploitCapture
 from ..sandbox.qemu import EmulationError, MipsEmulator
 from ..sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
@@ -96,9 +96,9 @@ class MalNet:
 
     The world is read-only here.  Everything the run writes is its own:
     the traffic engine :attr:`internet` (clock, stream, fault and metrics
-    bindings over the world's hosts and name zones), the sandbox, the
-    fault injector and the datasets.  So any number of ``MalNet`` runs
-    can share one world, sequentially or at once.
+    bindings over the world's network), the sandbox, the fault injector
+    and the datasets.  So any number of ``MalNet`` runs can share one
+    world, sequentially or at once.
     """
 
     def __init__(self, world: World, config: PipelineConfig | None = None,
@@ -111,29 +111,6 @@ class MalNet:
         # only on (world seed, sha256) so that shard workers and the serial
         # loop draw identical streams for every sample (see _reseed_for)
         self._seed_base = world.seed
-        # both streams are reseeded per sample (and the internet's per
-        # probe slot) before their first draw; these seeds only make each
-        # run's streams its own
-        self._rng = random.Random(stable_seed("sandbox", world.seed))
-        self.internet = world.internet.for_run(
-            random.Random(stable_seed("internet", world.seed)))
-        self.telemetry.bind_sim_clock(lambda: self.internet.clock.now)
-        self._machines = frozenset(
-            ARCH_MACHINES[arch] for arch in self.config.architectures
-        )
-        self.sandbox = CncHunterSandbox(
-            self._rng, self.internet,
-            emulator=MipsEmulator(
-                activation_rate=self.config.activation_rate,
-                machines=self._machines,
-            ),
-            telemetry=self.telemetry,
-        )
-        self._seen_hashes: set[str] = set()
-        #: per-feed backfill cursor: start of the earliest window whose
-        #: pull has not succeeded yet (outage days are re-covered by the
-        #: next successful pull instead of being silently lost)
-        self._feed_cursor: dict[str, float] = {}
         metrics = self.telemetry.metrics
         # fault layer: bind one injector to every hook point.  All of its
         # decisions derive from (world seed, entity, time slot), so shard
@@ -146,10 +123,31 @@ class MalNet:
                     "fault_injections", "injected fault decisions that fired",
                     labelnames=("kind",)),
             )
-        self.internet.faults = self.faults
-        self.internet.resolver.faults = self.faults
-        self.internet.resolver.bind_metrics(metrics)
+        # both streams are reseeded per sample (and the internet's per
+        # probe slot) before their first draw; these seeds only make each
+        # run's streams its own
+        self._rng = random.Random(stable_seed("sandbox", world.seed))
+        self.internet = VirtualInternet(
+            world.network, random.Random(stable_seed("internet", world.seed)),
+            faults=self.faults, metrics=metrics)
+        self.telemetry.bind_sim_clock(lambda: self.internet.clock.now)
+        self._machines = frozenset(
+            ARCH_MACHINES[arch] for arch in self.config.architectures
+        )
+        self.sandbox = CncHunterSandbox(
+            self._rng, self.internet,
+            emulator=MipsEmulator(
+                activation_rate=self.config.activation_rate,
+                machines=self._machines,
+            ),
+            telemetry=self.telemetry,
+        )
         self.sandbox.faults = self.faults
+        self._seen_hashes: set[str] = set()
+        #: per-feed backfill cursor: start of the earliest window whose
+        #: pull has not succeeded yet (outage days are re-covered by the
+        #: next successful pull instead of being silently lost)
+        self._feed_cursor: dict[str, float] = {}
         self._m_collected = metrics.counter(
             "samples_collected", "samples surviving the daily dedup/ELF filter")
         self._m_verified = metrics.counter(

@@ -41,6 +41,10 @@ class ProbingCampaign:
     subnets: list[Subnet]
     sample_binaries: list[bytes]      # the two weaponized samples
     start: float
+    #: every slot reseeds the internet's stream from this seed, so the
+    #: campaign runs identically whether or not the daily pipeline (or
+    #: anything else) drew from that stream first
+    world_seed: int
     days: int = 14
     ports: tuple[int, ...] = PROBE_PORTS
     #: hours between probes; the paper uses 4 — the ablation bench shows
@@ -50,10 +54,6 @@ class ProbingCampaign:
     #: (address, port) pairs confirmed as C2s at least once
     discovered: set[tuple[int, int]] = field(default_factory=set)
     telemetry: Telemetry = NULL_TELEMETRY
-    #: when set, every slot reseeds the internet RNG from this value, so
-    #: the campaign runs identically whether or not the daily pipeline
-    #: (or anything else) consumed the shared stream first
-    world_seed: int | None = None
     #: time wheel over the inverted listener index: (host, port) pairs
     #: worth scanning, bucketed by the probe slots their online window
     #: overlaps — listener bindings, banners, and lifetimes are static
@@ -130,9 +130,8 @@ class ProbingCampaign:
     def _probe_slot(self, slot: int) -> None:
         with self.telemetry.tracer.span("probing.slot", slot=slot) as span:
             when = self.start + slot * self.interval_hours * 3600.0
-            if self.world_seed is not None:
-                self.internet.rng.seed(
-                    stable_seed("probe-slot", self.world_seed, slot))
+            self.internet.rng.seed(
+                stable_seed("probe-slot", self.world_seed, slot))
             clock = self.internet.clock
             if clock.now <= when:
                 clock.advance_to(when)

@@ -83,8 +83,7 @@ class VirusTotalService:
 
     feed_name = "virustotal"
 
-    def __init__(self, rng: random.Random, rules: RuleSet | None = None):
-        self._rng = rng
+    def __init__(self, rules: RuleSet | None = None):
         self.rules = rules or community_iot_rules()
         self.vendors = VendorDirectory()
         self._feed: list[FeedEntry] = []
@@ -139,11 +138,13 @@ class VirusTotalService:
 
     # -- sample feed ---------------------------------------------------------------
 
-    def submit_sample(self, sample: MalwareSample, when: float) -> FeedEntry:
-        """Someone uploads a sample; it reaches the feed with latency."""
+    def submit_sample(self, sample: MalwareSample, when: float,
+                      rng: random.Random) -> FeedEntry:
+        """Someone uploads a sample; it reaches the feed with a latency
+        drawn from ``rng`` (a re-upload draws nothing)."""
         if sample.sha256 in self._by_hash:
             return self._by_hash[sample.sha256]
-        latency = self._rng.uniform(0.0, 24 * 3600.0)  # up to 24h (§2.2)
+        latency = rng.uniform(0.0, 24 * 3600.0)  # up to 24h (§2.2)
         entry = FeedEntry(sample=sample, submitted=when, published=when + latency)
         self._feed.append(entry)
         self._by_hash[sample.sha256] = entry

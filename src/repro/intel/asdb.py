@@ -98,13 +98,12 @@ class AsDatabase:
     """Prefix-indexed AS registry over the simulated address space."""
 
     def __init__(self, rng: random.Random, tail_size: int = 100):
-        self._rng = rng
         self.records: dict[int, AsRecord] = {}
         self._prefixes: list[tuple[Subnet, int]] = []
         self._next_slash16 = 0
         for record in TOP_C2_ASES + CLOUD_ASES + VICTIM_ASES:
             self.add(record)
-        self._add_tail(tail_size)
+        self._add_tail(tail_size, rng)
 
     # -- construction --------------------------------------------------------
 
@@ -124,20 +123,20 @@ class AsDatabase:
             self._prefixes.append((self._allocate_slash16(), record.asn))
         return record
 
-    def _add_tail(self, count: int) -> None:
+    def _add_tail(self, count: int, rng: random.Random) -> None:
         used = {record.asn for record in self.records.values()}
         for index in range(count):
             asn = 64512 + index  # private-use ASN range, no collisions
             if asn in used:
                 continue
-            kind = self._rng.choice(("hosting", "isp", "isp", "business"))
+            kind = rng.choice(("hosting", "isp", "isp", "business"))
             record = AsRecord(
                 asn=asn,
                 name=f"SyntheticNet-{index:03d}",
-                country=self._rng.choice(_TAIL_COUNTRIES),
+                country=rng.choice(_TAIL_COUNTRIES),
                 kind=kind,
                 is_hosting=kind == "hosting",
-                anti_ddos=self._rng.random() < 0.5 if kind == "hosting" else None,
+                anti_ddos=rng.random() < 0.5 if kind == "hosting" else None,
             )
             self.add(record)
 

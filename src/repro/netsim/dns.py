@@ -1,4 +1,4 @@
-"""DNS wire format (A queries/responses) and an authoritative resolver.
+"""DNS wire format (A queries/responses), name zones and a resolver.
 
 IoT C2 addresses in the paper are either raw IPs or DNS names; DNS-named
 C2s get their own lifetime CDF (Figure 3) and a markedly worse TI miss
@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 QTYPE_A = 1
 QCLASS_IN = 1
@@ -149,43 +148,67 @@ def decode_message(data: bytes) -> DnsQuery | DnsResponse:
     return response
 
 
-class Resolver:
-    """Authoritative name store for the virtual Internet.
+class Zones:
+    """The registrar's record: every name's binding history.
 
     Registrations may change over time (C2 operators re-point domains when
-    a server is taken down), so lookups take the simulation time and the
-    store keeps a history of bindings per name.
+    a server is taken down), so the store keeps a history of bindings per
+    name.  A world builds its zones once; runs read them through their
+    own :class:`Resolver`.
+    """
+
+    def __init__(self, defense=None) -> None:
+        #: name -> list of (effective_from_time, address or None)
+        self._zones: dict[str, list[tuple[float, int | None]]] = {}
+        #: optional in-line defender (repro.defense.DnsDefense): observes
+        #: registrations, scores names, and vetoes blocklisted lookups
+        self.defense = defense
+
+    def register(self, name: str, address: int | None, since: float = 0.0) -> None:
+        """Bind ``name`` to ``address`` (None = withdrawn) from ``since``."""
+        history = self._zones.setdefault(name.lower(), [])
+        history.append((since, address))
+        history.sort(key=lambda item: item[0])
+        if self.defense is not None and address is not None:
+            self.defense.observe_registration(name, since)
+
+    def binding(self, name: str, now: float) -> int | None:
+        """The address ``name`` is bound to at simulation time ``now``.
+
+        A withdrawal registered at ``t`` takes effect *at* ``t`` (``since >
+        now`` keeps the newer binding), so server lifetimes are
+        end-exclusive: resolving at exactly ``online_until`` already sees
+        the takedown.
+        """
+        current: int | None = None
+        for since, address in self._zones.get(name.lower(), ()):
+            if since > now:
+                break
+            current = address
+        return current
+
+    def known_names(self) -> list[str]:
+        return sorted(self._zones)
+
+
+class Resolver:
+    """One run's backbone resolver over a world's :class:`Zones`.
+
+    It applies the zones' defender, the run's fault injector (transient
+    SERVFAIL slots make resolution retryable rather than absent) and, with
+    a metrics registry, counts every query exactly once under its outcome
+    — including SERVFAIL fault slots and defender-blocked lookups.
     """
 
     #: every lookup ends in exactly one of these outcomes
     OUTCOMES = ("resolved", "nxdomain", "servfail", "blocked")
 
-    def __init__(self) -> None:
-        #: name -> list of (effective_from_time, address or None)
-        self._zones: dict[str, list[tuple[float, int | None]]] = {}
-        #: optional fault injector (repro.netsim.faults); transient
-        #: SERVFAIL slots make resolution retryable rather than absent
-        self.faults = None
-        #: optional in-line defender (repro.defense.DnsDefense): observes
-        #: registrations, scores names, and vetoes blocklisted lookups
-        self.defense = None
+    def __init__(self, zones: Zones, faults=None, metrics=None) -> None:
+        self.zones = zones
+        self.faults = faults
         self._metrics: tuple | None = None
-
-    def for_run(self) -> "Resolver":
-        """A resolver over these zones and this defender for one run,
-        with its own fault and metrics bindings; it cannot register."""
-        run = Resolver()
-        run._zones = MappingProxyType(self._zones)
-        run.defense = self.defense
-        return run
-
-    def bind_metrics(self, metrics) -> None:
-        """Attach per-query counters to an obs metrics registry.
-
-        Every query is counted exactly once under its outcome — including
-        SERVFAIL fault slots and defender-blocked lookups, which earlier
-        code paths dropped entirely (only successes were visible).
-        """
+        if metrics is None:
+            return
         queries = metrics.counter(
             "dns_queries_total",
             "resolver queries by outcome",
@@ -205,29 +228,17 @@ class Resolver:
             ),
         )
 
-    def register(self, name: str, address: int | None, since: float = 0.0) -> None:
-        """Bind ``name`` to ``address`` (None = withdrawn) from ``since``."""
-        history = self._zones.setdefault(name.lower(), [])
-        history.append((since, address))
-        history.sort(key=lambda item: item[0])
-        if self.defense is not None and address is not None:
-            self.defense.observe_registration(name, since)
-
     def _lookup(self, name: str, now: float) -> tuple[int | None, str]:
         """Resolution plus its outcome; callers count exactly once."""
-        if self.defense is not None:
-            if self._metrics is not None and self.defense.is_dga(name):
+        defense = self.zones.defense
+        if defense is not None:
+            if self._metrics is not None and defense.is_dga(name):
                 self._metrics[2].inc()
-            if self.defense.blocked(name, now):
+            if defense.blocked(name, now):
                 return None, "blocked"
         if self.faults is not None and self.faults.dns_servfail(name, now):
             return None, "servfail"
-        history = self._zones.get(name.lower())
-        current: int | None = None
-        for since, address in history or ():
-            if since > now:
-                break
-            current = address
+        current = self.zones.binding(name, now)
         return current, ("resolved" if current is not None else "nxdomain")
 
     def _count(self, outcome: str) -> None:
@@ -239,13 +250,7 @@ class Resolver:
             blocked.inc()
 
     def resolve(self, name: str, now: float = 0.0) -> int | None:
-        """Current A record for ``name`` at simulation time ``now``.
-
-        A withdrawal registered at ``t`` takes effect *at* ``t`` (``since >
-        now`` keeps the newer binding), so server lifetimes are
-        end-exclusive: resolving at exactly ``online_until`` already sees
-        the takedown.
-        """
+        """Current A record for ``name`` at simulation time ``now``."""
         address, outcome = self._lookup(name, now)
         self._count(outcome)
         return address
@@ -261,9 +266,6 @@ class Resolver:
             # blocklisted names are sinkholed RPZ-style as NXDOMAIN
             return DnsResponse(query.transaction_id, query.name, rcode=RCODE_NXDOMAIN)
         return DnsResponse(query.transaction_id, query.name, [address])
-
-    def known_names(self) -> list[str]:
-        return sorted(self._zones)
 
 
 def random_transaction_id(rng: random.Random) -> int:

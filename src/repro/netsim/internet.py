@@ -7,10 +7,10 @@ packets with simulation time, and records what crosses it into the
 caller's per-session traces so the sandbox can produce pcaps exactly like
 a real capture interface would.
 
-A generated world's internet is read-only: each run drives traffic
-through its own engine (:meth:`VirtualInternet.for_run`), which shares the
-host table and name zones and owns the clock, the stream and the fault
-binding that traffic writes.
+A generated world holds only a :class:`Network`: its host table and name
+zones.  Each run drives traffic through its own :class:`VirtualInternet`
+over that network, which owns the clock, the stream and the fault and
+metrics bindings that traffic writes.
 
 Time is explicit.  :class:`SimClock` counts seconds from the study epoch
 (2021-03-01 00:00 UTC, matching the paper's collection window) and every
@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable, Protocol as TypingProtocol
 
 from .addresses import ephemeral_port, int_to_ip
 from .capture import Capture
-from .dns import DnsQuery, DnsResponse, Resolver, random_transaction_id
+from .dns import DnsQuery, DnsResponse, Resolver, Zones, random_transaction_id
 from .packet import Packet, Protocol, TcpFlags, icmp_packet, tcp_packet, udp_packet
 from .tcp import TcpConnection
 
@@ -49,9 +47,7 @@ class TimeWheel:
     almost all of it misses.  A wheel buckets each item under every slot
     its active window overlaps, so a query touches only the items that
     could possibly be due *now* (one dict lookup — an empty slot costs
-    O(1) regardless of how many items exist elsewhere on the timeline),
-    and :meth:`next_occupied` finds the next non-empty slot without
-    stepping through the empty ones.
+    O(1) regardless of how many items exist elsewhere on the timeline).
 
     Items are indexed by *slot*, which is coarser than their exact
     windows: callers re-check the precise predicate (``due(now)``,
@@ -61,25 +57,16 @@ class TimeWheel:
     keeps wheel-backed lookups byte-identical to the scans they replace.
     """
 
-    __slots__ = ("slot_seconds", "_slots", "_order")
+    __slots__ = ("slot_seconds", "_slots")
 
     def __init__(self, slot_seconds: float = 3600.0):
         if slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
         self.slot_seconds = slot_seconds
         self._slots: dict[int, list] = {}
-        #: sorted occupied-slot keys, rebuilt lazily after inserts
-        self._order: list[int] | None = None
 
     def slot_of(self, when: float) -> int:
         return int(when // self.slot_seconds)
-
-    def add(self, when: float, item) -> None:
-        """Index ``item`` under the slot containing ``when``."""
-        if not math.isfinite(when):
-            raise ValueError("event time must be finite")
-        self._slots.setdefault(self.slot_of(when), []).append(item)
-        self._order = None
 
     def add_window(self, start: float, end: float, item) -> None:
         """Index ``item`` under every slot overlapping ``[start, end)``.
@@ -100,26 +87,10 @@ class TimeWheel:
         slots = self._slots
         for slot in range(first, last + 1):
             slots.setdefault(slot, []).append(item)
-        self._order = None
 
     def items_at(self, when: float):
         """Candidates indexed under the slot containing ``when``."""
         return self._slots.get(self.slot_of(when), _EMPTY_SLOT)
-
-    def next_occupied(self, when: float) -> float | None:
-        """Start time of the first occupied slot at or after ``when``.
-
-        ``None`` when nothing is scheduled from ``when`` onward.  Uses a
-        lazily cached sorted key list, so skipping any number of empty
-        slots costs one bisect instead of one advance per slot.
-        """
-        order = self._order
-        if order is None:
-            order = self._order = sorted(self._slots)
-        index = bisect_left(order, self.slot_of(when))
-        if index == len(order):
-            return None
-        return order[index] * self.slot_seconds
 
     def __len__(self) -> int:
         """Number of occupied slots."""
@@ -127,52 +98,10 @@ class TimeWheel:
 
 
 class SimClock:
-    """Monotonic simulation clock in seconds since the Unix epoch.
+    """Monotonic simulation clock in seconds since the Unix epoch."""
 
-    The clock optionally carries a :class:`TimeWheel` of pending events
-    (:meth:`schedule`), letting consumers jump straight to the next
-    occupied slot (:meth:`advance_to_next_event`) instead of advancing
-    through empty time slot by slot.
-    """
-
-    def __init__(self, start: float = STUDY_EPOCH,
-                 slot_seconds: float = 3600.0):
+    def __init__(self, start: float = STUDY_EPOCH):
         self._now = start
-        self._slot_seconds = slot_seconds
-        self._wheel: TimeWheel | None = None
-
-    @property
-    def wheel(self) -> TimeWheel:
-        """The event wheel, created on first use."""
-        if self._wheel is None:
-            self._wheel = TimeWheel(self._slot_seconds)
-        return self._wheel
-
-    def schedule(self, when: float, item) -> None:
-        """Register a pending event for :meth:`advance_to_next_event`."""
-        self.wheel.add(when, item)
-
-    def pending(self):
-        """Events indexed under the slot containing the current time."""
-        if self._wheel is None:
-            return _EMPTY_SLOT
-        return self._wheel.items_at(self._now)
-
-    def advance_to_next_event(self, limit: float) -> float:
-        """Jump to the next occupied slot's start, capped at ``limit``.
-
-        With no event scheduled before ``limit`` the clock lands exactly
-        on ``limit``; the clock never moves backwards.
-        """
-        if limit < self._now:
-            raise ValueError("clock cannot go backwards")
-        target = None if self._wheel is None \
-            else self._wheel.next_occupied(self._now)
-        if target is None or target > limit:
-            target = limit
-        if target > self._now:
-            self._now = target
-        return self._now
 
     @property
     def now(self) -> float:
@@ -189,10 +118,6 @@ class SimClock:
             raise ValueError("clock cannot go backwards")
         self._now = when
         return self._now
-
-    def day_number(self, epoch: float = STUDY_EPOCH) -> int:
-        """Whole days elapsed since the study epoch."""
-        return int((self._now - epoch) // SECONDS_PER_DAY)
 
     def rewind(self, when: float) -> float:
         """Set the clock backwards.
@@ -340,48 +265,51 @@ class ClientSession:
         self._inbox.extend(data)
 
 
-class VirtualInternet:
-    """Routes packets between hosts and records observable traffic."""
+class Network:
+    """A world's topology: its hosts and its name zones.
 
-    #: nominal one-way delay applied between request and response
-    LATENCY = 0.02
+    The world generator builds it and no run writes it: each run drives
+    traffic over it through its own :class:`VirtualInternet`, so any
+    number of runs can share one network, in threads or forked processes.
+    """
 
-    def __init__(self, rng: random.Random, clock: SimClock | None = None):
-        self.rng = rng
-        self.clock = clock or SimClock()
+    def __init__(self) -> None:
         self.hosts: dict[int, Host] = {}
-        self.resolver = Resolver()
-        #: optional fault injector (repro.netsim.faults)
-        self.faults = None
-
-    def for_run(self, rng: random.Random) -> "VirtualInternet":
-        """A traffic engine for one run over this internet.
-
-        The engine shares the host table and the resolver's name zones
-        read-only (it cannot add hosts), and owns what traffic writes: a
-        clock at the study epoch, the stream ``rng``, and its fault and
-        metrics bindings.  Any number of engines can drive one internet
-        at once, in threads or forked processes.
-        """
-        engine = VirtualInternet(rng)
-        engine.hosts = MappingProxyType(self.hosts)
-        engine.resolver = self.resolver.for_run()
-        return engine
-
-    # -- topology -----------------------------------------------------------
+        self.zones = Zones()
 
     def add_host(self, address: int, name: str = "") -> Host:
         if address in self.hosts:
             raise ValueError(f"duplicate host {int_to_ip(address)}")
-        host = Host(address, name)
-        self.hosts[address] = host
+        host = self.hosts[address] = Host(address, name)
         return host
 
     def host(self, address: int) -> Host | None:
         return self.hosts.get(address)
 
-    def ensure_host(self, address: int) -> Host:
-        return self.hosts.get(address) or self.add_host(address)
+
+class VirtualInternet:
+    """One run's traffic engine: routes packets between the hosts of a
+    :class:`Network` and records observable traffic.
+
+    The network is only read.  What traffic writes is the run's own: a
+    clock at the study epoch, the stream ``rng``, and a resolver over the
+    network's zones bound to the run's fault injector and metrics.
+    """
+
+    #: nominal one-way delay applied between request and response
+    LATENCY = 0.02
+
+    def __init__(self, network: Network, rng: random.Random,
+                 faults=None, metrics=None):
+        self._hosts = network.hosts
+        self.rng = rng
+        self.clock = SimClock()
+        #: optional fault injector (repro.netsim.faults)
+        self.faults = faults
+        self.resolver = Resolver(network.zones, faults, metrics)
+
+    def host(self, address: int) -> Host | None:
+        return self._hosts.get(address)
 
     # -- recording ------------------------------------------------------------
 
@@ -403,7 +331,7 @@ class VirtualInternet:
         if self.faults is not None and self.faults.packet_lost(
                 pkt.dst, pkt.timestamp):
             return []  # lost in transit: recorded at the source, never delivered
-        host = self.hosts.get(pkt.dst)
+        host = self._hosts.get(pkt.dst)
         if host is None or not host.is_online(pkt.timestamp):
             return []
         replies: list[Packet] = []
@@ -477,7 +405,7 @@ class VirtualInternet:
         if self.faults is not None and self.faults.connection_fails(
                 server_ip, now):
             return None  # SYN lost in a fault window: silent timeout
-        host = self.hosts.get(server_ip)
+        host = self._hosts.get(server_ip)
         if host is None or not host.is_online(now):
             return None  # silent drop: no host there
         listener = host.listener(Protocol.TCP, server_port)
@@ -571,14 +499,3 @@ class VirtualInternet:
             self._record(reply, server.trace)
             server.conn.receive(reply)
         client.closed = True
-
-    # -- probing helpers ------------------------------------------------------
-
-    def port_is_open(self, server_ip: int, port: int, now: float | None = None) -> bool:
-        """Whether a SYN to ``server_ip:port`` would elicit a SYN-ACK."""
-        when = self.clock.now if now is None else now
-        host = self.hosts.get(server_ip)
-        if host is None or not host.is_online(when):
-            return False
-        listener = host.listener(Protocol.TCP, port)
-        return listener is not None and listener.accepts(when)

@@ -1,7 +1,7 @@
 """WorldGenerator: one year of IoT malware activity, calibrated to MalNet.
 
-Builds the closed world the pipeline measures: the virtual Internet with
-its AS-structured address space, C2 servers with lifespans and schedules,
+Builds the closed world the pipeline measures: the network with its
+AS-structured address space, C2 servers with lifespans and schedules,
 malware campaigns whose binaries flow into the VirusTotal/MalwareBazaar
 feeds, downloader servers, threat-intel knowledge, DDoS attack plans, and
 the probe-able subnets of the D-PC2 experiment.
@@ -35,9 +35,9 @@ from ..intel.vendors import IocIntel
 from ..netsim.addresses import AddressAllocator, Subnet, int_to_ip
 from ..netsim.internet import (
     Listener,
+    Network,
     SECONDS_PER_DAY,
     STUDY_EPOCH,
-    VirtualInternet,
 )
 from ..netsim.packet import Protocol
 from . import calibration as cal
@@ -59,13 +59,14 @@ ANALYSIS_HOUR_OFFSET = 12 * 3600.0  # daily analysis batch starts at 12:00
 class World:
     """The generated closed world handed to the pipeline.
 
-    A value: no run writes to it.  Each run drives traffic through its
-    own engine (:meth:`VirtualInternet.for_run`) and passes its own fault
-    injector to the feeds, so one world serves any number of runs,
-    threads and forked processes.
+    A value: data only, and no run writes to it.  It holds no traffic
+    engine, clock or random stream: each run builds its own
+    :class:`~repro.netsim.internet.VirtualInternet` over :attr:`network`
+    and passes its own fault injector to the feeds, so one world serves
+    any number of runs, threads and forked processes.
     """
 
-    internet: VirtualInternet
+    network: Network
     asdb: AsDatabase
     vt: VirusTotalService
     bazaar: MalwareBazaarService
@@ -90,10 +91,14 @@ class WorldGenerator:
         self.seed = seed
         self.scale = scale or cal.FULL_SCALE
         self.rng = random.Random(seed)
-        self.internet = VirtualInternet(random.Random(seed + 1))
+        self.network = Network()
         self.asdb = AsDatabase(random.Random(seed + 2))
-        self.vt = VirusTotalService(random.Random(seed + 3))
-        self.bazaar = MalwareBazaarService(random.Random(seed + 4))
+        self.vt = VirusTotalService()
+        self.bazaar = MalwareBazaarService()
+        #: the feeds' publication-latency streams: generation draws them,
+        #: the world keeps only the entries they produced
+        self._vt_rng = random.Random(seed + 3)
+        self._bazaar_rng = random.Random(seed + 4)
         self.allocator = AddressAllocator(random.Random(seed + 5))
         self.truth = GroundTruth()
         self._sample_budget = self.scale.total_samples
@@ -115,7 +120,7 @@ class WorldGenerator:
         if self.scale.dga:
             # the defender watches the registrar feed, so it must be in
             # place before the first domain registration
-            self.internet.resolver.defense = DnsDefense(seed=self.seed)
+            self.network.zones.defense = DnsDefense(seed=self.seed)
         self._create_downloader_only_hosts()
         self._create_p2p_bootstrap()
         self._plan_attack_campaigns()
@@ -124,7 +129,7 @@ class WorldGenerator:
         self._register_intel()
         probe_start = self._plan_probing_world()
         return World(
-            internet=self.internet, asdb=self.asdb, vt=self.vt,
+            network=self.network, asdb=self.asdb, vt=self.vt,
             bazaar=self.bazaar, truth=self.truth, scale=self.scale,
             seed=self.seed, probe_start=probe_start,
         )
@@ -200,7 +205,7 @@ class WorldGenerator:
         for _ in range(cal.DOWNLOADER_NOT_C2):
             asn = self._pick_c2_asn(week=1)
             address = self.asdb.allocate_address(asn, self.allocator, self.rng)
-            host = self.internet.add_host(address, name="downloader")
+            host = self.network.add_host(address, name="downloader")
             host.bind(Listener(port=cal.DOWNLOADER_PORT, protocol=Protocol.TCP,
                                service=DownloaderHttp()))
             self._dedicated_downloaders.append(address)
@@ -211,7 +216,7 @@ class WorldGenerator:
         for _ in range(3):
             asn = self.rng.choice(list(self.asdb.records))
             address = self.asdb.allocate_address(asn, self.allocator, self.rng)
-            self.internet.add_host(address, name="dht-bootstrap")
+            self.network.add_host(address, name="dht-bootstrap")
             self._bootstrap_peers.append(f"{int_to_ip(address)}:6881")
 
     # -- C2 deployment ----------------------------------------------------------------
@@ -234,11 +239,14 @@ class WorldGenerator:
         domain = None
         if self.rng.random() < cal.DNS_C2_FRACTION:
             domain = self._make_domain()
-            self.internet.resolver.register(domain, address, since=online_from)
-            self.internet.resolver.register(domain, None, since=online_until)
-        host = self.internet.add_host(address, name=f"c2-{family}")
+            self.network.zones.register(domain, address, since=online_from)
+            self.network.zones.register(domain, None, since=online_until)
+        host = self.network.add_host(address, name=f"c2-{family}")
         host.set_lifetime(online_from, online_until)
-        server = C2Server(get_family(family), random.Random(self.rng.getrandbits(32)))
+        # a discarded word: drawing it keeps every later draw of the
+        # generator stream, and so every dataset digest, where it is
+        self.rng.getrandbits(32)
+        server = C2Server(get_family(family))
         host.bind(Listener(port=port, protocol=Protocol.TCP, service=server))
         # most C2 hosts co-host the loader-distribution service on port 80
         host.bind(Listener(port=cal.DOWNLOADER_PORT, protocol=Protocol.TCP,
@@ -285,7 +293,7 @@ class WorldGenerator:
             )
             start = generations[-1][2]
             end = start + self.rng.uniform(*cal.DGA_GENERATION_DAYS) * SECONDS_PER_DAY
-            host = self.internet.add_host(
+            host = self.network.add_host(
                 address, name=f"c2-{family}-gen{index + 1}"
             )
             host.set_lifetime(start, end)
@@ -327,8 +335,8 @@ class WorldGenerator:
                 until = min(day_end, active[2])
                 if until <= since:
                     continue
-                self.internet.resolver.register(domain, active[0], since=since)
-                self.internet.resolver.register(domain, None, since=until)
+                self.network.zones.register(domain, active[0], since=since)
+                self.network.zones.register(domain, None, since=until)
                 deployment.dga_domains.append((day, domain))
 
     # -- campaign planning ----------------------------------------------------------------
@@ -414,9 +422,9 @@ class WorldGenerator:
                 submitted_to_bazaar=self.rng.random() < 0.5,
             )
             campaign.samples.append(planned)
-            self.vt.submit_sample(sample, submit)
+            self.vt.submit_sample(sample, submit, self._vt_rng)
             if planned.submitted_to_bazaar:
-                self.bazaar.submit_sample(sample, submit)
+                self.bazaar.submit_sample(sample, submit, self._bazaar_rng)
             self._sample_budget -= 1
 
     def _pick_downloader(self, deployment: C2Deployment) -> str:
@@ -481,7 +489,7 @@ class WorldGenerator:
             # the collector's MIPS filter drops chaff before any labeling
             fake = MalwareSample(data=data, config=BotConfig(family="mirai"),
                                  family="mirai", variant="chaff")
-            self.vt.submit_sample(fake, when)
+            self.vt.submit_sample(fake, when, self._vt_rng)
             self.truth.chaff_hashes.add(fake.sha256)
 
     # -- attack plan ----------------------------------------------------------------------
@@ -654,7 +662,7 @@ class WorldGenerator:
                     or needed_from < deployment.online_from):
                 deployment.online_from = min(deployment.online_from, needed_from)
                 deployment.online_until = max(deployment.online_until, needed_until)
-                host = self.internet.host(deployment.address)
+                host = self.network.host(deployment.address)
                 host.set_lifetime(deployment.online_from, deployment.online_until)
             real_method = "udp" if method == "dns" else method
             command = AttackCommand(
@@ -718,19 +726,19 @@ class WorldGenerator:
             subnet = subnets[index % len(subnets)]
             address = self.allocator.allocate(subnet)
             port = self.rng.choice(cal.PROBE_PORTS)
-            host = self.internet.add_host(address, name=f"probed-c2-{index}")
+            host = self.network.add_host(address, name=f"probed-c2-{index}")
             host.set_lifetime(probe_start - SECONDS_PER_DAY, probe_end)
+            # the host is offline from probe_end on, so no probe reads
+            # the chain past it
             model = ResponsivenessModel(
                 seed=self.seed * 1000 + index,
+                horizon=probe_end,
                 p_open=cal.PROBED_P_OPEN,
                 p_stay_open=cal.PROBED_P_STAY,
                 origin=probe_start,
             )
-            # the host is offline from probe_end on, so no probe reads
-            # past it: the chain is complete and runs only read it
-            model.draw_until(probe_end)
-            server = C2Server(get_family(family),
-                              random.Random(self.rng.getrandbits(32)))
+            self.rng.getrandbits(32)  # see _deploy_c2
+            server = C2Server(get_family(family))
             host.bind(Listener(port=port, protocol=Protocol.TCP,
                                service=server, accepts=model.is_open))
             deployment = C2Deployment(
@@ -755,7 +763,7 @@ class WorldGenerator:
         for subnet in subnets:
             for _ in range(2):
                 address = self.allocator.allocate(subnet)
-                host = self.internet.add_host(address, name="decoy-web")
+                host = self.network.add_host(address, name="decoy-web")
                 service = DownloaderHttp()
                 host.bind(Listener(
                     port=self.rng.choice(cal.PROBE_PORTS),

@@ -37,8 +37,10 @@ MID = StudyScale(sample_fraction=0.3, probe_days=14,
 _MEMO_ATTRS = {VendorDirectory: {"_tables", "_earliest"}}
 
 
-def world_fingerprint(world) -> str:
-    """sha256 over every attribute reachable from ``world``.
+def walk_world(world) -> tuple[list[str], list]:
+    """Walk every attribute reachable from ``world``: returns the token
+    stream :func:`world_fingerprint` hashes and every object the walk
+    entered (anything but a primitive, a type, a function or a module).
 
     The walk reads ``__dict__``/``__slots__`` attributes and container
     items, not a pickle, so no pickling hook can hide state from it;
@@ -47,7 +49,7 @@ def world_fingerprint(world) -> str:
     """
     tokens: list[str] = []
     seen: dict[int, int] = {}
-    alive = []            # visited objects keep their ids unique
+    entered = []          # visited objects keep their ids unique
 
     def walk(obj):
         if isinstance(obj, (bytes, bytearray)):
@@ -62,7 +64,7 @@ def world_fingerprint(world) -> str:
             tokens.append("@%d" % seen[id(obj)])
         else:
             seen[id(obj)] = len(seen)
-            alive.append(obj)
+            entered.append(obj)
             tokens.append("<%s>" % type(obj).__qualname__)
             walk_items(obj)
 
@@ -99,6 +101,13 @@ def world_fingerprint(world) -> str:
                 walk(attrs[name])
 
     walk(world)
+    return tokens, entered
+
+
+def world_fingerprint(world) -> str:
+    """sha256 over every attribute reachable from ``world``
+    (:func:`walk_world`)."""
+    tokens, _entered = walk_world(world)
     return hashlib.sha256("\x1f".join(tokens).encode()).hexdigest()
 
 

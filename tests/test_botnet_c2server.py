@@ -18,8 +18,9 @@ from repro.botnet.protocols import gafgyt, irc, mirai
 from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.capture import Capture
-from repro.netsim.internet import Listener, VirtualInternet
+from repro.netsim.internet import Listener, Network, VirtualInternet
 from repro.netsim.packet import Protocol
+from repro.world.calibration import PROBED_P_OPEN, PROBED_P_STAY
 
 BOT_IP = ip_to_int("198.51.100.77")
 C2_IP = ip_to_int("203.0.113.10")
@@ -54,16 +55,16 @@ class InternetAdapter:
 
 
 def build_world(family_name, schedule=None):
-    rng = random.Random(7)
-    internet = VirtualInternet(random.Random(8))
-    internet.add_host(BOT_IP, "sandbox")
-    host = internet.add_host(C2_IP, "c2")
-    server = C2Server(get_family(family_name), rng, schedule=schedule)
+    network = Network()
+    network.add_host(BOT_IP, "sandbox")
+    host = network.add_host(C2_IP, "c2")
+    server = C2Server(get_family(family_name), schedule=schedule)
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
     config = BotConfig(
         family=family_name, c2_host=int_to_ip(C2_IP), c2_port=C2_PORT,
     )
     bot = Bot(config, BOT_IP, random.Random(9))
+    internet = VirtualInternet(network, random.Random(8))
     return internet, server, bot, InternetAdapter(internet, BOT_IP)
 
 
@@ -77,7 +78,7 @@ class TestCheckins:
 
     def test_p2p_family_has_no_c2_server(self):
         with pytest.raises(ValueError):
-            C2Server(get_family("mozi"), random.Random(0))
+            C2Server(get_family("mozi"))
 
     def test_mirai_server_acks_handshake(self):
         _, _, bot, adapter = build_world("mirai")
@@ -128,13 +129,64 @@ class TestAttackDelivery:
         assert bot.server_bytes.count(sent) == 1
 
 
+class LazyChain:
+    """Frozen reference: the chain as it was drawn before the model drew
+    it whole at construction — one slot at a time, extended on a read."""
+
+    def __init__(self, seed, p_open=0.22, p_stay_open=0.09, origin=0.0):
+        self._rng = random.Random(seed)
+        self._p_open = p_open
+        self._p_stay = p_stay_open
+        self._p_reopen = p_open * (1.0 - p_stay_open) / (1.0 - p_open)
+        self._origin = origin
+        self._states = []
+
+    def is_open(self, now):
+        slot = max(0, int((now - self._origin) // SLOT_SECONDS))
+        while len(self._states) <= slot:
+            if not self._states:
+                self._states.append(self._rng.random() < self._p_open)
+                continue
+            previous = self._states[-1]
+            threshold = self._p_stay if previous else self._p_reopen
+            self._states.append(self._rng.random() < threshold)
+        return self._states[slot]
+
+
 class TestResponsivenessModel:
+    @pytest.mark.parametrize("seed", [0, 7, 20220322006, 2**61 + 5])
+    @pytest.mark.parametrize("params", [(0.22, 0.09),
+                                        (PROBED_P_OPEN, PROBED_P_STAY)])
+    @pytest.mark.parametrize("slots", [0, 1, 36, 97])
+    def test_chain_matches_lazy_reference(self, seed, params, slots):
+        """The chain drawn at construction equals the lazily extended
+        one at every slot up to the horizon, read in any order."""
+        origin = 1_614_556_800.0 + 3 * 86400.0
+        horizon = origin + slots * SLOT_SECONDS + 0.5
+        model = ResponsivenessModel(seed, horizon, *params, origin=origin)
+        reference = LazyChain(seed, *params, origin=origin)
+        times = [origin - 86400.0, horizon]
+        times += [origin + i * SLOT_SECONDS + offset
+                  for i in range(slots + 1) for offset in (0.0, 0.5)]
+        random.Random(seed).shuffle(times)
+        assert ([model.is_open(t) for t in times]
+                == [reference.is_open(t) for t in times])
+
+    def test_read_past_horizon_refused(self):
+        horizon = 10 * SLOT_SECONDS
+        model = ResponsivenessModel(3, horizon)
+        assert model.is_open(horizon) == LazyChain(3).is_open(horizon)
+        with pytest.raises(ValueError):
+            model.is_open(horizon + 1.0)
+        with pytest.raises(ValueError):
+            model.is_open(horizon + 1000 * SLOT_SECONDS)
+
     def test_rarely_responds_twice_in_a_row(self):
         """Calibration target: ~91% of successes not repeated 4h later."""
         repeats = 0
         successes = 0
         for seed in range(300):
-            model = ResponsivenessModel(seed)
+            model = ResponsivenessModel(seed, 83 * SLOT_SECONDS)
             states = [model.is_open(i * SLOT_SECONDS) for i in range(84)]
             for a, b in zip(states, states[1:]):
                 if a:
@@ -146,38 +198,39 @@ class TestResponsivenessModel:
         assert 0.04 < rate < 0.15  # paper: 0.09
 
     def test_stationary_open_fraction(self):
-        model = ResponsivenessModel(1)
+        model = ResponsivenessModel(1, 4999 * SLOT_SECONDS)
         states = [model.is_open(i * SLOT_SECONDS) for i in range(5000)]
         fraction = sum(states) / len(states)
         assert 0.15 < fraction < 0.30  # configured pi = 0.22
 
     def test_deterministic_given_seed(self):
-        a = ResponsivenessModel(5)
-        b = ResponsivenessModel(5)
+        a = ResponsivenessModel(5, 49 * SLOT_SECONDS)
+        b = ResponsivenessModel(5, 49 * SLOT_SECONDS)
         times = [i * SLOT_SECONDS for i in range(50)]
         assert [a.is_open(t) for t in times] == [b.is_open(t) for t in times]
 
     def test_constant_within_slot(self):
-        model = ResponsivenessModel(2)
+        model = ResponsivenessModel(2, 11 * SLOT_SECONDS)
         base = 10 * SLOT_SECONDS
         assert model.is_open(base) == model.is_open(base + SLOT_SECONDS - 1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ResponsivenessModel(0, p_open=0.0)
+            ResponsivenessModel(0, 0.0, p_open=0.0)
         with pytest.raises(ValueError):
-            ResponsivenessModel(0, p_open=0.99, p_stay_open=0.0)
+            ResponsivenessModel(0, 0.0, p_open=0.99, p_stay_open=0.0)
         with pytest.raises(ValueError):
-            ResponsivenessModel(0, p_stay_open=1.5)
+            ResponsivenessModel(0, 0.0, p_stay_open=1.5)
 
 
 class TestDownloader:
     def test_serves_files(self):
-        internet = VirtualInternet(random.Random(0))
-        internet.add_host(BOT_IP)
-        host = internet.add_host(C2_IP)
+        network = Network()
+        network.add_host(BOT_IP)
+        host = network.add_host(C2_IP)
         downloader = DownloaderHttp({"8UsA.sh": b"#!/bin/sh\necho pwned\n"})
         host.bind(Listener(port=80, protocol=Protocol.TCP, service=downloader))
+        internet = VirtualInternet(network, random.Random(0))
         session = internet.tcp_connect(BOT_IP, C2_IP, 80)
         session.send(b"GET /8UsA.sh HTTP/1.0\r\n\r\n")
         reply = session.recv()

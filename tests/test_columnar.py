@@ -26,7 +26,7 @@ from repro.netsim.capture import (
     columnar_stats,
 )
 from repro.netsim.flows import FlowTable
-from repro.netsim.internet import STUDY_EPOCH, SimClock, TimeWheel
+from repro.netsim.internet import STUDY_EPOCH, TimeWheel
 from repro.netsim.packet import TcpFlags, tcp_packet, udp_packet
 
 _FLAG_CHOICES = (
@@ -223,33 +223,8 @@ def test_wheel_rejects_unbounded_windows():
     wheel = TimeWheel(10.0)
     with pytest.raises(ValueError):
         wheel.add_window(0.0, float("inf"), "x")
-    with pytest.raises(ValueError):
-        wheel.add(float("nan"), "x")
     wheel.add_window(5.0, 5.0, "noop")    # empty window: silently skipped
     assert len(wheel) == 0
-
-
-def test_clock_skips_empty_slots():
-    clock = SimClock(start=0.0, slot_seconds=60.0)
-    clock.schedule(600.0, "later")
-    assert clock.pending() == ()
-    assert clock.advance_to_next_event(limit=10_000.0) == 600.0
-    assert list(clock.pending()) == ["later"]
-    # the current slot is still the next occupied one: the clock stays put
-    assert clock.advance_to_next_event(limit=700.0) == 600.0
-    # past the occupied slot, nothing pending: land exactly on the limit
-    clock.advance_to(660.0)
-    assert clock.advance_to_next_event(limit=700.0) == 700.0
-    with pytest.raises(ValueError):
-        clock.advance_to_next_event(limit=0.0)
-
-
-def test_next_occupied_after_everything():
-    wheel = TimeWheel(60.0)
-    wheel.add(120.0, "x")
-    assert wheel.next_occupied(0.0) == 120.0
-    assert wheel.next_occupied(120.0) == 120.0
-    assert wheel.next_occupied(181.0) is None
 
 
 # -- the XL scale --------------------------------------------------------------

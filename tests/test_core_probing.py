@@ -2,6 +2,7 @@
 
 import random
 
+from repro.netsim.internet import VirtualInternet
 from repro.world.calibration import PROBED_C2_COUNT
 
 
@@ -14,7 +15,7 @@ class TestDiscovery:
 
     def test_decoys_not_discovered(self, mid_study):
         world, _malnet, campaign, _ds = mid_study
-        decoys = {h.address for h in world.internet.hosts.values()
+        decoys = {h.address for h in world.network.hosts.values()
                   if h.name == "decoy-web"}
         assert not {addr for addr, _p in campaign.discovered} & decoys
 
@@ -69,8 +70,9 @@ class TestResponseMatrix:
         from repro.core.probing import ProbingCampaign
 
         campaign = ProbingCampaign(
-            internet=smoke_world.internet.for_run(random.Random(0)),
+            internet=VirtualInternet(smoke_world.network, random.Random(0)),
             sandbox=None, subnets=[],
-            sample_binaries=[], start=0.0, days=0,
+            sample_binaries=[], start=0.0, world_seed=smoke_world.seed,
+            days=0,
         )
         assert campaign.repeat_response_rate() == 0.0

@@ -16,7 +16,7 @@ from repro.botnet.c2server import C2Server
 from repro.botnet.families import get_family
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.capture import Capture
-from repro.netsim.internet import Listener, VirtualInternet
+from repro.netsim.internet import Listener, Network, VirtualInternet
 from repro.netsim.packet import Protocol
 from repro.sandbox.qemu import MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
@@ -36,10 +36,11 @@ def build_probe(family):
 
 
 def sandbox_with_c2(server_family):
-    internet = VirtualInternet(random.Random(0))
-    internet.add_host(SANDBOX_IP)
-    host = internet.add_host(C2_IP)
-    server = C2Server(get_family(server_family), random.Random(1))
+    network = Network()
+    internet = VirtualInternet(network, random.Random(0))
+    network.add_host(SANDBOX_IP)
+    host = network.add_host(C2_IP)
+    server = C2Server(get_family(server_family))
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
     sandbox = CncHunterSandbox(
         random.Random(2), internet,
@@ -91,10 +92,11 @@ class TestDialectMatching:
 class TestServerJunkTolerance:
     @pytest.mark.parametrize("family", DIALECT_FAMILIES)
     def test_junk_bytes_do_not_crash_server(self, family):
-        internet = VirtualInternet(random.Random(0))
-        internet.add_host(SANDBOX_IP)
-        host = internet.add_host(C2_IP)
-        server = C2Server(get_family(family), random.Random(1))
+        network = Network()
+        internet = VirtualInternet(network, random.Random(0))
+        network.add_host(SANDBOX_IP)
+        host = network.add_host(C2_IP)
+        server = C2Server(get_family(family))
         host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP,
                            service=server))
         session = internet.tcp_connect(SANDBOX_IP, C2_IP, C2_PORT)

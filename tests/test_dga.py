@@ -26,7 +26,7 @@ from repro.defense import (
     DomainScorer,
 )
 from repro.determinism import stable_unit
-from repro.netsim.dns import DnsQuery, RCODE_SERVFAIL, Resolver, encode_name
+from repro.netsim.dns import DnsQuery, RCODE_SERVFAIL, Resolver, Zones, encode_name
 from repro.obs.metrics import MetricsRegistry
 from repro.world import SMOKE_SCALE, generate_world
 
@@ -185,17 +185,16 @@ class _AlwaysServfail:
 
 class TestResolverDefenseWiring:
     def _resolver(self):
-        resolver = Resolver()
-        resolver.defense = DnsDefense(seed=SEED)
         metrics = MetricsRegistry()
-        resolver.bind_metrics(metrics)
+        resolver = Resolver(Zones(DnsDefense(seed=SEED)), metrics=metrics)
         return resolver, metrics
 
     def test_blocked_lookup_counted(self):
         resolver, metrics = self._resolver()
-        name = _dga_name(resolver.defense)
-        resolver.register(name, 0x01020304, since=0.0)
-        blocked_from = resolver.defense.decision_for(name).blocked_from
+        zones = resolver.zones
+        name = _dga_name(zones.defense)
+        zones.register(name, 0x01020304, since=0.0)
+        blocked_from = zones.defense.decision_for(name).blocked_from
         assert resolver.resolve(name, now=0.0) == 0x01020304
         assert resolver.resolve(name, now=blocked_from + 1.0) is None
         assert metrics.value("dns_queries_total", outcome="resolved") == 1
@@ -205,7 +204,7 @@ class TestResolverDefenseWiring:
 
     def test_benign_lookup_not_counted_as_dga(self):
         resolver, metrics = self._resolver()
-        resolver.register("cnc42.xyz", 0x01020304, since=0.0)
+        resolver.zones.register("cnc42.xyz", 0x01020304, since=0.0)
         assert resolver.resolve("cnc42.xyz", now=10.0) == 0x01020304
         assert metrics.value("dga_domains_total") == 0
         assert metrics.value("dns_blocked_total") == 0
@@ -217,18 +216,18 @@ class TestResolverDefenseWiring:
 
     def test_blocked_answer_is_nxdomain_sinkhole(self):
         resolver, _ = self._resolver()
-        name = _dga_name(resolver.defense)
-        resolver.register(name, 0x01020304, since=0.0)
-        blocked_from = resolver.defense.decision_for(name).blocked_from
+        zones = resolver.zones
+        name = _dga_name(zones.defense)
+        zones.register(name, 0x01020304, since=0.0)
+        blocked_from = zones.defense.decision_for(name).blocked_from
         response = resolver.answer(DnsQuery(5, name), now=blocked_from + 1.0)
         assert response.is_nxdomain
 
     def test_servfail_still_counted(self):
-        resolver = Resolver()
+        zones = Zones()
+        zones.register("c2.example", 0x01020304, since=0.0)
         metrics = MetricsRegistry()
-        resolver.bind_metrics(metrics)
-        resolver.faults = _AlwaysServfail()
-        resolver.register("c2.example", 0x01020304, since=0.0)
+        resolver = Resolver(zones, _AlwaysServfail(), metrics)
         assert resolver.resolve("c2.example", now=10.0) is None
         response = resolver.answer(DnsQuery(9, "c2.example"), now=10.0)
         assert response.rcode == RCODE_SERVFAIL
@@ -250,8 +249,7 @@ class TestDgaWorld:
             assert deployment.dga_domains
 
     def test_registered_domains_live_in_the_zone(self, dga_world):
-        resolver = dga_world.internet.resolver
-        known = set(resolver.known_names())
+        known = set(dga_world.network.zones.known_names())
         for deployment in dga_world.truth.deployments:
             for _day, domain in deployment.dga_domains:
                 assert domain in known
@@ -272,7 +270,7 @@ class TestDgaWorld:
     def test_off_by_default(self):
         world = generate_world(seed=SEED, scale=SMOKE_SCALE)
         assert not any(d.dga for d in world.truth.deployments)
-        assert world.internet.resolver.defense is None
+        assert world.network.zones.defense is None
         for planned in world.truth.all_samples:
             assert planned.sample.config.dga_seed == 0
 

@@ -89,7 +89,7 @@ class TestAvclass:
 class TestVirusTotalScan:
     @pytest.fixture(scope="class")
     def vt(self):
-        return VirusTotalService(random.Random(0))
+        return VirusTotalService()
 
     def test_detection_threshold_met(self, vt):
         report = vt.scan(sample_for("mirai"), now=0.0)
@@ -117,46 +117,52 @@ class TestVirusTotalScan:
 
 class TestFeeds:
     def test_vt_feed_latency_within_24h(self):
-        vt = VirusTotalService(random.Random(1))
-        entry = vt.submit_sample(sample_for("mirai"), when=1000.0)
+        vt = VirusTotalService()
+        entry = vt.submit_sample(sample_for("mirai"), when=1000.0,
+                                 rng=random.Random(1))
         assert 0.0 <= entry.published - entry.submitted <= 24 * 3600.0
 
     def test_vt_feed_between(self):
-        vt = VirusTotalService(random.Random(1))
-        entry = vt.submit_sample(sample_for("mirai"), when=1000.0)
+        vt = VirusTotalService()
+        entry = vt.submit_sample(sample_for("mirai"), when=1000.0,
+                                 rng=random.Random(1))
         assert vt.feed_between(entry.published, entry.published + 1) == [entry]
         assert vt.feed_between(0, entry.published) == []
 
     def test_vt_resubmission_idempotent(self):
-        vt = VirusTotalService(random.Random(1))
+        vt = VirusTotalService()
+        rng = random.Random(1)
         sample = sample_for("mirai")
-        first = vt.submit_sample(sample, when=1000.0)
-        second = vt.submit_sample(sample, when=9999.0)
+        first = vt.submit_sample(sample, when=1000.0, rng=rng)
+        state = rng.getstate()
+        second = vt.submit_sample(sample, when=9999.0, rng=rng)
         assert first is second
+        assert rng.getstate() == state  # a re-upload draws nothing
         assert vt.lookup_hash(sample.sha256) is first
 
     def test_bazaar_tags_and_source(self):
-        bazaar = MalwareBazaarService(random.Random(2))
-        entry = bazaar.submit_sample(sample_for("gafgyt"), when=0.0)
+        bazaar = MalwareBazaarService()
+        entry = bazaar.submit_sample(sample_for("gafgyt"), when=0.0,
+                                     rng=random.Random(2))
         assert "gafgyt" in entry.tags and "mips" in entry.tags
         assert entry.source.startswith("osint-")
         assert len(bazaar) == 1
 
     def test_bazaar_lookup(self):
-        bazaar = MalwareBazaarService(random.Random(2))
+        bazaar = MalwareBazaarService()
         sample = sample_for("gafgyt")
-        entry = bazaar.submit_sample(sample, when=0.0)
+        entry = bazaar.submit_sample(sample, when=0.0, rng=random.Random(2))
         assert bazaar.lookup_hash(sample.sha256) is entry
         assert bazaar.lookup_hash("0" * 64) is None
 
 
 class TestVtThreatIntel:
     def test_unknown_ioc_benign(self):
-        vt = VirusTotalService(random.Random(0))
+        vt = VirusTotalService()
         assert not vt.is_malicious("203.0.113.77", query_time=10**9)
 
     def test_registered_ioc_flagged_later(self):
-        vt = VirusTotalService(random.Random(0))
+        vt = VirusTotalService()
         vt.register_ioc(IocIntel(
             ioc="203.0.113.77", first_public=10**9, obscurity=0.1,
             publicity_delay_days=2.0,

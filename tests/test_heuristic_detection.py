@@ -24,7 +24,7 @@ from repro.botnet.protocols.base import AttackCommand
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.capture import Capture
-from repro.netsim.internet import Listener, VirtualInternet
+from repro.netsim.internet import Listener, Network, VirtualInternet
 from repro.netsim.packet import Protocol
 from repro.sandbox.qemu import MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
@@ -36,10 +36,11 @@ TARGET = ip_to_int("192.0.2.80")
 
 @pytest.fixture
 def tsunami_setup():
-    internet = VirtualInternet(random.Random(0))
-    internet.add_host(SANDBOX_IP)
-    host = internet.add_host(C2_IP, "irc-c2")
-    server = C2Server(get_family("tsunami"), random.Random(1))
+    network = Network()
+    internet = VirtualInternet(network, random.Random(0))
+    network.add_host(SANDBOX_IP)
+    host = network.add_host(C2_IP, "irc-c2")
+    server = C2Server(get_family("tsunami"))
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
     server.schedule_attack(
         internet.clock.now, AttackCommand("udp", TARGET, 80, 60)

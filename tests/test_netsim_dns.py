@@ -10,6 +10,7 @@ from repro.netsim.dns import (
     DnsResponse,
     RCODE_NXDOMAIN,
     Resolver,
+    Zones,
     decode_message,
     decode_name,
     encode_name,
@@ -97,30 +98,33 @@ class TestMessageCodec:
 
 class TestResolver:
     def test_register_and_resolve(self):
-        resolver = Resolver()
+        zones = Zones()
         addr = ip_to_int("203.0.113.9")
-        resolver.register("c2.example", addr)
+        zones.register("c2.example", addr)
+        resolver = Resolver(zones)
         assert resolver.resolve("c2.example") == addr
         assert resolver.resolve("C2.EXAMPLE") == addr  # case-insensitive
 
     def test_unknown_name(self):
-        assert Resolver().resolve("nope.example") is None
+        assert Resolver(Zones()).resolve("nope.example") is None
 
     def test_time_varying_binding(self):
-        resolver = Resolver()
+        zones = Zones()
         first = ip_to_int("203.0.113.9")
         second = ip_to_int("203.0.113.10")
-        resolver.register("c2.example", first, since=0.0)
-        resolver.register("c2.example", second, since=100.0)
-        resolver.register("c2.example", None, since=200.0)
+        zones.register("c2.example", first, since=0.0)
+        zones.register("c2.example", second, since=100.0)
+        zones.register("c2.example", None, since=200.0)
+        resolver = Resolver(zones)
         assert resolver.resolve("c2.example", now=50) == first
         assert resolver.resolve("c2.example", now=150) == second
         assert resolver.resolve("c2.example", now=250) is None
 
     def test_answer_builds_wire_response(self):
-        resolver = Resolver()
+        zones = Zones()
         addr = ip_to_int("203.0.113.9")
-        resolver.register("c2.example", addr)
+        zones.register("c2.example", addr)
+        resolver = Resolver(zones)
         response = resolver.answer(DnsQuery(7, "c2.example"))
         assert response.addresses == [addr]
         missing = resolver.answer(DnsQuery(8, "other.example"))
@@ -129,17 +133,18 @@ class TestResolver:
     def test_lifetime_end_exclusive(self):
         """Pin the deregistration fencepost: a server online over
         [online_from, online_until) must stop resolving AT online_until."""
-        resolver = Resolver()
+        zones = Zones()
         addr = ip_to_int("203.0.113.9")
         online_from, online_until = 1000.0, 5000.0
-        resolver.register("c2.example", addr, since=online_from)
-        resolver.register("c2.example", None, since=online_until)
+        zones.register("c2.example", addr, since=online_from)
+        zones.register("c2.example", None, since=online_until)
+        resolver = Resolver(zones)
         assert resolver.resolve("c2.example", now=online_from) == addr
         assert resolver.resolve("c2.example", now=online_until - 1e-6) == addr
         assert resolver.resolve("c2.example", now=online_until) is None
 
     def test_known_names_sorted(self):
-        resolver = Resolver()
-        resolver.register("b.example", 1)
-        resolver.register("a.example", 2)
-        assert resolver.known_names() == ["a.example", "b.example"]
+        zones = Zones()
+        zones.register("b.example", 1)
+        zones.register("a.example", 2)
+        assert zones.known_names() == ["a.example", "b.example"]

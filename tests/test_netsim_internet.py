@@ -8,6 +8,7 @@ from repro.netsim.addresses import ip_to_int
 from repro.netsim.capture import Capture
 from repro.netsim.internet import (
     Listener,
+    Network,
     STUDY_EPOCH,
     SimClock,
     VirtualInternet,
@@ -34,13 +35,18 @@ class EchoUdp:
 
 
 @pytest.fixture
-def net():
-    internet = VirtualInternet(random.Random(0))
-    internet.add_host(CLIENT_IP, "client")
-    server = internet.add_host(SERVER_IP, "server")
+def network():
+    network = Network()
+    network.add_host(CLIENT_IP, "client")
+    server = network.add_host(SERVER_IP, "server")
     server.bind(Listener(port=7, protocol=Protocol.TCP, service=EchoTcp()))
     server.bind(Listener(port=7, protocol=Protocol.UDP, service=EchoUdp()))
-    return internet
+    return network
+
+
+@pytest.fixture
+def net(network):
+    return VirtualInternet(network, random.Random(0))
 
 
 class TestClock:
@@ -58,11 +64,6 @@ class TestClock:
             clock.advance(-1)
         with pytest.raises(ValueError):
             clock.advance_to(STUDY_EPOCH - 1)
-
-    def test_day_number(self):
-        clock = SimClock()
-        clock.advance(3 * 86400 + 100)
-        assert clock.day_number() == 3
 
 
 class TestTcpService:
@@ -142,11 +143,6 @@ class TestTcpService:
         with pytest.raises(ConnectionError):
             session.send(b"late")
 
-    def test_port_is_open(self, net):
-        assert net.port_is_open(SERVER_IP, 7)
-        assert not net.port_is_open(SERVER_IP, 9999)
-        assert not net.port_is_open(ip_to_int("192.0.2.99"), 7)
-
 
 class TestUdpAndIcmp:
     def test_udp_echo(self, net):
@@ -175,16 +171,16 @@ class TestUdpAndIcmp:
 
 
 class TestDns:
-    def test_lookup_registered(self, net):
-        net.resolver.register("c2.example", SERVER_IP)
+    def test_lookup_registered(self, network, net):
+        network.zones.register("c2.example", SERVER_IP)
         response = net.dns_lookup(CLIENT_IP, "c2.example")
         assert response.addresses == [SERVER_IP]
 
     def test_lookup_missing_is_nxdomain(self, net):
         assert net.dns_lookup(CLIENT_IP, "nope.example").is_nxdomain
 
-    def test_lookup_traffic_recorded(self, net):
-        net.resolver.register("c2.example", SERVER_IP)
+    def test_lookup_traffic_recorded(self, network, net):
+        network.zones.register("c2.example", SERVER_IP)
         trace = Capture()
         net.dns_lookup(CLIENT_IP, "c2.example", trace)
         assert len(trace) == 2
@@ -192,12 +188,13 @@ class TestDns:
 
 
 class TestBackbone:
-    def test_duplicate_host_rejected(self, net):
+    def test_duplicate_host_rejected(self, network):
         with pytest.raises(ValueError):
-            net.add_host(SERVER_IP)
+            network.add_host(SERVER_IP)
 
-    def test_ensure_host_idempotent(self, net):
-        assert net.ensure_host(SERVER_IP) is net.host(SERVER_IP)
+    def test_engine_reads_the_network(self, network, net):
+        assert net.host(SERVER_IP) is network.host(SERVER_IP)
+        assert not hasattr(net, "add_host")
 
     def test_duplicate_bind_rejected(self, net):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from repro.botnet.exploits import KEY_TO_INDEX
 from repro.botnet.families import get_family
 from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int
-from repro.netsim.internet import Listener, VirtualInternet
+from repro.netsim.internet import Listener, Network, VirtualInternet
 from repro.netsim.packet import Protocol
 from repro.sandbox.qemu import EmulationError, MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
@@ -36,10 +36,11 @@ def build_binary(family="gafgyt", c2_host=None, seed=3, **kwargs):
 
 
 def sandbox_with_internet(schedule=None, family="gafgyt"):
-    internet = VirtualInternet(random.Random(1))
-    internet.add_host(SANDBOX_IP, "sandbox")
-    host = internet.add_host(C2_IP, "c2")
-    server = C2Server(get_family(family), random.Random(2), schedule=schedule)
+    network = Network()
+    internet = VirtualInternet(network, random.Random(1))
+    network.add_host(SANDBOX_IP, "sandbox")
+    host = network.add_host(C2_IP, "c2")
+    server = C2Server(get_family(family), schedule=schedule)
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
     sandbox = CncHunterSandbox(
         random.Random(4), internet,
@@ -100,7 +101,7 @@ class TestOfflineMode:
     def test_offline_captures_run_forward_in_time(self, smoke_world):
         # the scan rows continue the C2 phase's clock, so no capture (and
         # no pcap written from one) steps back in time
-        internet = smoke_world.internet.for_run(random.Random(2))
+        internet = VirtualInternet(smoke_world.network, random.Random(2))
         now = internet.clock.now
         sandbox = CncHunterSandbox(
             random.Random(0), internet,

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.addresses import ip_to_int
-from repro.netsim.internet import Listener, VirtualInternet
+from repro.netsim.internet import Listener, Network, VirtualInternet
 from repro.netsim.packet import Protocol
 from repro.netsim.tcp import handshake_pair
 
@@ -71,9 +71,10 @@ class TestSessionProperties:
     @settings(max_examples=25, deadline=None)
     @given(payload_lists)
     def test_echo_session_roundtrip(self, chunks):
-        internet = VirtualInternet(random.Random(0))
-        internet.add_host(CLIENT)
-        host = internet.add_host(SERVER)
+        network = Network()
+        internet = VirtualInternet(network, random.Random(0))
+        network.add_host(CLIENT)
+        host = network.add_host(SERVER)
         host.bind(Listener(port=7, protocol=Protocol.TCP,
                            service=EchoService()))
         session = internet.tcp_connect(CLIENT, SERVER, 7)
@@ -87,9 +88,10 @@ class TestSessionProperties:
     @given(st.lists(st.integers(min_value=1, max_value=65535), min_size=1,
                     max_size=6, unique=True))
     def test_only_bound_ports_answer(self, ports):
-        internet = VirtualInternet(random.Random(0))
-        internet.add_host(CLIENT)
-        host = internet.add_host(SERVER)
+        network = Network()
+        internet = VirtualInternet(network, random.Random(0))
+        network.add_host(CLIENT)
+        host = network.add_host(SERVER)
         bound = ports[: len(ports) // 2 + 1]
         for port in bound:
             host.bind(Listener(port=port, protocol=Protocol.TCP,

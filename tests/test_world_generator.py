@@ -1,16 +1,46 @@
 """Tests for the world generator's ground truth."""
 
+import dataclasses
+import os
 import random
+from collections import Counter
+
+import pytest
 
 from repro.binary.elf import is_mips32_elf
 from repro.botnet.families import ATTACK_FAMILIES, FAMILIES
+from repro.netsim.dns import Resolver
+from repro.netsim.faults import FaultInjector
+from repro.netsim.internet import SimClock
 from repro.netsim.packet import Protocol
-from repro.world import generate_world
+from repro.world import SMOKE_SCALE, XL_SCALE, generate_world
 from repro.world.calibration import (
     ATTACK_COMMAND_COUNT,
     PROBE_PORTS,
     PROBED_C2_COUNT,
 )
+
+from .conftest import walk_world
+
+#: what a run owns and a world must not hold
+RUN_STATE = (random.Random, SimClock, FaultInjector)
+
+WORLD_SCALES = [pytest.param(SMOKE_SCALE, id="smoke")] + (
+    [pytest.param(XL_SCALE, id="xl")] if os.environ.get("REPRO_XL") else [])
+
+
+class TestWorldIsData:
+    @pytest.mark.parametrize("dga", [False, True], ids=["plain", "dga"])
+    @pytest.mark.parametrize("scale", WORLD_SCALES)
+    def test_no_run_state_reachable(self, shared_world, scale, dga):
+        """No traffic engine, clock, random stream or fault injector is
+        reachable from a generated world: a run cannot draw from, advance
+        or fault the world, only read it."""
+        world = shared_world(20220322, dataclasses.replace(scale, dga=dga))
+        _tokens, entered = walk_world(world)
+        found = Counter(type(obj).__qualname__ for obj in entered
+                        if isinstance(obj, RUN_STATE))
+        assert not found, f"run state reachable from the world: {found}"
 
 
 class TestDeterminism:
@@ -59,7 +89,7 @@ class TestSamples:
 class TestDeployments:
     def test_c2_hosts_exist_with_listeners(self, smoke_world):
         for deployment in smoke_world.truth.deployments:
-            host = smoke_world.internet.host(deployment.address)
+            host = smoke_world.network.host(deployment.address)
             assert host is not None
             assert host.listener(Protocol.TCP, deployment.port) is not None
 
@@ -71,11 +101,11 @@ class TestDeployments:
         for deployment in smoke_world.truth.deployments:
             if deployment.is_probed:
                 continue
-            host = smoke_world.internet.host(deployment.address)
+            host = smoke_world.network.host(deployment.address)
             assert host.listener(Protocol.TCP, 80) is not None
 
     def test_dns_deployments_resolve_while_alive(self, mid_world):
-        resolver = mid_world.internet.resolver
+        resolver = Resolver(mid_world.network.zones)
         named = [d for d in mid_world.truth.deployments if d.domain]
         assert named, "expected some DNS-named C2s at mid scale"
         for deployment in named:
@@ -131,18 +161,23 @@ class TestProbingWorld:
 
     def test_probed_c2s_gated(self, smoke_world):
         """Their listeners must have a non-trivial accepts gate while the
-        host is online (no probe reaches it after that)."""
-        internet = smoke_world.internet
+        host is online; the gate is drawn only that far (the host is
+        offline from ``online_until``, so no probe reads past it)."""
+        network = smoke_world.network
+        slot = 4 * 3600.0
         for deployment in smoke_world.truth.probed_deployments:
-            host = internet.host(deployment.address)
+            host = network.host(deployment.address)
             listener = host.listener(Protocol.TCP, deployment.port)
-            start = smoke_world.probe_start
-            times = [start + i * 4 * 3600.0 for i in range(60)]
-            slots = [listener.accepts(t) for t in times if host.is_online(t)]
+            start, end = smoke_world.probe_start, deployment.online_until
+            times = [start + i * slot for i in range(int((end - start) // slot))]
+            assert all(host.is_online(t) for t in times)
+            slots = [listener.accepts(t) for t in times]
             assert any(slots) and not all(slots)
+            with pytest.raises(ValueError):
+                listener.accepts(end + slot)
 
     def test_decoys_present_with_banners(self, smoke_world):
-        decoys = [h for h in smoke_world.internet.hosts.values()
+        decoys = [h for h in smoke_world.network.hosts.values()
                   if h.name == "decoy-web"]
         assert decoys
         for host in decoys:
@@ -156,5 +191,5 @@ class TestDownloaders:
 
     def test_downloader_hosts_serve_port_80(self, smoke_world):
         for address in smoke_world.truth.downloader_only_addresses:
-            host = smoke_world.internet.host(address)
+            host = smoke_world.network.host(address)
             assert host.listener(Protocol.TCP, 80) is not None
