@@ -36,6 +36,7 @@ from .core.report import (
     render_probe_matrix,
     render_table,
 )
+from .core.parallel import FleetError
 from .core.pipeline import PipelineConfig
 from .core.study import run_study
 from .netsim.faults import FAULT_PLANS
@@ -175,10 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--port", type=int, default=0,
                         help="listen port (default: 0 = ephemeral; the "
                              "chosen port is announced on stdout)")
-    worker.add_argument("--heartbeat-interval", type=float, default=0.5,
-                        metavar="SECONDS",
-                        help="heartbeat cadence while executing a unit "
-                             "(default: 0.5)")
     worker.add_argument("--world-cache", type=int, default=4, metavar="N",
                         help="generated worlds kept warm "
                              "(default: 4)")
@@ -330,31 +327,20 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
         # the flag rides on the scale so parallel workers regenerating
         # the world from (seed, scale) build the same DGA campaigns
         scale = dataclasses.replace(scale, dga=True)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 0:
-        raise SystemExit(f"repro: --workers must be >= 0, got {workers}")
     peers = _parse_peers(getattr(args, "peers", None))
-    if peers and workers:
-        raise SystemExit("repro: --workers and --peers are exclusive: "
-                         "the peer list decides where units run")
-    units = getattr(args, "units", None)
-    if units is not None and units < 1:
-        raise SystemExit(f"repro: --units must be >= 1, got {units}")
-    if units is not None and not (workers or peers):
-        raise SystemExit("repro: --units needs --workers or --peers: "
-                         "a serial study is not cut into units")
     world = generate_world(seed=args.seed, scale=scale)
     config = None
     faults = getattr(args, "faults", None)
     if faults is not None:
         config = PipelineConfig(faults=FAULT_PLANS[faults])
-    malnet, campaign, datasets = run_study(world, config=config,
-                                           telemetry=telemetry,
-                                           workers=workers,
-                                           peers=peers,
-                                           unit_count=units,
-                                           cache=getattr(args, "cache_dir",
-                                                         None))
+    try:
+        malnet, campaign, datasets = run_study(
+            world, config=config, telemetry=telemetry,
+            workers=getattr(args, "workers", None), peers=peers,
+            unit_count=getattr(args, "units", None),
+            cache=getattr(args, "cache_dir", None))
+    except FleetError as exc:
+        raise SystemExit(f"repro: {exc}")
     if datasets.failed_shards:
         print(f"# WARNING: partial results - shards {datasets.failed_shards} "
               "failed and were excluded from the merge", file=sys.stderr)
@@ -722,7 +708,6 @@ def _cmd_worker(args, out) -> int:
     from .dist.worker import WorkerServer
 
     server = WorkerServer(host=args.host, port=args.port,
-                          heartbeat_interval=args.heartbeat_interval,
                           world_cache_limit=args.world_cache)
 
     def _stop(signum, _frame):

@@ -32,14 +32,15 @@ placement merges to the same digest.
 **Failure handling**: a real fleet loses sandboxes.  One failure model
 covers both kinds of peer: a crash is EOF, a lost worker is heartbeat
 silence, a unit that raises comes back as a ``failed`` frame, and a hang
-is a dispatch still running ``shard_timeout`` seconds after its
+is a dispatch still running ``SHARD_TIMEOUT`` seconds after its
 placement.  Each failed dispatch costs its unit one of
-``max_redispatch`` re-dispatches: the unit goes back in the queue at
+``MAX_REDISPATCH`` re-dispatches: the unit goes back in the queue at
 ``attempt + 1`` (a hung or lost local child is SIGKILLed and reaped
-first), so a unit gets at most ``1 + max_redispatch`` tries on any
-fleet.  Every local slot, whether forked in :meth:`start` or re-forked
-after the whole fleet was lost, runs its units on the fork-inherited
-world: no run writes it, so the parent's probing campaign leaves it as
+first), so a unit gets at most ``1 + MAX_REDISPATCH`` tries on any
+fleet; both are constants of :mod:`repro.dist.coordinator`.  Every
+local slot, whether forked in :meth:`start` or re-forked after the
+whole fleet was lost, runs its units on the fork-inherited world: no
+run writes it, so the parent's probing campaign leaves it as
 generated.  Because each unit's output is a pure function of ``(seed,
 scale, config)``, a retried unit produces the same bytes it would have
 produced on the first try.  Units that use up their budget land in
@@ -59,7 +60,15 @@ from ..world.generator import World
 from .datasets import Datasets
 from .pipeline import MalNet, PipelineConfig
 
-__all__ = ["ShardedStudyRunner", "ShardResult", "execute_shard"]
+__all__ = ["FleetError", "ShardedStudyRunner", "ShardResult",
+           "execute_shard"]
+
+
+class FleetError(ValueError):
+    """A sharded run asked for a fleet it cannot have: bad ``workers``,
+    ``peers`` or ``unit_count``.  Raised before anything runs, and typed
+    so the CLI reports it as a usage error while any other ``ValueError``
+    keeps its traceback."""
 
 
 @dataclasses.dataclass
@@ -155,43 +164,39 @@ class ShardedStudyRunner:
     ``repro worker`` daemons instead, cutting the corpus into
     ``unit_count`` fine-grained units (default 4× the fleet size) so the
     coordinator can place cache-aware and steal from stragglers.  Any
-    unit count merges to the same digest.  ``transport_options`` passes
-    coordinator tuning (heartbeat/steal thresholds) through.
+    unit count merges to the same digest.  These three are the only
+    arguments of a sharded run, and this constructor is the one place
+    that checks them (:class:`FleetError`); timeouts, the re-dispatch
+    budget, stealing and heartbeats are constants of the coordinator
+    (:mod:`repro.dist.coordinator`).
 
-    ``shard_timeout`` bounds each dispatch of a unit and
-    ``max_redispatch`` is each unit's re-dispatch budget; both belong to
-    the coordinator (:mod:`repro.dist.coordinator`).  After :meth:`join`,
-    :attr:`failed_shards` lists the unit indexes that never produced a
-    result (crashed/hung/raised on every try) and :attr:`failures` keeps
-    the last error text of every unit that failed at least once;
-    :attr:`transport_stats` carries the coordinator's
+    After :meth:`join`, :attr:`failed_shards` lists the unit indexes
+    that never produced a result (crashed/hung/raised on every try) and
+    :attr:`failures` keeps the last error text of every unit that failed
+    at least once; :attr:`transport_stats` carries the coordinator's
     placement/steal/wall accounting for the manifest.  Callers must
     treat a non-empty :attr:`failed_shards` as a partial merge.
     """
 
     def __init__(self, world: World, workers: int | None = None,
                  config: PipelineConfig | None = None,
-                 shard_timeout: float | None = 600.0,
-                 max_redispatch: int = 2,
                  telemetry_enabled: bool = False,
                  peers: list[str] | None = None,
-                 unit_count: int | None = None,
-                 transport_options: dict | None = None):
-        if peers and workers is not None:
-            raise ValueError("workers and peers are exclusive: the peer "
+                 unit_count: int | None = None):
+        if peers and workers:
+            raise FleetError("workers and peers are exclusive: the peer "
                              "list already decides where units run")
         if not peers:
             if workers is None or workers < 1:
-                raise ValueError("workers must be >= 1")
+                raise FleetError(f"workers must be >= 1, got {workers}")
             if not hasattr(os, "fork"):
                 raise RuntimeError(
                     "local worker slots need os.fork(), which this "
                     "platform lacks; start `repro worker` daemons and "
                     "pass their host:port addresses as peers instead")
         if unit_count is not None and unit_count < 1:
-            raise ValueError("unit_count must be >= 1")
-        from ..dist.coordinator import Coordinator
-        from ..dist.plan import TaskSpec, default_unit_count
+            raise FleetError(f"unit_count must be >= 1, got {unit_count}")
+        from ..dist.plan import default_unit_count
 
         self.world = world
         self.peers = list(peers or [])
@@ -213,14 +218,8 @@ class ShardedStudyRunner:
         self.redispatches = 0
         #: coordinator placement/steal/wall accounting (set by ``join``)
         self.transport_stats: dict = {}
-        spec = TaskSpec(seed=world.seed, scale=world.scale,
-                        config=self.config, shard_count=self.shard_count,
-                        telemetry=telemetry_enabled)
-        self.coordinator = Coordinator(
-            spec, self.peers, local_slots=0 if self.peers else workers,
-            shard_timeout=shard_timeout, max_redispatch=max_redispatch,
-            **(transport_options or {}))
-        self._started = False
+        #: the engine that runs the units (built by ``start``)
+        self.coordinator = None
         self._drained = False
 
     def start(self) -> "ShardedStudyRunner":
@@ -228,9 +227,17 @@ class ShardedStudyRunner:
 
         Local slots fork here and run every unit on the world they
         inherit: the parent's runs share it without writing it."""
-        if self._started:
+        if self.coordinator is not None:
             raise RuntimeError("runner already started")
-        self._started = True
+        from ..dist.coordinator import Coordinator
+        from ..dist.plan import TaskSpec
+
+        spec = TaskSpec(seed=self.world.seed, scale=self.world.scale,
+                        config=self.config, shard_count=self.shard_count,
+                        telemetry=self.telemetry_enabled)
+        self.coordinator = Coordinator(
+            spec, self.peers,
+            local_slots=0 if self.peers else self.workers)
         try:
             self.coordinator.start(self.world)
         except BaseException:
@@ -245,7 +252,7 @@ class ShardedStudyRunner:
         :attr:`failed_shards` / :attr:`failures` and simply absent from
         the returned list.  Every child is reaped before this returns.
         """
-        if not self._started:
+        if self.coordinator is None:
             raise RuntimeError("runner not started")
         if self._drained:
             raise RuntimeError("runner already joined")

@@ -53,6 +53,8 @@ from .profiles import AttackObservation, BinaryNetworkProfile, ExploitObservatio
 FEED_ATTEMPTS = 3
 #: attempts at a sandbox activation that crashes before quarantine
 ACTIVATION_ATTEMPTS = 3
+#: weaponized liveness probes of a C2 before it counts as dead
+LIVENESS_ATTEMPTS = 2
 #: simulation seconds between two weaponized liveness probes of a C2
 LIVENESS_SPACING = 4 * 3600.0
 
@@ -62,8 +64,6 @@ class PipelineConfig:
     """Operational knobs of the daily loop."""
 
     study_days: int | None = None      # default: the full active window
-    liveness_retries: int = 1          # extra 4h-spaced liveness probes
-    observe_attack_families_only: bool = True
     #: CPU architectures the sandbox supports (§6d extension); the paper's
     #: study is MIPS-only
     architectures: tuple[str, ...] = ("mips",)
@@ -563,27 +563,21 @@ class MalNet:
         profile.c2_live_on_day0 = live
         if live:
             record.live_observations += 1
-            family = profile.family_label or ""
-            wants_observation = (
-                not self.config.observe_attack_families_only
-                or family in ATTACK_FAMILIES
-            )
-            if wants_observation:
+            if profile.family_label in ATTACK_FAMILIES:
                 self._observe_attacks(profile, record, data)
 
     def _check_liveness(self, data: bytes, endpoint: str, port: int,
                         sha256: str | None = None, dga_seed: int = 0,
                         dga_family: str = "") -> bool:
         """Weaponized probe of the binary's own C2 (with 4h retries)."""
-        attempts = 1 + self.config.liveness_retries
-        for attempt in range(attempts):
+        for attempt in range(LIVENESS_ATTEMPTS):
             address = self._resolve_endpoint(endpoint, dga_seed, dga_family)
             if address is not None:
                 results = self.sandbox.probe_targets(
                     data, [(address, port)], sha256=sha256)
                 if results and results[0].engaged:
                     return True
-            if attempt + 1 < attempts:
+            if attempt + 1 < LIVENESS_ATTEMPTS:
                 self._m_retries.labels(stage="liveness").inc()
                 self.internet.clock.advance(LIVENESS_SPACING)
         return False

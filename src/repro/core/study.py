@@ -21,7 +21,7 @@ from ..world.generator import World
 from .cache import StudyCache, code_fingerprint, study_fingerprint
 from .datasets import Datasets
 from .journal import StudyState
-from .parallel import ShardedStudyRunner
+from .parallel import FleetError, ShardedStudyRunner
 from .pipeline import MalNet, PipelineConfig, total_study_days
 from .probing import ProbingCampaign
 
@@ -76,29 +76,6 @@ def run_probing(world: World, malnet: MalNet,
     )
     campaign.run()
     malnet.datasets.d_pc2.extend(campaign.observations)
-    return campaign
-
-
-def _build_campaign(world: World, malnet: MalNet, telemetry: Telemetry,
-                    observations, discovered) -> ProbingCampaign:
-    """Reconstruct a finished probing campaign from its saved results.
-
-    The observations list and discovery set are adopted verbatim, so the
-    campaign's derived views (``response_matrix``, repeat-response rate)
-    are the ones a fresh run would compute.
-    """
-    campaign = ProbingCampaign(
-        internet=malnet.internet,
-        sandbox=malnet.sandbox,
-        subnets=list(world.truth.probe_subnets),
-        sample_binaries=[],
-        start=world.probe_start,
-        days=world.scale.probe_days,
-        telemetry=telemetry,
-        world_seed=world.seed,
-    )
-    campaign.observations = list(observations)
-    campaign.discovered = set(discovered)
     return campaign
 
 
@@ -247,16 +224,27 @@ class DayRunner:
         self._completed = state.finalized
         self.campaign = None
         if state.finalized:
-            self.campaign = _build_campaign(
-                self.front.world, self.front, self.telemetry,
-                state.datasets.d_pc2, state.discovered)
+            # the finished campaign, rebuilt from its saved results: the
+            # observations and discovery set are adopted verbatim, so its
+            # derived views (``response_matrix``, repeat-response rate)
+            # are the ones a fresh run would compute
+            world = self.front.world
+            self.campaign = ProbingCampaign(
+                internet=self.front.internet,
+                sandbox=self.front.sandbox,
+                subnets=list(world.truth.probe_subnets),
+                sample_binaries=[],
+                start=world.probe_start,
+                days=world.scale.probe_days,
+                telemetry=self.telemetry,
+                world_seed=world.seed,
+            )
+            self.campaign.observations = list(state.datasets.d_pc2)
+            self.campaign.discovered = set(state.discovered)
 
 
 def _run_parallel(
-    world: World, malnet: MalNet, telemetry: Telemetry, *,
-    workers: int | None, peers: list[str] | None,
-    shard_timeout: float | None = 600.0, max_redispatch: int = 2,
-    unit_count: int | None = None, transport_options: dict | None = None,
+    runner: ShardedStudyRunner, malnet: MalNet, telemetry: Telemetry,
 ) -> tuple[ProbingCampaign, dict]:
     """Sharded pipeline on the coordinator, probing overlapped in the
     parent.
@@ -273,18 +261,12 @@ def _run_parallel(
     by the manifest; ``transport`` is the coordinator's own account of
     which kind of peer ran the units.
     """
-    runner = ShardedStudyRunner(world, workers, config=malnet.config,
-                                shard_timeout=shard_timeout,
-                                max_redispatch=max_redispatch,
-                                telemetry_enabled=telemetry.enabled,
-                                peers=peers, unit_count=unit_count,
-                                transport_options=transport_options)
     with telemetry.tracer.span("study.pipeline", workers=runner.workers) \
             as pipeline_span:
         runner.start()
         try:
             with telemetry.tracer.span("study.probing"):
-                campaign = run_probing(world, malnet, telemetry)
+                campaign = run_probing(runner.world, malnet, telemetry)
         except BaseException:
             runner.coordinator.close()     # reap the children, then raise
             raise
@@ -406,49 +388,29 @@ def _build_run_manifest(
     )
 
 
-def _restore_study(
-    world: World, config: PipelineConfig | None, telemetry: Telemetry,
-    entry: StudyState,
-) -> tuple[MalNet, ProbingCampaign, Datasets]:
-    """Rebuild the (malnet, campaign, datasets) triple from a cache hit.
-
-    The campaign's observations are the restored ``d_pc2`` records
-    themselves, as in a fresh run, and its discovery set is restored
-    verbatim, so its derived views (``response_matrix``, repeat-response
-    rate) are the ones a fresh run would compute.
-    """
-    malnet = MalNet(world, config, telemetry=telemetry)
-    malnet.datasets = entry.datasets
-    campaign = _build_campaign(world, malnet, telemetry,
-                               entry.datasets.d_pc2, entry.discovered)
-    return malnet, campaign, malnet.datasets
-
-
 def run_study(
     world: World, config: PipelineConfig | None = None,
     telemetry: Telemetry | None = None, workers=None,
-    shard_timeout: float | None = 600.0, max_redispatch: int = 2,
     cache: StudyCache | str | None = None, peers: list[str] | None = None,
-    unit_count: int | None = None, transport_options: dict | None = None,
+    unit_count: int | None = None,
 ) -> tuple[MalNet, ProbingCampaign, Datasets]:
     """Execute the complete measurement study on a generated world.
 
     ``workers=None`` (or 0) runs everything in-process; ``workers=N`` for
     N >= 1 shards the daily pipeline over N forked local slots and
     merges, with identical results; ``workers="auto"`` picks a width that
-    fits the machine.  ``shard_timeout`` bounds each dispatch of a shard
-    unit (one still running after it counts as hung), and each failed
-    dispatch costs its unit one of ``max_redispatch`` re-dispatches (see
-    :mod:`repro.dist.coordinator`); units that use up their budget are
-    reported in ``datasets.failed_shards``.
+    fits the machine.  Units whose every dispatch failed (see
+    :mod:`repro.dist.coordinator`) are reported in
+    ``datasets.failed_shards``.
 
     ``peers`` (``["host:port", ...]``, exclusive with ``workers``)
     dispatches the shard units to ``repro worker`` daemons instead —
     the fleet width follows the peer list, ``unit_count`` controls the
     fine-grained partition (default 4× the fleet; ``workers`` locally),
     and the merged output stays byte-identical to the serial run.
-    ``transport_options`` passes coordinator tuning (heartbeat/steal
-    thresholds) through untouched.
+    :class:`~repro.core.parallel.ShardedStudyRunner` checks these three
+    before anything runs; a bad combination raises
+    :class:`~repro.core.parallel.FleetError`.
 
     ``cache`` (a :class:`~repro.core.cache.StudyCache` or a directory
     path) short-circuits the whole run when an entry for this exact
@@ -457,11 +419,16 @@ def run_study(
     results (failed shards) are never cached.
     """
     telemetry = telemetry or NULL_TELEMETRY
-    if peers and workers:
-        raise ValueError("workers and peers are exclusive: the peer list "
-                         "already decides where units run")
-    workers = None if peers else resolve_workers(workers)
-    fleet = len(peers) if peers else workers
+    workers = resolve_workers(workers)
+    sharded = None
+    if peers or workers:
+        sharded = ShardedStudyRunner(world, workers, config=config,
+                                     telemetry_enabled=telemetry.enabled,
+                                     peers=peers, unit_count=unit_count)
+    elif unit_count is not None:
+        raise FleetError("unit_count needs workers or peers: a serial "
+                         "study is not cut into units")
+    fleet = sharded.workers if sharded else None
     started = time.time()
     started_clock = time.perf_counter()
     if isinstance(cache, (str, os.PathLike)):
@@ -474,19 +441,21 @@ def run_study(
         entry = cache.get(fingerprint)
         if entry is not None:
             telemetry.events.emit("study.cache_hit", fingerprint=fingerprint)
-            result = _restore_study(world, config, telemetry, entry)
+            runner = DayRunner(world=world, config=config,
+                               telemetry=telemetry)
+            runner.restore_state(entry)
             if telemetry.enabled:
                 telemetry.manifest = _build_run_manifest(
-                    world, config, telemetry, result[2], workers=fleet,
-                    cache=cache, fingerprint=fingerprint, cached=True,
-                    started=started,
+                    world, config, telemetry, runner.datasets,
+                    workers=fleet, cache=cache, fingerprint=fingerprint,
+                    cached=True, started=started,
                     wall_seconds=time.perf_counter() - started_clock,
                     run_info=None)
             telemetry.events.emit(
-                "study.complete", sizes=dict(result[2].summary()))
-            return result
+                "study.complete", sizes=dict(runner.datasets.summary()))
+            return runner.front, runner.campaign, runner.datasets
     runner = None
-    if fleet:
+    if sharded:
         malnet = MalNet(world, config, telemetry=telemetry)
     else:
         runner = DayRunner(world=world, config=config, telemetry=telemetry)
@@ -494,11 +463,8 @@ def run_study(
     telemetry.events.emit("study.start", scale=world.scale.sample_fraction,
                           workers=fleet or 0)
     run_info = None
-    if fleet:
-        campaign, run_info = _run_parallel(
-            world, malnet, telemetry, workers=workers, peers=peers,
-            shard_timeout=shard_timeout, max_redispatch=max_redispatch,
-            unit_count=unit_count, transport_options=transport_options)
+    if sharded:
+        campaign, run_info = _run_parallel(sharded, malnet, telemetry)
     else:
         with telemetry.tracer.span("study.pipeline"):
             runner.run_remaining_days()

@@ -6,14 +6,16 @@ children of the study process) and ``repro worker`` daemons over TCP.
 
 ``wire.py``
     length-prefixed framed messages, reusing the checksummed
-    ``pack_entry``/``unpack_entry`` encoding from :mod:`repro.core.cache`
+    ``pack_entry``/``unpack_entry`` encoding from :mod:`repro.core.cache`,
+    and the heartbeat cadence both ends of a connection share
 ``plan.py``
     the fine-grained shard plan — sha256 unit partitioning, world cache
     keys, default unit counts
 ``coordinator.py``
     local slots and TCP peers, cache-aware unit placement, adaptive
     work stealing, one failure model (EOF, heartbeat, a ``failed``
-    frame, ``shard_timeout``) and one re-dispatch budget per unit
+    frame, a hang past ``SHARD_TIMEOUT``) and one re-dispatch budget
+    per unit
 ``worker.py``
     the ``repro worker`` task loop — served by a local slot's child on a
     socketpair, or by the TCP daemon — executing shard units against a

@@ -29,23 +29,28 @@ holds the parent's world from the fork on.
 
 *stealing* — once ``pending`` is empty, an idle worker speculatively
 duplicates the longest-running unit whose elapsed time exceeds
-``max(min_steal_seconds, steal_factor × median completed-unit wall)``.
+``max(MIN_STEAL_SECONDS, STEAL_FACTOR × median completed-unit wall)``.
 First result wins; the loser's result is discarded (``stolen_wasted``).
 Because every unit is a pure function of ``(seed, scale, config,
 unit)``, twins produce identical bytes — stealing can only move wall
 clock, never the digest.
 
 *failure* — five events take one path: EOF on a connection, a
-connection reset, a busy connection silent for ``heartbeat_timeout``, a
-``failed`` frame, and a dispatch older than ``shard_timeout`` (a hang;
-counted from placement, so time a unit waits in ``pending`` is never
-charged).  A lost local child is SIGKILLed and reaped, a lost TCP
-connection closed.  Unless a steal twin still runs the unit, the unit
-goes back to ``pending`` at ``attempt + 1`` while it has re-dispatches
-left, and fails with its last reason when it has none.  Each unit has
-``max_redispatch`` of them, whatever the fleet size: ``max_redispatch=0``
-is exactly one try.  A steal twin keeps its unit's attempt and costs
-nothing.
+connection reset, a busy connection silent for
+:func:`~repro.dist.wire.heartbeat_timeout`, a ``failed`` frame, and a
+dispatch older than ``SHARD_TIMEOUT`` (a hang; counted from placement,
+so time a unit waits in ``pending`` is never charged).  A lost local
+child is SIGKILLed and reaped, a lost TCP connection closed.  Unless a
+steal twin still runs the unit, the unit goes back to ``pending`` at
+``attempt + 1`` while it has re-dispatches left, and fails with its
+last reason when it has none.  Each unit has ``MAX_REDISPATCH`` of
+them, whatever the fleet size: ``MAX_REDISPATCH = 0`` is exactly one
+try.  A steal twin keeps its unit's attempt and costs nothing.
+
+The policy numbers are module constants, not arguments: no caller ever
+set another value.  The loop reads them at call time, so a test can
+patch them on this module (and the heartbeat pair on
+:mod:`repro.dist.wire`).
 
 *reconnection* — only when a unit is pending and no peer is connected:
 :meth:`connect` redials every address and re-forks local slots, which
@@ -64,12 +69,22 @@ import time
 from collections import deque
 
 from .plan import TaskSpec
-from .wire import PROTOCOL_VERSION, FrameDecoder, WireError, recv_frame, \
-    send_frame
+from .wire import PROTOCOL_VERSION, FrameDecoder, WireError, \
+    heartbeat_timeout, recv_frame, send_frame
 from .worker import TaskLoop, WorldCache
 
 __all__ = ["Coordinator", "CoordinatorError"]
 
+#: seconds one dispatch may run before it counts as hung
+SHARD_TIMEOUT = 600.0
+#: re-dispatches each unit may use after its first try
+MAX_REDISPATCH = 2
+#: a straggler runs longer than this many median completed-unit walls...
+STEAL_FACTOR = 3.0
+#: ...and longer than this many seconds before an idle worker twins it
+MIN_STEAL_SECONDS = 1.0
+#: seconds to dial a TCP peer and read its hello-ack
+CONNECT_TIMEOUT = 5.0
 #: seconds an idle local child gets to exit after its shutdown frame
 _EXIT_GRACE = 2.0
 
@@ -88,7 +103,7 @@ class _Peer:
         self.sock: socket.socket | None = None
         self.decoder = FrameDecoder()
         self.worker_id = address        # replaced by a daemon's hello-ack
-        self.pid: int | None = None
+        self.pid: int | None = None     # a local slot's forked child
         self.warm: set[str] = set()     # world keys the worker holds
         self.busy_unit: int | None = None
         self.dispatched_at = 0.0
@@ -104,26 +119,10 @@ class _Peer:
 
 
 class Coordinator:
-    def __init__(self, spec: TaskSpec, peers=(), *, local_slots: int = 0,
-                 shard_timeout: float | None, max_redispatch: int,
-                 heartbeat_timeout: float = 15.0,
-                 steal_factor: float = 3.0,
-                 min_steal_seconds: float = 1.0,
-                 connect_timeout: float = 5.0,
-                 clock=time.monotonic):
+    def __init__(self, spec: TaskSpec, peers=(), *, local_slots: int = 0):
         if not peers and local_slots < 1:
             raise CoordinatorError("coordinator needs at least one peer")
         self.spec = spec
-        #: seconds one dispatch may run before it counts as hung
-        #: (``None``: wait forever)
-        self.shard_timeout = shard_timeout
-        #: re-dispatches each unit may use after its first try
-        self.max_redispatch = max_redispatch
-        self.heartbeat_timeout = heartbeat_timeout
-        self.steal_factor = steal_factor
-        self.min_steal_seconds = min_steal_seconds
-        self.connect_timeout = connect_timeout
-        self._clock = clock
         self.peers = [_Peer(i, address) for i, address in enumerate(peers)]
         self.peers += [_Peer(len(self.peers) + i, f"local[{i}]", local=True)
                        for i in range(local_slots)]
@@ -176,10 +175,8 @@ class Coordinator:
         host, _, port = peer.address.rpartition(":")
         try:
             sock = socket.create_connection(
-                (host, int(port)), timeout=self.connect_timeout)
-            send_frame(sock, {"type": "hello",
-                              "protocol": PROTOCOL_VERSION,
-                              "world": self.spec.world_key})
+                (host, int(port)), timeout=CONNECT_TIMEOUT)
+            send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
             ack = recv_frame(sock)
         except (OSError, WireError):
             return
@@ -189,7 +186,6 @@ class Coordinator:
             return
         self._adopt(peer, sock)
         peer.worker_id = str(ack.get("worker", peer.address))
-        peer.pid = ack.get("pid")
         peer.warm = set(ack.get("warm", ()))
 
     def _fork(self, peer: _Peer) -> None:
@@ -223,7 +219,7 @@ class Coordinator:
         sock.setblocking(False)
         peer.sock = sock
         peer.decoder = FrameDecoder()
-        peer.last_seen = self._clock()
+        peer.last_seen = time.monotonic()
 
     def _disconnect(self, peer: _Peer, kill: bool = True) -> None:
         """Close a peer's connection; SIGKILL (or, with ``kill=False``,
@@ -280,18 +276,18 @@ class Coordinator:
                 for key, _ in self._selector.select(0.2):
                     if key.data.connected:
                         self._pump(key.data)
-                now = self._clock()
+                now = time.monotonic()
+                silence = heartbeat_timeout()
                 for peer in self._live():
                     if peer.busy_unit is None:
                         continue
-                    if now - peer.last_seen > self.heartbeat_timeout:
+                    if now - peer.last_seen > silence:
                         self._lose(peer, "heartbeat lost (silent for "
-                                   f"{self.heartbeat_timeout}s)")
-                    elif (self.shard_timeout is not None and
-                          now - peer.dispatched_at > self.shard_timeout):
+                                   f"{silence}s)")
+                    elif now - peer.dispatched_at > SHARD_TIMEOUT:
                         self._lose(peer, "worker hung (no result within "
-                                   f"shard_timeout={self.shard_timeout}s)")
-                self._maybe_steal(self._clock())
+                                   f"shard_timeout={SHARD_TIMEOUT}s)")
+                self._maybe_steal(time.monotonic())
         finally:
             self.close()
 
@@ -329,7 +325,7 @@ class Coordinator:
         except WireError as exc:
             self._lose(peer, f"protocol error: {exc}")
             return
-        peer.last_seen = self._clock()
+        peer.last_seen = time.monotonic()
         for message in messages:
             self._handle(peer, message)
 
@@ -339,14 +335,14 @@ class Coordinator:
             return
         if kind == "result":
             unit = message["unit"]
+            result = message["result"]
             peer.busy_unit = None
             peer.warm = set(message.get("warm", peer.warm))
-            wall = float(message.get("wall", 0.0))
+            wall = result.wall_seconds
             if unit in self.results:
                 # a steal twin lost the race; identical bytes discarded
                 self.stolen_wasted += 1
             else:
-                result = message["result"]
                 result.worker = peer.worker_id
                 self.results[unit] = result
                 self._walls.append(wall)
@@ -378,7 +374,7 @@ class Coordinator:
             return
         self.running.pop(unit, None)
         self.failures[unit] = reason
-        if self.attempts[unit] < self.max_redispatch:
+        if self.attempts[unit] < MAX_REDISPATCH:
             self.attempts[unit] += 1
             self.pending.append(unit)
 
@@ -415,9 +411,9 @@ class Coordinator:
         attempt = self.attempts[unit]
         warm = self.spec.world_key in peer.warm
         peer.busy_unit = unit
-        # the heartbeat clock and the shard_timeout both start at
+        # the heartbeat clock and the shard timeout both start at
         # dispatch: an idle or queued worker has had nothing to report
-        peer.dispatched_at = peer.last_seen = self._clock()
+        peer.dispatched_at = peer.last_seen = time.monotonic()
         if warm:
             peer.warm_hits += 1
         self.running.setdefault(unit, set()).add(peer)
@@ -437,10 +433,10 @@ class Coordinator:
         idle = [p for p in self._live() if p.busy_unit is None]
         if not idle:
             return
-        threshold = self.min_steal_seconds
+        threshold = MIN_STEAL_SECONDS
         if self._walls:
-            threshold = max(self.min_steal_seconds,
-                            self.steal_factor * statistics.median(self._walls))
+            threshold = max(MIN_STEAL_SECONDS,
+                            STEAL_FACTOR * statistics.median(self._walls))
         stragglers = [
             p for p in self._live()
             if p.busy_unit is not None

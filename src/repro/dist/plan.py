@@ -34,11 +34,10 @@ __all__ = ["TaskSpec", "UNITS_PER_WORKER", "default_unit_count",
 UNITS_PER_WORKER = 4
 
 
-def default_unit_count(workers: int,
-                       per_worker: int = UNITS_PER_WORKER) -> int:
+def default_unit_count(workers: int) -> int:
     """Unit count for a fleet of ``workers``: finer than the fleet so
     fast workers can take over a straggler's backlog."""
-    return max(1, workers * per_worker)
+    return max(1, workers * UNITS_PER_WORKER)
 
 
 def world_key(seed: int, scale) -> str:

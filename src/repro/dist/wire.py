@@ -2,22 +2,29 @@
 
 Every message on a coordinator↔worker connection is one *frame*: a
 4-byte big-endian payload length followed by the payload produced by
-:func:`repro.core.cache.pack_entry` — the same self-describing,
-sha256-checksummed pickle envelope the study cache uses on disk
-(``RPSC`` magic + format version + payload digest + pickle).  Reusing
-it buys the wire format the cache's integrity guarantees for free: a
-truncated, corrupted, or version-skewed frame never deserializes into a
-half-right object, it surfaces as :class:`WireError`.
+:func:`repro.core.cache.pack_entry` — a self-describing,
+sha256-checksummed pickle envelope (``RPSC`` magic + format version +
+payload digest + pickle).  A truncated, corrupted, or version-skewed
+frame never deserializes into a half-right object, it surfaces as
+:class:`WireError`.
 
-Message catalogue (all frames are dicts with a ``"type"`` key)::
+Message catalogue (all frames are dicts with a ``"type"`` key; a
+frame carries only the fields its receiver reads)::
 
-    hello       coordinator -> worker   {protocol, world}
-    hello-ack   worker -> coordinator   {protocol, worker, pid, warm}
+    hello       coordinator -> worker   {protocol}
+    hello-ack   worker -> coordinator   {protocol, worker, warm}
     task        coordinator -> worker   {unit, attempt, spec: TaskSpec}
-    heartbeat   worker -> coordinator   {unit}           (while executing)
-    result      worker -> coordinator   {unit, attempt, result, warm, wall}
-    failed      worker -> coordinator   {unit, attempt, error}
+    heartbeat   worker -> coordinator   {}               (while executing)
+    result      worker -> coordinator   {unit, result: ShardResult, warm}
+    failed      worker -> coordinator   {unit, error}
     shutdown    coordinator -> worker   {}               (close connection)
+
+A result's try and wall time ride on the :class:`ShardResult` itself
+(``attempt``, ``wall_seconds``).  The heartbeat cadence is part of the
+protocol: a worker sends one every :data:`HEARTBEAT_INTERVAL` seconds
+while it executes a unit, and the coordinator loses a busy worker after
+:func:`heartbeat_timeout` seconds of silence, a fixed number of missed
+heartbeats, so the two ends cannot disagree.
 
 Two consumption styles: blocking :func:`recv_frame` for the worker's
 one-connection-per-thread loop, and the incremental :class:`FrameDecoder`
@@ -32,17 +39,30 @@ import struct
 
 from ..core.cache import pack_entry, unpack_entry
 
-__all__ = ["FrameDecoder", "PROTOCOL_VERSION", "WireError",
+__all__ = ["FrameDecoder", "HEARTBEAT_INTERVAL", "HEARTBEAT_MISSES",
+           "PROTOCOL_VERSION", "WireError", "heartbeat_timeout",
            "recv_frame", "send_frame"]
 
 #: bumped whenever a message's meaning changes; hello/hello-ack carry it
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+#: seconds between two heartbeats of a worker executing a unit
+HEARTBEAT_INTERVAL = 0.5
+#: heartbeats in a row a busy worker may miss before it is lost
+HEARTBEAT_MISSES = 30
 
 #: refuse absurd frame lengths before allocating (a corrupt header would
 #: otherwise ask for gigabytes); a smoke-scale ShardResult is ~100 KiB
 MAX_FRAME_BYTES = 1 << 30
 
 _HEADER = struct.Struct(">I")
+
+
+def heartbeat_timeout() -> float:
+    """Seconds of silence after which the coordinator loses a busy
+    worker: :data:`HEARTBEAT_MISSES` missed heartbeats.  Computed per
+    call, so a patched interval or miss count takes effect at once."""
+    return HEARTBEAT_MISSES * HEARTBEAT_INTERVAL
 
 
 class WireError(RuntimeError):

@@ -30,11 +30,11 @@ way the coordinator sees what a dead sandbox looks like: EOF, no result.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from collections import OrderedDict
 
+from . import wire
 from .plan import world_key
 from .wire import PROTOCOL_VERSION, WireError, recv_frame, send_frame
 
@@ -90,11 +90,9 @@ class _ChaosDrop(Exception):
 class TaskLoop:
     """The task loop on a coordinator connection: hello, task, shutdown."""
 
-    def __init__(self, worlds: WorldCache, worker_id: str,
-                 heartbeat_interval: float = 0.5):
+    def __init__(self, worlds: WorldCache, worker_id: str):
         self.worlds = worlds
         self.worker_id = worker_id
-        self.heartbeat_interval = heartbeat_interval
         self.tasks_run = 0
 
     def serve(self, conn: socket.socket, stop=None) -> None:
@@ -116,7 +114,6 @@ class TaskLoop:
                         "type": "hello-ack",
                         "protocol": PROTOCOL_VERSION,
                         "worker": self.worker_id,
-                        "pid": os.getpid(),
                         "warm": self.worlds.keys(),
                     })
                 elif kind == "task":
@@ -152,33 +149,30 @@ class TaskLoop:
         thread = threading.Thread(target=execute, daemon=True)
         thread.start()
         while thread.is_alive():
-            thread.join(self.heartbeat_interval)
+            thread.join(wire.HEARTBEAT_INTERVAL)
             if thread.is_alive():
-                send_frame(conn, {"type": "heartbeat", "unit": unit})
+                send_frame(conn, {"type": "heartbeat"})
         self.tasks_run += 1
         if "crash" in box:
             raise _ChaosDrop
         if "error" in box:
             send_frame(conn, {"type": "failed", "unit": unit,
-                              "attempt": attempt, "error": box["error"]})
+                              "error": box["error"]})
             return
-        result = box["result"]
         send_frame(conn, {"type": "result", "unit": unit,
-                          "attempt": attempt, "result": result,
-                          "warm": self.worlds.keys(),
-                          "wall": result.wall_seconds})
+                          "result": box["result"],
+                          "warm": self.worlds.keys()})
 
 
 class WorkerServer(TaskLoop):
     """Accept loop + the task loop on each accepted connection."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 heartbeat_interval: float = 0.5,
                  world_cache_limit: int = 4):
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         super().__init__(WorldCache(world_cache_limit),
-                         f"{self.host}:{self.port}", heartbeat_interval)
+                         f"{self.host}:{self.port}")
         self._stop = threading.Event()
         self._accept_thread: threading.Thread | None = None
 

@@ -59,7 +59,7 @@ class TestFingerprint:
             study_fingerprint(SEED + 1, SMOKE),
             study_fingerprint(SEED, other_scale),
             study_fingerprint(SEED, SMOKE,
-                              PipelineConfig(liveness_retries=2)),
+                              PipelineConfig(activation_rate=0.8)),
             study_fingerprint(SEED, SMOKE,
                               PipelineConfig(faults=FAULT_PLANS["mild"])),
             study_fingerprint(SEED, SMOKE,

@@ -6,12 +6,25 @@ import pytest
 
 from repro.cli import main
 from repro.core.cache import StudyCache
+from repro.core.pipeline import MalNet
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def refused_study(monkeypatch, *flags) -> str:
+    """Run ``study`` with sharding flags the runner refuses; returns the
+    exit text, having checked that no pipeline was even built."""
+    def no_study(*args, **kwargs):
+        raise AssertionError("a refused study still built a pipeline")
+
+    monkeypatch.setattr(MalNet, "__init__", no_study)
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("--scale", "smoke", "study", *flags)
+    return str(excinfo.value)
 
 
 class TestStudyCommand:
@@ -32,24 +45,29 @@ class TestStudyCommand:
         _c, b = run_cli("--scale", "smoke", "--seed", "3", "study")
         assert a == b
 
-    def test_workers_and_peers_are_exclusive(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("--scale", "smoke", "study", "--workers", "2",
-                    "--peers", "127.0.0.1:9")
-        assert "exclusive" in str(excinfo.value)
+    # the sharding flags are checked once, by the sharded runner; the
+    # CLI only turns its FleetError into a usage exit
 
-    def test_units_must_be_positive(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("--scale", "smoke", "study", "--workers", "2",
-                    "--units", "0")
-        assert str(excinfo.value) == "repro: --units must be >= 1, got 0"
+    def test_workers_and_peers_are_exclusive(self, monkeypatch):
+        assert refused_study(monkeypatch, "--workers", "2",
+                             "--peers", "127.0.0.1:9") == (
+            "repro: workers and peers are exclusive: the peer list "
+            "already decides where units run")
 
-    def test_units_need_workers_or_peers(self):
+    def test_units_must_be_positive(self, monkeypatch):
+        assert refused_study(monkeypatch, "--workers", "2",
+                             "--units", "0") == \
+            "repro: unit_count must be >= 1, got 0"
+
+    def test_units_need_workers_or_peers(self, monkeypatch):
         # a serial study has no units: the flag must not be ignored
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("--scale", "smoke", "study", "--units", "3")
-        assert str(excinfo.value).startswith(
-            "repro: --units needs --workers or --peers")
+        assert refused_study(monkeypatch, "--units", "3") == (
+            "repro: unit_count needs workers or peers: a serial study "
+            "is not cut into units")
+
+    def test_negative_workers_are_refused(self, monkeypatch):
+        assert refused_study(monkeypatch, "--workers", "-1") == \
+            "repro: workers must be >= 1, got -1"
 
 
 #: (serial flags, extra flags of the sharded run); ``PEERS`` stands for
@@ -275,6 +293,22 @@ class TestSamplesReport:
         assert code == 0
         assert "Samples per C2" in text
         assert "sha256" in text and "family" in text
+
+
+class TestWorkerCommand:
+    def test_heartbeat_interval_is_not_an_option(self, monkeypatch,
+                                                 capsys):
+        """The heartbeat cadence is a protocol constant: a daemon with
+        its own could be lost by a coordinator expecting the default."""
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("a worker daemon started")
+
+        monkeypatch.setattr("repro.dist.worker.WorkerServer", no_daemon)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("worker", "--port", "0", "--heartbeat-interval", "20")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --heartbeat-interval 20" in \
+            capsys.readouterr().err
 
 
 class TestServeAndQueryCommands:

@@ -22,7 +22,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
 from repro.dist import WireError, recv_frame, send_frame
 from repro.dist.plan import world_key
-from repro.dist.wire import FrameDecoder
+from repro.dist.wire import PROTOCOL_VERSION, FrameDecoder, heartbeat_timeout
 from repro.dist.worker import WorkerServer, WorldCache
 from repro.netsim.faults import FAULT_PLANS
 from repro.obs import create_telemetry
@@ -92,7 +92,7 @@ def test_clean_eof_is_none_midframe_eof_raises():
         right.close()
     left, right = socket.socketpair()
     try:
-        send_frame(left, {"type": "heartbeat", "unit": 0})
+        send_frame(left, {"type": "heartbeat"})
         # deliver the header plus one payload byte, then hang up
         frame = right.recv(1 << 16)
         reader, writer = socket.socketpair()
@@ -127,7 +127,8 @@ def test_decoder_reassembles_fragmented_and_coalesced_frames():
     left, right = socket.socketpair()
     try:
         for unit in range(3):
-            send_frame(left, {"type": "heartbeat", "unit": unit})
+            send_frame(left, {"type": "failed", "unit": unit,
+                              "error": "boom"})
         stream = right.recv(1 << 20)
     finally:
         left.close()
@@ -157,6 +158,25 @@ def test_worker_does_not_ack_a_version_1_hello(workers):
         assert recv_frame(sock) is None          # closed, no hello-ack
 
 
+def test_worker_acks_only_its_own_protocol(workers):
+    """Version 3 result frames carry no ``wall``: a version 2
+    coordinator would read it as 0.0 and steal sooner, so a worker
+    refuses its hello.  Its own version gets a hello-ack that carries
+    only the fields a coordinator reads."""
+    assert PROTOCOL_VERSION == 3
+    server = workers[0]
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5) as sock:
+        send_frame(sock, {"type": "hello", "protocol": 2, "world": "w"})
+        assert recv_frame(sock) is None
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5) as sock:
+        send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION})
+        ack = recv_frame(sock)
+        assert sorted(ack) == ["protocol", "type", "warm", "worker"]
+        send_frame(sock, {"type": "shutdown"})
+
+
 def test_coordinator_skips_a_version_1_peer():
     from repro.dist import Coordinator
     from repro.dist.plan import TaskSpec
@@ -176,8 +196,7 @@ def test_coordinator_skips_a_version_1_peer():
     thread.start()
     spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
                     shard_count=1)
-    coordinator = Coordinator(spec, [f"127.0.0.1:{port}"],
-                              shard_timeout=None, max_redispatch=0)
+    coordinator = Coordinator(spec, [f"127.0.0.1:{port}"])
     try:
         assert coordinator.connect(want=1) == 0
         assert not coordinator.peers[0].connected
@@ -293,10 +312,11 @@ def test_socket_counter_totals_match_serial(worker_fleet):
     assert totals() == totals(peers=worker_fleet, unit_count=UNIT_COUNT)
 
 
-def test_straggling_unit_is_stolen(workers, serial_straggler):
+def test_straggling_unit_is_stolen(monkeypatch, workers, serial_straggler):
+    monkeypatch.setattr("repro.dist.coordinator.MIN_STEAL_SECONDS", 0.3)
+    monkeypatch.setattr("repro.dist.coordinator.STEAL_FACTOR", 0.5)
     datasets, manifest = _socket_study(
-        _peers(workers), STRAGGLER, unit_count=4,
-        transport_options={"min_steal_seconds": 0.3, "steal_factor": 0.5})
+        _peers(workers), STRAGGLER, unit_count=4)
     assert not datasets.failed_shards
     diff = dataset_diff(serial_straggler, datasets)
     assert diff is None, diff
@@ -368,14 +388,17 @@ def test_start_places_the_first_wave_on_tcp_peers(workers):
     assert [r.shard_index for r in results] == [0, 1, 2, 3]
 
 
-def test_idle_worker_is_not_lost_when_it_steals(workers, serial_straggler):
+def test_idle_worker_is_not_lost_when_it_steals(monkeypatch, workers,
+                                                serial_straggler):
     """The heartbeat clock starts at dispatch: a worker idle for longer
-    than ``heartbeat_timeout`` before a steal hands it a task is not
+    than the heartbeat timeout before a steal hands it a task is not
     declared lost before its first heartbeat can arrive."""
+    monkeypatch.setattr("repro.dist.wire.HEARTBEAT_MISSES", 4)
+    assert heartbeat_timeout() == 2.0
+    monkeypatch.setattr("repro.dist.coordinator.MIN_STEAL_SECONDS", 3.0)
+    monkeypatch.setattr("repro.dist.coordinator.STEAL_FACTOR", 0.5)
     datasets, manifest = _socket_study(
-        _peers(workers), STRAGGLER, unit_count=4,
-        transport_options={"heartbeat_timeout": 2.0,
-                           "min_steal_seconds": 3.0, "steal_factor": 0.5})
+        _peers(workers), STRAGGLER, unit_count=4)
     diff = dataset_diff(serial_straggler, datasets)
     assert diff is None, diff
     dist = manifest["extra"]["dist"]
@@ -392,8 +415,7 @@ def test_reset_connection_is_a_crash_like_eof():
 
     spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
                     shard_count=1)
-    coordinator = Coordinator(spec, ["127.0.0.1:1"], shard_timeout=None,
-                              max_redispatch=1)
+    coordinator = Coordinator(spec, ["127.0.0.1:1"])
     ours, theirs = socket.socketpair()
     try:
         peer = coordinator.peers[0]

@@ -107,7 +107,6 @@ def test_world_key_is_stable_and_discriminating():
 def test_default_unit_count_scales_with_the_fleet():
     assert default_unit_count(1) == 4
     assert default_unit_count(2) == 8
-    assert default_unit_count(2, per_worker=3) == 6
     assert default_unit_count(0) == 1       # floor: always one unit
 
 

@@ -255,16 +255,17 @@ def _assert_exact_redispatches(redispatches, placements):
                                if p["attempt"] > 0 and not p["steal"])
 
 
-def test_crashed_shard_worker_is_redispatched(serial_faulty):
+def test_crashed_shard_worker_is_redispatched(monkeypatch, serial_faulty):
     """Shard 1's worker dies mid-study (its connection drops: no
     exception, no result); the EOF re-queues the unit at once and the
     merge is still byte-identical to the serial run."""
+    monkeypatch.setattr("repro.dist.coordinator.SHARD_TIMEOUT", 30.0)
     plan = dataclasses.replace(PLAN, crash_shards=(1,), crash_attempts=1)
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SMOKE)
     _malnet, _campaign, datasets = run_study(
         world, config=PipelineConfig(faults=plan), workers=2,
-        telemetry=telemetry, shard_timeout=30.0)
+        telemetry=telemetry)
     diff = dataset_diff(serial_faulty, datasets)
     assert diff is None, diff
     assert datasets.failed_shards == []
@@ -276,23 +277,26 @@ def test_crashed_shard_worker_is_redispatched(serial_faulty):
         telemetry.manifest["extra"]["dist"]["placements"])
 
 
-def test_exhausted_redispatch_reports_partial_merge(serial_faulty):
-    """A shard that keeps dying gets exactly ``1 + max_redispatch`` tries,
+def test_exhausted_redispatch_reports_partial_merge(monkeypatch,
+                                                    serial_faulty):
+    """A shard that keeps dying gets exactly ``1 + MAX_REDISPATCH`` tries,
     however many slots are idle, and is then reported in failed_shards —
     a partial result, not an exception and not a silent gap."""
+    monkeypatch.setattr("repro.dist.coordinator.SHARD_TIMEOUT", 15.0)
+    monkeypatch.setattr("repro.dist.coordinator.MAX_REDISPATCH", 0)
     plan = dataclasses.replace(PLAN, crash_shards=(1,), crash_attempts=99)
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SMOKE)
     _malnet, _campaign, datasets = run_study(
         world, config=PipelineConfig(faults=plan), workers=2,
-        telemetry=telemetry, shard_timeout=15.0, max_redispatch=0)
+        telemetry=telemetry)
     assert datasets.failed_shards == [1]
     assert telemetry.metrics.value("shards_failed") == 1
     partial = [e for e in telemetry.events.events
                if e["event"] == "study.partial_merge"]
     assert len(partial) == 1 and partial[0]["failed_shards"] == [1]
     assert "worker crashed" in partial[0]["failures"]["1"]
-    # max_redispatch=0 is one try, although the other slot was free
+    # MAX_REDISPATCH = 0 is one try, although the other slot was free
     placements = telemetry.manifest["extra"]["dist"]["placements"]
     assert [p["attempt"] for p in placements if p["unit"] == 1] == [0]
     assert telemetry.metrics.value("shard_redispatches") == 0

@@ -8,6 +8,7 @@ pipeline, and the local slots' retry, crash and reaping accounting.
 matrix (``tests/test_equivalence.py``).
 """
 
+import inspect
 import os
 import time
 
@@ -20,6 +21,9 @@ from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import run_study
 from repro.determinism import shard_of
+from repro.dist.coordinator import Coordinator
+from repro.dist.wire import heartbeat_timeout
+from repro.dist.worker import TaskLoop, WorkerServer
 from repro.obs import MetricsRegistry
 from repro.obs.merge import fold_metrics
 from repro.world import generate_world
@@ -172,12 +176,29 @@ def test_runner_rejects_bad_arguments():
         ShardedStudyRunner(world, workers=2, peers=["127.0.0.1:1"])
     with pytest.raises(ValueError, match="exclusive"):
         run_study(world, workers=2, peers=["127.0.0.1:1"])
-    # the retry budget and the dispatch bound are set in one place: the
-    # runner's own arguments, never through the coordinator tuning
-    for option in ("max_unit_retries", "max_redispatch", "shard_timeout"):
-        with pytest.raises(TypeError):
-            ShardedStudyRunner(world, workers=2,
-                               transport_options={option: 1})
+    with pytest.raises(ValueError, match="unit_count must be >= 1"):
+        ShardedStudyRunner(world, workers=2, unit_count=0)
+    # a serial study is not cut into units: the argument is refused,
+    # not ignored
+    with pytest.raises(ValueError, match="unit_count needs workers"):
+        run_study(world, unit_count=3)
+
+
+@pytest.mark.parametrize("entry, parameters", [
+    (run_study, ["world", "config", "telemetry", "workers", "cache",
+                 "peers", "unit_count"]),
+    (ShardedStudyRunner, ["world", "workers", "config",
+                          "telemetry_enabled", "peers", "unit_count"]),
+    (Coordinator, ["spec", "peers", "local_slots"]),
+    (TaskLoop, ["worlds", "worker_id"]),
+    (WorkerServer, ["host", "port", "world_cache_limit"]),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_a_sharded_run_has_no_tuning_arguments(entry, parameters):
+    """A sharded run takes where to run (``workers`` or ``peers``) and
+    how fine to cut (``unit_count``); its timeouts, re-dispatch budget,
+    stealing and heartbeats are module constants, so no layer grows a
+    pass-through knob for them again."""
+    assert list(inspect.signature(entry).parameters) == parameters
 
 
 def test_local_slots_without_fork_point_to_worker_peers(monkeypatch):
@@ -209,13 +230,14 @@ def test_fold_counters_sums_worker_snapshots():
     assert parent.value("samples_skipped", reason="duplicate") == 9
 
 
-# -- one retry model: per-dispatch shard_timeout, per-unit budget -------------
+# -- one retry model: per-dispatch SHARD_TIMEOUT, per-unit budget -------------
 
 
-def _chaos_runner(plan, workers=2, **kwargs):
+def _chaos_runner(plan, workers=2, unit_count=None):
     world = generate_world(seed=SEED, scale=SMOKE)
     return ShardedStudyRunner(world, workers=workers,
-                              config=PipelineConfig(faults=plan), **kwargs)
+                              config=PipelineConfig(faults=plan),
+                              unit_count=unit_count)
 
 
 def _attempts(runner, unit):
@@ -233,17 +255,19 @@ def _assert_exact_redispatches(runner):
     assert runner.transport_stats["redispatches"] == runner.redispatches
 
 
-def test_timed_out_crash_is_reported_as_a_crash():
+def test_timed_out_crash_is_reported_as_a_crash(monkeypatch):
     """A worker that died reads differently from one that is merely
     stuck — the 3 a.m. difference between 'restart the box' and 'attach
     a profiler'.  A crash is EOF on the slot's socketpair, so it is
-    reported at once, not after ``shard_timeout``; with
-    ``max_redispatch=0`` the unit gets exactly one try."""
+    reported at once, not after ``SHARD_TIMEOUT``; with
+    ``MAX_REDISPATCH = 0`` the unit gets exactly one try."""
     from repro.netsim.faults import FaultPlan
 
+    monkeypatch.setattr("repro.dist.coordinator.SHARD_TIMEOUT", 10.0)
+    monkeypatch.setattr("repro.dist.coordinator.MAX_REDISPATCH", 0)
     plan = FaultPlan(name="crash-forever", crash_shards=(1,),
                      crash_attempts=99)
-    runner = _chaos_runner(plan, shard_timeout=10.0, max_redispatch=0)
+    runner = _chaos_runner(plan)
     started = time.monotonic()
     runner.start()
     runner.join()
@@ -255,12 +279,14 @@ def test_timed_out_crash_is_reported_as_a_crash():
     _assert_exact_redispatches(runner)
 
 
-def test_timed_out_hang_is_reported_as_a_hang():
+def test_timed_out_hang_is_reported_as_a_hang(monkeypatch):
     from repro.netsim.faults import FaultPlan
 
+    monkeypatch.setattr("repro.dist.coordinator.SHARD_TIMEOUT", 8.0)
+    monkeypatch.setattr("repro.dist.coordinator.MAX_REDISPATCH", 0)
     plan = FaultPlan(name="hang-forever", hang_shards=(1,),
                      hang_attempts=99, hang_seconds=120.0)
-    runner = _chaos_runner(plan, shard_timeout=8.0, max_redispatch=0)
+    runner = _chaos_runner(plan)
     runner.start()
     pids = _slot_pids(runner)
     runner.join()        # SIGKILLs and reaps the hung child
@@ -272,17 +298,18 @@ def test_timed_out_hang_is_reported_as_a_hang():
     _assert_reaped(pids)
 
 
-def test_shard_timeout_bounds_each_dispatch(serial):
-    """``shard_timeout`` counts from a dispatch's placement; time a unit
+def test_shard_timeout_bounds_each_dispatch(monkeypatch, serial):
+    """``SHARD_TIMEOUT`` counts from a dispatch's placement; time a unit
     waits in the queue is never charged.  On one slot, unit 1 waits out
-    unit 0's whole hang (a full ``shard_timeout``) and still runs at
+    unit 0's whole hang (a full ``SHARD_TIMEOUT``) and still runs at
     attempt 0; the hung unit 0 is re-dispatched once and succeeds."""
     from repro.netsim.faults import FaultPlan
 
+    monkeypatch.setattr("repro.dist.coordinator.SHARD_TIMEOUT", 8.0)
+    monkeypatch.setattr("repro.dist.coordinator.MAX_REDISPATCH", 1)
     plan = FaultPlan(name="hang-once", hang_shards=(0,),
                      hang_attempts=1, hang_seconds=60.0)
-    runner = _chaos_runner(plan, workers=1, unit_count=2,
-                           shard_timeout=8.0, max_redispatch=1)
+    runner = _chaos_runner(plan, workers=1, unit_count=2)
     started = time.monotonic()
     results = runner.start().join()
     assert time.monotonic() - started > 8.0
@@ -296,14 +323,16 @@ def test_shard_timeout_bounds_each_dispatch(serial):
     assert diff is None, diff
 
 
-def test_a_unit_that_keeps_crashing_does_not_starve_the_others(serial):
+def test_a_unit_that_keeps_crashing_does_not_starve_the_others(
+        monkeypatch, serial):
     """One slot, four units, unit 1 kills its worker on every try: it
     uses exactly its own budget, and the healthy units each run once."""
     from repro.netsim.faults import FaultPlan
 
+    monkeypatch.setattr("repro.dist.coordinator.MAX_REDISPATCH", 2)
     plan = FaultPlan(name="crash-forever", crash_shards=(1,),
                      crash_attempts=99)
-    runner = _chaos_runner(plan, workers=1, unit_count=4, max_redispatch=2)
+    runner = _chaos_runner(plan, workers=1, unit_count=4)
     results = runner.start().join()
     assert runner.failed_shards == [1]
     assert [(r.shard_index, r.attempt) for r in results] == \
@@ -317,16 +346,17 @@ def test_a_unit_that_keeps_crashing_does_not_starve_the_others(serial):
 
 
 @pytest.mark.parametrize("slots", [1, 2, 4])
-def test_retry_budget_does_not_depend_on_the_fleet(slots, serial):
-    """A failing unit gets ``1 + max_redispatch`` tries at attempts
-    ``0 … max_redispatch`` on any fleet, and no healthy unit re-runs."""
+def test_retry_budget_does_not_depend_on_the_fleet(slots, monkeypatch,
+                                                   serial):
+    """A failing unit gets ``1 + MAX_REDISPATCH`` tries at attempts
+    ``0 … MAX_REDISPATCH`` on any fleet, and no healthy unit re-runs."""
     from repro.netsim.faults import FaultPlan
 
+    monkeypatch.setattr("repro.dist.coordinator.MAX_REDISPATCH", 2)
     for crash_attempts, failed in ((2, []), (3, [1])):
         plan = FaultPlan(name="crash-n", crash_shards=(1,),
                          crash_attempts=crash_attempts)
-        runner = _chaos_runner(plan, workers=slots, unit_count=4,
-                               max_redispatch=2)
+        runner = _chaos_runner(plan, workers=slots, unit_count=4)
         results = runner.start().join()
         assert runner.failed_shards == failed
         assert _attempts(runner, 1) == [0, 1, 2]
@@ -441,15 +471,16 @@ def test_failed_probing_still_reaps_the_children(monkeypatch):
     _assert_reaped(pids)
 
 
-def test_sigkilled_local_slot_is_lost_by_eof(serial):
+def test_sigkilled_local_slot_is_lost_by_eof(monkeypatch, serial):
     """A child killed mid-wave is noticed by EOF on its socketpair — far
     sooner than the heartbeat timeout — and its unit moves to the other
     slot without moving a byte."""
     import signal
 
+    monkeypatch.setattr("repro.dist.wire.HEARTBEAT_MISSES", 120)
+    assert heartbeat_timeout() == 60
     world = generate_world(seed=SEED, scale=SMOKE)
-    runner = ShardedStudyRunner(world, workers=2, unit_count=4,
-                                transport_options={"heartbeat_timeout": 60})
+    runner = ShardedStudyRunner(world, workers=2, unit_count=4)
     started = time.monotonic()
     runner.start()
     pids = _slot_pids(runner)
