@@ -36,11 +36,11 @@ from .core.report import (
     render_probe_matrix,
     render_table,
 )
-from .core.parallel import FleetError
+from .core.parallel import FleetError, plan_fleet
 from .core.pipeline import PipelineConfig
 from .core.study import run_study
 from .netsim.faults import FAULT_PLANS
-from .obs import NULL_TELEMETRY, Telemetry, create_telemetry
+from .obs import NULL_TELEMETRY, Telemetry, analysis, create_telemetry
 from .world import FULL_SCALE, SMOKE_SCALE, XL_SCALE, StudyScale, generate_world
 from .world.calibration import ACTIVE_WEEKS
 
@@ -61,6 +61,26 @@ QUERY_CHOICES = (
     "status", "digest", "health", "profiles", "profile", "c2", "lifespans",
     "ddos", "exploits", "alerts", "rules", "metrics", "ingest", "finalize",
 )
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type``: an integer in ``[low, high]`` (no upper
+    bound when ``high`` is None); anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in {low}-{high}"
+            raise argparse.ArgumentTypeError(
+                f"must be {bounds}, got {value}")
+        return value
+    return parse
+
+
+#: a port to listen on: 0 picks an ephemeral one
+LISTEN_PORT = _int_in(0, 65535)
 
 
 def _sample_rows(datasets, limit: int = 20) -> list[list]:
@@ -173,10 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(repro study --peers host:port,...)")
     worker.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
-    worker.add_argument("--port", type=int, default=0,
+    worker.add_argument("--port", type=LISTEN_PORT, default=0,
                         help="listen port (default: 0 = ephemeral; the "
                              "chosen port is announced on stdout)")
-    worker.add_argument("--world-cache", type=int, default=4, metavar="N",
+    worker.add_argument("--world-cache", type=_int_in(1), default=4,
+                        metavar="N",
                         help="generated worlds kept warm "
                              "(default: 4)")
 
@@ -230,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "incrementally and serve the JSON query API")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8321,
+    serve.add_argument("--port", type=LISTEN_PORT, default=8321,
                        help="bind port, 0 for ephemeral (default 8321)")
     serve.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                        help="persist a checkpoint after every ingested day; "
@@ -315,6 +336,9 @@ def _parse_peers(value: str | None) -> list[str] | None:
         if not host or not port.isdigit():
             raise SystemExit(
                 f"repro: --peers entries must be host:port, got {address!r}")
+        if not 1 <= int(port) <= 65535:
+            raise SystemExit(
+                f"repro: --peers ports must be in 1-65535, got {address!r}")
         peers.append(address)
     if not peers:
         raise SystemExit("repro: --peers is empty")
@@ -328,19 +352,21 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
         # the world from (seed, scale) build the same DGA campaigns
         scale = dataclasses.replace(scale, dga=True)
     peers = _parse_peers(getattr(args, "peers", None))
+    workers = getattr(args, "workers", None)
+    unit_count = getattr(args, "units", None)
+    try:
+        plan_fleet(workers, peers, unit_count)   # before the world exists
+    except FleetError as exc:
+        raise SystemExit(f"repro: {exc}")
     world = generate_world(seed=args.seed, scale=scale)
     config = None
     faults = getattr(args, "faults", None)
     if faults is not None:
         config = PipelineConfig(faults=FAULT_PLANS[faults])
-    try:
-        malnet, campaign, datasets = run_study(
-            world, config=config, telemetry=telemetry,
-            workers=getattr(args, "workers", None), peers=peers,
-            unit_count=getattr(args, "units", None),
-            cache=getattr(args, "cache_dir", None))
-    except FleetError as exc:
-        raise SystemExit(f"repro: {exc}")
+    malnet, campaign, datasets = run_study(
+        world, config=config, telemetry=telemetry, workers=workers,
+        peers=peers, unit_count=unit_count,
+        cache=getattr(args, "cache_dir", None))
     if datasets.failed_shards:
         print(f"# WARNING: partial results - shards {datasets.failed_shards} "
               "failed and were excluded from the merge", file=sys.stderr)
@@ -441,50 +467,33 @@ def _cmd_report(args, out) -> int:
     return 0
 
 
+def _stage_table(snapshot: dict, n: int, title: str) -> str:
+    """The ``n`` slowest stages of a telemetry snapshot, as a table."""
+    rows = [[name, stat["count"], f"{stat['wall_seconds']:.3f}",
+             f"{stat['sim_seconds'] / 3600.0:.1f}"]
+            for name, stat in analysis.top_spans(snapshot, n)]
+    return render_table(["stage", "calls", "wall s", "sim h"], rows,
+                        title=title)
+
+
 def _cmd_stats(args, out) -> int:
     """Run the study with telemetry on; render the per-stage summary."""
     telemetry, telemetry_path = _telemetry_for(args, always=True)
     _run(args, telemetry)
-    aggregate = telemetry.tracer.aggregate()
-    stage_rows = [
-        [name, stat["count"],
-         f"{stat['wall_seconds']:.3f}",
-         f"{stat['sim_seconds'] / 3600.0:.1f}"]
-        for name, stat in sorted(
-            aggregate.items(),
-            key=lambda item: -item[1]["wall_seconds"])
-    ]
-    print(render_table(["stage", "calls", "wall s", "sim h"], stage_rows,
-                       title="Pipeline stages"), file=out)
+    snapshot = telemetry.snapshot()
+    print(_stage_table(snapshot, len(snapshot["spans"]), "Pipeline stages"),
+          file=out)
     print(file=out)
-    top_rows = [
-        [name, f"{stat['wall_seconds']:.3f}"]
-        for name, stat in sorted(aggregate.items(),
-                                 key=lambda item: -item[1]["wall_seconds"])[:5]
-    ]
-    print(render_table(["span", "total wall s"], top_rows,
-                       title="Top spans"), file=out)
-    print(file=out)
-    counter_rows = []
-    for family in telemetry.metrics.families():
-        if family.kind != "counter":
-            continue
-        for labels, child in family.series():
-            label_text = ",".join(f"{k}={v}" for k, v in labels.items())
-            name = f"{family.name}{{{label_text}}}" if label_text else family.name
-            counter_rows.append([name, int(child.value)])
+    counter_rows = [[name, int(value)] for name, value
+                    in analysis.counter_series(snapshot).items()]
     print(render_table(["counter", "total"], counter_rows, title="Counters"),
           file=out)
-    histogram_rows = []
-    for family in telemetry.metrics.families():
-        if family.kind != "histogram":
-            continue
-        for labels, child in family.series():
-            label_text = ",".join(f"{k}={v}" for k, v in labels.items())
-            name = f"{family.name}{{{label_text}}}" if label_text else family.name
-            histogram_rows.append(
-                [name, child.count]
-                + [f"{child.quantile(q):g}" for q in (0.5, 0.95, 0.99)])
+    histogram_rows = [
+        [name, value["count"]]
+        + [f"{bound:g}" for bound
+           in analysis.histogram_quantiles(value).values()]
+        for name, value in analysis.histogram_series(snapshot).items()
+    ]
     if histogram_rows:
         print(file=out)
         print(render_table(["histogram", "count", "p50", "p95", "p99"],
@@ -495,7 +504,6 @@ def _cmd_stats(args, out) -> int:
 
 def _cmd_obs(args, out) -> int:
     """Dispatch the ``obs`` analysis group over an artifact directory."""
-    from .obs import analysis
     from .obs.manifest import read_manifest
 
     # fail with a clear message before touching any artifact: every obs
@@ -515,14 +523,8 @@ def _cmd_obs(args, out) -> int:
                 "--telemetry to populate it")
     try:
         if args.obs_command == "top":
-            rows = [
-                [name, stat["count"], f"{stat['wall_seconds']:.3f}",
-                 f"{stat['sim_seconds'] / 3600.0:.1f}"]
-                for name, stat in analysis.top_spans(
-                    analysis.load_snapshot(args.dir), args.n)
-            ]
-            print(render_table(["stage", "calls", "wall s", "sim h"], rows,
-                               title=f"Top {args.n} stages"), file=out)
+            print(_stage_table(analysis.load_snapshot(args.dir), args.n,
+                               f"Top {args.n} stages"), file=out)
             return 0
         if args.obs_command == "diff":
             lines, breaches = analysis.diff_runs(

@@ -21,39 +21,33 @@ serial run** on the same ``(seed, scale)``.  Three properties carry it:
 * records carry ``origin`` tuples fixing their global creation order,
   which lets the merge reconstruct the serial insertion order exactly.
 
-*Where* the units execute is the coordinator's business
-(:mod:`repro.dist.coordinator`), the one engine for every sharded run:
-``workers=N`` forks N *local slots* (children running the ``repro
-worker`` task loop on socketpairs), ``peers=["host:port", ...]`` dials
-``repro worker`` daemons over TCP.  Either way the unit partition is by
-sha256, placement is cache-aware, stragglers are stolen, and any
-placement merges to the same digest.
+*Where* the units execute is the business of
+:class:`~repro.dist.coordinator.ShardedStudyRunner` (re-exported here),
+the one engine for every sharded run: ``workers=N`` forks N *local
+slots* (children running the ``repro worker`` task loop on
+socketpairs), ``peers=["host:port", ...]`` dials ``repro worker``
+daemons over TCP.  Either way the unit partition is by sha256,
+placement is cache-aware, stragglers are stolen, and any placement
+merges to the same digest.
 
-**Failure handling**: a real fleet loses sandboxes.  One failure model
-covers both kinds of peer: a crash is EOF, a lost worker is heartbeat
-silence, a unit that raises comes back as a ``failed`` frame, and a hang
-is a dispatch still running ``SHARD_TIMEOUT`` seconds after its
-placement.  Each failed dispatch costs its unit one of
-``MAX_REDISPATCH`` re-dispatches: the unit goes back in the queue at
-``attempt + 1`` (a hung or lost local child is SIGKILLed and reaped
-first), so a unit gets at most ``1 + MAX_REDISPATCH`` tries on any
-fleet; both are constants of :mod:`repro.dist.coordinator`.  Every
-local slot, whether forked in :meth:`start` or re-forked after the
-whole fleet was lost, runs its units on the fork-inherited world: no
-run writes it, so the parent's probing campaign leaves it as
-generated.  Because each unit's output is a pure function of ``(seed,
-scale, config)``, a retried unit produces the same bytes it would have
-produced on the first try.  Units that use up their budget land in
-:attr:`ShardedStudyRunner.failed_shards` so a partial merge is
+**Failure handling**: a real fleet loses sandboxes.  The runner's one
+failure model (a crash, a lost worker, a unit that raises, a hang) and
+its per-unit re-dispatch budget are described in
+:mod:`repro.dist.coordinator`.  Because each unit's output is a pure
+function of ``(seed, scale, config)``, a retried unit produces the same
+bytes it would have produced on the first try; units that use up their
+budget land in the runner's ``failed_shards``, so a partial merge is
 reported, never silent.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 
+# the runner is the coordinator engine, defined beside its wire and
+# workers; no repro.dist module imports this one at module level
+from ..dist.coordinator import FleetError, ShardedStudyRunner, plan_fleet
 from ..obs import EventLog, MetricsRegistry, NullEventLog, NullTracer, \
     Telemetry, Tracer
 from ..world.generator import World
@@ -61,14 +55,7 @@ from .datasets import Datasets
 from .pipeline import MalNet, PipelineConfig
 
 __all__ = ["FleetError", "ShardedStudyRunner", "ShardResult",
-           "execute_shard"]
-
-
-class FleetError(ValueError):
-    """A sharded run asked for a fleet it cannot have: bad ``workers``,
-    ``peers`` or ``unit_count``.  Raised before anything runs, and typed
-    so the CLI reports it as a usage error while any other ``ValueError``
-    keeps its traceback."""
+           "execute_shard", "plan_fleet"]
 
 
 @dataclasses.dataclass
@@ -95,18 +82,15 @@ class ShardResult:
     worker: str | None = None
 
 
-def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
-                  telemetry_on: bool, *,
-                  world: World | None = None) -> ShardResult:
+def execute_shard(world: World, config: PipelineConfig, attempt: int,
+                  telemetry_on: bool) -> ShardResult:
     """Run the pipeline over one sha256 unit — the executor body of the
     ``repro worker`` task loop.
 
-    ``world`` is the already-generated world of ``(seed, scale)`` (a
-    worker's cached one, shared by every unit it runs); ``None``
-    regenerates it — same bytes either way, world generation is
-    deterministic.  A fault plan's worker-crash draw raises
-    :class:`~repro.netsim.faults.WorkerCrash`, on which the task loop
-    drops its connection like a dead sandbox host.
+    ``world`` is the generated world of the study (a worker's cached
+    one, shared by every unit it runs).  A fault plan's worker-crash
+    draw raises :class:`~repro.netsim.faults.WorkerCrash`, on which the
+    task loop drops its connection like a dead sandbox host.
 
     The executor always keeps metrics (counter/histogram totals survive
     the merge); with ``telemetry_on`` it also runs a real tracer and
@@ -119,16 +103,12 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
     if plan is not None and plan.enabled:
         from ..netsim.faults import FaultInjector, WorkerCrash
 
-        injector = FaultInjector(plan, seed)
+        injector = FaultInjector(plan, world.seed)
         if injector.worker_crashes(config.shard_index, attempt):
             raise WorkerCrash(
                 f"chaos crash: unit {config.shard_index} attempt {attempt}")
         if injector.worker_hangs(config.shard_index, attempt):
             time.sleep(plan.hang_seconds)
-    if world is None:
-        from ..world import generate_world
-
-        world = generate_world(seed=seed, scale=scale)
     if telemetry_on:
         telemetry = Telemetry(metrics=MetricsRegistry(), tracer=Tracer(),
                               events=EventLog())
@@ -146,125 +126,3 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
         wall_seconds=time.perf_counter() - started,
         attempt=attempt,
     )
-
-
-class ShardedStudyRunner:
-    """Runs the daily pipeline across sha256-partitioned executors.
-
-    Usage is two-phase so the parent can do useful work (the probing
-    campaign) while the executors grind through the units::
-
-        runner = ShardedStudyRunner(world, workers=4).start()
-        ...                       # parent-side work overlaps execution
-        shards = runner.join()    # [ShardResult, ...] in unit order
-
-    ``workers=N`` runs the units on N local slots, forked children of
-    this process (one unit per slot by default); ``peers`` (``["host:
-    port", ...]``, exclusive with ``workers``) dispatches them to
-    ``repro worker`` daemons instead, cutting the corpus into
-    ``unit_count`` fine-grained units (default 4× the fleet size) so the
-    coordinator can place cache-aware and steal from stragglers.  Any
-    unit count merges to the same digest.  These three are the only
-    arguments of a sharded run, and this constructor is the one place
-    that checks them (:class:`FleetError`); timeouts, the re-dispatch
-    budget, stealing and heartbeats are constants of the coordinator
-    (:mod:`repro.dist.coordinator`).
-
-    After :meth:`join`, :attr:`failed_shards` lists the unit indexes
-    that never produced a result (crashed/hung/raised on every try) and
-    :attr:`failures` keeps the last error text of every unit that failed
-    at least once; :attr:`transport_stats` carries the coordinator's
-    placement/steal/wall accounting for the manifest.  Callers must
-    treat a non-empty :attr:`failed_shards` as a partial merge.
-    """
-
-    def __init__(self, world: World, workers: int | None = None,
-                 config: PipelineConfig | None = None,
-                 telemetry_enabled: bool = False,
-                 peers: list[str] | None = None,
-                 unit_count: int | None = None):
-        if peers and workers:
-            raise FleetError("workers and peers are exclusive: the peer "
-                             "list already decides where units run")
-        if not peers:
-            if workers is None or workers < 1:
-                raise FleetError(f"workers must be >= 1, got {workers}")
-            if not hasattr(os, "fork"):
-                raise RuntimeError(
-                    "local worker slots need os.fork(), which this "
-                    "platform lacks; start `repro worker` daemons and "
-                    "pass their host:port addresses as peers instead")
-        if unit_count is not None and unit_count < 1:
-            raise FleetError(f"unit_count must be >= 1, got {unit_count}")
-        from ..dist.plan import default_unit_count
-
-        self.world = world
-        self.peers = list(peers or [])
-        #: fleet width: local slots, or the peer count
-        self.workers = len(self.peers) or workers
-        self.config = config or PipelineConfig()
-        #: when True, executors run real tracer/event-log instruments and
-        #: ship their snapshots back for the cross-shard merge
-        self.telemetry_enabled = telemetry_enabled
-        #: sha256-partition granularity: how many units the corpus is
-        #: cut into (== workers on local slots by default)
-        self.shard_count = unit_count or (
-            default_unit_count(self.workers) if self.peers else workers)
-        #: unit indexes with no result (set by ``join``)
-        self.failed_shards: list[int] = []
-        #: last error text of each unit that failed at least once
-        self.failures: dict[int, str] = {}
-        #: placements that re-ran a failed unit (set by ``join``)
-        self.redispatches = 0
-        #: coordinator placement/steal/wall accounting (set by ``join``)
-        self.transport_stats: dict = {}
-        #: the engine that runs the units (built by ``start``)
-        self.coordinator = None
-        self._drained = False
-
-    def start(self) -> "ShardedStudyRunner":
-        """Connect the fleet and place the first units (non-blocking).
-
-        Local slots fork here and run every unit on the world they
-        inherit: the parent's runs share it without writing it."""
-        if self.coordinator is not None:
-            raise RuntimeError("runner already started")
-        from ..dist.coordinator import Coordinator
-        from ..dist.plan import TaskSpec
-
-        spec = TaskSpec(seed=self.world.seed, scale=self.world.scale,
-                        config=self.config, shard_count=self.shard_count,
-                        telemetry=self.telemetry_enabled)
-        self.coordinator = Coordinator(
-            spec, self.peers,
-            local_slots=0 if self.peers else self.workers)
-        try:
-            self.coordinator.start(self.world)
-        except BaseException:
-            self.coordinator.close()
-            raise
-        return self
-
-    def join(self) -> list[ShardResult]:
-        """Wait for every unit; returns results ordered by unit index.
-
-        Units that used up their re-dispatch budget are recorded in
-        :attr:`failed_shards` / :attr:`failures` and simply absent from
-        the returned list.  Every child is reaped before this returns.
-        """
-        if self.coordinator is None:
-            raise RuntimeError("runner not started")
-        if self._drained:
-            raise RuntimeError("runner already joined")
-        self._drained = True
-        coordinator = self.coordinator
-        try:
-            coordinator.join()
-        finally:
-            self.transport_stats = coordinator.stats()
-        results = coordinator.results
-        self.failed_shards = sorted(set(range(self.shard_count))
-                                    - set(results))
-        self.failures = dict(coordinator.failures)
-        self.redispatches = coordinator.redispatches
-        return sorted(results.values(), key=lambda r: r.shard_index)

@@ -3,7 +3,7 @@
 The default is serial: :class:`DayRunner` steps the pipeline one feed
 day at a time.  ``run_study(world, workers=N)`` shards it over N local
 slots — forked children of this process — and ``peers=[...]`` over
-``repro worker`` daemons; both go through the one coordinator engine
+``repro worker`` daemons; both go through the one runner engine
 (see :mod:`repro.core.parallel`).  Every path produces byte-identical
 :class:`~repro.core.datasets.Datasets` for the same ``(seed, scale)``.
 """
@@ -21,25 +21,9 @@ from ..world.generator import World
 from .cache import StudyCache, code_fingerprint, study_fingerprint
 from .datasets import Datasets
 from .journal import StudyState
-from .parallel import FleetError, ShardedStudyRunner
+from .parallel import ShardedStudyRunner, plan_fleet
 from .pipeline import MalNet, PipelineConfig, total_study_days
 from .probing import ProbingCampaign
-
-#: parallel-width ceiling for ``workers="auto"`` — the envelope the
-#: serial == merged-parallel invariant is exercised against in CI
-AUTO_WORKERS_MAX = 4
-
-
-def resolve_workers(workers) -> int | None:
-    """Resolve the ``workers`` argument; ``"auto"`` fits the machine."""
-    if workers != "auto":
-        return workers
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    workers = min(AUTO_WORKERS_MAX, cpus)
-    return workers if workers > 1 else None
 
 
 def select_probe_binaries(world: World) -> list[bytes]:
@@ -245,9 +229,8 @@ class DayRunner:
 
 def _run_parallel(
     runner: ShardedStudyRunner, malnet: MalNet, telemetry: Telemetry,
-) -> tuple[ProbingCampaign, dict]:
-    """Sharded pipeline on the coordinator, probing overlapped in the
-    parent.
+) -> ProbingCampaign:
+    """Sharded pipeline on the runner, probing overlapped in the parent.
 
     :meth:`ShardedStudyRunner.start` places the first units on local
     slots and TCP peers alike, so the units run while the parent probes.
@@ -255,11 +238,6 @@ def _run_parallel(
     its stream per slot, and no run writes the world — so the parent can
     run it concurrently with the executors and still produce the same
     observations as the serial ordering.
-
-    Returns the campaign plus a run-info dict (per-shard timings,
-    re-dispatch/failure accounting, coordinator placement stats) consumed
-    by the manifest; ``transport`` is the coordinator's own account of
-    which kind of peer ran the units.
     """
     with telemetry.tracer.span("study.pipeline", workers=runner.workers) \
             as pipeline_span:
@@ -268,7 +246,7 @@ def _run_parallel(
             with telemetry.tracer.span("study.probing"):
                 campaign = run_probing(runner.world, malnet, telemetry)
         except BaseException:
-            runner.coordinator.close()     # reap the children, then raise
+            runner.close()  # reap the children, then raise
             raise
         shards = runner.join()
     if runner.redispatches:
@@ -281,7 +259,7 @@ def _run_parallel(
             failures={str(k): v for k, v in runner.failures.items()})
     merged = Datasets.merge([shard.datasets for shard in shards])
     merged.d_pc2 = list(malnet.datasets.d_pc2)
-    merged.failed_shards = list(runner.failed_shards)
+    merged.failed_shards = runner.failed_shards
     if runner.failed_shards:
         telemetry.metrics.counter(
             "shards_failed", "shard units with no result after their "
@@ -314,31 +292,18 @@ def _run_parallel(
     metrics = telemetry.metrics
     metrics.counter("c2_records").inc(len(merged.d_c2s))
     metrics.counter("ddos_records").inc(len(merged.d_ddos))
-    run_info = {
-        "shards": [
-            {"shard": shard.shard_index, "attempt": shard.attempt,
-             "wall_seconds": round(shard.wall_seconds, 6),
-             "worker": shard.worker,
-             "sizes": dict(shard.datasets.summary())}
-            for shard in shards
-        ],
-        "transport": runner.transport_stats["transport"],
-        "redispatches": runner.redispatches,
-        "failed_shards": list(runner.failed_shards),
-        "failures": {str(k): runner.failures[k]
-                     for k in runner.failed_shards},
-        "dist": runner.transport_stats,
-    }
-    return campaign, run_info
+    return campaign
 
 
 def _build_run_manifest(
     world: World, config: PipelineConfig | None, telemetry: Telemetry,
-    datasets: Datasets, *, workers: int | None, cache: StudyCache | None,
+    datasets: Datasets, *, workers: int | None,
+    runner: ShardedStudyRunner | None, cache: StudyCache | None,
     fingerprint: str | None, cached: bool, started: float,
-    wall_seconds: float, run_info: dict | None,
+    wall_seconds: float,
 ) -> dict:
-    """Assemble the flight-recorder manifest for one finished run."""
+    """Assemble the flight-recorder manifest for one finished run;
+    ``runner`` is the joined runner of a sharded run, else ``None``."""
     effective = config or PipelineConfig()
     plan = effective.faults
     if fingerprint is None:
@@ -352,14 +317,13 @@ def _build_run_manifest(
         "code_fingerprint": code_fingerprint(),
         "study_fingerprint": fingerprint,
     }
-    info = run_info or {}
     run = {
         "started": started,
         "finished": time.time(),
         "wall_seconds": round(wall_seconds, 6),
         "cached": cached,
-        "transport": info.get("transport", "local"),
-        "redispatches": info.get("redispatches", 0),
+        "transport": runner.transport if runner else "local",
+        "redispatches": runner.redispatches if runner else 0,
     }
     phases = {name: stats
               for name, stats in telemetry.tracer.aggregate().items()
@@ -372,17 +336,25 @@ def _build_run_manifest(
         {"sha256": p.sha256, "day": p.day, "reason": p.quarantine_reason}
         for p in datasets.profiles if p.quarantined
     ]
+    shards = []
     extra: dict = {}
-    if info.get("failures"):
-        extra["failures"] = info["failures"]
-    if info.get("dist"):
-        extra["dist"] = info["dist"]
+    if runner is not None:
+        shards = [
+            {"shard": shard.shard_index, "attempt": shard.attempt,
+             "wall_seconds": round(shard.wall_seconds, 6),
+             "worker": shard.worker,
+             "sizes": dict(shard.datasets.summary())}
+            for shard in runner.results.values()
+        ]
+        if runner.failed_shards:
+            extra["failures"] = {str(k): runner.failures[k]
+                                 for k in runner.failed_shards}
+        extra["dist"] = runner.stats()
     return build_manifest(
         study=study, run=run, phases=phases, cache=cache_info,
-        shards=info.get("shards"),
+        shards=shards,
         quarantined=quarantined,
-        failed_shards=info.get("failed_shards",
-                               list(datasets.failed_shards)),
+        failed_shards=datasets.failed_shards,
         datasets=dict(datasets.summary()),
         extra=extra or None,
     )
@@ -408,9 +380,9 @@ def run_study(
     the fleet width follows the peer list, ``unit_count`` controls the
     fine-grained partition (default 4× the fleet; ``workers`` locally),
     and the merged output stays byte-identical to the serial run.
-    :class:`~repro.core.parallel.ShardedStudyRunner` checks these three
-    before anything runs; a bad combination raises
-    :class:`~repro.core.parallel.FleetError`.
+    :func:`~repro.dist.coordinator.plan_fleet` checks these three before
+    anything runs; a bad combination raises
+    :class:`~repro.dist.coordinator.FleetError`.
 
     ``cache`` (a :class:`~repro.core.cache.StudyCache` or a directory
     path) short-circuits the whole run when an entry for this exact
@@ -419,15 +391,11 @@ def run_study(
     results (failed shards) are never cached.
     """
     telemetry = telemetry or NULL_TELEMETRY
-    workers = resolve_workers(workers)
     sharded = None
-    if peers or workers:
+    if plan_fleet(workers, peers, unit_count):
         sharded = ShardedStudyRunner(world, workers, config=config,
                                      telemetry_enabled=telemetry.enabled,
                                      peers=peers, unit_count=unit_count)
-    elif unit_count is not None:
-        raise FleetError("unit_count needs workers or peers: a serial "
-                         "study is not cut into units")
     fleet = sharded.workers if sharded else None
     started = time.time()
     started_clock = time.perf_counter()
@@ -447,10 +415,9 @@ def run_study(
             if telemetry.enabled:
                 telemetry.manifest = _build_run_manifest(
                     world, config, telemetry, runner.datasets,
-                    workers=fleet, cache=cache, fingerprint=fingerprint,
-                    cached=True, started=started,
-                    wall_seconds=time.perf_counter() - started_clock,
-                    run_info=None)
+                    workers=fleet, runner=None, cache=cache,
+                    fingerprint=fingerprint, cached=True, started=started,
+                    wall_seconds=time.perf_counter() - started_clock)
             telemetry.events.emit(
                 "study.complete", sizes=dict(runner.datasets.summary()))
             return runner.front, runner.campaign, runner.datasets
@@ -462,9 +429,8 @@ def run_study(
         malnet = runner.front
     telemetry.events.emit("study.start", scale=world.scale.sample_fraction,
                           workers=fleet or 0)
-    run_info = None
     if sharded:
-        campaign, run_info = _run_parallel(sharded, malnet, telemetry)
+        campaign = _run_parallel(sharded, malnet, telemetry)
     else:
         with telemetry.tracer.span("study.pipeline"):
             runner.run_remaining_days()
@@ -480,10 +446,9 @@ def run_study(
     if telemetry.enabled:
         telemetry.manifest = _build_run_manifest(
             world, config, telemetry, malnet.datasets, workers=fleet,
-            cache=cache, fingerprint=fingerprint, cached=False,
-            started=started,
-            wall_seconds=time.perf_counter() - started_clock,
-            run_info=run_info)
+            runner=sharded, cache=cache, fingerprint=fingerprint,
+            cached=False, started=started,
+            wall_seconds=time.perf_counter() - started_clock)
     telemetry.events.emit("study.complete",
                           sizes=dict(malnet.datasets.summary()))
     return malnet, campaign, malnet.datasets

@@ -1,19 +1,27 @@
-"""The coordinator: the one engine that places, steals and recovers units.
+"""The sharded study runner: the one engine that places, steals and
+recovers units.
 
-One :class:`Coordinator` owns the client side of every worker
-connection for one study run.  A *peer* is either a ``host:port``
-address — connecting dials a ``repro worker`` daemon over TCP — or a
-*local slot*: connecting forks a child that runs the same
+MalNet ran four CnCHunter sandboxes side by side (§2.2).  One
+:class:`ShardedStudyRunner` runs such a fleet for one study and owns the
+client side of every worker connection.  A *peer* is either a
+``host:port`` address — connecting dials a ``repro worker`` daemon over
+TCP — or a *local slot*: connecting forks a child that runs the same
 :class:`~repro.dist.worker.TaskLoop` on one end of a
-``socket.socketpair()``.  Both kinds speak the same frames and share
-one failure model; only connecting and reaping ask which kind a peer
-is.
+``socket.socketpair()``.  Both kinds speak the same frames and share one
+failure model; only connecting and reaping ask which kind a peer is.
 
-:meth:`start` connects and places the first units without waiting;
-:meth:`join` runs one single-threaded ``selectors`` event loop until
-every unit has a result or has used its re-dispatch budget, then closes
-every connection and reaps every child.  The loop works over three
-structures::
+:func:`plan_fleet` is the one check of what a run asks for — ``workers``,
+``peers`` and ``unit_count``, a sharded run's only settings.  It needs
+no world, so the CLI calls it before generating one; ``run_study`` calls
+it to choose between serial and sharded, and the runner's constructor
+calls it too.  Constructing a runner opens nothing: no socket or fork
+happens before :meth:`~ShardedStudyRunner.start`.
+
+:meth:`~ShardedStudyRunner.start` connects and places the first units
+without waiting; :meth:`~ShardedStudyRunner.join` runs one
+single-threaded event loop until every unit has a result or has used its
+re-dispatch budget, then closes every connection and reaps every child.
+The loop works over three structures::
 
     pending   deque of unit indexes waiting for a worker
     running   unit -> the set of peers currently executing it
@@ -53,27 +61,30 @@ patch them on this module (and the heartbeat pair on
 :mod:`repro.dist.wire`).
 
 *reconnection* — only when a unit is pending and no peer is connected:
-:meth:`connect` redials every address and re-forks local slots, which
-inherit the world given to :meth:`start` again (no run writes it).  If
-nothing connects, the pending units fail with ``no reachable workers``.
+:meth:`~ShardedStudyRunner.connect` redials every address and re-forks
+local slots, which inherit the runner's world again (no run writes
+it).  If nothing connects, the pending units fail with ``no reachable
+workers``.
 """
 
 from __future__ import annotations
 
 import os
-import selectors
 import signal
 import socket
 import statistics
 import time
 from collections import deque
+from multiprocessing.connection import wait
 
+from ..core.pipeline import PipelineConfig
+from ..world.generator import World
 from .plan import TaskSpec
 from .wire import PROTOCOL_VERSION, FrameDecoder, WireError, \
     heartbeat_timeout, recv_frame, send_frame
 from .worker import TaskLoop, WorldCache
 
-__all__ = ["Coordinator", "CoordinatorError"]
+__all__ = ["FleetError", "ShardedStudyRunner", "plan_fleet"]
 
 #: seconds one dispatch may run before it counts as hung
 SHARD_TIMEOUT = 600.0
@@ -87,10 +98,55 @@ MIN_STEAL_SECONDS = 1.0
 CONNECT_TIMEOUT = 5.0
 #: seconds an idle local child gets to exit after its shutdown frame
 _EXIT_GRACE = 2.0
+#: default units per TCP peer: enough that stealing a straggler's queue
+#: is meaningful, few enough that per-unit world setup stays amortized
+UNITS_PER_WORKER = 4
+#: parallel-width ceiling for ``workers="auto"`` — the envelope the
+#: serial == merged-parallel invariant is exercised against in CI
+AUTO_WORKERS_MAX = 4
 
 
-class CoordinatorError(RuntimeError):
-    """Misuse or unrecoverable coordinator state (not a lost worker)."""
+class FleetError(ValueError):
+    """A sharded run asked for a fleet it cannot have: bad ``workers``,
+    ``peers`` or ``unit_count``.  Raised before anything runs, and typed
+    so the CLI reports it as a usage error while any other ``ValueError``
+    keeps its traceback."""
+
+
+def plan_fleet(workers: int | str | None = None,
+               peers: list[str] | None = None,
+               unit_count: int | None = None) -> tuple[int, int] | None:
+    """Check the fleet a study asks for; ``None`` means a serial study.
+
+    Otherwise returns ``(width, units)``: the fleet width (local slots,
+    or the peer count) and how many sha256 units the corpus is cut into
+    — ``unit_count``, by default one per local slot and
+    :data:`UNITS_PER_WORKER` per TCP peer.  ``workers`` may be ``None``
+    or ``0`` (serial), ``N >= 1`` local slots, or ``"auto"`` (up to
+    :data:`AUTO_WORKERS_MAX`, serial on one CPU).  A fleet the run
+    cannot have raises :class:`FleetError`.
+    """
+    if workers == "auto":
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            cpus = os.cpu_count() or 1
+        workers = min(AUTO_WORKERS_MAX, cpus) if cpus > 1 else None
+    if peers and workers:
+        raise FleetError("workers and peers are exclusive: the peer "
+                         "list already decides where units run")
+    if not peers and not workers:
+        if unit_count is not None:
+            raise FleetError("unit_count needs workers or peers: a serial "
+                             "study is not cut into units")
+        return None
+    if not peers and workers < 1:
+        raise FleetError(f"workers must be >= 1, got {workers}")
+    if unit_count is not None and unit_count < 1:
+        raise FleetError(f"unit_count must be >= 1, got {unit_count}")
+    if peers:
+        return len(peers), unit_count or len(peers) * UNITS_PER_WORKER
+    return workers, unit_count or workers
 
 
 class _Peer:
@@ -118,19 +174,62 @@ class _Peer:
         return self.sock is not None
 
 
-class Coordinator:
-    def __init__(self, spec: TaskSpec, peers=(), *, local_slots: int = 0):
-        if not peers and local_slots < 1:
-            raise CoordinatorError("coordinator needs at least one peer")
-        self.spec = spec
-        self.peers = [_Peer(i, address) for i, address in enumerate(peers)]
-        self.peers += [_Peer(len(self.peers) + i, f"local[{i}]", local=True)
-                       for i in range(local_slots)]
-        self._selector = selectors.DefaultSelector()
-        self.pending = deque(range(spec.shard_count))
+class ShardedStudyRunner:
+    """Runs the daily pipeline across sha256-partitioned executors.
+
+    Usage is two-phase so the parent can do useful work (the probing
+    campaign) while the executors grind through the units::
+
+        runner = ShardedStudyRunner(world, workers=4).start()
+        ...                       # parent-side work overlaps execution
+        shards = runner.join()    # [ShardResult, ...] in unit order
+
+    ``workers=N`` runs the units on N local slots, forked children of
+    this process (one unit per slot by default); ``peers`` (``["host:
+    port", ...]``, exclusive with ``workers``) dispatches them to
+    ``repro worker`` daemons instead.  :func:`plan_fleet` checks the
+    three and sizes the fleet; any unit count merges to the same digest.
+
+    After :meth:`join`, :attr:`failed_shards` lists the unit indexes
+    that never produced a result (crashed/hung/raised on every try),
+    :attr:`failures` keeps the last error text of every unit that failed
+    at least once, and :meth:`stats` is the placement/steal/wall
+    accounting the run manifest records.  Callers must treat a
+    non-empty :attr:`failed_shards` as a partial merge.
+    """
+
+    def __init__(self, world: World, workers: int | None = None,
+                 config: PipelineConfig | None = None,
+                 telemetry_enabled: bool = False,
+                 peers: list[str] | None = None,
+                 unit_count: int | None = None):
+        fleet = plan_fleet(workers, peers, unit_count)
+        if fleet is None:
+            raise FleetError("a sharded run needs workers or peers")
+        if not peers and not hasattr(os, "fork"):
+            raise RuntimeError(
+                "local worker slots need os.fork(), which this "
+                "platform lacks; start `repro worker` daemons and "
+                "pass their host:port addresses as peers instead")
+        #: the world every local slot runs on (no run writes it)
+        self.world = world
+        #: fleet width (local slots, or the peer count) and the number of
+        #: sha256 units the corpus is cut into
+        self.workers, self.shard_count = fleet
+        #: rides in every task frame; ``telemetry`` makes executors run
+        #: real tracer/event-log instruments and ship their snapshots
+        self.spec = TaskSpec(seed=world.seed, scale=world.scale,
+                             config=config or PipelineConfig(),
+                             shard_count=self.shard_count,
+                             telemetry=telemetry_enabled)
+        addresses = peers or [f"local[{i}]" for i in range(self.workers)]
+        self.peers = [_Peer(i, address, local=not peers)
+                      for i, address in enumerate(addresses)]
+        self.pending = deque(range(self.shard_count))
         #: each unit's current attempt (0 = first try)
         self.attempts = dict.fromkeys(self.pending, 0)
         self.running: dict[int, set[_Peer]] = {}
+        #: unit -> ShardResult; in unit order once :meth:`join` returns
         self.results: dict = {}
         #: last failure text of each unit that failed at least once
         self.failures: dict[int, str] = {}
@@ -139,14 +238,96 @@ class Coordinator:
         self.stolen_wasted = 0
         self.lost_workers: list[dict] = []
         self.placements: list[dict] = []
-        #: the world local slots fork with (set by :meth:`start`)
-        self.world = None
+        self._phase = "new"             # -> "started" -> "joined"
+
+    @property
+    def failed_shards(self) -> list[int]:
+        """Unit indexes with no result (after :meth:`join`: the units
+        that used up their re-dispatch budget)."""
+        return sorted(set(range(self.shard_count)) - set(self.results))
 
     @property
     def redispatches(self) -> int:
         """Placements that re-ran a failed unit (steal twins excluded)."""
         return sum(1 for p in self.placements
                    if p["attempt"] and not p["steal"])
+
+    @property
+    def transport(self) -> str:
+        """Which kind of peer runs the units: ``local`` or ``socket``."""
+        return "local" if all(p.local for p in self.peers) else "socket"
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> "ShardedStudyRunner":
+        """Connect the fleet and place the first units (non-blocking).
+
+        Local slots fork here and run every unit on the world they
+        inherit: the parent's runs share it without writing it."""
+        if self._phase != "new":
+            raise RuntimeError("runner already started")
+        self._phase = "started"
+        try:
+            self._connect()
+            self._assign()
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def join(self) -> list:
+        """Run the event loop until every unit has a result or has used
+        its re-dispatch budget; returns the ``ShardResult`` list in unit
+        order.
+
+        Units that used up their budget are recorded in
+        :attr:`failed_shards` / :attr:`failures` and simply absent from
+        the returned list.  Every child is reaped before this returns.
+        """
+        if self._phase == "new":
+            raise RuntimeError("runner not started")
+        if self._phase == "joined":
+            raise RuntimeError("runner already joined")
+        self._phase = "joined"
+        try:
+            while self.pending or self.running:
+                if self.pending and not self._live():
+                    self._connect()
+                    continue
+                self._assign()
+                live = {peer.sock: peer for peer in self._live()}
+                for sock in wait(list(live), 0.2):
+                    if live[sock].connected:
+                        self._pump(live[sock])
+                now = time.monotonic()
+                silence = heartbeat_timeout()
+                for peer in self._live():
+                    if peer.busy_unit is None:
+                        continue
+                    if now - peer.last_seen > silence:
+                        self._lose(peer, "heartbeat lost (silent for "
+                                   f"{silence}s)")
+                    elif now - peer.dispatched_at > SHARD_TIMEOUT:
+                        self._lose(peer, "worker hung (no result within "
+                                   f"shard_timeout={SHARD_TIMEOUT}s)")
+                self._maybe_steal(time.monotonic())
+        finally:
+            self.close()
+        self.results = dict(sorted(self.results.items()))
+        return list(self.results.values())
+
+    def close(self) -> None:
+        """Shut every connection and reap every child.  Idle workers get
+        a ``shutdown`` frame; busy local children (a hung unit, a losing
+        steal twin) are SIGKILLed."""
+        for peer in self.peers:
+            if peer.sock is not None and peer.busy_unit is None:
+                try:
+                    send_frame(peer.sock, {"type": "shutdown"})
+                except OSError:
+                    pass
+        for peer in self.peers:
+            self._disconnect(peer, kill=peer.busy_unit is not None)
 
     # -- connection management ---------------------------------------------
 
@@ -167,8 +348,6 @@ class Coordinator:
                 self._fork(peer)
             if peer.connected:
                 live += 1
-                self._selector.register(peer.sock, selectors.EVENT_READ,
-                                        peer)
         return live
 
     def _dial(self, peer: _Peer) -> None:
@@ -198,7 +377,6 @@ class Coordinator:
                 # means that sibling died and the parent's close reaches
                 # each child
                 parent_end.close()
-                self._selector.close()
                 for other in self.peers:
                     if other.sock is not None:
                         other.sock.close()
@@ -211,8 +389,7 @@ class Coordinator:
         child_end.close()
         self._adopt(peer, parent_end)
         peer.pid = pid
-        peer.warm = {self.spec.world_key} if self.world is not None \
-            else set()
+        peer.warm = {self.spec.world_key}
 
     def _adopt(self, peer: _Peer, sock: socket.socket) -> None:
         sock.settimeout(None)
@@ -225,10 +402,6 @@ class Coordinator:
         """Close a peer's connection; SIGKILL (or, with ``kill=False``,
         await) and reap a local child."""
         if peer.sock is not None:
-            try:
-                self._selector.unregister(peer.sock)
-            except (KeyError, ValueError):
-                pass
             peer.sock.close()
             peer.sock = None
         peer.busy_unit = None
@@ -236,60 +409,8 @@ class Coordinator:
             _reap(peer.pid, 0.0 if kill else _EXIT_GRACE)
             peer.pid = None
 
-    def close(self) -> None:
-        """Shut every connection and reap every child.  Idle workers get
-        a ``shutdown`` frame; busy local children (a hung unit, a losing
-        steal twin) are SIGKILLed."""
-        for peer in self.peers:
-            if peer.sock is not None and peer.busy_unit is None:
-                try:
-                    send_frame(peer.sock, {"type": "shutdown"})
-                except OSError:
-                    pass
-        for peer in self.peers:
-            self._disconnect(peer, kill=peer.busy_unit is not None)
-        self._selector.close()
-
     def _live(self) -> list[_Peer]:
         return [p for p in self.peers if p.connected]
-
-    # -- the event loop ----------------------------------------------------
-
-    def start(self, world) -> None:
-        """Connect the fleet and place the first units; returns without
-        waiting for them.  ``world`` is the study's generated world:
-        every local slot, forked now or re-forked later, runs on it."""
-        self.world = world
-        self._connect()
-        self._assign()
-
-    def join(self) -> None:
-        """Run the event loop until every unit has a result or has used
-        its re-dispatch budget, then close every connection and reap
-        every child."""
-        try:
-            while self.pending or self.running:
-                if self.pending and not self._live():
-                    self._connect()
-                    continue
-                self._assign()
-                for key, _ in self._selector.select(0.2):
-                    if key.data.connected:
-                        self._pump(key.data)
-                now = time.monotonic()
-                silence = heartbeat_timeout()
-                for peer in self._live():
-                    if peer.busy_unit is None:
-                        continue
-                    if now - peer.last_seen > silence:
-                        self._lose(peer, "heartbeat lost (silent for "
-                                   f"{silence}s)")
-                    elif now - peer.dispatched_at > SHARD_TIMEOUT:
-                        self._lose(peer, "worker hung (no result within "
-                                   f"shard_timeout={SHARD_TIMEOUT}s)")
-                self._maybe_steal(time.monotonic())
-        finally:
-            self.close()
 
     def _connect(self) -> None:
         """Connect peers for the pending units; if none is reachable,
@@ -455,10 +576,11 @@ class Coordinator:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict:
+        """Placement, steal and per-worker accounting (the manifest's
+        ``extra.dist``)."""
         return {
-            "transport": ("local" if all(p.local for p in self.peers)
-                          else "socket"),
-            "units": self.spec.shard_count,
+            "transport": self.transport,
+            "units": self.shard_count,
             "peers": [p.address for p in self.peers],
             "placements": list(self.placements),
             "steals": self.steals,

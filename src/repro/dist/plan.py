@@ -1,10 +1,10 @@
-"""The fine-grained shard plan: units, world keys, and task specs.
+"""The fine-grained shard plan: world keys and task specs.
 
 A *unit* is one sha256-partition of the sample corpus
 (:func:`repro.determinism.shard_of`), cut as fine as the run asks: the
-coordinator dispatches ``unit_count`` units (one per local slot by
-default, :data:`UNITS_PER_WORKER` × the fleet over TCP peers) so that
-placement, stealing, and re-dispatch have something to schedule.  Because every occurrence of a
+runner dispatches ``unit_count`` units (sized by
+:func:`repro.dist.coordinator.plan_fleet`) so that placement, stealing,
+and re-dispatch have something to schedule.  Because every occurrence of a
 hash lands in the same unit for a given ``unit_count``, deduplication
 stays unit-local and **any** assignment of units to workers merges to
 the same digest — the property the distributed runner's correctness
@@ -25,19 +25,7 @@ import json
 
 from ..core.cache import _canon
 
-__all__ = ["TaskSpec", "UNITS_PER_WORKER", "default_unit_count",
-           "world_key"]
-
-#: default fan-out granularity: enough units per worker that stealing a
-#: straggler's queue is meaningful, few enough that per-unit world setup
-#: stays amortized
-UNITS_PER_WORKER = 4
-
-
-def default_unit_count(workers: int) -> int:
-    """Unit count for a fleet of ``workers``: finer than the fleet so
-    fast workers can take over a straggler's backlog."""
-    return max(1, workers * UNITS_PER_WORKER)
+__all__ = ["TaskSpec", "world_key"]
 
 
 def world_key(seed: int, scale) -> str:

@@ -138,9 +138,8 @@ class TaskLoop:
         def execute():
             try:
                 world = self.worlds.lease(spec.seed, spec.scale)
-                box["result"] = execute_shard(
-                    spec.seed, spec.scale, config, attempt, spec.telemetry,
-                    world=world)
+                box["result"] = execute_shard(world, config, attempt,
+                                              spec.telemetry)
             except WorkerCrash:
                 box["crash"] = True
             except BaseException as exc:  # ship the failure, stay alive

@@ -16,11 +16,16 @@ def run_cli(*argv):
 
 
 def refused_study(monkeypatch, *flags) -> str:
-    """Run ``study`` with sharding flags the runner refuses; returns the
-    exit text, having checked that no pipeline was even built."""
+    """Run ``study`` with sharding flags the fleet check refuses;
+    returns the exit text, having checked that no world was even
+    generated (so no pipeline was built either)."""
+    def no_world(*args, **kwargs):
+        raise AssertionError("a refused study still generated a world")
+
     def no_study(*args, **kwargs):
         raise AssertionError("a refused study still built a pipeline")
 
+    monkeypatch.setattr("repro.cli.generate_world", no_world)
     monkeypatch.setattr(MalNet, "__init__", no_study)
     with pytest.raises(SystemExit) as excinfo:
         run_cli("--scale", "smoke", "study", *flags)
@@ -45,8 +50,9 @@ class TestStudyCommand:
         _c, b = run_cli("--scale", "smoke", "--seed", "3", "study")
         assert a == b
 
-    # the sharding flags are checked once, by the sharded runner; the
-    # CLI only turns its FleetError into a usage exit
+    # the sharding flags are checked once, by plan_fleet, before the
+    # world is generated; the CLI only turns its FleetError into a
+    # usage exit
 
     def test_workers_and_peers_are_exclusive(self, monkeypatch):
         assert refused_study(monkeypatch, "--workers", "2",
@@ -68,6 +74,12 @@ class TestStudyCommand:
     def test_negative_workers_are_refused(self, monkeypatch):
         assert refused_study(monkeypatch, "--workers", "-1") == \
             "repro: workers must be >= 1, got -1"
+
+    def test_peer_ports_must_be_in_range(self, monkeypatch):
+        # getaddrinfo would wrap 99999 into another port and dial it
+        for address in ("127.0.0.1:99999", "127.0.0.1:0"):
+            assert refused_study(monkeypatch, "--peers", address) == \
+                f"repro: --peers ports must be in 1-65535, got '{address}'"
 
 
 #: (serial flags, extra flags of the sharded run); ``PEERS`` stands for
@@ -228,7 +240,6 @@ class TestStatsCommand:
     def test_renders_top_spans_and_histogram_quantiles(self):
         code, text = run_cli("--scale", "smoke", "--seed", "3", "stats")
         assert code == 0
-        assert "Top spans" in text
         assert "Histograms" in text
         assert "p50" in text and "p95" in text and "p99" in text
         assert "feed_latency_seconds" in text
@@ -310,8 +321,38 @@ class TestWorkerCommand:
         assert "unrecognized arguments: --heartbeat-interval 20" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--port", "-1"], "argument --port: must be in 0-65535, got -1"),
+        (["--port", "65536"],
+         "argument --port: must be in 0-65535, got 65536"),
+        (["--world-cache", "0"],
+         "argument --world-cache: must be >= 1, got 0"),
+    ], ids=["port-negative", "port-too-large", "world-cache-zero"])
+    def test_bad_values_are_usage_errors(self, flags, error, monkeypatch,
+                                         capsys):
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("a worker daemon started")
+
+        monkeypatch.setattr("repro.dist.worker.WorkerServer", no_daemon)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("worker", *flags)
+        assert excinfo.value.code == 2
+        assert error in capsys.readouterr().err
+
 
 class TestServeAndQueryCommands:
+    def test_serve_port_is_a_usage_error(self, monkeypatch, capsys):
+        """A bad port fails before the service generates its world."""
+        def no_service(*args, **kwargs):
+            raise AssertionError("a service was built")
+
+        monkeypatch.setattr("repro.service.StudyService", no_service)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("serve", "--port", "99999")
+        assert excinfo.value.code == 2
+        assert "argument --port: must be in 0-65535, got 99999" in \
+            capsys.readouterr().err
+
     @pytest.fixture(scope="class")
     def daemon_url(self):
         import threading

@@ -177,10 +177,7 @@ def test_worker_acks_only_its_own_protocol(workers):
         send_frame(sock, {"type": "shutdown"})
 
 
-def test_coordinator_skips_a_version_1_peer():
-    from repro.dist import Coordinator
-    from repro.dist.plan import TaskSpec
-
+def test_coordinator_skips_a_version_1_peer(smoke_world):
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
 
@@ -194,14 +191,13 @@ def test_coordinator_skips_a_version_1_peer():
 
     thread = threading.Thread(target=old_worker, daemon=True)
     thread.start()
-    spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
-                    shard_count=1)
-    coordinator = Coordinator(spec, [f"127.0.0.1:{port}"])
+    runner = ShardedStudyRunner(smoke_world, peers=[f"127.0.0.1:{port}"],
+                                unit_count=1)
     try:
-        assert coordinator.connect(want=1) == 0
-        assert not coordinator.peers[0].connected
+        assert runner.connect(want=1) == 0
+        assert not runner.peers[0].connected
     finally:
-        coordinator.close()
+        runner.close()
         listener.close()
         thread.join(timeout=5)
 
@@ -380,8 +376,8 @@ def test_start_places_the_first_wave_on_tcp_peers(workers):
     runner = ShardedStudyRunner(world, peers=_peers(workers), unit_count=4)
     runner.start()
     try:
-        assert len(runner.coordinator.placements) == 2
-        assert {p["worker"] for p in runner.coordinator.placements} == \
+        assert len(runner.placements) == 2
+        assert {p["worker"] for p in runner.placements} == \
             set(_peers(workers))
     finally:
         results = runner.join()
@@ -407,30 +403,26 @@ def test_idle_worker_is_not_lost_when_it_steals(monkeypatch, workers,
     _assert_exact_redispatches(manifest)
 
 
-def test_reset_connection_is_a_crash_like_eof():
+def test_reset_connection_is_a_crash_like_eof(smoke_world):
     # a local child SIGKILLed before reading what we sent resets its end
     # of the socketpair: recv raises ECONNRESET instead of returning b""
-    from repro.dist import Coordinator
-    from repro.dist.plan import TaskSpec
-
-    spec = TaskSpec(seed=SEED, scale=SMOKE, config=PipelineConfig(),
-                    shard_count=1)
-    coordinator = Coordinator(spec, ["127.0.0.1:1"])
+    runner = ShardedStudyRunner(smoke_world, peers=["127.0.0.1:1"],
+                                unit_count=1)
     ours, theirs = socket.socketpair()
     try:
-        peer = coordinator.peers[0]
+        peer = runner.peers[0]
         peer.sock = ours
-        coordinator._assign()                   # unit 0's first try...
+        runner._assign()                        # unit 0's first try...
         theirs.close()                          # ...dies unread
-        coordinator._pump(peer)
-        (lost,) = coordinator.lost_workers
+        runner._pump(peer)
+        (lost,) = runner.lost_workers
         assert lost["reason"] == "worker crashed (connection closed)"
         assert peer.sock is None and ours.fileno() == -1
         # the one failure path: the unit is re-queued at attempt 1
-        assert list(coordinator.pending) == [0]
-        assert coordinator.attempts[0] == 1
-        assert coordinator.failures[0] == (
+        assert list(runner.pending) == [0]
+        assert runner.attempts[0] == 1
+        assert runner.failures[0] == (
             "unit 0: worker crashed (connection closed) on 127.0.0.1:1")
     finally:
         ours.close()
-        coordinator.close()
+        runner.close()

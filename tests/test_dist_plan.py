@@ -24,10 +24,10 @@ import pytest
 
 from repro.core.cache import dataset_diff
 from repro.core.datasets import Datasets
-from repro.core.parallel import execute_shard
+from repro.core.parallel import execute_shard, plan_fleet
 from repro.core.pipeline import PipelineConfig
 from repro.determinism import shard_of
-from repro.dist.plan import TaskSpec, default_unit_count, world_key
+from repro.dist.plan import TaskSpec, world_key
 from repro.netsim.faults import FAULT_PLANS
 
 from .conftest import SMOKE
@@ -54,12 +54,17 @@ def serial(plan_name, serial_reference):
 
 
 @pytest.fixture(scope="module")
-def unit_results(plan_name):
+def world(shared_world):
+    return shared_world(SEED, SMOKE)
+
+
+@pytest.fixture(scope="module")
+def unit_results(plan_name, world):
     """The four unit datasets, computed once per plan, in-process."""
     spec = TaskSpec(seed=SEED, scale=SMOKE, config=_config(plan_name),
                     shard_count=UNIT_COUNT)
     return [
-        execute_shard(SEED, SMOKE, spec.config_for(unit), 0, False).datasets
+        execute_shard(world, spec.config_for(unit), 0, False).datasets
         for unit in range(UNIT_COUNT)
     ]
 
@@ -105,9 +110,14 @@ def test_world_key_is_stable_and_discriminating():
 
 
 def test_default_unit_count_scales_with_the_fleet():
-    assert default_unit_count(1) == 4
-    assert default_unit_count(2) == 8
-    assert default_unit_count(0) == 1       # floor: always one unit
+    """``plan_fleet`` sizes a fleet from its arguments alone: four units
+    per TCP peer and one per local slot unless the run asks otherwise,
+    and no fleet at all for a serial study."""
+    assert plan_fleet(peers=["a:1"]) == (1, 4)
+    assert plan_fleet(peers=["a:1", "b:2"]) == (2, 8)
+    assert plan_fleet(workers=3) == (3, 3)
+    assert plan_fleet(peers=["a:1"], unit_count=7) == (1, 7)
+    assert plan_fleet() is None and plan_fleet(workers=0) is None
 
 
 # -- schedule independence ----------------------------------------------------
@@ -142,14 +152,13 @@ def test_harvest_order_does_not_matter(unit_results, serial):
         assert diff is None, (order, diff)
 
 
-def test_redispatch_attempt_does_not_change_the_bytes(plan_name,
+def test_redispatch_attempt_does_not_change_the_bytes(plan_name, world,
                                                       unit_results, serial):
     """A re-queued unit runs with attempt+1 (and a steal twin with the
     original attempt): both must reproduce the first try's bytes."""
     spec = TaskSpec(seed=SEED, scale=SMOKE, config=_config(plan_name),
                     shard_count=UNIT_COUNT)
-    retried = execute_shard(SEED, SMOKE, spec.config_for(2), 3,
-                            False).datasets
+    retried = execute_shard(world, spec.config_for(2), 3, False).datasets
     diff = dataset_diff(unit_results[2], retried)
     assert diff is None, diff
     substituted = list(unit_results)
@@ -158,12 +167,12 @@ def test_redispatch_attempt_does_not_change_the_bytes(plan_name,
     assert diff is None, diff
 
 
-def test_finer_units_merge_to_the_same_digest(plan_name, serial):
+def test_finer_units_merge_to_the_same_digest(plan_name, world, serial):
     """unit_count is a free parameter: 7 units == 4 units == serial."""
     spec = TaskSpec(seed=SEED, scale=SMOKE, config=_config(plan_name),
                     shard_count=7)
     units = [
-        execute_shard(SEED, SMOKE, spec.config_for(unit), 0, False).datasets
+        execute_shard(world, spec.config_for(unit), 0, False).datasets
         for unit in range(7)
     ]
     diff = _diff_with_probing(units, serial)

@@ -180,7 +180,7 @@ def slot_killed(row, world, request):
 
     def start_then_kill(runner):
         start(runner)
-        os.kill(runner.coordinator.peers[0].pid, signal.SIGKILL)
+        os.kill(runner.peers[0].pid, signal.SIGKILL)
         runners.append(runner)
         return runner
 
@@ -189,8 +189,8 @@ def slot_killed(row, world, request):
     _malnet, _campaign, datasets = run_study(
         world, config=row.config, workers=2, unit_count=4)
     (runner,) = runners
-    assert [lost["worker"] for lost in
-            runner.transport_stats["lost_workers"]] == ["local[0]"]
+    assert [lost["worker"] for lost in runner.lost_workers] == \
+        ["local[0]"]
     return datasets
 
 

@@ -317,10 +317,10 @@ def test_worker_raising_is_also_redispatched(monkeypatch, serial_faulty):
 
     execute_shard = parallel.execute_shard
 
-    def exploding(seed, scale, config, attempt, *args, **kwargs):
+    def exploding(world, config, attempt, telemetry_on):
         if config.shard_index == 1 and attempt == 0:
             raise RuntimeError("worker exploded")
-        return execute_shard(seed, scale, config, attempt, *args, **kwargs)
+        return execute_shard(world, config, attempt, telemetry_on)
 
     # patched before start(): the forked children inherit it
     monkeypatch.setattr(parallel, "execute_shard", exploding)
@@ -331,9 +331,8 @@ def test_worker_raising_is_also_redispatched(monkeypatch, serial_faulty):
     assert [r.shard_index for r in results] == [0, 1]
     assert results[1].attempt == 1
     assert runner.redispatches == 1 and runner.failed_shards == []
-    assert runner.transport_stats["lost_workers"] == []
-    _assert_exact_redispatches(runner.redispatches,
-                               runner.transport_stats["placements"])
+    assert runner.lost_workers == []
+    _assert_exact_redispatches(runner.redispatches, runner.placements)
     merged = Datasets.merge([r.datasets for r in results])
     merged.d_pc2 = list(serial_faulty.d_pc2)
     diff = dataset_diff(serial_faulty, merged)

@@ -17,11 +17,10 @@ import pytest
 from repro.botnet.protocols.base import AttackCommand
 from repro.core.cache import dataset_diff
 from repro.core.datasets import Datasets
-from repro.core.parallel import ShardedStudyRunner
+from repro.core.parallel import ShardedStudyRunner, plan_fleet
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import run_study
 from repro.determinism import shard_of
-from repro.dist.coordinator import Coordinator
 from repro.dist.wire import heartbeat_timeout
 from repro.dist.worker import TaskLoop, WorkerServer
 from repro.obs import MetricsRegistry
@@ -189,7 +188,7 @@ def test_runner_rejects_bad_arguments():
                  "peers", "unit_count"]),
     (ShardedStudyRunner, ["world", "workers", "config",
                           "telemetry_enabled", "peers", "unit_count"]),
-    (Coordinator, ["spec", "peers", "local_slots"]),
+    (plan_fleet, ["workers", "peers", "unit_count"]),
     (TaskLoop, ["worlds", "worker_id"]),
     (WorkerServer, ["host", "port", "world_cache_limit"]),
 ], ids=lambda value: getattr(value, "__name__", None))
@@ -199,6 +198,38 @@ def test_a_sharded_run_has_no_tuning_arguments(entry, parameters):
     stealing and heartbeats are module constants, so no layer grows a
     pass-through knob for them again."""
     assert list(inspect.signature(entry).parameters) == parameters
+
+
+def test_runner_lifecycle_misuse_is_refused(smoke_world):
+    runner = ShardedStudyRunner(smoke_world, workers=1)
+    with pytest.raises(RuntimeError, match="^runner not started$"):
+        runner.join()
+    runner.start()
+    try:
+        with pytest.raises(RuntimeError, match="^runner already started$"):
+            runner.start()
+    finally:
+        results = runner.join()
+    assert [r.shard_index for r in results] == [0]
+    with pytest.raises(RuntimeError, match="^runner already joined$"):
+        runner.join()
+
+
+def test_a_cache_hit_forks_no_local_slot(tmp_path, monkeypatch,
+                                         shared_world, serial):
+    """Constructing a runner opens nothing: a sharded study served from
+    the cache never forks."""
+    world = shared_world(SEED, SMOKE)
+    run_study(world, cache=str(tmp_path))
+
+    def no_fork():
+        raise AssertionError("a cache hit forked a local slot")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _malnet, _campaign, datasets = run_study(world, workers=2,
+                                             cache=str(tmp_path))
+    diff = dataset_diff(serial, datasets)
+    assert diff is None, diff
 
 
 def test_local_slots_without_fork_point_to_worker_peers(monkeypatch):
@@ -242,17 +273,15 @@ def _chaos_runner(plan, workers=2, unit_count=None):
 
 def _attempts(runner, unit):
     """The attempts ``unit`` was placed at (steal twins excluded)."""
-    return [p["attempt"] for p in runner.transport_stats["placements"]
+    return [p["attempt"] for p in runner.placements
             if p["unit"] == unit and not p["steal"]]
 
 
 def _assert_exact_redispatches(runner):
     """``redispatches`` counts exactly the placements that re-ran a
     failed unit: attempt > 0, steal twins excluded."""
-    placements = runner.transport_stats["placements"]
     assert runner.redispatches == sum(
-        1 for p in placements if p["attempt"] > 0 and not p["steal"])
-    assert runner.transport_stats["redispatches"] == runner.redispatches
+        1 for p in runner.placements if p["attempt"] > 0 and not p["steal"])
 
 
 def test_timed_out_crash_is_reported_as_a_crash(monkeypatch):
@@ -389,8 +418,7 @@ def test_parallel_counter_totals_match_serial():
 
 
 def _slot_pids(runner):
-    return [peer.pid for peer in runner.coordinator.peers
-            if peer.pid is not None]
+    return [peer.pid for peer in runner.peers if peer.pid is not None]
 
 
 def _assert_reaped(pids):
@@ -405,7 +433,7 @@ def test_start_places_the_first_wave_on_local_slots():
     world = generate_world(seed=SEED, scale=SMOKE)
     runner = ShardedStudyRunner(world, workers=2, unit_count=4).start()
     try:
-        placements = runner.coordinator.placements
+        placements = runner.placements
         assert len(placements) == 2
         # each slot holds the parent's world from the fork on
         assert all(p["warm"] for p in placements)
@@ -433,7 +461,7 @@ def test_first_units_run_on_the_inherited_world(monkeypatch, serial):
     runner = ShardedStudyRunner(world, workers=2, unit_count=4)
     results = runner.start().join()
     assert runner.redispatches == 0 and runner.failed_shards == []
-    placements = runner.transport_stats["placements"]
+    placements = runner.placements
     assert len(placements) == 4 and all(p["warm"] for p in placements)
     diff = _merged_diff([r.datasets for r in results], serial)
     assert diff is None, diff
@@ -487,7 +515,7 @@ def test_sigkilled_local_slot_is_lost_by_eof(monkeypatch, serial):
     os.kill(pids[0], signal.SIGKILL)
     results = runner.join()
     assert time.monotonic() - started < 60
-    lost = runner.transport_stats["lost_workers"]
+    lost = runner.lost_workers
     assert [entry["worker"] for entry in lost] == ["local[0]"]
     assert "connection closed" in lost[0]["reason"]
     assert "heartbeat" not in lost[0]["reason"]
