@@ -35,7 +35,7 @@ def _exploit_yield(world, threshold: int, budget: int = 260) -> int:
         handshaker = Handshaker(SANDBOX_IP, random.Random(1),
                                 fanout_threshold=threshold)
         handshaker.scan(process.bot, budget)
-        captured += len(handshaker.captures)
+        captured += len(handshaker.victims)
     return captured
 
 

@@ -238,8 +238,7 @@ class _EagerHandshaker:
         self.ticks = 0
         self.fanout = {}
         self.redirected_ports = set()
-        self.captures = []
-        self._latest = {}
+        self.victims = {}
 
     def tcp_connect(self, dst, port):
         from repro.netsim.addresses import ephemeral_port
@@ -257,19 +256,11 @@ class _EagerHandshaker:
 
     def collect(self, target, port, payload):
         from repro.netsim.addresses import ephemeral_port
-        from repro.sandbox.handshaker import ExploitCapture
 
         data = tcp_packet(A, target, ephemeral_port(self.rng), port,
                           TcpFlags.PSH | TcpFlags.ACK, payload)
         self._stamp(data)
-        key = (target, port)
-        existing = self._latest.get(key)
-        if existing is None:
-            capture = ExploitCapture(port=port, target=target, payload=payload)
-            self._latest[key] = capture
-            self.captures.append(capture)
-        else:
-            existing.payload = payload
+        self.victims[(target, port)] = payload
 
     def _stamp(self, pkt):
         self.ticks += 1
@@ -295,7 +286,7 @@ def test_scan_burst_batched_speedup(benchmark):
                    for h in _legacy_scan_burst(legacy_bot, legacy_handshaker,
                                                _BURST_SIZE)]
     assert hits == len(legacy_hits) > 0
-    assert handshaker.captures == legacy_handshaker.captures
+    assert handshaker.victims == legacy_handshaker.victims
     assert list(handshaker.trace) == list(legacy_handshaker.trace)
     assert handshaker.rng.getstate() == legacy_handshaker.rng.getstate()
     assert bot.rng.getstate() == legacy_bot.rng.getstate()
@@ -331,7 +322,7 @@ def test_scan_burst_batched_speedup(benchmark):
 # -- .text filler: the accepted-word kernel vs the per-word loop -------------
 #
 # World generation is dominated by the random MIPS words of each sample's
-# ``.text``.  ``_mips_text`` draws them in bulk (``_accepted_words``);
+# ``.text``.  ``_mips_text`` draws them in bulk (``repro.determinism``);
 # the frozen per-word loop below is what it replaced.  Both make the
 # same Mersenne Twister draws, so they return the same bytes and leave
 # the generator in the same state.

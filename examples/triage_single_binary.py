@@ -12,6 +12,7 @@ Run:  python examples/triage_single_binary.py [out.pcap]
 
 import random
 import sys
+from itertools import islice
 
 from repro.binary import BotConfig, build_sample, is_mips32_elf
 from repro.botnet.exploits import KEY_TO_INDEX, classify_exploit
@@ -60,10 +61,11 @@ def main() -> None:
           f"(dialect: {offline.c2_candidates[0].dialect})")
     print(f"popular scan ports:  {offline.scan_ports}")
     print(f"exploit payloads captured: {len(offline.exploits)}")
-    for capture in offline.exploits[:4]:
-        vuln = classify_exploit(capture.payload)
+    # (target, port) -> the latest payload that fake victim received
+    for (_target, port), payload in islice(offline.exploits.items(), 4):
+        vuln = classify_exploit(payload)
         label = vuln.key if vuln else "telnet credentials"
-        print(f"  port {capture.port:<5} -> {label}")
+        print(f"  port {port:<5} -> {label}")
 
     offline.capture.save(out_path)
     print()

@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from ..botnet.families import FAMILIES, get_family
+from ..determinism import accepted_words, draw_accepted
 from .config import BotConfig, pack_config
 from .elf import EM_386, EM_ARM, EM_MIPS, ElfImage
 
@@ -68,33 +69,10 @@ class MalwareSample:
 _MIPS_OPCODES = (0x24000000, 0x8C000000, 0xAC000000, 0x0C000000, 0x00000000,
                  0x10000000, 0x27BD0000, 0x03E00008)
 
-if array("I").itemsize != 4:
-    raise ImportError("repro.binary.builder needs a 4-byte array('I') word")
-
-
-def _accepted_words(rng: random.Random, count: int) -> list[int]:
-    """The next ``count`` Mersenne Twister words whose bit 31 is clear.
-
-    These are exactly the words ``count`` calls of ``rng._randbelow(2**m)``
-    (``choice`` over 2**m items, ``randrange(2**m)``) accept: on CPython
-    each attempt is ``getrandbits(m + 1)``, one 32-bit word shifted right
-    by ``31 - m``, and it is accepted iff the word's bit 31 is 0.  The
-    accepted draw is then ``word >> (31 - m)``.  ``randbytes(4 * n)`` is
-    the next ``n`` words, little-endian; every accepted word is needed,
-    so asking for as many words as are still missing never over-draws.
-    """
-    words: list[int] = []
-    while len(words) < count:
-        batch = array("I", rng.randbytes(4 * (count - len(words))))
-        if sys.byteorder == "big":
-            batch.byteswap()
-        words += [w for w in batch if w < 0x80000000]
-    return words
-
 
 def _random_bytes(rng: random.Random, count: int) -> bytes:
     """``bytes(rng.randrange(256) for _ in range(count))``, draw for draw."""
-    return bytes([w >> 23 for w in _accepted_words(rng, count)])
+    return bytes([w >> 23 for w in accepted_words(draw_accepted(rng, count))])
 
 
 def _mips_text(rng: random.Random, words: int) -> bytes:
@@ -102,11 +80,12 @@ def _mips_text(rng: random.Random, words: int) -> bytes:
 
     Mixes common opcodes (addiu, lw, sw, jal, nop) so entropy resembles
     real code rather than random bytes.  Word ``i`` is
-    ``choice(_MIPS_OPCODES) | randrange(1 << 16)``, drawn in bulk: the
-    accepted words alternate opcode (``a >> 28``) and immediate
-    (``b >> 15``), see :func:`_accepted_words`.
+    ``choice(_MIPS_OPCODES) | randrange(1 << 16)``, drawn in bulk: both
+    bounds are powers of two, so the accepted words alternate opcode
+    (``a >> 28``) and immediate (``b >> 15``), see
+    :mod:`repro.determinism`.
     """
-    drawn = iter(_accepted_words(rng, 2 * words))
+    drawn = iter(accepted_words(draw_accepted(rng, 2 * words)))
     text = array("I", [_MIPS_OPCODES[a >> 28] | (b >> 15)
                        for a, b in zip(drawn, drawn)])
     if sys.byteorder == "little":

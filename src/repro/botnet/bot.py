@@ -21,6 +21,7 @@ import random
 from typing import Protocol as TypingProtocol
 
 from ..binary.config import BotConfig
+from ..determinism import draw_pairs
 from ..netsim.addresses import ephemeral_port, ip_to_int, is_reserved
 from ..netsim.capture import Capture
 from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH
@@ -228,20 +229,12 @@ class Bot:
         """Pick ``count`` random (ip, port) scan targets in one batch.
 
         Per target: an address, redrawn until it is routable, then a
-        port.  The draws are the ``_randbelow`` calls that
-        ``randrange(0x01000000, 0xDF000000)`` and ``choice(ports)`` make.
+        port — the draws of ``randrange(0x01000000, 0xDF000000)`` and
+        ``choice(ports)``, made word by word by
+        :func:`~repro.determinism.draw_pairs`.
         """
-        ports = self.scan_port_list()
-        nports = len(ports)
-        randbelow = self.rng._randbelow
-        targets: list[tuple[int, int]] = []
-        append = targets.append
-        for _ in range(count):
-            address = 0x01000000 + randbelow(0xDE000000)
-            while is_reserved(address):
-                address = 0x01000000 + randbelow(0xDE000000)
-            append((address, ports[randbelow(nports)]))
-        return targets
+        return draw_pairs(self.rng, count, 0x01000000, 0xDF000000,
+                          is_reserved, self.scan_port_list())
 
     def payload_options(self, port: int) -> tuple[tuple[bytes, ...], int]:
         """``(options, width)``: the payloads the bot picks from once a

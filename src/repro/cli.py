@@ -36,9 +36,9 @@ from .core.report import (
     render_probe_matrix,
     render_table,
 )
-from .core.parallel import FleetError, plan_fleet
 from .core.pipeline import PipelineConfig
 from .core.study import run_study
+from .dist.plan import FleetError, plan_fleet
 from .netsim.faults import FAULT_PLANS
 from .obs import NULL_TELEMETRY, Telemetry, analysis, create_telemetry
 from .world import FULL_SCALE, SMOKE_SCALE, XL_SCALE, StudyScale, generate_world

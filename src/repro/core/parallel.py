@@ -46,16 +46,16 @@ import dataclasses
 import time
 
 # the runner is the coordinator engine, defined beside its wire and
-# workers; no repro.dist module imports this one at module level
-from ..dist.coordinator import FleetError, ShardedStudyRunner, plan_fleet
+# workers; no repro.dist module imports this one at module level, and a
+# serial study never imports this one
+from ..dist.coordinator import ShardedStudyRunner
 from ..obs import EventLog, MetricsRegistry, NullEventLog, NullTracer, \
     Telemetry, Tracer
 from ..world.generator import World
 from .datasets import Datasets
 from .pipeline import MalNet, PipelineConfig
 
-__all__ = ["FleetError", "ShardedStudyRunner", "ShardResult",
-           "execute_shard", "plan_fleet"]
+__all__ = ["ShardedStudyRunner", "ShardResult", "execute_shard"]
 
 
 @dataclasses.dataclass

@@ -39,7 +39,6 @@ from ..netsim.faults import FaultInjector, FaultPlan, FeedUnavailable, \
     SandboxCrash
 from ..obs import LATENCY_BUCKETS, NULL_TELEMETRY, Telemetry
 from ..netsim.internet import SECONDS_PER_DAY, STUDY_EPOCH, VirtualInternet
-from ..sandbox.handshaker import ExploitCapture
 from ..sandbox.qemu import EmulationError, MipsEmulator
 from ..sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
 from ..world.calibration import ACTIVE_WEEKS, MAY_7_2022
@@ -475,12 +474,12 @@ class MalNet:
         profile.scan_ports = report.scan_ports
         # a bot sends a handful of distinct payloads to hundreds of
         # victims: classify each distinct payload once, at its first
-        # capture, which is also where its vulnerability is first seen
-        first: dict[bytes, ExploitCapture] = {}
-        for capture in report.exploits:
-            first.setdefault(capture.payload, capture)
+        # victim, which is also where its vulnerability is first seen
+        first: dict[bytes, int] = {}        # payload -> its first port
+        for (_target, port), payload in report.exploits.items():
+            first.setdefault(payload, port)
         seen: set[str] = set()
-        for payload, capture in first.items():
+        for payload, port in first.items():
             vuln = classify_exploit(payload)
             if vuln is None or vuln.key in seen:
                 continue
@@ -489,7 +488,7 @@ class MalNet:
                 vuln_key=vuln.key,
                 loader=extract_loader(payload),
                 downloader=extract_downloader(payload),
-                port=capture.port,
+                port=port,
                 payload=payload,
             )
             profile.exploits.append(observation)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
+from typing import TYPE_CHECKING
 
+from ..dist.plan import plan_fleet
 from ..obs import NULL_TELEMETRY, Telemetry, build_manifest
 from ..obs.merge import merge_shard_telemetry
 from ..sandbox.qemu import MipsEmulator
@@ -21,9 +23,11 @@ from ..world.generator import World
 from .cache import StudyCache, code_fingerprint, study_fingerprint
 from .datasets import Datasets
 from .journal import StudyState
-from .parallel import ShardedStudyRunner, plan_fleet
 from .pipeline import MalNet, PipelineConfig, total_study_days
 from .probing import ProbingCampaign
+
+if TYPE_CHECKING:
+    from ..dist.coordinator import ShardedStudyRunner
 
 
 def select_probe_binaries(world: World) -> list[bytes]:
@@ -380,9 +384,9 @@ def run_study(
     the fleet width follows the peer list, ``unit_count`` controls the
     fine-grained partition (default 4× the fleet; ``workers`` locally),
     and the merged output stays byte-identical to the serial run.
-    :func:`~repro.dist.coordinator.plan_fleet` checks these three before
+    :func:`~repro.dist.plan.plan_fleet` checks these three before
     anything runs; a bad combination raises
-    :class:`~repro.dist.coordinator.FleetError`.
+    :class:`~repro.dist.plan.FleetError`.
 
     ``cache`` (a :class:`~repro.core.cache.StudyCache` or a directory
     path) short-circuits the whole run when an entry for this exact
@@ -393,6 +397,9 @@ def run_study(
     telemetry = telemetry or NULL_TELEMETRY
     sharded = None
     if plan_fleet(workers, peers, unit_count):
+        # the runner (sockets, fork, connection waits) loads only here
+        from ..dist.coordinator import ShardedStudyRunner
+
         sharded = ShardedStudyRunner(world, workers, config=config,
                                      telemetry_enabled=telemetry.enabled,
                                      peers=peers, unit_count=unit_count)

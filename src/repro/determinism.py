@@ -1,4 +1,4 @@
-"""Stable seed derivation for order-independent randomness.
+"""Stable seed derivation and draw-exact word kernels.
 
 The sharded study runner requires every per-sample random draw to be a
 pure function of ``(world seed, sample identity)`` — never of how many
@@ -7,13 +7,48 @@ salted per process and ``random.Random`` streams encode consumption
 order, so both are unusable as cross-process determinism primitives.
 Everything here goes through SHA-256, which is stable across processes,
 platforms, and Python versions.
+
+The word kernels draw in bulk what per-call ``randrange``/``choice``
+loops drew one value at a time, leaving the same values *and* the same
+generator state behind.  They rest on CPython's word contract, stated
+here once (``tests/test_sandbox_handshaker.py`` checks each fact by
+name, ``tests/test_determinism.py`` checks the kernels):
+
+1. ``randrange(a, b)`` is ``a + _randbelow(b - a)`` and ``choice(seq)``
+   is ``seq[_randbelow(len(seq))]``; ``choice`` draws even from a
+   one-item sequence.
+2. ``_randbelow(n)`` repeats attempts ``getrandbits(k)``, with
+   ``k = n.bit_length()``, until one is ``< n``.  For ``k <= 32`` an
+   attempt is one 32-bit Mersenne Twister word ``w`` shifted right by
+   ``32 - k``.  So for ``n < 2**32`` each attempt is exactly one word,
+   accepted iff ``w >> (32 - k) < n``.  ``_randbelow(2**32)`` has
+   ``k = 33`` and takes two words per attempt: the kernels refuse it.
+3. For ``n = 2**m`` the test is ``w < 2**31``, whatever ``m``: the
+   accepted words serve any mix of power-of-two bounds, the draw being
+   ``w >> (31 - m)``.
+4. ``randbytes(4 * n)`` is the next ``n`` words, each little-endian, on
+   every host.
+
+A kernel asks ``randbytes`` only for the words it still needs at the
+least, so it never draws a word the per-call loop would not have.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
+import sys
+from array import array
+from typing import Callable, Sequence
 
-__all__ = ["stable_seed", "stable_unit", "shard_of"]
+__all__ = ["accepted_words", "draw_accepted", "draw_pairs", "shard_of",
+           "stable_seed", "stable_unit"]
+
+if array("I").itemsize != 4:
+    raise ImportError("repro.determinism needs a 4-byte array('I') word")
+
+#: the most significant byte of a word with bit 31 set
+_HIGH_BYTES = bytes(range(128, 256))
 
 
 def _digest(parts: tuple) -> bytes:
@@ -46,3 +81,80 @@ def shard_of(sha256: str, shard_count: int) -> int:
     if shard_count <= 1:
         return 0
     return int(sha256[:16], 16) % shard_count
+
+
+# -- draw-exact word kernels --------------------------------------------------
+
+
+def _words(data: bytes) -> array:
+    """``randbytes`` output as 32-bit words, in draw order (fact 4)."""
+    words = array("I", data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _shift(n: int) -> int:
+    """The right shift that turns one word into one ``_randbelow(n)``
+    attempt (fact 2)."""
+    k = n.bit_length()
+    if not 1 <= k <= 32:
+        raise ValueError(f"_randbelow({n}) is not one word per attempt")
+    return 32 - k
+
+
+def draw_accepted(rng: random.Random, count: int) -> bytes:
+    """The shortest run of ``rng``'s next words holding ``count`` words
+    below ``2**31``, as ``randbytes`` gives it.
+
+    These are the attempts of ``count`` calls of ``_randbelow(2**m)``
+    (fact 3), so the generator ends where those calls leave it.  The
+    words are counted in C, by their most significant byte, and decoded
+    only by :func:`accepted_words`, which may run much later.
+    """
+    chunks: list[bytes] = []
+    missing = count
+    while missing:
+        chunk = rng.randbytes(4 * missing)
+        chunks.append(chunk)
+        missing -= len(chunk[3::4].translate(None, _HIGH_BYTES))
+    return b"".join(chunks)
+
+
+def accepted_words(data: bytes) -> list[int]:
+    """The words below ``2**31`` in ``data`` (a :func:`draw_accepted`
+    run), in draw order; word ``w`` draws ``w >> (31 - m)`` from
+    ``_randbelow(2**m)``."""
+    return [w for w in _words(data) if w < 0x80000000]
+
+
+def draw_pairs(rng: random.Random, count: int, start: int, stop: int,
+               reject: Callable[[int], bool],
+               options: Sequence) -> list[tuple]:
+    """``count`` pairs ``(x, option)``, drawn as a loop of
+    ``x = randrange(start, stop)``, redrawn while ``reject(x)``, then
+    ``choice(options)`` draws them — values and generator state alike.
+
+    Each pair takes at least two words, so the kernel asks for two per
+    missing pair, less one while an ``x`` waits for its option.
+    """
+    width = stop - start
+    x_shift = _shift(width)
+    n = len(options)
+    option_shift = _shift(n)
+    pairs: list[tuple] = []
+    append = pairs.append
+    pending = None          # an accepted x still waiting for its option
+    while len(pairs) < count:
+        need = 2 * (count - len(pairs)) - (pending is not None)
+        for w in _words(rng.randbytes(4 * need)):
+            if pending is None:
+                r = w >> x_shift
+                if r < width and not reject(start + r):
+                    pending = start + r
+            else:
+                r = w >> option_shift
+                if r < n:
+                    append((pending, options[r]))
+                    pending = None
+    return pairs

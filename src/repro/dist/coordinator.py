@@ -10,12 +10,11 @@ TCP — or a *local slot*: connecting forks a child that runs the same
 ``socket.socketpair()``.  Both kinds speak the same frames and share one
 failure model; only connecting and reaping ask which kind a peer is.
 
-:func:`plan_fleet` is the one check of what a run asks for — ``workers``,
-``peers`` and ``unit_count``, a sharded run's only settings.  It needs
-no world, so the CLI calls it before generating one; ``run_study`` calls
-it to choose between serial and sharded, and the runner's constructor
-calls it too.  Constructing a runner opens nothing: no socket or fork
-happens before :meth:`~ShardedStudyRunner.start`.
+:func:`~repro.dist.plan.plan_fleet` is the one check of what a run asks
+for — ``workers``, ``peers`` and ``unit_count``, a sharded run's only
+settings; the runner's constructor calls it too.  Constructing a runner
+opens nothing: no socket or fork happens before
+:meth:`~ShardedStudyRunner.start`.
 
 :meth:`~ShardedStudyRunner.start` connects and places the first units
 without waiting; :meth:`~ShardedStudyRunner.join` runs one
@@ -79,12 +78,12 @@ from multiprocessing.connection import wait
 
 from ..core.pipeline import PipelineConfig
 from ..world.generator import World
-from .plan import TaskSpec
+from .plan import FleetError, TaskSpec, plan_fleet
 from .wire import PROTOCOL_VERSION, FrameDecoder, WireError, \
     heartbeat_timeout, recv_frame, send_frame
 from .worker import TaskLoop, WorldCache
 
-__all__ = ["FleetError", "ShardedStudyRunner", "plan_fleet"]
+__all__ = ["ShardedStudyRunner"]
 
 #: seconds one dispatch may run before it counts as hung
 SHARD_TIMEOUT = 600.0
@@ -98,55 +97,6 @@ MIN_STEAL_SECONDS = 1.0
 CONNECT_TIMEOUT = 5.0
 #: seconds an idle local child gets to exit after its shutdown frame
 _EXIT_GRACE = 2.0
-#: default units per TCP peer: enough that stealing a straggler's queue
-#: is meaningful, few enough that per-unit world setup stays amortized
-UNITS_PER_WORKER = 4
-#: parallel-width ceiling for ``workers="auto"`` — the envelope the
-#: serial == merged-parallel invariant is exercised against in CI
-AUTO_WORKERS_MAX = 4
-
-
-class FleetError(ValueError):
-    """A sharded run asked for a fleet it cannot have: bad ``workers``,
-    ``peers`` or ``unit_count``.  Raised before anything runs, and typed
-    so the CLI reports it as a usage error while any other ``ValueError``
-    keeps its traceback."""
-
-
-def plan_fleet(workers: int | str | None = None,
-               peers: list[str] | None = None,
-               unit_count: int | None = None) -> tuple[int, int] | None:
-    """Check the fleet a study asks for; ``None`` means a serial study.
-
-    Otherwise returns ``(width, units)``: the fleet width (local slots,
-    or the peer count) and how many sha256 units the corpus is cut into
-    — ``unit_count``, by default one per local slot and
-    :data:`UNITS_PER_WORKER` per TCP peer.  ``workers`` may be ``None``
-    or ``0`` (serial), ``N >= 1`` local slots, or ``"auto"`` (up to
-    :data:`AUTO_WORKERS_MAX`, serial on one CPU).  A fleet the run
-    cannot have raises :class:`FleetError`.
-    """
-    if workers == "auto":
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            cpus = os.cpu_count() or 1
-        workers = min(AUTO_WORKERS_MAX, cpus) if cpus > 1 else None
-    if peers and workers:
-        raise FleetError("workers and peers are exclusive: the peer "
-                         "list already decides where units run")
-    if not peers and not workers:
-        if unit_count is not None:
-            raise FleetError("unit_count needs workers or peers: a serial "
-                             "study is not cut into units")
-        return None
-    if not peers and workers < 1:
-        raise FleetError(f"workers must be >= 1, got {workers}")
-    if unit_count is not None and unit_count < 1:
-        raise FleetError(f"unit_count must be >= 1, got {unit_count}")
-    if peers:
-        return len(peers), unit_count or len(peers) * UNITS_PER_WORKER
-    return workers, unit_count or workers
 
 
 class _Peer:
@@ -187,8 +137,9 @@ class ShardedStudyRunner:
     ``workers=N`` runs the units on N local slots, forked children of
     this process (one unit per slot by default); ``peers`` (``["host:
     port", ...]``, exclusive with ``workers``) dispatches them to
-    ``repro worker`` daemons instead.  :func:`plan_fleet` checks the
-    three and sizes the fleet; any unit count merges to the same digest.
+    ``repro worker`` daemons instead.
+    :func:`~repro.dist.plan.plan_fleet` checks the three and sizes the
+    fleet; any unit count merges to the same digest.
 
     After :meth:`join`, :attr:`failed_shards` lists the unit indexes
     that never produced a result (crashed/hung/raised on every try),

@@ -28,8 +28,10 @@ heartbeats, so the two ends cannot disagree.
 
 Two consumption styles: blocking :func:`recv_frame` for the worker's
 one-connection-per-thread loop, and the incremental :class:`FrameDecoder`
-for the coordinator's ``selectors``-driven event loop, where a single
-``recv`` may deliver half a frame or three of them.
+for the coordinator's single-threaded loop, which asks
+``multiprocessing.connection.wait`` on each tick which connections are
+readable; there a single ``recv`` may deliver half a frame or three of
+them.
 """
 
 from __future__ import annotations

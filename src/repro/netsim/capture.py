@@ -148,12 +148,16 @@ class PacketColumns:
 
     One logical packet per index across thirteen columns (typed
     :class:`array.array` for every numeric field, a plain list for the
-    payload bytes).  Appends land in a staged row buffer first — one
-    tuple per packet, the cheapest possible record — and are transposed
-    into the arrays in bulk the first time anything *reads* the store
-    (:meth:`iter_rows`, :meth:`build_into`).  The scan-phase
-    common case — thousands of packets recorded, never read — therefore
-    pays neither object construction nor thirteen array appends per row.
+    payload bytes).  Appends land in a staging list first, and are
+    transposed into the arrays in bulk, in recording order, the first
+    time anything *reads* the store (:meth:`iter_rows`,
+    :meth:`build_into`).  A staged entry is either one row — the full
+    13-field column tuple, the cheapest possible record — or a
+    *segment*: an object whose ``len`` is its row count and whose
+    ``rows()`` builds those rows on that first read (the handshaker's
+    :class:`~repro.sandbox.handshaker.ScanSegment`).  The scan-phase
+    common case — hundreds of thousands of rows recorded, never read —
+    therefore builds neither the rows nor any object.
     :meth:`build_into` reconstructs :class:`Packet` objects that are
     field-for-field identical to eager construction, including the
     ``Protocol``/``TcpFlags`` enum types.
@@ -161,7 +165,7 @@ class PacketColumns:
 
     __slots__ = ("ts", "src", "dst", "sport", "dport", "proto", "flags",
                  "seq", "ack", "ttl", "icmp_type", "icmp_code", "payload",
-                 "_staged")
+                 "_staged", "_staged_rows")
 
     def __init__(self):
         self.ts = array("d")
@@ -177,37 +181,54 @@ class PacketColumns:
         self.icmp_type = array("B")
         self.icmp_code = array("B")
         self.payload: list[bytes] = []
-        #: rows recorded but not yet transposed into the arrays; each is
-        #: the full 13-field column tuple in array order
-        self._staged: list[tuple] = []
+        #: rows and segments recorded but not yet transposed into the
+        #: arrays, in recording order
+        self._staged: list = []
+        #: the rows those entries hold
+        self._staged_rows = 0
 
     def __len__(self) -> int:
-        return len(self.ts) + len(self._staged)
+        return len(self.ts) + self._staged_rows
 
     def append_tcp(self, src: int, dst: int, sport: int, dport: int,
                    flags: int, payload: bytes, seq: int, ack: int,
                    timestamp: float) -> None:
         self._staged.append((timestamp, src, dst, sport, dport, 6, flags,
                              seq, ack, DEFAULT_TTL, 0, 0, payload))
+        self._staged_rows += 1
         COLUMN_STATS["rows"] += 1
 
     def append_udp(self, src: int, dst: int, sport: int, dport: int,
                    payload: bytes, timestamp: float) -> None:
         self._staged.append((timestamp, src, dst, sport, dport, 17, 0,
                              0, 0, DEFAULT_TTL, 0, 0, payload))
+        self._staged_rows += 1
         COLUMN_STATS["rows"] += 1
 
-    def extend(self, rows: list[tuple]) -> None:
-        """Stage already-built 13-field column tuples in one append."""
-        self._staged.extend(rows)
-        COLUMN_STATS["rows"] += len(rows)
+    def append_segment(self, segment) -> None:
+        """Stage a segment; its rows count as recorded now."""
+        rows = len(segment)
+        self._staged.append(segment)
+        self._staged_rows += rows
+        COLUMN_STATS["rows"] += rows
 
     def _flush(self) -> None:
-        """Transpose staged rows into the typed arrays (one bulk pass)."""
-        if not self._staged:
+        """Transpose staged entries into the typed arrays (one bulk pass),
+        building each segment's rows in its place."""
+        staged = self._staged
+        if not staged:
             return
-        cols = list(zip(*self._staged))
         self._staged = []
+        self._staged_rows = 0
+        rows: list[tuple] = []
+        for entry in staged:
+            if type(entry) is tuple:
+                rows.append(entry)
+            else:
+                rows += entry.rows()
+        if not rows:
+            return
+        cols = list(zip(*rows))
         self.ts.extend(cols[0])
         self.src.extend(cols[1])
         self.dst.extend(cols[2])
@@ -243,19 +264,21 @@ class PacketColumns:
 class Capture:
     """An ordered, timestamped packet capture plus query helpers.
 
-    Recording supports two speeds.  :meth:`add` appends a materialized
+    Recording supports three speeds.  :meth:`add` appends a materialized
     :class:`Packet` — callers that keep a reference to the object (the
     live path re-stamps timestamps after recording) get shared-object
     semantics.  :meth:`add_tcp` / :meth:`add_udp` append one row to an
     array-backed columnar tail (:class:`PacketColumns`) without building
-    a ``Packet`` at all — the scan and fake-Internet hot paths record
-    tens of thousands of packets that are usually never read as objects.
-    Field-level readers (:meth:`iter_rows` and the scalar queries) consume
-    the columns directly; ``Packet`` objects are built only if
-    :attr:`packets` is actually read, in recording order and with the
-    timestamps fixed at record time.  Either way the observable packet
-    list is identical; the columnar tail only removes construction cost
-    for packets nobody reads.
+    a ``Packet`` at all — the fake-Internet hot paths record thousands
+    of packets that are usually never read as objects — and
+    :meth:`add_segment` appends a whole batch whose rows are not even
+    built until something reads them (a scan burst's, hundreds of rows
+    a sample).  Field-level readers (:meth:`iter_rows` and the scalar
+    queries) consume the columns directly; ``Packet`` objects are built
+    only if :attr:`packets` is actually read, in recording order and
+    with the timestamps fixed at record time.  Either way the observable
+    packet list is identical; the columnar tail only removes
+    construction cost for packets nobody reads.
     """
 
     __slots__ = ("_packets", "_cols", "label")
@@ -311,16 +334,18 @@ class Capture:
             cols = self._cols = PacketColumns()
         cols.append_udp(src, dst, sport, dport, payload, timestamp)
 
-    def add_rows(self, rows: list[tuple]) -> None:
-        """Record a batch of packets as columnar rows in one append.
+    def add_segment(self, segment) -> None:
+        """Record a batch of rows that is built only if it is read.
 
-        Each row is the full column tuple in array order — ``(timestamp,
-        src, dst, sport, dport, protocol, flags, seq, ack, ttl,
-        icmp_type, icmp_code, payload)`` with integer protocol and flags
-        — exactly what :meth:`add_tcp`/:meth:`add_udp` stage one at a
-        time, so a batch reads back like the same rows added singly.
+        ``segment`` has a ``len`` (its row count) and a ``rows()`` that
+        returns its 13-field column tuples in recording order —
+        ``(timestamp, src, dst, sport, dport, protocol, flags, seq, ack,
+        ttl, icmp_type, icmp_code, payload)``, with integer protocol and
+        flags, exactly what :meth:`add_tcp`/:meth:`add_udp` stage one at
+        a time.  Whatever the rows hold must be fixed when the segment is
+        recorded: they read back like the same rows added singly.
         """
-        self._tail().extend(rows)
+        self._tail().append_segment(segment)
 
     def extend(self, packets: Iterable[Packet]) -> None:
         if self._cols is not None:
@@ -367,40 +392,8 @@ class Capture:
 
     # -- queries -----------------------------------------------------------
 
-    def between(self, start: float, end: float) -> "Capture":
-        """Packets with ``start <= timestamp < end``."""
-        return Capture(
-            [p for p in self.packets if start <= p.timestamp < end], self.label
-        )
-
-    def involving(self, address: int) -> "Capture":
-        """Packets where ``address`` is source or destination."""
-        return Capture(
-            [p for p in self.packets if address in (p.src, p.dst)], self.label
-        )
-
-    def to_host(self, address: int) -> "Capture":
-        return Capture([p for p in self.packets if p.dst == address], self.label)
-
-    def from_host(self, address: int) -> "Capture":
-        return Capture([p for p in self.packets if p.src == address], self.label)
-
-    def by_protocol(self, protocol: Protocol) -> "Capture":
-        return Capture(
-            [p for p in self.packets if p.protocol == protocol], self.label
-        )
-
     def destinations(self) -> set[int]:
         return {row[1] for row in self.iter_rows()}
-
-    def destination_ports(self, protocol: Protocol | None = None) -> dict[int, int]:
-        """Map of destination port -> packet count."""
-        counts: dict[int, int] = {}
-        for row in self.iter_rows():
-            if protocol is not None and row[2] != protocol:
-                continue
-            counts[row[4]] = counts.get(row[4], 0) + 1
-        return counts
 
     def duration(self) -> float:
         if not len(self):
@@ -410,13 +403,6 @@ class Capture:
 
     def total_bytes(self) -> int:
         return sum(_row_size(row[2], row[5]) for row in self.iter_rows())
-
-    def packets_per_second(self) -> float:
-        """Mean packet rate across the capture (0 for <2 packets)."""
-        span = self.duration()
-        if span <= 0:
-            return 0.0
-        return len(self) / span
 
     # -- persistence ---------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Dynamic analysis sandbox: emulation, containment, handshaker, modes."""
 
-from .handshaker import DEFAULT_FANOUT_THRESHOLD, ExploitCapture, Handshaker
+from .handshaker import DEFAULT_FANOUT_THRESHOLD, Handshaker
 from .inetsim import FAKE_NET_BASE, FakeConversation, FakeInternetAdapter
 from .qemu import (
     ACTIVATION_RATE,
@@ -28,7 +28,6 @@ __all__ = [
     "EgressPolicy",
     "EmulatedProcess",
     "EmulationError",
-    "ExploitCapture",
     "FAKE_NET_BASE",
     "FakeConversation",
     "FakeInternetAdapter",

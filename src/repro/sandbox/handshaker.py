@@ -9,20 +9,23 @@ contain the exploit.
 
 :meth:`Handshaker.scan` runs a whole scan burst of a bot as one batched
 kernel: draw the targets, decide redirection for the batch, draw the
-ephemeral ports and payloads, record every row in one bulk append.
-Each draw goes through ``Random._randbelow`` — the call ``randrange(a,
-b)`` and ``choice`` make — in the order a one-connection-at-a-time scan
-made it, so the trace, the captures and both random streams are exactly
-what that scan produced.
+payloads and the ephemeral ports, hand the trace the burst as one lazy
+:class:`ScanSegment` and update the victim mapping.  Every draw is the
+one a one-connection-at-a-time scan made, in its order, through the
+word kernels of :mod:`repro.determinism`, so the trace, the victims and
+both random streams are exactly what that scan produced.  The segment
+becomes trace rows only when someone reads the trace (``repro pcap``
+does; a study never does), and the ports are decoded then from the
+words drawn at scan time.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress
 
 from ..botnet.bot import Bot
+from ..determinism import accepted_words, draw_accepted
 from ..netsim.capture import Capture
 from ..netsim.packet import DEFAULT_TTL, Protocol, TcpFlags
 
@@ -32,21 +35,64 @@ DEFAULT_FANOUT_THRESHOLD = 20
 #: seconds between consecutive trace rows
 _TICK = 0.005
 #: ephemeral source ports: ``_EPHEMERAL + _randbelow(_EPHEMERAL_SPAN)``
-#: is ``randrange(49152, 65536)``
+#: is ``randrange(49152, 65536)``; an accepted word ``w`` draws
+#: ``w >> _PORT_SHIFT`` from it (see :mod:`repro.determinism`)
 _EPHEMERAL = 49152
 _EPHEMERAL_SPAN = 16384
+_PORT_SHIFT = 32 - _EPHEMERAL_SPAN.bit_length()
 _TCP = int(Protocol.TCP)
 _SYN = int(TcpFlags.SYN)
 _PSH_ACK = int(TcpFlags.PSH | TcpFlags.ACK)
 
 
-@dataclass(slots=True)
-class ExploitCapture:
-    """One payload collected from a completed fake-victim handshake."""
+class ScanSegment:
+    """One scan burst's trace rows, not yet built.
 
-    port: int
-    target: int          # the address the malware believed it attacked
-    payload: bytes
+    The rule: a SYN row per target, then, for an engaged one, a PSH/ACK
+    row carrying its payload; row ``i`` of the burst takes tick
+    ``first_tick + i + 1`` and the ``i``-th ephemeral port word.
+    Everything a row holds was drawn at scan time, so the rows
+    :meth:`rows` builds are the rows an eager trace held.
+    """
+
+    __slots__ = ("bot_ip", "base_time", "first_tick", "targets", "engaged",
+                 "payloads", "port_words")
+
+    def __init__(self, bot_ip: int, base_time: float, first_tick: int,
+                 targets: list[tuple[int, int]], engaged: list[bool],
+                 payloads: list[bytes], port_words: bytes):
+        self.bot_ip = bot_ip
+        self.base_time = base_time
+        self.first_tick = first_tick
+        self.targets = targets
+        self.engaged = engaged
+        self.payloads = payloads
+        #: a :func:`~repro.determinism.draw_accepted` run, one word a row
+        self.port_words = port_words
+
+    def __len__(self) -> int:
+        return len(self.targets) + len(self.payloads)
+
+    def rows(self) -> list[tuple]:
+        """The burst's 13-field column tuples, in recording order."""
+        bot_ip = self.bot_ip
+        base = self.base_time
+        tick = self.first_tick
+        port_of = iter(accepted_words(self.port_words)).__next__
+        payload_of = iter(self.payloads).__next__
+        rows: list[tuple] = []
+        append = rows.append
+        for (address, port), hit in zip(self.targets, self.engaged):
+            tick += 1
+            append((base + tick * _TICK, bot_ip, address,
+                    _EPHEMERAL + (port_of() >> _PORT_SHIFT), port, _TCP,
+                    _SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
+            if hit:
+                tick += 1
+                append((base + tick * _TICK, bot_ip, address,
+                        _EPHEMERAL + (port_of() >> _PORT_SHIFT), port, _TCP,
+                        _PSH_ACK, 0, 0, DEFAULT_TTL, 0, 0, payload_of()))
+        return rows
 
 
 class Handshaker:
@@ -73,8 +119,9 @@ class Handshaker:
         self.fanout: dict[int, set[int]] = {}
         #: ports currently redirected to fake victims
         self.redirected_ports: set[int] = set()
-        self.captures: list[ExploitCapture] = []
-        self._latest: dict[tuple[int, int], ExploitCapture] = {}
+        #: ``(target, port)`` -> the latest payload that victim received,
+        #: in order of first contact
+        self.victims: dict[tuple[int, int], bytes] = {}
 
     # -- the kernel ------------------------------------------------------------
 
@@ -94,7 +141,7 @@ class Handshaker:
         hits = list(compress(targets, engaged))
         payloads = bot.attack_payloads([port for _address, port in hits])
         self._record(targets, engaged, payloads)
-        self._capture(hits, payloads)
+        self.victims.update(zip(hits, payloads))
         return len(hits)
 
     def _engage(self, targets: list[tuple[int, int]]) -> list[bool]:
@@ -124,46 +171,14 @@ class Handshaker:
 
     def _record(self, targets: list[tuple[int, int]], engaged: list[bool],
                 payloads: list[bytes]) -> None:
-        """The trace rule: a SYN row per target, then, for an engaged one,
-        a PSH/ACK row carrying its payload.
-
-        Each row draws its ephemeral port from this handshaker's stream
-        and takes the next tick, in row order; the rows land in the
-        trace in one bulk append.
-        """
-        randbelow = self.rng._randbelow
-        bot_ip = self.bot_ip
-        base = self.base_time
-        tick = self.ticks
-        payload_of = iter(payloads).__next__
-        rows: list[tuple] = []
-        append = rows.append
-        for (address, port), hit in zip(targets, engaged):
-            tick += 1
-            append((base + tick * _TICK, bot_ip, address,
-                    _EPHEMERAL + randbelow(_EPHEMERAL_SPAN), port, _TCP,
-                    _SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
-            if hit:
-                tick += 1
-                append((base + tick * _TICK, bot_ip, address,
-                        _EPHEMERAL + randbelow(_EPHEMERAL_SPAN), port, _TCP,
-                        _PSH_ACK, 0, 0, DEFAULT_TTL, 0, 0, payload_of()))
-        self.ticks = tick
-        self.trace.add_rows(rows)
-
-    def _capture(self, hits: list[tuple[int, int]],
-                 payloads: list[bytes]) -> None:
-        """The capture rule: one :class:`ExploitCapture` per victim
-        ``(target, port)``, holding the latest payload it received."""
-        latest = self._latest
-        captures = self.captures
-        for key, payload in zip(hits, payloads):
-            existing = latest.get(key)
-            if existing is None:
-                latest[key] = capture = ExploitCapture(key[1], key[0], payload)
-                captures.append(capture)
-            else:
-                existing.payload = payload
+        """Draw one ephemeral port word per trace row from this
+        handshaker's stream, and hand the trace the burst as one
+        :class:`ScanSegment`."""
+        segment = ScanSegment(
+            self.bot_ip, self.base_time, self.ticks, targets, engaged,
+            payloads, draw_accepted(self.rng, len(targets) + len(payloads)))
+        self.ticks += len(segment)
+        self.trace.add_segment(segment)
 
     # -- results ----------------------------------------------------------------------
 
@@ -172,12 +187,3 @@ class Handshaker:
         fanout = self.fanout
         return sorted(self.redirected_ports,
                       key=lambda port: (len(fanout[port]), port), reverse=True)
-
-    def distinct_payloads(self) -> list[bytes]:
-        seen: set[bytes] = set()
-        ordered: list[bytes] = []
-        for capture in self.captures:
-            if capture.payload not in seen:
-                seen.add(capture.payload)
-                ordered.append(capture.payload)
-        return ordered

@@ -32,7 +32,7 @@ from ..netsim.capture import Capture
 from ..netsim.faults import SandboxCrash
 from ..netsim.internet import VirtualInternet
 from ..obs import NULL_TELEMETRY, Telemetry
-from .handshaker import ExploitCapture, Handshaker
+from .handshaker import Handshaker
 from .inetsim import FakeInternetAdapter
 from .qemu import ActivationError, EmulationError, EmulatedProcess, MipsEmulator
 from .snort import EgressPolicy, FilteredAdapter, PolicyMode, SnortIds
@@ -73,7 +73,9 @@ class OfflineReport:
     c2_endpoint: str | None = None      # IP literal or domain
     c2_port: int | None = None
     is_p2p: bool = False
-    exploits: list[ExploitCapture] = field(default_factory=list)
+    #: the handshaker's victims: ``(target, port)`` -> the latest
+    #: payload that victim received, in order of first contact
+    exploits: dict[tuple[int, int], bytes] = field(default_factory=dict)
     scan_ports: list[int] = field(default_factory=list)
     yara_input: bytes = b""
     #: DGA schedule seed recovered from the binary's config (0 = none);
@@ -217,7 +219,7 @@ class CncHunterSandbox:
         handshaker = Handshaker(self.bot_ip, self.rng, trace=report.capture,
                                 base_time=start)
         handshaker.scan(process.bot, scan_budget)
-        report.exploits = list(handshaker.captures)
+        report.exploits = handshaker.victims
         report.scan_ports = handshaker.popular_ports()
 
     # -- mode 2: weaponized probing ------------------------------------------------

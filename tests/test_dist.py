@@ -20,9 +20,15 @@ from repro.core.cache import dataset_diff
 from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
-from repro.dist import WireError, recv_frame, send_frame
 from repro.dist.plan import world_key
-from repro.dist.wire import PROTOCOL_VERSION, FrameDecoder, heartbeat_timeout
+from repro.dist.wire import (
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    WireError,
+    heartbeat_timeout,
+    recv_frame,
+    send_frame,
+)
 from repro.dist.worker import WorkerServer, WorldCache
 from repro.netsim.faults import FAULT_PLANS
 from repro.obs import create_telemetry

@@ -19,15 +19,18 @@ socket in the loop so a failure points at the plan, not the transport.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.cache import dataset_diff
 from repro.core.datasets import Datasets
-from repro.core.parallel import execute_shard, plan_fleet
+from repro.core.parallel import execute_shard
 from repro.core.pipeline import PipelineConfig
 from repro.determinism import shard_of
-from repro.dist.plan import TaskSpec, world_key
+from repro.dist.plan import TaskSpec, plan_fleet, world_key
 from repro.netsim.faults import FAULT_PLANS
 
 from .conftest import SMOKE
@@ -118,6 +121,25 @@ def test_default_unit_count_scales_with_the_fleet():
     assert plan_fleet(workers=3) == (3, 3)
     assert plan_fleet(peers=["a:1"], unit_count=7) == (1, 7)
     assert plan_fleet() is None and plan_fleet(workers=0) is None
+
+
+def test_a_serial_study_never_loads_the_runner():
+    """Checking the fleet needs no runner: ``import repro`` and a serial
+    study load neither the coordinator nor its connection machinery."""
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "repro.run_study(repro.generate_world(scale=repro.SMOKE_SCALE))\n"
+        "print(sorted({'repro.dist.coordinator', 'repro.dist.worker',\n"
+        "              'multiprocessing.connection'} & set(sys.modules)))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -- schedule independence ----------------------------------------------------

@@ -14,7 +14,7 @@ from repro.netsim.capture import (
     PcapWriter,
     PCAP_MAGIC,
 )
-from repro.netsim.packet import Protocol, TcpFlags, icmp_packet, tcp_packet, udp_packet
+from repro.netsim.packet import TcpFlags, icmp_packet, tcp_packet, udp_packet
 
 A = ip_to_int("198.51.100.1")
 B = ip_to_int("203.0.113.1")
@@ -115,29 +115,13 @@ class TestCapture:
             )
             assert abs(back.timestamp - orig.timestamp) < 1e-5
 
-    def test_filters(self):
-        cap = Capture(sample_packets())
-        assert len(cap.involving(A)) == 4
-        assert len(cap.involving(B)) == 2
-        assert len(cap.to_host(C)) == 1
-        assert len(cap.from_host(C)) == 1
-        assert len(cap.by_protocol(Protocol.UDP)) == 1
-        assert len(cap.between(1.0, 2.0)) == 2
-
     def test_stats(self):
         cap = Capture(sample_packets())
         assert cap.destinations() == {B, C, A}
         assert cap.duration() == pytest.approx(2.125)
         assert cap.total_bytes() == sum(p.size for p in cap)
-        assert cap.packets_per_second() == pytest.approx(4 / 2.125)
-
-    def test_destination_ports(self):
-        cap = Capture(sample_packets())
-        ports = cap.destination_ports(Protocol.TCP)
-        assert ports == {80: 1, 1000: 1}
 
     def test_empty_capture_stats(self):
         cap = Capture()
         assert cap.duration() == 0.0
-        assert cap.packets_per_second() == 0.0
         assert cap.total_bytes() == 0

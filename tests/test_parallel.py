@@ -17,10 +17,11 @@ import pytest
 from repro.botnet.protocols.base import AttackCommand
 from repro.core.cache import dataset_diff
 from repro.core.datasets import Datasets
-from repro.core.parallel import ShardedStudyRunner, plan_fleet
+from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import run_study
 from repro.determinism import shard_of
+from repro.dist.plan import plan_fleet
 from repro.dist.wire import heartbeat_timeout
 from repro.dist.worker import TaskLoop, WorkerServer
 from repro.obs import MetricsRegistry

@@ -12,6 +12,7 @@ from repro.botnet.exploits import (
     classify_exploit,
     vulnerability_for_index,
 )
+from repro.determinism import accepted_words, draw_accepted, draw_pairs
 from repro.netsim.addresses import ip_to_int, is_reserved
 from repro.netsim.capture import Capture
 from repro.netsim.packet import TcpFlags
@@ -66,16 +67,16 @@ class TestHandshaker:
         handshaker = Handshaker(BOT_IP, random.Random(0), fanout_threshold=10**6)
         bot = exploit_bot()
         assert handshaker.scan(bot, 100) == 0
-        assert handshaker.captures == []
+        assert handshaker.victims == {}
 
     def test_collects_classifiable_exploits(self):
         handshaker = Handshaker(BOT_IP, random.Random(0))
         bot = exploit_bot()
         handshaker.scan(bot, 500)
         keys = {
-            classify_exploit(c.payload).key
-            for c in handshaker.captures
-            if classify_exploit(c.payload) is not None
+            classify_exploit(payload).key
+            for payload in handshaker.victims.values()
+            if classify_exploit(payload) is not None
         }
         assert "CVE-2018-10561" in keys or "CVE-2015-2051" in keys
 
@@ -85,8 +86,8 @@ class TestHandshaker:
                            scan_ports=[23])
         bot = Bot(config, BOT_IP, random.Random(2))
         handshaker.scan(bot, 200)
-        for capture in handshaker.captures:
-            assert classify_exploit(capture.payload) is None
+        for payload in handshaker.victims.values():
+            assert classify_exploit(payload) is None
 
     def test_trace_records_syns_and_payloads(self):
         handshaker = Handshaker(BOT_IP, random.Random(0))
@@ -112,37 +113,12 @@ class TestHandshaker:
         with pytest.raises(ValueError):
             Handshaker(BOT_IP, rng).scan(bot, 10)
 
-    def test_distinct_payloads_deduplicated(self):
-        handshaker = Handshaker(BOT_IP, random.Random(0), fanout_threshold=1)
-        # the first IP on a port is not redirected; the second crosses 1
-        bot = ScriptedBot([(0x05050505, 8080), (0x05050506, 8080),
-                           (0x0A0B0C0D, 8080)], b"same-payload")
-        assert handshaker.scan(bot, 3) == 2
-        assert len(handshaker.captures) == 2
-        assert len(handshaker.distinct_payloads()) == 1
-
     def test_repeat_victim_keeps_its_latest_payload(self):
         handshaker = Handshaker(BOT_IP, random.Random(0), fanout_threshold=1)
         assert not scan_one(handshaker, 0x05050505, 8080, b"first")
         assert scan_one(handshaker, 0x05050506, 8080, b"second")
         assert scan_one(handshaker, 0x05050506, 8080, b"third")
-        (capture,) = handshaker.captures
-        assert (capture.target, capture.port, capture.payload) == (
-            0x05050506, 8080, b"third")
-
-    def test_distinct_payloads_many_duplicates_first_seen_order(self):
-        # regression: the dedup used a list membership test, making this
-        # O(n^2) in the capture count — it must stay linear and preserve
-        # first-seen order over thousands of duplicate payloads
-        handshaker = Handshaker(BOT_IP, random.Random(0), fanout_threshold=1)
-        payloads = [b"alpha", b"bravo", b"charlie"]
-        for i in range(3000):
-            scan_one(handshaker, 0x05000000 + i, 8080, payloads[i % len(payloads)])
-        assert len(handshaker.captures) > 2000
-        # the very first connection is not redirected yet, so first-seen
-        # order starts at i=1
-        assert handshaker.distinct_payloads() == [
-            b"bravo", b"charlie", b"alpha"]
+        assert handshaker.victims == {(0x05050506, 8080): b"third"}
 
     def test_lazy_trace_materializes_identical_packets(self):
         # the deferred trace must materialize the same packets, in the
@@ -280,9 +256,27 @@ def reference_payload(bot, port):
     return b"GET / HTTP/1.0\r\n\r\n"
 
 
+def victim_list(handshaker):
+    """The victim mapping in the reference's ``[port, target, payload]``
+    capture form, in order of first contact."""
+    return [[port, target, payload]
+            for (target, port), payload in handshaker.victims.items()]
+
+
+# the port mixes cover choice() over 1, 2, 4 and 5 ports: one port still
+# draws and rejects half of the words, five rejects three words in eight
 _KERNEL_BOTS = {
+    "one-port": BotConfig(family="mirai", c2_host="203.0.113.9",
+                          c2_port=23, scan_ports=[23]),
     "telnet-only": BotConfig(family="mirai", c2_host="203.0.113.9",
                              c2_port=23, scan_ports=[23, 2323]),
+    # 8080 and 37215 are armed, 5555 is scanned bare (GET, no draw)
+    "five-port": BotConfig(
+        family="mirai", c2_host="203.0.113.9", c2_port=23,
+        scan_ports=[23, 2323, 5555],
+        exploit_ids=[KEY_TO_INDEX["CVE-2018-10561"],
+                     KEY_TO_INDEX["CVE-2017-17215"]],
+        loader_name="8UsA.sh", downloader="203.0.113.9:80"),
     # two armed exploits share 8080, a third rides 80, and 5555 is a
     # scanned port the bot carries nothing for (bare GET, no draw)
     "armed": BotConfig(
@@ -296,6 +290,13 @@ _KERNEL_BOTS = {
 
 
 class TestScanKernel:
+    def test_kernel_bots_cover_port_counts(self):
+        counts = {kind: len(Bot(config, BOT_IP, random.Random(0))
+                            .scan_port_list())
+                  for kind, config in _KERNEL_BOTS.items()}
+        assert counts == {"one-port": 1, "telnet-only": 2, "armed": 4,
+                          "five-port": 5}
+
     @pytest.mark.parametrize("base_time", [0.0, 1_651_881_600.37])
     @pytest.mark.parametrize("threshold", [1, 20, 10**6])
     @pytest.mark.parametrize("kind", sorted(_KERNEL_BOTS))
@@ -312,10 +313,10 @@ class TestScanKernel:
             kernel.scan(bot, count)
             reference_scan_burst(ref_bot, reference, count)
 
+        assert len(kernel.trace) == len(reference.trace)   # before a read
         assert list(kernel.trace.iter_rows()) == \
             list(reference.trace.iter_rows())
-        assert [[c.port, c.target, c.payload] for c in kernel.captures] == \
-            reference.captures
+        assert victim_list(kernel) == reference.captures
         assert kernel.fanout == reference.fanout
         assert kernel.redirected_ports == reference.redirected_ports
         assert kernel.popular_ports() == reference.popular_ports()
@@ -323,9 +324,9 @@ class TestScanKernel:
         assert kernel.rng.getstate() == reference.rng.getstate()
         assert bot.rng.getstate() == ref_bot.rng.getstate()
         if threshold == 20:
-            assert kernel.captures          # the comparison saw hits
+            assert kernel.victims           # the comparison saw hits
         if threshold == 10**6:
-            assert not kernel.captures
+            assert not kernel.victims
 
     def test_repeat_victims_equal_reference_sessions(self):
         # victims contacted again keep their latest payload, as the
@@ -343,8 +344,7 @@ class TestScanKernel:
                 session.send(payload)
         assert list(kernel.trace.iter_rows()) == \
             list(reference.trace.iter_rows())
-        assert [[c.port, c.target, c.payload] for c in kernel.captures] == \
-            reference.captures
+        assert victim_list(kernel) == reference.captures
         assert kernel.rng.getstate() == reference.rng.getstate()
 
     def test_randbelow_reproduces_randrange_and_choice(self):
@@ -361,10 +361,37 @@ class TestScanKernel:
             assert [seq[direct._randbelow(len(seq))] for _ in range(300)] == \
                 [wrapped.choice(seq) for _ in range(300)]
             assert direct.getstate() == wrapped.getstate()
+        # the shared word kernels make those draws in bulk, at the edge
+        # bounds: 1 (a draw that rejects half the words), 16384 (the
+        # ephemeral ports), 0xDE000000 (the scan addresses)
+        never = lambda value: False  # noqa: E731
+        for n in (1, 16384, 0xDE000000):
+            kernel, direct = random.Random(n), random.Random(n)
+            assert draw_pairs(kernel, 300, 0, n, never, range(n)) == \
+                [(direct._randbelow(n), direct._randbelow(n))
+                 for _ in range(300)]
+            assert kernel.getstate() == direct.getstate()
+        kernel, direct = random.Random(16384), random.Random(16384)
+        assert [w >> 17 for w in accepted_words(draw_accepted(kernel, 300))] \
+            == [direct._randbelow(16384) for _ in range(300)]
+        assert kernel.getstate() == direct.getstate()
+        # ... and 2**32, where an attempt is two words (low word first,
+        # accepted iff the high word's bit 31 is clear): refused
+        direct, words = random.Random(32), random.Random(32)
+        expected = []
+        while len(expected) < 300:
+            low, high = words.getrandbits(32), words.getrandbits(32)
+            if not high >> 31:
+                expected.append(low)
+        assert [direct._randbelow(2**32) for _ in range(300)] == expected
+        assert direct.getstate() == words.getstate()
+        for stop, options in ((2**32, (0,)), (1, range(2**32))):
+            with pytest.raises(ValueError):
+                draw_pairs(random.Random(0), 1, 0, stop, never, options)
 
-    # The bulk kernels of repro.binary.builder (_accepted_words) rest on
-    # three CPython facts; each has its own test, so a release that
-    # changes one fails here under its name, not as a digest mismatch.
+    # The word kernels of repro.determinism rest on three CPython facts;
+    # each has its own test, so a release that changes one fails here
+    # under its name, not as a digest mismatch.
 
     def test_getrandbits_up_to_32_is_one_shifted_word(self):
         for k in (1, 4, 9, 17, 31, 32):

@@ -1,5 +1,6 @@
 """Integration tests for the CnCHunter sandbox's execution modes."""
 
+import hashlib
 import random
 
 import pytest
@@ -88,15 +89,35 @@ class TestOfflineMode:
             build_binary().data, scan_budget=400
         )
         assert report.exploits
+        assert all(port in report.scan_ports
+                   for _target, port in report.exploits)
         assert 8080 in report.scan_ports or 23 in report.scan_ports
 
-    def test_capture_is_nonempty_and_pcap_serializable(self):
-        report = self.offline_sandbox().analyze_offline(build_binary().data)
-        assert len(report.capture) > 0
+    # rows and sha256 of each family's pcap, recorded from the per-row
+    # trace the lazy scan segment replaced; a 400-target burst engages
+    # victims, so PSH/ACK rows carrying payloads are in every file
+    @pytest.mark.parametrize("family, rows, sha256", [
+        ("mirai", 765,
+         "8d148d2c8a8efb1d05aa8e56ecc41c8f682617db74926108af2cd35ff56eb934"),
+        ("gafgyt", 765,
+         "771c3db72940c4d442b71da67a72a39f125336dd5b01597bc20554ac0a02ec92"),
+        ("daddyl33t", 765,
+         "f8fa95fc82b26c7bdaad24905f75d07bf0cbd7cf6c49699ef4e0fd22e5232480"),
+        ("tsunami", 765,
+         "3c520446e2e47fa6e4aedd64f3760fa0b0b21b91d0c66bd2146e82d85f2715a9"),
+    ], ids=["mirai", "gafgyt", "daddyl33t", "tsunami"])
+    def test_capture_is_nonempty_and_pcap_serializable(self, family, rows,
+                                                       sha256):
+        report = self.offline_sandbox().analyze_offline(
+            build_binary(family=family).data, scan_budget=400)
+        assert len(report.capture) == rows
+        data = report.capture.to_pcap_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
         from repro.netsim.capture import Capture
 
-        restored = Capture.from_pcap_bytes(report.capture.to_pcap_bytes())
+        restored = Capture.from_pcap_bytes(data)
         assert len(restored) == len(report.capture)
+        assert any(p.payload for p in restored if p.dport in report.scan_ports)
 
     def test_offline_captures_run_forward_in_time(self, smoke_world):
         # the scan rows continue the C2 phase's clock, so no capture (and
