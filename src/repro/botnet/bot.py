@@ -162,7 +162,14 @@ class Bot:
         return session
 
     def poll_c2(self, session: BotSession) -> list[AttackCommand]:
-        """One keepalive round-trip; returns newly received commands."""
+        """One keepalive round-trip; returns every command in the server
+        stream accumulated so far, not only the new ones.
+
+        It re-parses that stream from its first byte
+        (:meth:`decode_commands`), so the polls of one session cost time
+        quadratic in its length; a caller that acts on the commands
+        de-duplicates them.
+        """
         session.send(self.keepalive_payload())
         self._server_bytes += session.recv()
         return self.decode_commands()

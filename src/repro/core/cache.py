@@ -51,16 +51,58 @@ _CODE_FINGERPRINT: str | None = None
 # -- canonical digests -------------------------------------------------------
 
 
+#: the exact types :func:`_canon` returns unchanged
+_PLAIN = frozenset({str, int, bool, type(None)})
+
+#: dataclass type -> (its name, the names of its compared fields): a
+#: memo of a pure function of the type, filled the first time
+#: :func:`_canon` meets an instance of it
+_COMPARED: dict[type, tuple[str, tuple[str, ...]]] = {}
+
+
 def _canon(value):
+    """The canonical JSON-able form of ``value``: a dataclass becomes
+    ``{"__type__": name, field: ...}`` over its compared fields, a dict
+    a list of ``[key, value]`` pairs, a set a sorted list, a tuple a
+    list, bytes hex text and a float its ``repr``.
+
+    Dispatch is on the exact type, and a primitive field or list item is
+    kept inline without a call.  Any other type (a namedtuple, an
+    ``IntEnum``, a dataclass met for the first time) takes the
+    ``isinstance`` chain of :func:`_canon_subclass`.
+    """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    compared = _COMPARED.get(kind)
+    if compared is not None:
+        name, fields = compared
+        canon = {"__type__": name}
+        for attr in fields:
+            item = getattr(value, attr)
+            canon[attr] = item if type(item) in _PLAIN else _canon(item)
+        return canon
+    if kind is list or kind is tuple:
+        return [item if type(item) in _PLAIN else _canon(item)
+                for item in value]
+    if kind is dict:
+        return [[_canon(key), _canon(item)] for key, item in value.items()]
+    if kind is float:
+        return repr(value)
+    if kind is set or kind is frozenset:
+        return sorted([_canon(item) for item in value])
+    if kind is bytes:
+        return value.hex()
+    return _canon_subclass(value)
+
+
+def _canon_subclass(value):
+    """:func:`_canon` of a value whose exact type it does not dispatch."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__type__": type(value).__name__,
-            **{
-                f.name: _canon(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-                if f.compare
-            },
-        }
+        kind = type(value)
+        _COMPARED[kind] = (kind.__name__, tuple(
+            f.name for f in dataclasses.fields(value) if f.compare))
+        return _canon(value)
     if isinstance(value, dict):
         return [[_canon(k), _canon(v)] for k, v in value.items()]
     if isinstance(value, (set, frozenset)):

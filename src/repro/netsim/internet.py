@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Protocol as TypingProtocol
 
@@ -438,7 +439,10 @@ class VirtualInternet:
             trace=session_trace,
         )
         client_session = ClientSession(self, client, server_session, session_trace)
-        server_session.state["client"] = client_session
+        # the client session owns its server side; the way back is weak,
+        # so a session pair is no reference cycle and is freed, with its
+        # connections and trace, as soon as the caller lets the client go
+        server_session.state["client"] = weakref.ref(client_session)
         service = listener.service
         if listener.banner:
             server_session.send(listener.banner)
@@ -468,7 +472,7 @@ class VirtualInternet:
         seg = server.conn.send(data)
         seg.timestamp = self._stamp()
         self._record(seg, server.trace)
-        client: ClientSession = server.state["client"]
+        client: ClientSession = server.state["client"]()
         for ack in client.conn.receive(seg):
             ack.timestamp = self._stamp()
             self._record(ack, server.trace)
@@ -493,7 +497,7 @@ class VirtualInternet:
         fin = server.conn.close()
         fin.timestamp = self._stamp()
         self._record(fin, server.trace)
-        client: ClientSession = server.state["client"]
+        client: ClientSession = server.state["client"]()
         for reply in client.conn.receive(fin):
             reply.timestamp = self._stamp()
             self._record(reply, server.trace)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
@@ -252,7 +253,9 @@ MAX_BODY_BYTES = 1 << 16
 class _RequestHandler(BaseHTTPRequestHandler):
     """Socket plumbing around :meth:`ServiceApi.handle` — nothing more."""
 
-    api: ServiceApi = None  # set by build_server on the subclass
+    #: a weak proxy to the server's ServiceApi, set by build_server on
+    #: the subclass
+    api: ServiceApi = None
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # _send writes headers, then body
 
@@ -306,6 +309,8 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True  # a handler never holds up server_close() or exit
 
     def __init__(self, *args, **kwargs):
+        #: the ServiceApi the handlers dispatch to, set by build_server
+        self.api = None
         #: set by server_close(); a request read after it is hung up on
         self.closed = False
         self._connections: set[socket.socket] = set()
@@ -341,11 +346,18 @@ def build_server(service: StudyService, host: str = "127.0.0.1",
     """A bound (not yet serving) HTTP server over ``service``.
 
     ``port=0`` binds an ephemeral port; read the real one from
-    ``server.server_address[1]``.
+    ``server.server_address[1]``.  The server owns the
+    :class:`ServiceApi`; its handler class, like every class a
+    reference cycle, reaches it through a weak proxy, so a server that
+    is shut down, closed and dropped frees its study by reference
+    counting instead of waiting for the cycle collector.
     """
     api = ServiceApi(service)
-    handler = type("BoundRequestHandler", (_RequestHandler,), {"api": api})
-    return _Server((host, port), handler)
+    handler = type("BoundRequestHandler", (_RequestHandler,),
+                   {"api": weakref.proxy(api)})
+    server = _Server((host, port), handler)
+    server.api = api
+    return server
 
 
 # -- daemon lifecycle --------------------------------------------------------

@@ -5,7 +5,10 @@ The golden digests and the cold/warm cache equivalence live in the
 equivalence matrix (``tests/test_equivalence.py``).
 """
 
+import collections
 import copy
+import dataclasses
+import enum
 import os
 import pickle
 
@@ -13,6 +16,8 @@ import pytest
 
 from repro.core.cache import (
     StudyCache,
+    _canon,
+    _canon_text,
     code_fingerprint,
     dataset_diff,
     dataset_digest,
@@ -22,7 +27,8 @@ from repro.core.datasets import Datasets
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
 from repro.netsim.faults import FAULT_PLANS
-from repro.world import generate_world
+from repro.netsim.packet import Protocol
+from repro.world import XL_SCALE, generate_world
 
 from .conftest import SMOKE
 
@@ -296,3 +302,118 @@ class TestDatasetDiff:
         assert self._diff(fewer, reference) == (
             f"profiles[8] (sha256='{gone.sha256[:8]}…' day={gone.day}): "
             f"only in actual ({total - 1} vs {total} records)")
+
+
+# -- the canonical walk against the generic walk it replaced -----------------
+#
+# ``_canon`` dispatches on exact types and caches each dataclass's
+# compared field names.  The generic walk below is frozen as it was
+# before; every digest, diff and fingerprint must read the same
+# canonical text from both.
+
+
+def _generic_canon(value):
+    """Frozen reference: the per-object ``dataclasses.fields`` walk."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            "__type__": type(value).__name__,
+            **{
+                f.name: _generic_canon(getattr(value, f.name))
+                for f in dataclasses.fields(value)
+                if f.compare
+            },
+        }
+    if isinstance(value, dict):
+        return [[_generic_canon(k), _generic_canon(v)]
+                for k, v in value.items()]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_generic_canon(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_generic_canon(v) for v in value]
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _same_canon(value) -> str:
+    text = _canon_text(_canon(value))
+    assert text == _canon_text(_generic_canon(value))
+    return text
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+
+@dataclasses.dataclass
+class _Base:
+    flag: bool
+    count: int
+    memo: dict = dataclasses.field(default_factory=dict, compare=False)
+
+
+class _Undecorated(_Base):
+    """A dataclass subclass that declares no field of its own."""
+
+
+@dataclasses.dataclass
+class _Extended(_Base):
+    extra: tuple = ()
+    hidden: float = dataclasses.field(default=0.5, compare=False)
+
+
+CRAFTED = {
+    "true-beside-1": [True, 1, False, 0, (1, True), {True: 1, 2: False},
+                      frozenset({True, 2}), _Base(True, 1), _Base(1, True)],
+    "int-enum": [_Level.LOW, Protocol.TCP, {_Level.HIGH: _Level.LOW},
+                 frozenset(_Level)],
+    "namedtuple": [_Pair(1, b"\x00\xff"), _Pair(_Pair(1, 2.5), [3])],
+    "frozenset-of-tuples": frozenset({(2, "b"), (1, "a"), (1, "b", 0)}),
+    "floats": [-0.0, 0.0, float("inf"), float("-inf"), float("nan"),
+               1e16, 0.1, 2.0, (1.5,)],
+    "bytes": [b"", b"\x00\xffmal", (b"a", b"b"), {b"k": b"v"}],
+    "tuple-keys": {(1, 2): "x", ("a", (3, 4)): [1, 2], (): None},
+    "dataclass-subclass": [_Undecorated(True, 1),
+                           _Extended(False, 2, extra=(1, 2.5)),
+                           _Base(False, 2)],
+    "compare-false": [_Extended(True, 3, memo={"x": 1}, hidden=9.5),
+                      _Undecorated(False, 0, memo={"y": b"z"})],
+    "nested": {"sets": {5, 1, 3}, "empty": [set(), (), {}, ""],
+               "deep": [[[{"a": (None, -1)}]]]},
+}
+
+
+class TestCanonicalWalk:
+    @pytest.mark.parametrize("faults", ["none", "mild", "heavy"])
+    @pytest.mark.parametrize("scenario", ["plain", "dga"])
+    def test_smoke_study_datasets(self, serial_reference, scenario,
+                                  faults):
+        scale = dataclasses.replace(SMOKE, dga=scenario == "dga")
+        config = (None if faults == "none"
+                  else PipelineConfig(faults=FAULT_PLANS[faults]))
+        _malnet, _campaign, datasets = serial_reference(SEED, scale, config)
+        _same_canon(datasets)
+
+    @pytest.mark.parametrize("ingredient", [
+        XL_SCALE, SMOKE, PipelineConfig(),
+        PipelineConfig(faults=FAULT_PLANS["heavy"], architectures=(
+            "mips", "arm"), shard_index=1, shard_count=3),
+    ], ids=["xl-scale", "smoke-scale", "default-config", "heavy-config"])
+    def test_fingerprint_ingredients(self, ingredient):
+        _same_canon(ingredient)
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_crafted_values(self, name):
+        _same_canon(CRAFTED[name])
+
+    def test_compare_false_fields_are_invisible(self):
+        assert _same_canon(_Extended(True, 3, memo={"x": 1}, hidden=9.5)) \
+            == _same_canon(_Extended(True, 3))
+        assert '"__type__":"_Undecorated"' in \
+            _same_canon(_Undecorated(True, 1))

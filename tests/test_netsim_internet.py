@@ -1,19 +1,26 @@
 """Tests for the virtual Internet: hosts, TCP/UDP services, DNS, liveness."""
 
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
+from repro.core.study import run_study
 from repro.netsim.addresses import ip_to_int
 from repro.netsim.capture import Capture
 from repro.netsim.internet import (
+    ClientSession,
     Listener,
     Network,
     STUDY_EPOCH,
+    ServerSession,
     SimClock,
     VirtualInternet,
 )
-from repro.netsim.packet import Protocol, icmp_packet, udp_packet
+from repro.netsim.packet import Packet, Protocol, icmp_packet, udp_packet
+from repro.netsim.tcp import TcpConnection
 
 CLIENT_IP = ip_to_int("198.51.100.10")
 SERVER_IP = ip_to_int("203.0.113.10")
@@ -142,6 +149,47 @@ class TestTcpService:
         assert session.closed
         with pytest.raises(ConnectionError):
             session.send(b"late")
+
+    def test_server_close_reaches_the_client(self, net):
+        trace = Capture()
+        session = net.tcp_connect(CLIENT_IP, SERVER_IP, 7, trace)
+        session._server.close()
+        assert session.closed and not session.conn.established
+        assert trace.packets[-2].src == SERVER_IP    # the server's FIN,
+        assert trace.packets[-1].src == CLIENT_IP    # the client's reply
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_a_session_pair_is_no_reference_cycle(self, net, closed):
+        gc.disable()
+        try:
+            session = net.tcp_connect(CLIENT_IP, SERVER_IP, 7, Capture())
+            session.send(b"hi")
+            if closed:
+                session.close()
+            refs = [weakref.ref(session), weakref.ref(session._server)]
+            del session
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+def test_a_study_leaves_no_session_for_the_collector(smoke_world):
+    """Every TCP session pair of a smoke study, with its connections and
+    packets, is freed by reference counting: the collector finds none."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_study(smoke_world)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = Counter(type(obj).__name__ for obj in gc.garbage
+                       if isinstance(obj, (ClientSession, ServerSession,
+                                           TcpConnection, Packet)))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == {}
 
 
 class TestUdpAndIcmp:

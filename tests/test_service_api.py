@@ -8,6 +8,7 @@ parseable ``/metrics`` scrape, and digest equality against a batch
 """
 
 import contextlib
+import gc
 import json
 import re
 import socket
@@ -15,6 +16,7 @@ import statistics
 import threading
 import time
 import urllib.request
+import weakref
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.obs import create_telemetry
 from repro.service import (ServiceError, StudyClient, StudyService,
                            build_server, serve_forever)
+from repro.service.handlers import ServiceApi
 
 from .conftest import SMOKE
 
@@ -658,3 +661,36 @@ def test_a_request_in_flight_at_shutdown_gets_its_whole_reply(
     assert status == 200
     assert body == expected
     assert not any(t.is_alive() for t in _handler_threads(before))
+
+
+def test_a_shut_down_server_frees_its_study():
+    """The server owns its ServiceApi and the handler class reaches it
+    through a weak proxy, so once a server is shut down, closed and
+    dropped, reference counting alone frees the study it served."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = set(threading.enumerate())
+        service = _short_study()
+        server = build_server(service)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05})
+        thread.start()
+        try:
+            api = server.RequestHandlerClass.api.handle.__self__
+            assert isinstance(api, ServiceApi) and api.service is service
+            del api
+            with StudyClient(_url(server)) as client:
+                assert client.status()["next_day"] == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not any(t.is_alive() for t in _handler_threads(before))
+        refs = [weakref.ref(service), weakref.ref(service.runner),
+                weakref.ref(service.runner.world)]
+        del service, server, thread
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
