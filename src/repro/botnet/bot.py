@@ -46,6 +46,14 @@ TELNET_CREDENTIALS = (
 #: what a bot sends to a victim port it carries no exploit for
 _PROBE = (b"GET / HTTP/1.0\r\n\r\n",)
 
+#: each C2 dialect's resumable stream decoder (a P2P bot has no C2)
+_DECODERS = {
+    C2Dialect.MIRAI_BINARY: mirai.decode_stream,
+    C2Dialect.GAFGYT_TEXT: gafgyt.decode_stream,
+    C2Dialect.DADDYL33T_TEXT: daddyl33t.decode_stream,
+    C2Dialect.IRC: irc.decode_stream,
+}
+
 
 class BotSession(TypingProtocol):
     """The connection handle a :class:`NetworkAdapter` returns."""
@@ -78,6 +86,10 @@ class Bot:
         self.bot_ip = bot_ip
         self.rng = rng
         self._server_bytes = b""
+        self._decode = _DECODERS.get(self.family.dialect)
+        #: the commands before the stream's settled offset, and that offset
+        self._settled: list[AttackCommand] = []
+        self._settled_at = 0
         self._bot_id = bytes(
             rng.choice(b"abcdefghijklmnopqrstuvwxyz") for _ in range(8)
         )
@@ -163,29 +175,28 @@ class Bot:
 
     def poll_c2(self, session: BotSession) -> list[AttackCommand]:
         """One keepalive round-trip; returns every command in the server
-        stream accumulated so far, not only the new ones.
-
-        It re-parses that stream from its first byte
-        (:meth:`decode_commands`), so the polls of one session cost time
-        quadratic in its length; a caller that acts on the commands
-        de-duplicates them.
-        """
+        stream accumulated so far, not only the new ones (a caller that
+        acts on the commands de-duplicates them)."""
         session.send(self.keepalive_payload())
         self._server_bytes += session.recv()
         return self.decode_commands()
 
     def decode_commands(self) -> list[AttackCommand]:
-        """Bot-side decode of everything the server has sent so far."""
-        extractors = {
-            C2Dialect.MIRAI_BINARY: mirai.extract_commands,
-            C2Dialect.GAFGYT_TEXT: gafgyt.extract_commands,
-            C2Dialect.DADDYL33T_TEXT: daddyl33t.extract_commands,
-            C2Dialect.IRC: irc.extract_commands,
-        }
-        extractor = extractors.get(self.family.dialect)
-        if extractor is None:
+        """Bot-side decode of everything the server has sent so far.
+
+        Only the bytes past the stream's settled offset are decoded: up
+        to that offset the dialect's parse is final, whatever bytes
+        arrive next, so the commands before it are kept from the last
+        decode.  The result equals the dialect's ``extract_commands`` on
+        the whole stream.
+        """
+        decode = self._decode
+        if decode is None:
             return []
-        return extractor(self._server_bytes)
+        settled, self._settled_at, tail = decode(self._server_bytes,
+                                                 self._settled_at)
+        self._settled += settled
+        return self._settled + tail
 
     @property
     def server_bytes(self) -> bytes:
@@ -195,6 +206,8 @@ class Bot:
     def reset_stream(self) -> None:
         """Forget accumulated server bytes (fresh probe in weaponized mode)."""
         self._server_bytes = b""
+        self._settled = []
+        self._settled_at = 0
 
     # -- P2P ------------------------------------------------------------------
 

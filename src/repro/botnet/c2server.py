@@ -109,6 +109,8 @@ class C2Server:
         if family.dialect == C2Dialect.P2P:
             raise ValueError("P2P families have no central C2 server")
         self.family = family
+        #: the dialect's data handler, a function of (server, session, data)
+        self._on_data = _DATA_HANDLERS[family.dialect]
         self.schedule = schedule or []
         self._index_schedule()
 
@@ -156,13 +158,7 @@ class C2Server:
             session.send(irc.encode_welcome())
 
     def on_data(self, session, data: bytes) -> None:
-        dispatch = {
-            C2Dialect.MIRAI_BINARY: self._mirai_data,
-            C2Dialect.GAFGYT_TEXT: self._gafgyt_data,
-            C2Dialect.DADDYL33T_TEXT: self._daddy_data,
-            C2Dialect.IRC: self._irc_data,
-        }
-        dispatch[self.family.dialect](session, data)
+        self._on_data(self, session, data)
 
     # -- dialect handlers -------------------------------------------------------
 
@@ -207,6 +203,15 @@ class C2Server:
             session.send(irc.encode_ping())
         if session.state["registered"]:
             self._push_due(session, irc.encode_attack)
+
+
+#: each dialect's server-side data handler
+_DATA_HANDLERS = {
+    C2Dialect.MIRAI_BINARY: C2Server._mirai_data,
+    C2Dialect.GAFGYT_TEXT: C2Server._gafgyt_data,
+    C2Dialect.DADDYL33T_TEXT: C2Server._daddy_data,
+    C2Dialect.IRC: C2Server._irc_data,
+}
 
 
 class DownloaderHttp:

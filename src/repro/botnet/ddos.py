@@ -14,7 +14,9 @@ import random
 import string
 
 from ..netsim.addresses import ephemeral_port
-from ..netsim.packet import Packet, TcpFlags, icmp_packet, tcp_packet, udp_packet
+from ..netsim.packet import (
+    ACK, PSH, RST, SYN, Packet, icmp_packet, tcp_packet, udp_packet,
+)
 from .protocols.base import (
     AttackCommand,
     METHOD_BLACKNURSE,
@@ -109,7 +111,7 @@ def _syn_flood(command, bot_ip, rng, start, count, variant):
         )
         packets.append(
             tcp_packet(bot_ip, command.target_ip, ephemeral_port(rng), dport,
-                       TcpFlags.SYN, seq=rng.randrange(1, 2**32),
+                       SYN, seq=rng.randrange(1, 2**32),
                        timestamp=ts)
         )
     return packets
@@ -142,20 +144,20 @@ def _tls_attack(command, bot_ip, rng, start, count, variant):
         sport = ephemeral_port(rng)
         seq = rng.randrange(1, 2**32)
         packets.append(tcp_packet(bot_ip, command.target_ip, sport,
-                                  command.target_port, TcpFlags.SYN, seq=seq,
+                                  command.target_port, SYN, seq=seq,
                                   timestamp=ts)); ts += interval
         packets.append(tcp_packet(bot_ip, command.target_ip, sport,
-                                  command.target_port, TcpFlags.ACK,
+                                  command.target_port, ACK,
                                   seq=seq + 1, timestamp=ts)); ts += interval
         for chunk in range(per_round - 3):
             payload = b"\x16\x03\x01" + bytes(rng.randrange(256) for _ in range(64))
             packets.append(
                 tcp_packet(bot_ip, command.target_ip, sport, command.target_port,
-                           TcpFlags.PSH | TcpFlags.ACK, payload,
+                           PSH | ACK, payload,
                            seq=seq + 1 + chunk * 67, timestamp=ts))
             ts += interval
         packets.append(tcp_packet(bot_ip, command.target_ip, sport,
-                                  command.target_port, TcpFlags.RST,
+                                  command.target_port, RST,
                                   timestamp=ts)); ts += interval
     return packets
 
@@ -177,10 +179,10 @@ def _stomp(command, bot_ip, rng, start, count, variant):
     interval = 1.0 / FLOOD_PPS
     ts = start
     packets.append(tcp_packet(bot_ip, command.target_ip, sport,
-                              command.target_port, TcpFlags.SYN, seq=seq,
+                              command.target_port, SYN, seq=seq,
                               timestamp=ts)); ts += interval
     packets.append(tcp_packet(bot_ip, command.target_ip, sport,
-                              command.target_port, TcpFlags.ACK, seq=seq + 1,
+                              command.target_port, ACK, seq=seq + 1,
                               timestamp=ts)); ts += interval
     offset = 0
     for _ in range(max(0, count - 2)):
@@ -188,7 +190,7 @@ def _stomp(command, bot_ip, rng, start, count, variant):
         frame = f"SEND\ndestination:/queue/x\n\n{junk}\x00".encode("ascii")
         packets.append(
             tcp_packet(bot_ip, command.target_ip, sport, command.target_port,
-                       TcpFlags.PSH | TcpFlags.ACK, frame,
+                       PSH | ACK, frame,
                        seq=seq + 1 + offset, timestamp=ts))
         offset += len(frame)
         ts += interval

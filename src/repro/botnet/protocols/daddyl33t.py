@@ -74,10 +74,9 @@ def decode_attack_line(line: str) -> AttackCommand:
     )
 
 
-def extract_commands(server_stream: bytes) -> list[AttackCommand]:
-    """Profile a captured server→bot text stream for attack commands."""
+def _decode_lines(data: bytes) -> list[AttackCommand]:
     commands: list[AttackCommand] = []
-    for raw_line in server_stream.replace(b"\r", b"\n").split(b"\n"):
+    for raw_line in data.replace(b"\r", b"\n").split(b"\n"):
         line = raw_line.decode("ascii", "replace").strip()
         if not line.startswith("."):
             continue
@@ -86,6 +85,29 @@ def extract_commands(server_stream: bytes) -> list[AttackCommand]:
         except ProtocolError:
             continue
     return commands
+
+
+def decode_stream(
+    server_stream: bytes, start: int = 0,
+) -> tuple[list[AttackCommand], int, list[AttackCommand]]:
+    """Decode the lines from ``start``; returns ``(settled, offset, tail)``.
+
+    The profiler ends a line at a ``\\r`` as at a ``\\n``, so a line is
+    final once either has arrived: ``offset`` is just past the last one,
+    ``settled`` holds the commands of the lines before it and ``tail``
+    those of the unterminated rest.  Resume a growing stream by passing
+    ``offset`` back as ``start``.
+    """
+    cut = max(server_stream.rfind(b"\r", start),
+              server_stream.rfind(b"\n", start)) + 1 or start
+    return (_decode_lines(server_stream[start:cut]), cut,
+            _decode_lines(server_stream[cut:]))
+
+
+def extract_commands(server_stream: bytes) -> list[AttackCommand]:
+    """Profile a captured server→bot text stream for attack commands."""
+    settled, _offset, tail = decode_stream(server_stream)
+    return settled + tail
 
 
 def is_checkin(client_stream: bytes) -> bool:

@@ -72,10 +72,9 @@ def decode_attack_line(line: str) -> AttackCommand | None:
     )
 
 
-def extract_commands(server_stream: bytes) -> list[AttackCommand]:
-    """Profile a captured server→bot text stream for attack commands."""
+def _decode_lines(data: bytes) -> list[AttackCommand]:
     commands: list[AttackCommand] = []
-    for raw_line in server_stream.split(b"\n"):
+    for raw_line in data.split(b"\n"):
         line = raw_line.decode("ascii", "replace").strip()
         if not line.startswith("!*"):
             continue
@@ -86,6 +85,28 @@ def extract_commands(server_stream: bytes) -> list[AttackCommand]:
         if command is not None:
             commands.append(command)
     return commands
+
+
+def decode_stream(
+    server_stream: bytes, start: int = 0,
+) -> tuple[list[AttackCommand], int, list[AttackCommand]]:
+    """Decode the lines from ``start``; returns ``(settled, offset, tail)``.
+
+    A line is final once its ``\\n`` has arrived: ``offset`` is just
+    past the last one, ``settled`` holds the commands of the lines before
+    it and ``tail`` those of the unterminated rest, which the next bytes
+    may extend.  Resume a growing stream by passing ``offset`` back as
+    ``start``.
+    """
+    cut = server_stream.rfind(b"\n", start) + 1 or start
+    return (_decode_lines(server_stream[start:cut]), cut,
+            _decode_lines(server_stream[cut:]))
+
+
+def extract_commands(server_stream: bytes) -> list[AttackCommand]:
+    """Profile a captured server→bot text stream for attack commands."""
+    settled, _offset, tail = decode_stream(server_stream)
+    return settled + tail
 
 
 def is_checkin(client_stream: bytes) -> bool:

@@ -58,10 +58,9 @@ def encode_attack(command: AttackCommand, channel: str = DEFAULT_CHANNEL) -> byt
     ).encode("ascii")
 
 
-def extract_commands(server_stream: bytes) -> list[AttackCommand]:
-    """Parse PRIVMSG attack orders out of a server→bot IRC stream."""
+def _decode_lines(data: bytes) -> list[AttackCommand]:
     commands: list[AttackCommand] = []
-    for raw in server_stream.split(b"\r\n"):
+    for raw in data.split(b"\r\n"):
         line = raw.decode("ascii", "replace")
         if "PRIVMSG" not in line or " :" not in line:
             continue
@@ -81,6 +80,29 @@ def extract_commands(server_stream: bytes) -> list[AttackCommand]:
         except (AddressError, ValueError):
             continue
     return commands
+
+
+def decode_stream(
+    server_stream: bytes, start: int = 0,
+) -> tuple[list[AttackCommand], int, list[AttackCommand]]:
+    """Decode the lines from ``start``; returns ``(settled, offset, tail)``.
+
+    A line is final once its ``\\r\\n`` has arrived (a ``\\r`` alone may
+    be the first half of one): ``offset`` is just past the last
+    ``\\r\\n``, ``settled`` holds the commands of the lines before it and
+    ``tail`` those of the unterminated rest.  Resume a growing stream by
+    passing ``offset`` back as ``start``.
+    """
+    last = server_stream.rfind(b"\r\n", start)
+    cut = last + 2 if last >= 0 else start
+    return (_decode_lines(server_stream[start:cut]), cut,
+            _decode_lines(server_stream[cut:]))
+
+
+def extract_commands(server_stream: bytes) -> list[AttackCommand]:
+    """Parse PRIVMSG attack orders out of a server→bot IRC stream."""
+    settled, _offset, tail = decode_stream(server_stream)
+    return settled + tail
 
 
 def is_checkin(client_stream: bytes) -> bool:

@@ -88,16 +88,8 @@ def encode_attack(command: AttackCommand) -> bytes:
     return struct.pack("!H", len(body)) + body
 
 
-def decode_attack(data: bytes) -> tuple[AttackCommand, int]:
-    """Decode one attack command; returns (command, bytes_consumed)."""
-    if len(data) < 2:
-        raise ProtocolError("short mirai frame")
-    (length,) = struct.unpack("!H", data[:2])
-    if length == 0:
-        raise ProtocolError("keepalive, not an attack")
-    if len(data) < 2 + length:
-        raise ProtocolError("truncated mirai frame")
-    body = data[2 : 2 + length]
+def _decode_body(body: bytes) -> AttackCommand:
+    """Decode the body of a complete attack frame."""
     if len(body) < 6:
         raise ProtocolError("mirai attack body too short")
     duration, attack_id, target_count = struct.unpack("!IBB", body[:6])
@@ -133,10 +125,82 @@ def decode_attack(data: bytes) -> tuple[AttackCommand, int]:
     method = ATTACK_IDS.get(attack_id)
     if method is None:
         raise ProtocolError(f"unknown mirai attack id {attack_id}")
-    command = AttackCommand(
+    return AttackCommand(
         method=method, target_ip=targets[0], target_port=port, duration=duration
     )
-    return command, 2 + length
+
+
+def _malformed(length: int, head: bytes) -> bool:
+    """Whether a frame whose length word says ``length``, of whose body
+    only ``head`` has arrived, is malformed whatever the rest holds.
+
+    True only when :func:`_decode_body` would reject the whole body at
+    a field that has arrived, or at one the length rules out: a body
+    too short for the fixed fields, an unknown attack id (its check
+    comes last, after checks that can only reject too), no target, or
+    no room for the targets and the flag count.
+    """
+    if length < 6:
+        return True
+    if len(head) > 4 and head[4] not in ATTACK_IDS:
+        return True
+    return len(head) > 5 and (head[5] == 0 or 6 + 5 * head[5] >= length)
+
+
+def decode_attack(data: bytes) -> tuple[AttackCommand, int]:
+    """Decode one attack command; returns (command, bytes_consumed)."""
+    if len(data) < 2:
+        raise ProtocolError("short mirai frame")
+    (length,) = struct.unpack("!H", data[:2])
+    if length == 0:
+        raise ProtocolError("keepalive, not an attack")
+    if len(data) < 2 + length:
+        raise ProtocolError("truncated mirai frame")
+    return _decode_body(data[2 : 2 + length]), 2 + length
+
+
+def decode_stream(
+    server_stream: bytes, start: int = 0,
+) -> tuple[list[AttackCommand], int, list[AttackCommand]]:
+    """Walk the frame stream from ``start``, :func:`extract_commands`'s
+    way; returns ``(settled, offset, tail)``.
+
+    The walk skips keepalives, decodes every well-formed attack and
+    resynchronizes past anything else by sliding one byte.  A frame cut
+    off by the end of the stream is skipped like a malformed one, and
+    that verdict is the only one that depends on where the stream ends.
+    So the walk is final up to the first such frame that the bytes
+    which did arrive do not already make malformed: ``offset`` is that
+    frame's, ``settled`` holds the commands before it and ``tail`` those
+    after it, which the next bytes may change.  Without such a frame,
+    ``offset`` is where the walk stopped and ``tail`` is empty.  Resume
+    a growing stream by passing ``offset`` back as ``start``.
+    """
+    commands: list[AttackCommand] = []
+    settled: tuple[int, int] | None = None
+    offset = start
+    end = len(server_stream)
+    while offset + 2 <= end:
+        length = server_stream[offset] << 8 | server_stream[offset + 1]
+        if length == 0:  # keepalive frame
+            offset += 2
+            continue
+        body = offset + 2
+        if body + length > end:
+            if settled is None and not _malformed(
+                    length, server_stream[body : body + 6]):
+                settled = offset, len(commands)
+            offset += 1  # resync
+            continue
+        try:
+            command = _decode_body(server_stream[body : body + length])
+        except ProtocolError:
+            offset += 1  # resync
+            continue
+        commands.append(command)
+        offset = body + length
+    cut, count = settled if settled is not None else (offset, len(commands))
+    return commands[:count], cut, commands[count:]
 
 
 def extract_commands(server_stream: bytes) -> list[AttackCommand]:
@@ -147,21 +211,8 @@ def extract_commands(server_stream: bytes) -> list[AttackCommand]:
     Garbage prefixes (e.g. partial capture) make it resynchronize by
     sliding one byte.
     """
-    commands: list[AttackCommand] = []
-    offset = 0
-    while offset + 2 <= len(server_stream):
-        (length,) = struct.unpack("!H", server_stream[offset : offset + 2])
-        if length == 0:  # keepalive frame
-            offset += 2
-            continue
-        try:
-            command, consumed = decode_attack(server_stream[offset:])
-        except ProtocolError:
-            offset += 1  # resync
-            continue
-        commands.append(command)
-        offset += consumed
-    return commands
+    settled, _offset, tail = decode_stream(server_stream)
+    return settled + tail
 
 
 def is_checkin(client_stream: bytes) -> bool:

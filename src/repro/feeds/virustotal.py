@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..binary.builder import MalwareSample
 from ..intel.vendors import IocIntel, VendorDirectory
@@ -29,8 +30,14 @@ from .yara import RuleSet, community_iot_rules, families_of
 ENGINE_COUNT = 75
 DETECTION_THRESHOLD = 5  # established best practice (section 2.2)
 
-#: Engine naming pools for label synthesis.
+#: The engines, in the order a report lists them.
 _ENGINE_NAMES = tuple(f"Engine{i:02d}" for i in range(ENGINE_COUNT))
+
+#: ``(engine, f"{engine}|".encode())`` per engine: an engine's verdict on
+#: a sample hashes its prefix plus the sample's sha256, the bytes
+#: ``f"{engine}|{sha256}".encode()`` give
+_VERDICT_KEYS = tuple((engine, f"{engine}|".encode())
+                      for engine in _ENGINE_NAMES)
 
 #: How engines name each ground-truth family.  Weights sum to 1; the Mozi
 #: row is the documented failure: engines overwhelmingly say "mirai".
@@ -50,19 +57,49 @@ _LABEL_POOLS: dict[str, tuple[tuple[str, float], ...]] = {
 }
 
 
+def _engine_label(engine: str, family: str, sha256: str) -> str:
+    """The label ``engine`` gives a sample of ``family``, deterministic
+    per (engine, sample)."""
+    pool = _LABEL_POOLS[family]
+    digest = hashlib.sha256(f"label|{engine}|{sha256}".encode()).digest()
+    pick = digest[0] / 255.0
+    cumulative = 0.0
+    template = pool[-1][0]
+    for candidate, weight in pool:
+        cumulative += weight
+        if pick <= cumulative:
+            template = candidate
+            break
+    suffix = "ABCDEFGH"[digest[1] % 8]
+    return template.format(v=suffix)
+
+
 @dataclass
 class ScanReport:
-    """What a VT file scan returns."""
+    """What a VT file scan returns.
+
+    ``positives`` counts the engines that flag the sample.  Their labels
+    (``detections``, ``engine_labels``) are built on first read: the
+    pipeline reads them only for a verified sample that no YARA rule
+    tags, which AVClass2 then labels.
+    """
 
     sha256: str
-    detections: dict[str, str]      # engine -> label, only for detecting ones
+    family: str                     # ground truth, which labels derive from
+    engines: tuple[str, ...]        # the detecting engines, in engine order
     yara_matches: list[str]         # matching community rule names
     yara_families: list[str]        # family tags of those rules
     first_submission: float
 
     @property
     def positives(self) -> int:
-        return len(self.detections)
+        return len(self.engines)
+
+    @cached_property
+    def detections(self) -> dict[str, str]:
+        """engine -> label, only for the detecting engines."""
+        return {engine: _engine_label(engine, self.family, self.sha256)
+                for engine in self.engines}
 
     @property
     def engine_labels(self) -> list[str]:
@@ -92,45 +129,25 @@ class VirusTotalService:
 
     # -- file scanning ----------------------------------------------------------
 
-    def _engine_detects(self, engine: str, sample: MalwareSample) -> bool:
-        """Deterministic per-(engine, sample) detection.
+    def scan(self, sample: MalwareSample, now: float) -> ScanReport:
+        """Scan a sample: engine verdicts plus community YARA matches.
 
         Real malware is flagged by ~85% of engines; benign or corrupt
         uploads ("chaff") only draw rare false positives (~2%), so they
         never clear the 5-engine corroboration bar.
         """
-        digest = hashlib.sha256(f"{engine}|{sample.sha256}".encode()).digest()
-        if sample.variant == "chaff":
-            return digest[0] < 5  # ~2% false-positive rate
-        return digest[0] < 218  # ~0.85
-
-    def _engine_label(self, engine: str, sample: MalwareSample) -> str:
-        pool = _LABEL_POOLS[sample.family]
-        digest = hashlib.sha256(f"label|{engine}|{sample.sha256}".encode()).digest()
-        pick = digest[0] / 255.0
-        cumulative = 0.0
-        template = pool[-1][0]
-        for candidate, weight in pool:
-            cumulative += weight
-            if pick <= cumulative:
-                template = candidate
-                break
-        suffix = "ABCDEFGH"[digest[1] % 8]
-        return template.format(v=suffix)
-
-    def scan(self, sample: MalwareSample, now: float) -> ScanReport:
-        """Scan a sample: engine verdicts plus community YARA matches."""
-        detections = {
-            engine: self._engine_label(engine, sample)
-            for engine in _ENGINE_NAMES
-            if self._engine_detects(engine, sample)
-        }
+        bar = 5 if sample.variant == "chaff" else 218  # of 256: ~2% / ~0.85
+        sha256 = hashlib.sha256
+        sha = sample.sha256.encode()
+        engines = tuple([engine for engine, prefix in _VERDICT_KEYS
+                         if sha256(prefix + sha).digest()[0] < bar])
         matches = self.rules.scan(sample.data)
         entry = self._by_hash.get(sample.sha256)
         first = entry.submitted if entry else now
         return ScanReport(
             sha256=sample.sha256,
-            detections=detections,
+            family=sample.family,
+            engines=engines,
             yara_matches=[rule.name for rule in matches],
             yara_families=families_of(matches),
             first_submission=first,

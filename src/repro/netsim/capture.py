@@ -18,9 +18,9 @@ from typing import BinaryIO, Iterable, Iterator
 
 from .packet import (
     DEFAULT_TTL,
+    TCP_FLAGS,
     Packet,
     Protocol,
-    TcpFlags,
     decode_packet,
     encode_packet,
 )
@@ -110,17 +110,10 @@ class PcapReader:
             yield decode_packet(data, timestamp=seconds + micros / 1_000_000)
 
 
-#: materialized Protocol / TcpFlags singletons per raw column value, so a
-#: lazily built packet carries the same enum objects an eager one would
+#: materialized Protocol singletons per raw column value, so a lazily
+#: built packet carries the same enum objects an eager one would (its
+#: flags come from :data:`~repro.netsim.packet.TCP_FLAGS` the same way)
 _PROTOCOL_OF = {int(member): member for member in Protocol}
-_FLAGS_CACHE: dict[int, TcpFlags] = {}
-
-
-def _flags_of(value: int, _cache=_FLAGS_CACHE) -> TcpFlags:
-    flags = _cache.get(value)
-    if flags is None:
-        flags = _cache[value] = TcpFlags(value)
-    return flags
 
 
 def _row_size(protocol: Protocol, payload: bytes) -> int:
@@ -249,7 +242,7 @@ class PacketColumns:
         return zip(self.src, self.dst,
                    map(_PROTOCOL_OF.__getitem__, self.proto),
                    self.sport, self.dport, self.payload,
-                   map(_flags_of, self.flags),
+                   map(TCP_FLAGS.__getitem__, self.flags),
                    self.seq, self.ack, self.ttl,
                    self.icmp_type, self.icmp_code, self.ts)
 

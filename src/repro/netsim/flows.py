@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .capture import Capture
-from .packet import Packet, Protocol, TcpFlags
+from .packet import ACK, FIN, RST, SYN, Packet, Protocol
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ class Flow:
         return self.packets_fwd > 0 and self.packets_rev > 0
 
     @property
-    def handshake_completed(self) -> bool:
-        """True if a full TCP three-way handshake was observed."""
-        return self.syn_seen and self.synack_seen
-
-    @property
     def duration(self) -> float:
         return self.last_time - self.first_time
 
@@ -80,20 +75,15 @@ class Flow:
     def total_bytes(self) -> int:
         return self.bytes_fwd + self.bytes_rev
 
-    def packet_rate(self) -> float:
-        """Forward-direction packets per second (0 if instantaneous)."""
-        if self.duration <= 0:
-            return 0.0
-        return self.packets_fwd / self.duration
-
     def observe(self, pkt: Packet) -> None:
         self.observe_fields(pkt.src, pkt.sport, pkt.timestamp, pkt.size,
                             pkt.payload, pkt.protocol, pkt.flags)
 
     def observe_fields(self, src: int, sport: int, timestamp: float,
                        size: int, payload: bytes, protocol: Protocol,
-                       flags: TcpFlags) -> None:
-        """Fold one packet's fields in without needing a ``Packet`` object."""
+                       flags: int) -> None:
+        """Fold one packet's fields in without needing a ``Packet`` object
+        (``flags`` is an int or a :class:`TcpFlags`)."""
         forward = src == self.initiator and sport == self.initiator_port
         self.last_time = max(self.last_time, timestamp)
         self.first_time = min(self.first_time, timestamp)
@@ -108,15 +98,15 @@ class Flow:
             if len(self.payload_rev) < 1 << 20:
                 self.payload_rev.extend(payload)
         if protocol == Protocol.TCP:
-            syn = flags & TcpFlags.SYN
-            ack = flags & TcpFlags.ACK
-            if syn and not ack:
+            flags = int(flags)
+            handshake = flags & (SYN | ACK)
+            if handshake == SYN:
                 self.syn_seen = True
-            if syn and ack:
+            elif handshake == SYN | ACK:
                 self.synack_seen = True
-            if flags & TcpFlags.RST:
+            if flags & RST:
                 self.rst_seen = True
-            if flags & TcpFlags.FIN:
+            if flags & FIN:
                 self.fin_seen = True
 
 
@@ -192,18 +182,3 @@ class FlowTable:
 
     def flows_from(self, initiator: int) -> list[Flow]:
         return [f for f in self._flows.values() if f.initiator == initiator]
-
-    def contacted_hosts(self, initiator: int) -> set[int]:
-        return {f.responder for f in self.flows_from(initiator)}
-
-    def port_fanout(self, initiator: int) -> dict[int, set[int]]:
-        """Destination port -> set of distinct destination IPs contacted.
-
-        This is the statistic MalNet's handshaker uses to pick scanning
-        ports: the paper redirects traffic for ports contacted on more than
-        20 distinct IPs (section 2.4).
-        """
-        fanout: dict[int, set[int]] = {}
-        for flow in self.flows_from(initiator):
-            fanout.setdefault(flow.responder_port, set()).add(flow.responder)
-        return fanout

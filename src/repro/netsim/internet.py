@@ -29,7 +29,9 @@ from typing import Callable, Protocol as TypingProtocol
 from .addresses import ephemeral_port, int_to_ip
 from .capture import Capture
 from .dns import DnsQuery, DnsResponse, Resolver, Zones, random_transaction_id
-from .packet import Packet, Protocol, TcpFlags, icmp_packet, tcp_packet, udp_packet
+from .packet import (
+    ACK, RST, Packet, Protocol, icmp_packet, tcp_packet, udp_packet,
+)
 from .tcp import TcpConnection
 
 #: Simulation epoch: 2021-03-01T00:00:00Z as a Unix timestamp.
@@ -210,12 +212,6 @@ class ServerSession:
         if self.closed:
             return
         self.internet._server_send(self, data)
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self.internet._server_close(self)
 
 
 class ClientSession:
@@ -413,7 +409,7 @@ class VirtualInternet:
         if listener is None:
             rst = tcp_packet(
                 src=server_ip, dst=client_ip, sport=server_port, dport=sport,
-                flags=TcpFlags.RST | TcpFlags.ACK,
+                flags=RST | ACK,
                 ack=(syn.seq + 1) & 0xFFFFFFFF, timestamp=self._stamp(),
             )
             self._record(rst, trace)
@@ -490,16 +486,3 @@ class VirtualInternet:
             self._record(reply, client.trace)
             client.conn.receive(reply)
         server.closed = True
-
-    def _server_close(self, server: ServerSession) -> None:
-        if not server.conn.established:
-            return
-        fin = server.conn.close()
-        fin.timestamp = self._stamp()
-        self._record(fin, server.trace)
-        client: ClientSession = server.state["client"]()
-        for reply in client.conn.receive(fin):
-            reply.timestamp = self._stamp()
-            self._record(reply, server.trace)
-            server.conn.receive(reply)
-        client.closed = True

@@ -47,6 +47,15 @@ class TcpFlags(enum.IntFlag):
     URG = 0x20
 
 
+#: The flag bits as plain ints.  The simulation tests and composes flags
+#: with these; a packet's ``flags`` is still a :class:`TcpFlags`, taken
+#: from :data:`TCP_FLAGS`, so nothing on the hot path calls into the enum.
+FIN, SYN, RST, PSH, ACK = 0x01, 0x02, 0x04, 0x08, 0x10
+
+#: ``TcpFlags(value)`` for every value the six bits make
+TCP_FLAGS = tuple(TcpFlags(value) for value in range(64))
+
+
 class PacketError(ValueError):
     """Raised when wire bytes cannot be decoded."""
 
@@ -90,11 +99,11 @@ class Packet:
 
     @property
     def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not self.flags & TcpFlags.ACK
+        return int(self.flags) & (SYN | ACK) == SYN
 
     @property
     def is_synack(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and bool(self.flags & TcpFlags.ACK)
+        return int(self.flags) & (SYN | ACK) == SYN | ACK
 
     @property
     def size(self) -> int:
@@ -104,17 +113,6 @@ class Packet:
         if self.protocol == Protocol.UDP:
             return IPV4_HEADER_LEN + UDP_HEADER_LEN + len(self.payload)
         return IPV4_HEADER_LEN + ICMP_HEADER_LEN + len(self.payload)
-
-    def reply_template(self) -> "Packet":
-        """A packet skeleton going the opposite direction."""
-        return Packet(
-            src=self.dst,
-            dst=self.src,
-            protocol=self.protocol,
-            sport=self.dport,
-            dport=self.sport,
-            timestamp=self.timestamp,
-        )
 
     def describe(self) -> str:
         """One-line human-readable summary (used in reports and logs)."""
@@ -291,17 +289,17 @@ def tcp_packet(
     dst: int,
     sport: int,
     dport: int,
-    flags: TcpFlags,
+    flags: int,
     payload: bytes = b"",
     seq: int = 0,
     ack: int = 0,
     timestamp: float = 0.0,
 ) -> Packet:
-    """Build a TCP packet."""
-    return Packet(
-        src=src, dst=dst, protocol=Protocol.TCP, sport=sport, dport=dport,
-        flags=flags, payload=payload, seq=seq, ack=ack, timestamp=timestamp,
-    )
+    """Build a TCP packet; ``flags`` is an int or a :class:`TcpFlags`."""
+    # positional: the simulation builds one per segment, and keyword
+    # arguments take the dataclass __init__ twice as long
+    return Packet(src, dst, Protocol.TCP, sport, dport, payload,
+                  TCP_FLAGS[flags], seq, ack, DEFAULT_TTL, 0, 0, timestamp)
 
 
 def udp_packet(

@@ -15,7 +15,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
-from .packet import Packet, TcpFlags, tcp_packet
+from .packet import ACK, FIN, PSH, RST, SYN, Packet, tcp_packet
 
 
 class TcpState(enum.Enum):
@@ -61,7 +61,7 @@ class TcpConnection:
             raise TcpError(f"open() in state {self.state}")
         self.snd_next = self.rng.randrange(1, 2**32 - 1)
         self.state = TcpState.SYN_SENT
-        syn = self._segment(TcpFlags.SYN)
+        syn = self._segment(SYN)
         self.snd_next = (self.snd_next + 1) & 0xFFFFFFFF
         return syn
 
@@ -74,7 +74,7 @@ class TcpConnection:
         """Send application data on an established connection."""
         if self.state != TcpState.ESTABLISHED:
             raise TcpError(f"send() in state {self.state}")
-        seg = self._segment(TcpFlags.PSH | TcpFlags.ACK, data)
+        seg = self._segment(PSH | ACK, data)
         self.snd_next = (self.snd_next + len(data)) & 0xFFFFFFFF
         return seg
 
@@ -82,14 +82,14 @@ class TcpConnection:
         """Begin an orderly close (FIN)."""
         if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
             raise TcpError(f"close() in state {self.state}")
-        fin = self._segment(TcpFlags.FIN | TcpFlags.ACK)
+        fin = self._segment(FIN | ACK)
         self.snd_next = (self.snd_next + 1) & 0xFFFFFFFF
         self.state = TcpState.FIN_WAIT
         return fin
 
     def abort(self) -> Packet:
         """Hard reset the connection."""
-        rst = self._segment(TcpFlags.RST)
+        rst = self._segment(RST)
         self.state = TcpState.RESET
         return rst
 
@@ -97,7 +97,7 @@ class TcpConnection:
 
     def receive(self, seg: Packet) -> list[Packet]:
         """Process one incoming segment; returns any segments to emit."""
-        if seg.flags & TcpFlags.RST:
+        if int(seg.flags) & RST:
             self.state = TcpState.RESET
             return []
         if self.state == TcpState.CLOSED:
@@ -115,7 +115,7 @@ class TcpConnection:
             return [self._rst_for(seg)]
         self.rcv_next = (seg.seq + 1) & 0xFFFFFFFF
         self.snd_next = self.rng.randrange(1, 2**32 - 1)
-        synack = self._segment(TcpFlags.SYN | TcpFlags.ACK)
+        synack = self._segment(SYN | ACK)
         self.snd_next = (self.snd_next + 1) & 0xFFFFFFFF
         self.state = TcpState.SYN_RECEIVED
         return [synack]
@@ -125,10 +125,10 @@ class TcpConnection:
             return []
         self.rcv_next = (seg.seq + 1) & 0xFFFFFFFF
         self.state = TcpState.ESTABLISHED
-        return [self._segment(TcpFlags.ACK)]
+        return [self._segment(ACK)]
 
     def _on_syn_received(self, seg: Packet) -> list[Packet]:
-        if seg.flags & TcpFlags.ACK:
+        if int(seg.flags) & ACK:
             self.state = TcpState.ESTABLISHED
             # the final ACK of the handshake may already carry data
             if seg.payload:
@@ -139,9 +139,9 @@ class TcpConnection:
         out: list[Packet] = []
         if seg.payload:
             out.extend(self._accept_data(seg))
-        if seg.flags & TcpFlags.FIN:
+        if int(seg.flags) & FIN:
             self.rcv_next = (self.rcv_next + 1) & 0xFFFFFFFF
-            out.append(self._segment(TcpFlags.ACK))
+            out.append(self._segment(ACK))
             if self.state == TcpState.FIN_WAIT:
                 self.state = TcpState.CLOSED
             else:
@@ -152,10 +152,10 @@ class TcpConnection:
         if seg.seq != self.rcv_next:
             # out-of-order: the simulated network is in-order, so this is a
             # protocol violation by the peer; drop and re-ack.
-            return [self._segment(TcpFlags.ACK)]
+            return [self._segment(ACK)]
         self.inbox.extend(seg.payload)
         self.rcv_next = (self.rcv_next + len(seg.payload)) & 0xFFFFFFFF
-        return [self._segment(TcpFlags.ACK)]
+        return [self._segment(ACK)]
 
     # -- helpers ------------------------------------------------------------
 
@@ -169,7 +169,7 @@ class TcpConnection:
     def established(self) -> bool:
         return self.state == TcpState.ESTABLISHED
 
-    def _segment(self, flags: TcpFlags, payload: bytes = b"") -> Packet:
+    def _segment(self, flags: int, payload: bytes = b"") -> Packet:
         return tcp_packet(
             src=self.local,
             dst=self.remote,
@@ -188,7 +188,7 @@ class TcpConnection:
             dst=self.remote,
             sport=self.local_port,
             dport=self.remote_port,
-            flags=TcpFlags.RST,
+            flags=RST,
             seq=0,
             ack=(seg.seq + 1) & 0xFFFFFFFF,
             timestamp=self.time,

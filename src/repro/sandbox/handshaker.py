@@ -27,7 +27,7 @@ from itertools import compress
 from ..botnet.bot import Bot
 from ..determinism import accepted_words, draw_accepted
 from ..netsim.capture import Capture
-from ..netsim.packet import DEFAULT_TTL, Protocol, TcpFlags
+from ..netsim.packet import ACK, DEFAULT_TTL, PSH, SYN, Protocol
 
 #: ports contacted on more than this many distinct IPs get a fake victim
 DEFAULT_FANOUT_THRESHOLD = 20
@@ -41,8 +41,7 @@ _EPHEMERAL = 49152
 _EPHEMERAL_SPAN = 16384
 _PORT_SHIFT = 32 - _EPHEMERAL_SPAN.bit_length()
 _TCP = int(Protocol.TCP)
-_SYN = int(TcpFlags.SYN)
-_PSH_ACK = int(TcpFlags.PSH | TcpFlags.ACK)
+_PSH_ACK = PSH | ACK
 
 
 class ScanSegment:
@@ -86,7 +85,7 @@ class ScanSegment:
             tick += 1
             append((base + tick * _TICK, bot_ip, address,
                     _EPHEMERAL + (port_of() >> _PORT_SHIFT), port, _TCP,
-                    _SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
+                    SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
             if hit:
                 tick += 1
                 append((base + tick * _TICK, bot_ip, address,

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 from ..netsim.addresses import ephemeral_port, ip_to_int
 from ..netsim.capture import Capture
-from ..netsim.packet import Packet, TcpFlags
+from ..netsim.packet import ACK, PSH, Packet
 
 #: All faked endpoints resolve into this documentation block, so analysis
 #: can tell sandbox-synthesized addresses from world addresses.
 FAKE_NET_BASE = ip_to_int("198.18.0.0")  # RFC 2544 benchmark block
 
-_PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
+_PSH_ACK = PSH | ACK
 
 
 @dataclass

@@ -61,6 +61,10 @@ class MipsEmulator:
 
         self._activation_rate = activation_rate
         self.machines = machines if machines is not None else frozenset({EM_MIPS})
+        #: the last successful load, ``(sha256 argument, data, (sha256,
+        #: config))``: a sample's offline, liveness and observe runs follow
+        #: one another, and a config is never written once unpacked
+        self._last_load: tuple | None = None
 
     def load(self, data: bytes,
              sha256: str | None = None) -> tuple[str, BotConfig]:
@@ -97,8 +101,17 @@ class MipsEmulator:
 
     def run(self, data: bytes, bot_ip: int,
             sha256: str | None = None) -> EmulatedProcess:
-        """Load and activate; raises :class:`ActivationError` on evasion."""
-        sha256, config = self.load(data, sha256=sha256)
+        """Load and activate; raises :class:`ActivationError` on evasion.
+
+        The load is reused from the previous call when ``data`` and
+        ``sha256`` are the same; a load that failed is never kept.  The
+        activation coin, the bot's stream and the bot are new each call.
+        """
+        last = self._last_load
+        if last is None or last[0] != sha256 or last[1] != data:
+            last = self._last_load = (sha256, data,
+                                      self.load(data, sha256=sha256))
+        sha256, config = last[2]
         if not self.activates(sha256):
             raise ActivationError(f"sample {sha256[:12]} did not activate")
         bot_rng = random.Random(int(sha256[:16], 16))

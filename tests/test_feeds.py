@@ -1,5 +1,6 @@
 """Tests for the YARA engine, AVClass2 labeling, and the two feeds."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,9 +13,11 @@ from repro.feeds.virustotal import (
     DETECTION_THRESHOLD,
     VirusTotalService,
     ENGINE_COUNT,
+    _LABEL_POOLS,
 )
 from repro.feeds.yara import RuleError, RuleSet, YaraRule, community_iot_rules
 from repro.intel.vendors import IocIntel
+from repro.world import FULL_SCALE, generate_world
 
 
 def sample_for(family, seed=0, **kwargs):
@@ -113,6 +116,69 @@ class TestVirusTotalScan:
     def test_yara_gets_mozi_right(self, vt):
         report = vt.scan(sample_for("mozi"), now=0.0)
         assert report.yara_families == ["mozi"]
+
+
+def _frozen_engine_detects(engine, sample):
+    """``VirusTotalService._engine_detects`` as it was when every scan
+    built each detecting engine's label at once."""
+    digest = hashlib.sha256(f"{engine}|{sample.sha256}".encode()).digest()
+    if sample.variant == "chaff":
+        return digest[0] < 5  # ~2% false-positive rate
+    return digest[0] < 218  # ~0.85
+
+
+def _frozen_engine_label(engine, sample):
+    """``VirusTotalService._engine_label``, frozen the same way."""
+    pool = _LABEL_POOLS[sample.family]
+    digest = hashlib.sha256(f"label|{engine}|{sample.sha256}".encode()).digest()
+    pick = digest[0] / 255.0
+    cumulative = 0.0
+    template = pool[-1][0]
+    for candidate, weight in pool:
+        cumulative += weight
+        if pick <= cumulative:
+            template = candidate
+            break
+    suffix = "ABCDEFGH"[digest[1] % 8]
+    return template.format(v=suffix)
+
+
+def frozen_detections(sample):
+    """The eager engine loop: engine -> label for every detecting engine."""
+    engines = (f"Engine{i:02d}" for i in range(ENGINE_COUNT))
+    return {engine: _frozen_engine_label(engine, sample)
+            for engine in engines if _frozen_engine_detects(engine, sample)}
+
+
+def world_samples(world):
+    """Every sample a world submits to VT, chaff included."""
+    samples = [planned.sample for planned in world.truth.all_samples]
+    samples += [world.vt.lookup_hash(sha256).sample
+                for sha256 in sorted(world.truth.chaff_hashes)]
+    return samples
+
+
+class TestVerdictsOnRead:
+    """A scan counts the detecting engines; their labels are built only
+    when read, and read as the eager engine loop built them."""
+
+    def assert_world_verdicts(self, world):
+        samples = world_samples(world)
+        assert any(sample.variant == "chaff" for sample in samples)
+        for sample in samples:
+            expected = frozen_detections(sample)
+            report = world.vt.scan(sample, now=0.0)
+            assert report.positives == len(expected), sample.sha256
+            assert list(report.detections.items()) == list(
+                expected.items()), sample.sha256
+            assert report.engine_labels == list(expected.values())
+
+    def test_smoke_world(self, smoke_world):
+        self.assert_world_verdicts(smoke_world)
+
+    def test_full_world(self):
+        self.assert_world_verdicts(
+            generate_world(seed=20220322, scale=FULL_SCALE))
 
 
 class TestFeeds:

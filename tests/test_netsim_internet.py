@@ -150,14 +150,6 @@ class TestTcpService:
         with pytest.raises(ConnectionError):
             session.send(b"late")
 
-    def test_server_close_reaches_the_client(self, net):
-        trace = Capture()
-        session = net.tcp_connect(CLIENT_IP, SERVER_IP, 7, trace)
-        session._server.close()
-        assert session.closed and not session.conn.established
-        assert trace.packets[-2].src == SERVER_IP    # the server's FIN,
-        assert trace.packets[-1].src == CLIENT_IP    # the client's reply
-
     @pytest.mark.parametrize("closed", [True, False])
     def test_a_session_pair_is_no_reference_cycle(self, net, closed):
         gc.disable()

@@ -113,12 +113,6 @@ class TestPacketHelpers:
         assert tcp_packet(SRC, DST, 1, 2, TcpFlags.ACK, b"ab").size == 20 + 20 + 2
         assert icmp_packet(SRC, DST, 8).size == 20 + 8
 
-    def test_reply_template_swaps_endpoints(self):
-        pkt = udp_packet(SRC, DST, 10, 20)
-        reply = pkt.reply_template()
-        assert (reply.src, reply.dst) == (DST, SRC)
-        assert (reply.sport, reply.dport) == (20, 10)
-
     def test_describe_mentions_endpoints(self):
         text = tcp_packet(SRC, DST, 1, 2, TcpFlags.SYN).describe()
         assert "198.51.100.10:1" in text and "203.0.113.20:2" in text

@@ -13,7 +13,8 @@ from repro.botnet.families import get_family
 from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int
 from repro.netsim.internet import Listener, Network, VirtualInternet
-from repro.netsim.packet import Protocol
+from repro.netsim.capture import Capture
+from repro.netsim.packet import Protocol, TcpFlags
 from repro.sandbox.qemu import EmulationError, MipsEmulator
 from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
 
@@ -179,8 +180,56 @@ class TestProbingMode:
         with pytest.raises(RuntimeError):
             sandbox.probe_targets(build_binary().data, [(C2_IP, C2_PORT)])
 
+    def test_probe_trace_pcap_is_pinned(self):
+        # a live C2, a closed port (the RST/ACK refusal) and a dead host;
+        # the sha256 was recorded when TCP flags were composed as enums
+        sandbox, _internet, _server = sandbox_with_internet(family="mirai")
+        trace = Capture()
+        sandbox.probe_targets(
+            build_binary(family="mirai").data,
+            [(C2_IP, C2_PORT), (C2_IP, 9999), (ip_to_int("192.0.2.99"), 23),
+             (C2_IP, C2_PORT)],
+            trace=trace)
+        assert all(type(p.flags) is TcpFlags for p in trace)
+        assert {int(p.flags) for p in trace} == {0x02, 0x12, 0x10, 0x18,
+                                                  0x11, 0x14}
+        assert hashlib.sha256(trace.to_pcap_bytes()).hexdigest() == (
+            PROBE_TRACE_SHA256)
+
+
+#: pcap sha256s of the two pinned live traces, recorded when every TCP
+#: flag was composed and tested as a TcpFlags enum
+PROBE_TRACE_SHA256 = (
+    "7e9664b29f53ce8a55a3069bca45c4dc81cfb75b91fed48566b3c8333576f435")
+LIVE_CAPTURE_SHA256 = (
+    "c23f90a57cafdefd25037f21177192647232befd8cb47b301266c3a20ff8a0f5")
+LIVE_CONTAINED_SHA256 = (
+    "22a4285c6efd11d041988bd1d3528d2ccfd0b2ee3314dccaceab9a09df10e6ca")
+
 
 class TestLiveObservation:
+    def test_live_capture_pcap_is_pinned(self):
+        # a Mirai ".b" bot told to SYN-flood, STOMP and TLS-exhaust: the
+        # session's SYN/ACK/PSH/FIN segments and the attacks' SYN, ACK,
+        # PSH|ACK and RST packets all land in the two pinned files
+        sandbox, internet, server = sandbox_with_internet(family="mirai")
+        for method, port in (("syn", 80), ("stomp", 61613), ("tls", 443)):
+            server.schedule_attack(internet.clock.now + 90.0,
+                                   AttackCommand(method, TARGET, port, 5))
+        report = sandbox.observe_live(
+            build_binary(family="mirai", variant="mirai.b").data,
+            duration=900.0, poll_interval=60.0, max_attack_packets=80)
+        assert len(report.commands) == 3
+        for capture in (report.capture, report.contained):
+            assert all(type(p.flags) is TcpFlags for p in capture)
+        assert {int(p.flags) for p in report.contained} == {
+            0x02, 0x10, 0x18, 0x04}
+        assert hashlib.sha256(report.capture.to_pcap_bytes()).hexdigest() == (
+            LIVE_CAPTURE_SHA256)
+        assert hashlib.sha256(
+            report.contained.to_pcap_bytes()).hexdigest() == (
+            LIVE_CONTAINED_SHA256)
+
     def test_eavesdrops_commands_and_contains_attack(self):
         command = AttackCommand("udp", TARGET, 80, 60)
         sandbox, internet, server = sandbox_with_internet()
