@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
-from array import array
 from dataclasses import dataclass, field
 
 from ..botnet.families import FAMILIES, get_family
-from ..determinism import accepted_words, draw_accepted
+from ..determinism import accepted_high16, draw_accepted
 from .config import BotConfig, pack_config
 from .elf import EM_386, EM_ARM, EM_MIPS, ElfImage
 
@@ -68,11 +66,21 @@ class MalwareSample:
 #: common MIPS opcodes (addiu, lw, sw, jal, nop, beq, addiu sp, jr ra)
 _MIPS_OPCODES = (0x24000000, 0x8C000000, 0xAC000000, 0x0C000000, 0x00000000,
                  0x10000000, 0x27BD0000, 0x03E00008)
+#: an opcode word's ``hi`` byte (``w >> 23``) -> bytes 0, 1 and 3 of its
+#: opcode, big-endian (byte 2 of every opcode is 0; only ``jr ra`` has a
+#: byte 3)
+_OPCODE_BYTE0, _OPCODE_BYTE1, _OPCODE_BYTE3 = (
+    bytes([(_MIPS_OPCODES[hi >> 5] >> shift) & 0xFF for hi in range(256)])
+    for shift in (24, 16, 0))
+
+#: chaff kinds :func:`build_chaff` makes
+_CHAFF_KINDS = ("arm", "x86", "junk", "truncated")
 
 
 def _random_bytes(rng: random.Random, count: int) -> bytes:
-    """``bytes(rng.randrange(256) for _ in range(count))``, draw for draw."""
-    return bytes([w >> 23 for w in accepted_words(draw_accepted(rng, count))])
+    """``bytes(rng.randrange(256) for _ in range(count))``, draw for draw:
+    the draw is ``w >> 23``, the ``hi`` plane of the accepted words."""
+    return accepted_high16(draw_accepted(rng, count))[0]
 
 
 def _mips_text(rng: random.Random, words: int) -> bytes:
@@ -82,15 +90,21 @@ def _mips_text(rng: random.Random, words: int) -> bytes:
     real code rather than random bytes.  Word ``i`` is
     ``choice(_MIPS_OPCODES) | randrange(1 << 16)``, drawn in bulk: both
     bounds are powers of two, so the accepted words alternate opcode
-    (``a >> 28``) and immediate (``b >> 15``), see
-    :mod:`repro.determinism`.
+    ``a`` and immediate ``b`` (see :mod:`repro.determinism`).  The
+    opcode is ``a >> 28``, the top 3 bits of ``a``'s ``hi`` byte; the
+    immediate ``b >> 15`` is ``b``'s ``(hi, lo)``.  The words are
+    written big-endian one byte plane at a time.
     """
-    drawn = iter(accepted_words(draw_accepted(rng, 2 * words)))
-    text = array("I", [_MIPS_OPCODES[a >> 28] | (b >> 15)
-                       for a, b in zip(drawn, drawn)])
-    if sys.byteorder == "little":
-        text.byteswap()
-    return text.tobytes()
+    hi, lo = accepted_high16(draw_accepted(rng, 2 * words))
+    opcode = hi[0::2]
+    text = bytearray(4 * words)
+    text[0::4] = opcode.translate(_OPCODE_BYTE0)
+    text[1::4] = opcode.translate(_OPCODE_BYTE1)
+    text[2::4] = hi[1::2]
+    text[3::4] = (int.from_bytes(lo[1::2], "little")
+                  | int.from_bytes(opcode.translate(_OPCODE_BYTE3), "little")
+                  ).to_bytes(words, "little")
+    return bytes(text)
 
 
 def _arm_text(rng: random.Random, words: int) -> bytes:
@@ -157,8 +171,11 @@ def build_chaff(rng: random.Random, kind: str = "arm") -> bytes:
     """Build a non-MIPS-32B artifact for collector-filter testing.
 
     ``kind`` is one of ``"arm"``, ``"x86"``, ``"junk"`` (not an ELF at
-    all), or ``"truncated"`` (ELF magic, cut short).
+    all), or ``"truncated"`` (ELF magic, cut short); any other kind
+    raises ``ValueError`` before drawing.
     """
+    if kind not in _CHAFF_KINDS:
+        raise ValueError(f"unsupported chaff kind {kind!r}")
     if kind == "junk":
         return _random_bytes(rng, rng.randrange(64, 512))
     if kind == "truncated":

@@ -84,7 +84,7 @@ class DayRunner:
 
     Lifecycle::
 
-        runner = DayRunner(seed=7, scale=SMOKE_SCALE)
+        runner = DayRunner(generate_world(seed=7, scale=SMOKE_SCALE))
         while not runner.pipeline_done:
             runner.run_next_day()          # one feed-day increment
         runner.complete_pipeline()          # TI re-query
@@ -92,17 +92,9 @@ class DayRunner:
         datasets = runner.datasets          # == run_study(...)[2]
     """
 
-    def __init__(self, world: World | None = None,
+    def __init__(self, world: World,
                  config: PipelineConfig | None = None,
-                 telemetry: Telemetry | None = None,
-                 seed: int | None = None, scale=None):
-        if world is None:
-            if seed is None or scale is None:
-                raise ValueError(
-                    "DayRunner needs a generated world or (seed, scale)")
-            from ..world import generate_world
-
-            world = generate_world(seed=seed, scale=scale)
+                 telemetry: Telemetry | None = None):
         self.world = world
         self.config = config or PipelineConfig()
         self.telemetry = telemetry or NULL_TELEMETRY

@@ -31,6 +31,17 @@ name, ``tests/test_determinism.py`` checks the kernels):
 
 A kernel asks ``randbytes`` only for the words it still needs at the
 least, so it never draws a word the per-call loop would not have.
+
+:func:`accepted_high16` decodes a run of words without a Python step
+per word.  Every consumer reads at most ``w >> 15`` of an accepted word
+(16 bits: 15-30), so the kernel works on byte planes, ``data[k::4]``
+holding byte ``k`` of every word (fact 4 makes that layout the same on
+every host).  It cuts bits 15-30 into chunks of at most 7 bits (24-30,
+17-23 and 15-16), each in a byte whose bit 7 is the word's bit 31, and
+interleaves the three chunk planes, so one ``translate(None,
+bytes(range(128, 256)))`` drops exactly the rejected words' bytes.
+Bytewise ``translate`` tables and ``int`` ORs put the kept chunks back
+together as the planes of ``w >> 23`` and ``(w >> 15) & 0xFF``.
 """
 
 from __future__ import annotations
@@ -41,14 +52,33 @@ import sys
 from array import array
 from typing import Callable, Sequence
 
-__all__ = ["accepted_words", "draw_accepted", "draw_pairs", "shard_of",
+__all__ = ["accepted_high16", "draw_accepted", "draw_pairs", "shard_of",
            "stable_seed", "stable_unit"]
 
 if array("I").itemsize != 4:
     raise ImportError("repro.determinism needs a 4-byte array('I') word")
 
-#: the most significant byte of a word with bit 31 set
+
+def _table(byte_map: Callable[[int], int]) -> bytes:
+    """A ``bytes.translate`` table applying ``byte_map`` to every byte."""
+    return bytes([byte_map(x) for x in range(256)])
+
+
+#: bytes with bit 7 set: a top byte of a rejected word, or a chunk of one
 _HIGH_BYTES = bytes(range(128, 256))
+#: a word's top byte -> 1 if the word is accepted (bit 31 clear), else 0
+_ACCEPTED = _table(lambda x: int(x < 0x80))
+#: a word's top byte -> its bit 31, in place
+_BIT7 = _table(lambda x: x & 0x80)
+#: byte 2 -> bits 17-23; byte 2 -> bit 16 and byte 1 -> bit 15, at 1 and 0
+_SHR1 = _table(lambda x: x >> 1)
+_BIT0_TO_1 = _table(lambda x: (x & 1) << 1)
+_SHR7 = _table(lambda x: x >> 7)
+#: kept chunks -> their bits of ``w >> 23`` (24-30, 23) and of
+#: ``(w >> 15) & 0xFF`` (17-22; 15-16 are the low chunk as it is)
+_SHL1 = _table(lambda x: (x << 1) & 0xFF)
+_SHR6 = _table(lambda x: x >> 6)
+_LOW6_SHL2 = _table(lambda x: (x & 0x3F) << 2)
 
 
 def _digest(parts: tuple) -> bytes:
@@ -108,24 +138,50 @@ def draw_accepted(rng: random.Random, count: int) -> bytes:
     below ``2**31``, as ``randbytes`` gives it.
 
     These are the attempts of ``count`` calls of ``_randbelow(2**m)``
-    (fact 3), so the generator ends where those calls leave it.  The
-    words are counted in C, by their most significant byte, and decoded
-    only by :func:`accepted_words`, which may run much later.
+    (fact 3), so the generator ends where those calls leave it.  Each
+    round's accepted words are counted in C without a branch per word
+    (a 0/1 table over the top bytes, then ``int.bit_count``); the words
+    are decoded only by :func:`accepted_high16`, which may run much
+    later.
     """
     chunks: list[bytes] = []
     missing = count
     while missing:
         chunk = rng.randbytes(4 * missing)
         chunks.append(chunk)
-        missing -= len(chunk[3::4].translate(None, _HIGH_BYTES))
+        missing -= int.from_bytes(chunk[3::4].translate(_ACCEPTED),
+                                  "little").bit_count()
     return b"".join(chunks)
 
 
-def accepted_words(data: bytes) -> list[int]:
-    """The words below ``2**31`` in ``data`` (a :func:`draw_accepted`
-    run), in draw order; word ``w`` draws ``w >> (31 - m)`` from
-    ``_randbelow(2**m)``."""
-    return [w for w in _words(data) if w < 0x80000000]
+def accepted_high16(data: bytes) -> tuple[bytes, bytes]:
+    """The planes ``(hi, lo)`` of ``w >> 15`` for each word ``w`` below
+    ``2**31`` in ``data`` (a :func:`draw_accepted` run), in draw order:
+    ``hi[i]`` is ``w >> 23`` and ``lo[i]`` is ``(w >> 15) & 0xFF``.
+
+    Word ``w`` draws ``w >> (31 - m)`` from ``_randbelow(2**m)``, so any
+    ``m <= 16`` reads its draw off these two bytes.
+    """
+    if len(data) % 4:
+        raise ValueError(f"{len(data)} bytes are not a run of 4-byte words")
+    top, mid = data[3::4], data[2::4]
+    n = len(top)
+    flag = int.from_bytes(top.translate(_BIT7), "little")
+    chunks = bytearray(3 * n)
+    chunks[0::3] = top                                      # bits 24-30
+    chunks[1::3] = (int.from_bytes(mid.translate(_SHR1), "little")
+                    | flag).to_bytes(n, "little")           # bits 17-23
+    chunks[2::3] = (int.from_bytes(mid.translate(_BIT0_TO_1), "little")
+                    | int.from_bytes(data[1::4].translate(_SHR7), "little")
+                    | flag).to_bytes(n, "little")           # bits 15-16
+    kept = chunks.translate(None, _HIGH_BYTES)
+    bits24, bits17, bits15 = kept[0::3], kept[1::3], kept[2::3]
+    m = len(bits24)
+    hi = (int.from_bytes(bits24.translate(_SHL1), "little")
+          | int.from_bytes(bits17.translate(_SHR6), "little"))
+    lo = (int.from_bytes(bits17.translate(_LOW6_SHL2), "little")
+          | int.from_bytes(bits15, "little"))
+    return hi.to_bytes(m, "little"), lo.to_bytes(m, "little")
 
 
 def draw_pairs(rng: random.Random, count: int, start: int, stop: int,

@@ -25,7 +25,7 @@ import random
 from itertools import compress
 
 from ..botnet.bot import Bot
-from ..determinism import accepted_words, draw_accepted
+from ..determinism import accepted_high16, draw_accepted
 from ..netsim.capture import Capture
 from ..netsim.packet import ACK, DEFAULT_TTL, PSH, SYN, Protocol
 
@@ -34,12 +34,11 @@ DEFAULT_FANOUT_THRESHOLD = 20
 
 #: seconds between consecutive trace rows
 _TICK = 0.005
-#: ephemeral source ports: ``_EPHEMERAL + _randbelow(_EPHEMERAL_SPAN)``
-#: is ``randrange(49152, 65536)``; an accepted word ``w`` draws
-#: ``w >> _PORT_SHIFT`` from it (see :mod:`repro.determinism`)
+#: ephemeral source ports: ``_EPHEMERAL + _randbelow(16384)`` is
+#: ``randrange(49152, 65536)``; an accepted word ``w`` draws ``w >> 17``
+#: from it, ``hi << 6 | lo >> 2`` of its ``accepted_high16`` bytes (see
+#: :mod:`repro.determinism`)
 _EPHEMERAL = 49152
-_EPHEMERAL_SPAN = 16384
-_PORT_SHIFT = 32 - _EPHEMERAL_SPAN.bit_length()
 _TCP = int(Protocol.TCP)
 _PSH_ACK = PSH | ACK
 
@@ -77,20 +76,21 @@ class ScanSegment:
         bot_ip = self.bot_ip
         base = self.base_time
         tick = self.first_tick
-        port_of = iter(accepted_words(self.port_words)).__next__
+        hi, lo = accepted_high16(self.port_words)
+        port_of = iter([_EPHEMERAL + (h << 6 | l >> 2)
+                        for h, l in zip(hi, lo)]).__next__
         payload_of = iter(self.payloads).__next__
         rows: list[tuple] = []
         append = rows.append
         for (address, port), hit in zip(self.targets, self.engaged):
             tick += 1
-            append((base + tick * _TICK, bot_ip, address,
-                    _EPHEMERAL + (port_of() >> _PORT_SHIFT), port, _TCP,
-                    SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
+            append((base + tick * _TICK, bot_ip, address, port_of(), port,
+                    _TCP, SYN, 0, 0, DEFAULT_TTL, 0, 0, b""))
             if hit:
                 tick += 1
-                append((base + tick * _TICK, bot_ip, address,
-                        _EPHEMERAL + (port_of() >> _PORT_SHIFT), port, _TCP,
-                        _PSH_ACK, 0, 0, DEFAULT_TTL, 0, 0, payload_of()))
+                append((base + tick * _TICK, bot_ip, address, port_of(),
+                        port, _TCP, _PSH_ACK, 0, 0, DEFAULT_TTL, 0, 0,
+                        payload_of()))
         return rows
 
 

@@ -120,7 +120,7 @@ class TestBuildSample:
 class TestDrawExactKernel:
     """The bulk kernels make the per-word loop's draws, no more, no less."""
 
-    @pytest.mark.parametrize("words", [0, 1, 256, 2047])
+    @pytest.mark.parametrize("words", [0, 1, 2, 256, 2047])
     @pytest.mark.parametrize("seed,advance",
                              [(0, 0), (1, 0), (20220322, 0), (7, 1), (7, 625),
                               (99, 3001)])
@@ -144,6 +144,14 @@ class TestChaff:
     @pytest.mark.parametrize("kind", ["arm", "x86", "junk", "truncated"])
     def test_chaff_is_not_mips32(self, kind):
         assert not is_mips32_elf(build_chaff(random.Random(0), kind))
+
+    @pytest.mark.parametrize("kind", ["mips", "ARM", ""])
+    def test_unknown_kind_rejected_before_drawing(self, kind):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="chaff kind"):
+            build_chaff(rng, kind)
+        assert rng.getstate() == state
 
 
 class TestStrings:

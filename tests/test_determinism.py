@@ -1,23 +1,71 @@
 """The stable seeds and draw-exact word kernels of :mod:`repro.determinism`.
 
 A word kernel must leave what the per-call loop it replaces leaves: the
-same values and the same generator state, so every comparison here
-includes ``getstate()``.  The CPython facts the kernels rest on are
-named tests in ``tests/test_sandbox_handshaker.py``.
+same values and the same generator state, so every comparison of a draw
+here includes ``getstate()``; the byte-plane decoder is held to a frozen
+per-word decode.  The CPython facts the kernels rest on are named tests
+in ``tests/test_sandbox_handshaker.py``.
 """
 
 import random
+import sys
+from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.determinism import (
-    accepted_words,
+    accepted_high16,
     draw_accepted,
     draw_pairs,
     shard_of,
     stable_seed,
     stable_unit,
 )
+
+
+def frozen_accepted_words(data):
+    """Frozen per-word decode :func:`accepted_high16` replaced: the words
+    below ``2**31`` of a run, in draw order."""
+    words = array("I", data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return [w for w in words if w < 0x80000000]
+
+
+def frozen_draw_accepted(rng, count):
+    """Frozen :func:`draw_accepted` that counted each round's accepted
+    words by deleting the top bytes of the rejected ones."""
+    chunks = []
+    missing = count
+    while missing:
+        chunk = rng.randbytes(4 * missing)
+        chunks.append(chunk)
+        missing -= len(chunk[3::4].translate(None, bytes(range(128, 256))))
+    return b"".join(chunks)
+
+
+class RecordingRandom(random.Random):
+    """A generator that records the size of every ``randbytes`` call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.randbytes_calls = []
+
+    def randbytes(self, n):
+        self.randbytes_calls.append(n)
+        return super().randbytes(n)
+
+
+def high16_planes(words):
+    """``[w >> 15 for w in words if w < 2**31]`` as ``(hi, lo)`` bytes."""
+    draws = [w >> 15 for w in words if w < 2 ** 31]
+    return bytes(v >> 8 for v in draws), bytes(v & 0xFF for v in draws)
+
+
+def run_of(words):
+    """``words`` as ``randbytes`` gives them: little-endian, in order."""
+    return b"".join(w.to_bytes(4, "little") for w in words)
 
 
 def twin_rngs(seed, advance):
@@ -64,13 +112,31 @@ class TestDrawAccepted:
     @pytest.mark.parametrize("advance", [0, 3])
     @pytest.mark.parametrize("count", [0, 1, 2, 300, 4001])
     def test_equals_power_of_two_randbelow(self, count, advance):
-        # one run of words serves every power-of-two bound alike
+        # one run of words serves every power-of-two bound alike, read
+        # per word or, for m <= 16, off the kernel's (hi, lo) planes
         for m in (0, 1, 8, 14, 16, 31):
             kernel, direct = twin_rngs(count + m, advance)
-            words = accepted_words(draw_accepted(kernel, count))
-            assert [w >> (31 - m) for w in words] == \
-                [direct._randbelow(2 ** m) for _ in range(count)]
+            data = draw_accepted(kernel, count)
+            expected = [direct._randbelow(2 ** m) for _ in range(count)]
+            assert [w >> (31 - m) for w in frozen_accepted_words(data)] == \
+                expected
+            if m <= 16:
+                hi, lo = accepted_high16(data)
+                assert [(h << 8 | l) >> (16 - m) for h, l in zip(hi, lo)] \
+                    == expected
             assert kernel.getstate() == direct.getstate()
+
+    @pytest.mark.parametrize("count", [1, 2, 999, 40000])
+    def test_counts_rounds_as_the_delete_pass_did(self, count):
+        # the table count must ask randbytes for exactly the sizes the
+        # delete count asked for, round after round
+        kernel, frozen = RecordingRandom(count), RecordingRandom(count)
+        assert draw_accepted(kernel, count) == \
+            frozen_draw_accepted(frozen, count)
+        assert kernel.randbytes_calls == frozen.randbytes_calls
+        assert kernel.getstate() == frozen.getstate()
+        if count >= 999:
+            assert len(kernel.randbytes_calls) >= 8
 
     def test_is_the_shortest_run(self):
         for count in (1, 2, 50, 999):
@@ -86,8 +152,29 @@ class TestDrawAccepted:
         assert rng.getstate() == state
 
     def test_words_are_little_endian_on_every_host(self):
-        data = bytes([1, 0, 0, 0x7F,  0, 0, 0, 0x80,  2, 0, 0, 0])
-        assert accepted_words(data) == [0x7F000001, 2]
+        data = bytes([0x00, 0x80, 0x01, 0x7F,  0, 0, 0, 0x80,
+                      0xFF, 0x7F, 0xAB, 0x12])
+        # 0x7F018000 >> 15 == 0xFE03; 0x80000000 is rejected;
+        # 0x12AB7FFF >> 15 == 0x2556
+        assert accepted_high16(data) == (b"\xfe\x25", b"\x03\x56")
+
+
+class TestAcceptedHigh16:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 32 - 1)
+                    | st.sampled_from([0, 2 ** 15 - 1, 2 ** 15, 2 ** 31 - 1,
+                                       2 ** 31, 2 ** 32 - 1]),
+                    max_size=300))
+    @example([])
+    @example([0, 1, 0x7FFF, 0x8000, 0x12AB7FFF, 2 ** 31 - 1])
+    @example([2 ** 31, 0x80000001, 0xFFFF8000, 2 ** 32 - 1])
+    def test_planes_equal_the_per_word_decode(self, words):
+        assert accepted_high16(run_of(words)) == high16_planes(words)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 4001])
+    def test_refuses_a_partial_word(self, size):
+        with pytest.raises(ValueError):
+            accepted_high16(bytes(size))
 
 
 class TestDrawPairs:

@@ -154,9 +154,9 @@ def test_decoding_checks_every_field(record, value, field):
 SHORT = PipelineConfig(study_days=60)
 
 
-def _quarantined_c2_sample():
+def _quarantined_c2_sample(world):
     """A sample of the short study whose C2 record other samples share."""
-    runner = DayRunner(seed=SEED, scale=SMOKE, config=SHORT)
+    runner = DayRunner(world, config=SHORT)
     runner.run_remaining_days()
     datasets = runner.datasets
     for profile in datasets.profiles:
@@ -168,11 +168,12 @@ def _quarantined_c2_sample():
 
 
 def test_sample_raising_after_its_c2_was_touched_resumes_exactly(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, shared_world):
     """The liveness probe raises for one sample after ``_record_c2`` has
     updated its C2 record: the sample is quarantined, the record keeps
     the update, and the day's journal record must carry it."""
-    victim = _quarantined_c2_sample()
+    world = shared_world(SEED, SMOKE)
+    victim = _quarantined_c2_sample(world)
     check_liveness = MalNet._check_liveness
 
     def flaky(self, data, endpoint, port, sha256=None, **kwargs):
@@ -182,7 +183,7 @@ def test_sample_raising_after_its_c2_was_touched_resumes_exactly(
                               **kwargs)
 
     monkeypatch.setattr(MalNet, "_check_liveness", flaky)
-    expected = DayRunner(seed=SEED, scale=SMOKE, config=SHORT)
+    expected = DayRunner(world, config=SHORT)
     expected.run_remaining_days()
     profile = expected.datasets.profile_by_sha256(victim.sha256)
     assert profile.quarantined
@@ -191,11 +192,11 @@ def test_sample_raising_after_its_c2_was_touched_resumes_exactly(
 
     fingerprint = study_fingerprint(SEED, SMOKE, SHORT)
     store = CheckpointStore(str(tmp_path))
-    runner = DayRunner(seed=SEED, scale=SMOKE, config=SHORT)
+    runner = DayRunner(world, config=SHORT)
     while runner.next_day <= victim.day:
         runner.run_next_day()
         store.save(fingerprint, runner.state())
-    resumed = DayRunner(seed=SEED, scale=SMOKE, config=SHORT)
+    resumed = DayRunner(world, config=SHORT)
     resumed.restore_state(CheckpointStore(str(tmp_path)).load(
         fingerprint, resumed.total_days))
     diff = dataset_diff(runner.datasets, resumed.datasets)
@@ -205,11 +206,11 @@ def test_sample_raising_after_its_c2_was_touched_resumes_exactly(
     assert diff is None, diff
 
 
-def test_a_span_may_cover_several_days(tmp_path):
+def test_a_span_may_cover_several_days(tmp_path, shared_world):
     """A save after several unsaved days writes one record for all of
     them, and a later save continues the sequence."""
     store = CheckpointStore(str(tmp_path))
-    runner = DayRunner(seed=SEED, scale=SMOKE, config=SHORT)
+    runner = DayRunner(shared_world(SEED, SMOKE), config=SHORT)
     for _ in range(30):
         runner.run_next_day()
     store.save("fp", runner.state())

@@ -12,7 +12,7 @@ from repro.botnet.exploits import (
     classify_exploit,
     vulnerability_for_index,
 )
-from repro.determinism import accepted_words, draw_accepted, draw_pairs
+from repro.determinism import accepted_high16, draw_accepted, draw_pairs
 from repro.netsim.addresses import ip_to_int, is_reserved
 from repro.netsim.capture import Capture
 from repro.netsim.packet import TcpFlags
@@ -372,8 +372,9 @@ class TestScanKernel:
                  for _ in range(300)]
             assert kernel.getstate() == direct.getstate()
         kernel, direct = random.Random(16384), random.Random(16384)
-        assert [w >> 17 for w in accepted_words(draw_accepted(kernel, 300))] \
-            == [direct._randbelow(16384) for _ in range(300)]
+        hi, lo = accepted_high16(draw_accepted(kernel, 300))
+        assert [h << 6 | l >> 2 for h, l in zip(hi, lo)] == \
+            [direct._randbelow(16384) for _ in range(300)]
         assert kernel.getstate() == direct.getstate()
         # ... and 2**32, where an attempt is two words (low word first,
         # accepted iff the high word's bit 31 is clear): refused

@@ -22,7 +22,6 @@ from repro.core.journal import JournalError
 from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.study import DayRunner
 from repro.service import CheckpointStore, StudyService
-from repro.world import generate_world
 
 from .conftest import SMOKE
 
@@ -32,11 +31,12 @@ SEED = 4242
 # -- the day runner -----------------------------------------------------------
 
 
-def test_mid_study_datasets_are_a_consistent_prefix():
+def test_mid_study_datasets_are_a_consistent_prefix(shared_world):
     """At a day boundary the runner's view equals a bare pipeline's
     after the same days."""
-    runner = DayRunner(seed=SEED, scale=SMOKE)
-    malnet = MalNet(generate_world(seed=SEED, scale=SMOKE))
+    world = shared_world(SEED, SMOKE)
+    runner = DayRunner(world)
+    malnet = MalNet(world)
     for day in range(120):
         runner.run_next_day()
         malnet.run_day(day)
@@ -44,16 +44,16 @@ def test_mid_study_datasets_are_a_consistent_prefix():
     assert diff is None, diff
 
 
-def test_run_next_day_raises_when_done():
-    runner = DayRunner(seed=SEED, scale=SMOKE,
+def test_run_next_day_raises_when_done(shared_world):
+    runner = DayRunner(shared_world(SEED, SMOKE),
                        config=PipelineConfig(study_days=3))
     runner.run_remaining_days()
     with pytest.raises(RuntimeError):
         runner.run_next_day()
 
 
-def test_complete_pipeline_raises_while_days_pending():
-    runner = DayRunner(seed=SEED, scale=SMOKE)
+def test_complete_pipeline_raises_while_days_pending(shared_world):
+    runner = DayRunner(shared_world(SEED, SMOKE))
     runner.run_next_day()
     with pytest.raises(RuntimeError):
         runner.complete_pipeline()
@@ -62,13 +62,13 @@ def test_complete_pipeline_raises_while_days_pending():
 # -- restart shapes -----------------------------------------------------------
 
 
-def test_restore_rejects_mismatched_shape(tmp_path):
+def test_restore_rejects_mismatched_shape(tmp_path, shared_world):
     """State of another study length is refused, by the runner and by the
     store, before any of it is adopted."""
-    runner = DayRunner(seed=SEED, scale=SMOKE)
+    world = shared_world(SEED, SMOKE)
+    runner = DayRunner(world)
     runner.run_next_day()
-    truncated = DayRunner(seed=SEED, scale=SMOKE,
-                          config=PipelineConfig(study_days=5))
+    truncated = DayRunner(world, config=PipelineConfig(study_days=5))
     with pytest.raises(ValueError, match="study days"):
         truncated.restore_state(runner.state())
     assert truncated.next_day == 0
@@ -81,11 +81,11 @@ def test_restore_rejects_mismatched_shape(tmp_path):
 # -- checkpoint store paranoia ------------------------------------------------
 
 
-def test_corrupt_checkpoint_loads_as_none(tmp_path):
+def test_corrupt_checkpoint_loads_as_none(tmp_path, shared_world):
     """A journal whose only day record is torn holds nothing to resume."""
     fingerprint = study_fingerprint(SEED, SMOKE)
     store = CheckpointStore(str(tmp_path))
-    runner = DayRunner(seed=SEED, scale=SMOKE,
+    runner = DayRunner(shared_world(SEED, SMOKE),
                        config=PipelineConfig(study_days=2))
     runner.run_next_day()
     path = store.save(fingerprint, runner.state())
@@ -98,9 +98,10 @@ def test_corrupt_checkpoint_loads_as_none(tmp_path):
     assert store.rejected == 1
 
 
-def test_checkpoint_under_wrong_fingerprint_is_rejected(tmp_path):
+def test_checkpoint_under_wrong_fingerprint_is_rejected(tmp_path,
+                                                        shared_world):
     store = CheckpointStore(str(tmp_path))
-    runner = DayRunner(seed=SEED, scale=SMOKE,
+    runner = DayRunner(shared_world(SEED, SMOKE),
                        config=PipelineConfig(study_days=2))
     runner.run_next_day()
     path = store.save("aaaa", runner.state())

@@ -1,9 +1,11 @@
 """Tests for the world generator's ground truth."""
 
 import dataclasses
+import json
 import os
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,20 +15,88 @@ from repro.netsim.dns import Resolver
 from repro.netsim.faults import FaultInjector
 from repro.netsim.internet import SimClock
 from repro.netsim.packet import Protocol
-from repro.world import SMOKE_SCALE, XL_SCALE, generate_world
+from repro.world import FULL_SCALE, SMOKE_SCALE, XL_SCALE, generate_world
 from repro.world.calibration import (
     ATTACK_COMMAND_COUNT,
     PROBE_PORTS,
     PROBED_C2_COUNT,
 )
 
-from .conftest import walk_world
+from .conftest import walk_world, world_fingerprint
 
 #: what a run owns and a world must not hold
 RUN_STATE = (random.Random, SimClock, FaultInjector)
 
 WORLD_SCALES = [pytest.param(SMOKE_SCALE, id="smoke")] + (
     [pytest.param(XL_SCALE, id="xl")] if os.environ.get("REPRO_XL") else [])
+
+
+#: per world: its :func:`world_fingerprint`, the fingerprint of each
+#: ``World`` field, and the first 8 hex digits of every sample's sha256
+#: in ``truth.all_samples`` order.  Recorded before the ``.text`` filler,
+#: the chaff and the scan ports decoded their random words in C; the
+#: same under any ``PYTHONHASHSEED``.
+WORLD_GOLDENS = json.loads(
+    (Path(__file__).parent / "world_goldens.json").read_text())
+
+
+def first_moved_sample(world, golden_samples: str) -> str | None:
+    """The first sample of ``world`` whose sha256 leaves the golden list,
+    named by its position, its family and its rank in that family; None
+    if every sample matches."""
+    expected = [golden_samples[i:i + 8]
+                for i in range(0, len(golden_samples), 8)]
+    samples = world.truth.all_samples
+    rank = Counter()
+    for index, planned in enumerate(samples):
+        family = planned.sample.family
+        rank[family] += 1
+        where = f"sample {index} ({family} #{rank[family] - 1})"
+        if index == len(expected):
+            return f"{where} is past the golden {len(expected)} samples"
+        actual = planned.sample.sha256[:8]
+        if actual != expected[index]:
+            return f"{where}: sha256 {actual}… != golden {expected[index]}…"
+    if len(samples) < len(expected):
+        return f"{len(samples)} samples, golden {len(expected)}"
+    return None
+
+
+class TestWorldGoldens:
+    """Generation is byte-exact: every sample, every chaff hash, every
+    host and feed entry of three worlds, pinned by fingerprint."""
+
+    @pytest.mark.parametrize("name, seed, scale", [
+        pytest.param("smoke", 20220322, SMOKE_SCALE, id="smoke-20220322"),
+        pytest.param("smoke", 7, SMOKE_SCALE, id="smoke-7"),
+        pytest.param("full", 20220322, FULL_SCALE, id="full-20220322"),
+    ])
+    def test_world_equals_golden(self, shared_world, name, seed, scale):
+        golden = WORLD_GOLDENS[f"{name}-{seed}"]
+        world = shared_world(seed, scale)
+        moved = first_moved_sample(world, golden["samples"])
+        assert moved is None, moved
+        if shared_world.fingerprint(world) != golden["fingerprint"]:
+            moved = [field for field, digest in golden["fields"].items()
+                     if world_fingerprint(getattr(world, field)) != digest]
+            pytest.fail("every sample's sha256 matches the golden one, but "
+                        f"these World fields moved: {moved}")
+
+    def test_a_moved_sample_is_named_by_position_and_family(self,
+                                                            smoke_world):
+        golden = WORLD_GOLDENS["smoke-20220322"]["samples"]
+        families = [s.sample.family for s in smoke_world.truth.all_samples]
+        moved = golden[:24] + "zzzzzzzz" + golden[32:]
+        assert first_moved_sample(smoke_world, moved).startswith(
+            f"sample 3 ({families[3]} #{families[:3].count(families[3])}): "
+            "sha256 ")
+        last = len(families) - 1
+        assert first_moved_sample(smoke_world, golden[:-8]) == (
+            f"sample {last} ({families[last]} "
+            f"#{families.count(families[last]) - 1}) "
+            f"is past the golden {last} samples")
+        assert first_moved_sample(smoke_world, golden + "00000000") == \
+            f"{last + 1} samples, golden {last + 2}"
 
 
 class TestWorldIsData:
