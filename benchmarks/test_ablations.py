@@ -11,13 +11,13 @@ import random
 import pytest
 from conftest import emit
 
+from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.probing import ProbingCampaign
 from repro.core.report import render_table
 from repro.core.study import select_probe_binaries
-from repro.netsim.internet import VirtualInternet
 from repro.sandbox.handshaker import Handshaker
 from repro.sandbox.qemu import MipsEmulator
-from repro.sandbox.sandbox import CncHunterSandbox, SANDBOX_IP
+from repro.sandbox.sandbox import SANDBOX_IP
 from repro.world import StudyScale, generate_world
 
 
@@ -61,17 +61,12 @@ def test_ablation_handshaker_threshold(benchmark, world):
 
 
 def _probing_engagements(world, interval_hours: int):
-    internet = VirtualInternet(world.network, random.Random(6))
-    sandbox = CncHunterSandbox(
-        random.Random(4), internet,
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
+    malnet = MalNet(world, PipelineConfig(activation_rate=1.0))
     campaign = ProbingCampaign(
-        internet=internet, sandbox=sandbox,
+        network=world.network, engine=malnet.engine, sandbox=malnet.sandbox,
         subnets=list(world.truth.probe_subnets),
-        sample_binaries=select_probe_binaries(world),
-        start=world.probe_start, world_seed=world.seed, days=14,
-        interval_hours=interval_hours,
+        sample_binaries=select_probe_binaries(world, malnet.sandbox.emulator),
+        start=world.probe_start, days=14, interval_hours=interval_hours,
     )
     campaign.run()
     engaged = sum(1 for o in campaign.observations if o.engaged)

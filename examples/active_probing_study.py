@@ -9,34 +9,27 @@ Figure 4-style probe-response matrix and the elusiveness statistics.
 Run:  python examples/active_probing_study.py
 """
 
-import random
-
+from repro.core.pipeline import MalNet, PipelineConfig
 from repro.core.probing import ProbingCampaign
 from repro.core.report import render_probe_matrix
 from repro.core.study import select_probe_binaries
-from repro.netsim import VirtualInternet
-from repro.sandbox import CncHunterSandbox, MipsEmulator
 from repro.world import StudyScale, generate_world
 
 
 def main() -> None:
     scale = StudyScale(sample_fraction=0.03, probe_days=7)
     world = generate_world(seed=1312, scale=scale)
-    # the world is read-only data: the campaign drives its own traffic
-    # engine over the world's network
-    internet = VirtualInternet(world.network, random.Random(6))
-
-    sandbox = CncHunterSandbox(
-        random.Random(4), internet,
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
+    # the world is read-only data: the run's sandbox always activates,
+    # and each probe slot drives a traffic engine of its own over the
+    # world's network
+    malnet = MalNet(world, PipelineConfig(activation_rate=1.0))
     campaign = ProbingCampaign(
-        internet=internet,
-        sandbox=sandbox,
+        network=world.network,
+        engine=malnet.engine,
+        sandbox=malnet.sandbox,
         subnets=list(world.truth.probe_subnets),
-        sample_binaries=select_probe_binaries(world),
+        sample_binaries=select_probe_binaries(world, malnet.sandbox.emulator),
         start=world.probe_start,
-        world_seed=world.seed,
         days=scale.probe_days,
     )
     print(f"probing {len(campaign.subnets)} subnets x "

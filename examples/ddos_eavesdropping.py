@@ -51,12 +51,9 @@ def main() -> None:
                        c2_port=C2_PORT, variant="daddyl33t.a")
     binary = build_sample(config, random.Random(2))
 
-    sandbox = CncHunterSandbox(
-        random.Random(3), internet,
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
+    sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
     print("connecting the bot to its C2 in restricted mode (2h window)...")
-    report = sandbox.observe_live(binary.data, duration=1200.0,
+    report = sandbox.observe_live(binary.data, internet, duration=1200.0,
                                   poll_interval=60.0)
     print(f"connected: {report.connected}; "
           f"commands heard: {len(report.commands)}; "

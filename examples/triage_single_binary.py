@@ -50,11 +50,9 @@ def main() -> None:
     print(f"  YARA family: {report.yara_families}")
     print(f"  AVClass2 family: {label_sample(report.engine_labels)}")
 
-    sandbox = CncHunterSandbox(
-        random.Random(2),
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
-    offline = sandbox.analyze_offline(sample.data, scan_budget=400)
+    sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
+    offline = sandbox.analyze_offline(sample.data, random.Random(2), 0.0,
+                                      scan_budget=400)
     print()
     print(f"sandbox activation:  {offline.activated}")
     print(f"detected C2:         {offline.c2_endpoint}:{offline.c2_port} "

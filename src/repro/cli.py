@@ -583,8 +583,9 @@ def _cmd_pcap(args, out) -> int:
     world, malnet, _campaign, datasets = _run(args, telemetry)
     os.makedirs(args.out, exist_ok=True)
     exported = 0
-    # re-run the offline analysis for the first N profiled binaries and
-    # persist their traffic as pcap files
+    # re-run the offline analysis for the first N profiled binaries, each
+    # on its own stream at its analysis instant, and persist their
+    # traffic as pcap files
     by_hash = {s.sample.sha256: s.sample for s in world.truth.all_samples}
     for profile in datasets.profiles:
         if exported >= args.limit:
@@ -592,7 +593,9 @@ def _cmd_pcap(args, out) -> int:
         sample = by_hash.get(profile.sha256)
         if sample is None or not profile.activated:
             continue
-        report = malnet.sandbox.analyze_offline(sample.data, scan_budget=60)
+        report = malnet.activate(profile.sha256, sample.data,
+                                 malnet.analysis_instant(profile.day),
+                                 scan_budget=60)
         path = os.path.join(args.out, f"{profile.sha256[:16]}.pcap")
         report.capture.save(path)
         _emit(out, telemetry,

@@ -12,10 +12,10 @@ engine), and the parent merges the unit outputs with
 The hard invariant: **the merged parallel output is byte-identical to the
 serial run** on the same ``(seed, scale)``.  Three properties carry it:
 
-* every behavioral coin in the simulation is hash-derived, and the two
-  shared RNG streams (sandbox + virtual internet) are reseeded per sample
-  from ``(world seed, sha256)`` (:meth:`MalNet._reseed_for`), so a
-  binary's analysis is a pure function of the sample;
+* every behavioral coin in the simulation is hash-derived, and a sample
+  is analyzed on streams of its own built from ``(world seed, sha256)``
+  (:meth:`MalNet.activate`, :meth:`MalNet.engine`), so a binary's
+  analysis is a pure function of the sample;
 * sharding by sha256 keeps deduplication unit-local: every occurrence of
   a hash lands in the same unit, so no executor needs another's seen-set;
 * records carry ``origin`` tuples fixing their global creation order,

@@ -94,10 +94,11 @@ class MalNet:
     """Orchestrates the daily measurement over a generated world.
 
     The world is read-only here.  Everything the run writes is its own:
-    the traffic engine :attr:`internet` (clock, stream, fault and metrics
-    bindings over the world's network), the sandbox, the fault injector
-    and the datasets.  So any number of ``MalNet`` runs can share one
-    world, sequentially or at once.
+    the traffic engines (:meth:`engine`: one per unit of work, each with
+    its clock, stream, fault and metrics bindings over the world's
+    network), the sandbox, the fault injector and the datasets.  So any
+    number of ``MalNet`` runs can share one world, sequentially or at
+    once.
     """
 
     def __init__(self, world: World, config: PipelineConfig | None = None,
@@ -106,10 +107,6 @@ class MalNet:
         self.config = config or PipelineConfig()
         self.datasets = Datasets()
         self.telemetry = telemetry or NULL_TELEMETRY
-        # base for the per-sample reseed: analysis randomness must depend
-        # only on (world seed, sha256) so that shard workers and the serial
-        # loop draw identical streams for every sample (see _reseed_for)
-        self._seed_base = world.seed
         metrics = self.telemetry.metrics
         # fault layer: bind one injector to every hook point.  All of its
         # decisions derive from (world seed, entity, time slot), so shard
@@ -117,24 +114,15 @@ class MalNet:
         self.faults: FaultInjector | None = None
         if self.config.faults is not None and self.config.faults.enabled:
             self.faults = FaultInjector(
-                self.config.faults, self._seed_base,
+                self.config.faults, world.seed,
                 counter=metrics.counter(
                     "fault_injections", "injected fault decisions that fired",
                     labelnames=("kind",)),
             )
-        # both streams are reseeded per sample (and the internet's per
-        # probe slot) before their first draw; these seeds only make each
-        # run's streams its own
-        self._rng = random.Random(stable_seed("sandbox", world.seed))
-        self.internet = VirtualInternet(
-            world.network, random.Random(stable_seed("internet", world.seed)),
-            faults=self.faults, metrics=metrics)
-        self.telemetry.bind_sim_clock(lambda: self.internet.clock.now)
         self._machines = frozenset(
             ARCH_MACHINES[arch] for arch in self.config.architectures
         )
         self.sandbox = CncHunterSandbox(
-            self._rng, self.internet,
             emulator=MipsEmulator(
                 activation_rate=self.config.activation_rate,
                 machines=self._machines,
@@ -189,6 +177,40 @@ class MalNet:
         for event in self._columnar_base:
             self._m_columnar.labels(event=event)
 
+    def engine(self, when: float, label: str, *parts) -> VirtualInternet:
+        """A traffic engine of its own for one unit of work at ``when``,
+        its stream derived from ``(label, world seed, *parts)`` only: a
+        sample's live analysis is ``("internet", sha256)``, a probe slot
+        ``("probe-slot", slot)``."""
+        return VirtualInternet(
+            self.world.network,
+            random.Random(stable_seed(label, self.world.seed, *parts)),
+            faults=self.faults, metrics=self.telemetry.metrics, start=when)
+
+    def analysis_instant(self, day: int) -> float:
+        """When the sandboxes analyze the samples collected on ``day``."""
+        return self.world.epoch + day * SECONDS_PER_DAY + ANALYSIS_HOUR_OFFSET
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """The simulated interval of the study's feed days."""
+        return (self.world.epoch, self.world.epoch
+                + total_study_days(self.config) * SECONDS_PER_DAY)
+
+    def activate(self, sha256: str, data: bytes, when: float,
+                 scan_budget: int, attempt: int = 0):
+        """One offline activation of a sample at ``when``.
+
+        MalNet ran four sandboxes in parallel (§2.2), so no binary's
+        analysis may depend on what ran before it: each call draws from
+        a fresh stream derived from ``(world seed, sha256)``, the same in
+        any shard, on a retried attempt and in an exported trace.
+        """
+        return self.sandbox.analyze_offline(
+            data, random.Random(stable_seed("sandbox", self.world.seed,
+                                            sha256)),
+            when, scan_budget=scan_budget, sha256=sha256, attempt=attempt)
+
     def _drain_alloc_stats(self) -> None:
         """Publish columnar capture deltas since the last drain."""
         columnar = columnar_stats()
@@ -223,8 +245,8 @@ class MalNet:
         These three items are the *only* state a study day leaves behind
         that later days read: the dedup set, the per-feed backfill
         cursors, and the accumulated datasets.  Everything else consumed
-        by a sample's analysis is re-derived from ``(world seed,
-        sha256)`` on the spot (:meth:`_reseed_for`), which is the same
+        by a sample's analysis is built from ``(world seed, sha256)`` on
+        the spot (:meth:`activate`, :meth:`engine`), which is the same
         property the sharded runner relies on — so a fresh ``MalNet``
         on the same (or a regenerated) world plus this state continues a
         study byte-identically.
@@ -245,11 +267,10 @@ class MalNet:
         with self.telemetry.tracer.span("pipeline.run_day", day=day) as span:
             day_start = self.world.epoch + day * SECONDS_PER_DAY
             day_end = day_start + SECONDS_PER_DAY
+            span.set_sim(day_start, day_end)
             entries = self._collect(day_start, day_end)
-            analysis_time = day_start + ANALYSIS_HOUR_OFFSET
             profiles: list[BinaryNetworkProfile] = []
             for sha256, data, published, source in entries:
-                self._set_clock(analysis_time)
                 profile = self._analyze_binary(sha256, data, published, day,
                                                source)
                 if profile is not None:
@@ -267,7 +288,8 @@ class MalNet:
 
     def recheck_threat_intel(self, when: float = MAY_7_2022) -> None:
         """The second VT query of section 2.3 (May 7th, 2022)."""
-        with self.telemetry.tracer.span("pipeline.recheck_ti"):
+        with self.telemetry.tracer.span("pipeline.recheck_ti") as span:
+            span.set_sim(when, when)  # one query at one instant
             for record in self.datasets.d_c2s.values():
                 record.vt_malicious_recheck = self.world.vt.is_malicious(
                     record.endpoint, when
@@ -374,20 +396,6 @@ class MalNet:
 
     # -- per-binary analysis -------------------------------------------------------------
 
-    def _reseed_for(self, sha256: str) -> None:
-        """Reset the analysis RNG streams to this sample's derived state.
-
-        MalNet ran four sandboxes in parallel (§2.2); in a parallel fleet
-        no binary's randomness can depend on how many binaries another
-        sandbox processed first.  Deriving both streams from
-        ``(world seed, sha256)`` makes per-binary analysis a pure function
-        of the sample, which is what lets the sharded runner's merged
-        output equal the serial run bit for bit.
-        """
-        self._rng.seed(stable_seed("sandbox", self._seed_base, sha256))
-        self.internet.rng.seed(
-            stable_seed("internet", self._seed_base, sha256))
-
     def _analyze_binary(
         self, sha256: str, data: bytes, published: float, day: int, source: str
     ) -> BinaryNetworkProfile | None:
@@ -423,21 +431,17 @@ class MalNet:
                 quarantined=True, quarantine_reason=f"{error}: {exc}",
             )
 
-    def _activate_with_retries(self, sha256: str, data: bytes):
+    def _activate_with_retries(self, sha256: str, data: bytes, when: float):
         """Sandbox activation with bounded retries on transient crashes.
 
-        Re-seeding before every attempt makes a retried activation draw
-        the exact stream a first-try activation would have drawn, so a
+        Every attempt draws a fresh copy of the sample's stream, so a
         recovered transient crash leaves no trace in the datasets — the
         property the fault-determinism tests pin down.
         """
         for attempt in range(ACTIVATION_ATTEMPTS):
-            self._reseed_for(sha256)
             try:
-                return self.sandbox.analyze_offline(
-                    data, scan_budget=self.world.scale.scan_budget,
-                    sha256=sha256, attempt=attempt,
-                )
+                return self.activate(sha256, data, when,
+                                     self.world.scale.scan_budget, attempt)
             except SandboxCrash:
                 if attempt + 1 >= ACTIVATION_ATTEMPTS:
                     raise
@@ -446,15 +450,14 @@ class MalNet:
     def _analyze_binary_inner(
         self, sha256: str, data: bytes, published: float, day: int, source: str
     ) -> BinaryNetworkProfile | None:
-        self._reseed_for(sha256)
-        now = self.internet.clock.now
+        when = self.analysis_instant(day)
         is_malware, family_label, label_source = self._verify_and_label(
-            sha256, now)
+            sha256, when)
         if not is_malware:
             self._m_skipped.labels(reason="unverified").inc()
             return None
         self._m_verified.inc()
-        report = self._activate_with_retries(sha256, data)
+        report = self._activate_with_retries(sha256, data, when)
         if report.activated:
             self._m_activated.inc()
         profile = BinaryNetworkProfile(
@@ -467,7 +470,7 @@ class MalNet:
         self._record_exploits(profile, report, day)
         if report.is_p2p or not report.has_c2:
             return profile
-        self._record_c2(profile, report, data, day)
+        self._record_c2(profile, report, data, day, when)
         return profile
 
     def _record_exploits(self, profile, report, day: int) -> None:
@@ -499,34 +502,34 @@ class MalNet:
                 day=day,
             ))
 
-    def _resolve_endpoint(self, endpoint: str, dga_seed: int = 0,
+    @staticmethod
+    def _resolve_endpoint(internet: VirtualInternet, endpoint: str,
+                          dga_seed: int = 0,
                           dga_family: str = "") -> int | None:
         """Resolve an IoC string to a routable address, via live DNS."""
+        now = internet.clock.now
         if dga_seed:
             # a DGA binary walks today's candidate list, so probing its C2
             # must too: a blocked or registrar-lost name is evaded, not
             # fatal, as long as any candidate still resolves
-            now = self.internet.clock.now
             day = int((now - STUDY_EPOCH) // SECONDS_PER_DAY)
             for domain in dga_domains(dga_seed, dga_family, day):
-                address = self.internet.resolver.resolve(domain, now=now)
+                address = internet.resolver.resolve(domain, now=now)
                 if address is not None:
                     return address
             return None
         if is_ip_literal(endpoint):
             return ip_to_int(endpoint)
-        return self.internet.resolver.resolve(
-            endpoint, now=self.internet.clock.now
-        )
+        return internet.resolver.resolve(endpoint, now=now)
 
-    def _record_c2(self, profile, report, data: bytes, day: int) -> None:
+    def _record_c2(self, profile, report, data: bytes, day: int,
+                   when: float) -> None:
         endpoint = report.c2_endpoint
         is_dns = not is_ip_literal(endpoint)
         profile.c2_endpoint = endpoint
         profile.c2_port = report.c2_port
         profile.c2_is_dns = is_dns
-        now = self.internet.clock.now
-        profile.vt_flagged_day0 = self.world.vt.is_malicious(endpoint, now)
+        profile.vt_flagged_day0 = self.world.vt.is_malicious(endpoint, when)
 
         if endpoint not in self.datasets.d_c2s:
             self._m_c2_records.inc()
@@ -554,7 +557,9 @@ class MalNet:
         if report.c2_candidates and report.c2_candidates[0].confidence >= 1.0:
             record.protocol_verified = True
 
-        live = self._check_liveness(data, endpoint, report.c2_port,
+        # the live half of the analysis runs on the sample's own engine
+        internet = self.engine(when, "internet", profile.sha256)
+        live = self._check_liveness(internet, data, endpoint, report.c2_port,
                                     sha256=profile.sha256,
                                     dga_seed=report.dga_seed,
                                     dga_family=report.dga_family)
@@ -563,29 +568,31 @@ class MalNet:
         if live:
             record.live_observations += 1
             if profile.family_label in ATTACK_FAMILIES:
-                self._observe_attacks(profile, record, data)
+                self._observe_attacks(internet, profile, record, data)
 
-    def _check_liveness(self, data: bytes, endpoint: str, port: int,
-                        sha256: str | None = None, dga_seed: int = 0,
-                        dga_family: str = "") -> bool:
+    def _check_liveness(self, internet: VirtualInternet, data: bytes,
+                        endpoint: str, port: int, sha256: str | None = None,
+                        dga_seed: int = 0, dga_family: str = "") -> bool:
         """Weaponized probe of the binary's own C2 (with 4h retries)."""
         for attempt in range(LIVENESS_ATTEMPTS):
-            address = self._resolve_endpoint(endpoint, dga_seed, dga_family)
+            address = self._resolve_endpoint(internet, endpoint, dga_seed,
+                                             dga_family)
             if address is not None:
                 results = self.sandbox.probe_targets(
-                    data, [(address, port)], sha256=sha256)
+                    data, [(address, port)], internet, sha256=sha256)
                 if results and results[0].engaged:
                     return True
             if attempt + 1 < LIVENESS_ATTEMPTS:
                 self._m_retries.labels(stage="liveness").inc()
-                self.internet.clock.advance(LIVENESS_SPACING)
+                internet.clock.advance(LIVENESS_SPACING)
         return False
 
-    def _observe_attacks(self, profile, record, data: bytes) -> None:
+    def _observe_attacks(self, internet: VirtualInternet, profile, record,
+                         data: bytes) -> None:
         """Two-hour restricted-mode session on a live C2 (section 2.5)."""
         records_before = len(self.datasets.d_ddos)
         live_report = self.sandbox.observe_live(
-            data,
+            data, internet,
             duration=self.world.scale.observe_duration,
             poll_interval=self.world.scale.observe_poll_interval,
             sha256=profile.sha256,
@@ -651,13 +658,3 @@ class MalNet:
                 "pipeline.ddos_observed", endpoint=record.endpoint,
                 commands=new_records,
             )
-
-    # -- clock management -----------------------------------------------------------------
-
-    def _set_clock(self, when: float) -> None:
-        """Jump the clock to an analysis instant (parallel-sandbox model)."""
-        clock = self.internet.clock
-        if clock.now <= when:
-            clock.advance_to(when)
-        else:
-            clock.rewind(when)

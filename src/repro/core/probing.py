@@ -7,16 +7,20 @@ hosts that listen on a port, and skip hosts presenting a well-known
 service banner (section 2.6).
 
 Discovered C2s then keep being probed each slot, producing the per-slot
-engagement matrix behind Figure 4.
+engagement matrix behind Figure 4.  Each slot runs on a traffic engine
+of its own, starting at the slot's instant with a stream derived from
+``(world seed, slot)``: the campaign observes the same whether or not
+anything ran before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from ..determinism import stable_seed
 from ..netsim.addresses import Subnet
-from ..netsim.internet import SECONDS_PER_DAY, TimeWheel, VirtualInternet
+from ..netsim.internet import SECONDS_PER_DAY, Network, TimeWheel, \
+    VirtualInternet
 from ..netsim.packet import Protocol
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..sandbox.sandbox import CncHunterSandbox
@@ -36,15 +40,14 @@ WELL_KNOWN_BANNERS = (b"HTTP/1.0 200 OK\r\nServer: Apache",
 class ProbingCampaign:
     """Runs the subnet-probing study and collects D-PC2."""
 
-    internet: VirtualInternet
+    network: Network
+    #: a slot's traffic engine: ``engine(when, "probe-slot", slot)``
+    #: (:meth:`repro.core.pipeline.MalNet.engine`)
+    engine: Callable[..., VirtualInternet]
     sandbox: CncHunterSandbox
     subnets: list[Subnet]
     sample_binaries: list[bytes]      # the two weaponized samples
     start: float
-    #: every slot reseeds the internet's stream from this seed, so the
-    #: campaign runs identically whether or not the daily pipeline (or
-    #: anything else) drew from that stream first
-    world_seed: int
     days: int = 14
     ports: tuple[int, ...] = PROBE_PORTS
     #: hours between probes; the paper uses 4 — the ablation bench shows
@@ -71,6 +74,11 @@ class ProbingCampaign:
     def total_slots(self) -> int:
         return self.days * self.slots_per_day
 
+    @property
+    def window(self) -> tuple[float, float]:
+        """The simulated interval the campaign probes."""
+        return self.start, self.start + self.days * SECONDS_PER_DAY
+
     # -- scanning -------------------------------------------------------------
 
     def _build_scan_index(self) -> list:
@@ -85,7 +93,7 @@ class ProbingCampaign:
         index = []
         for subnet in self.subnets:
             for address in subnet.hosts():
-                host = self.internet.host(address)
+                host = self.network.host(address)
                 if host is None:
                     continue
                 for port in self.ports:
@@ -110,7 +118,7 @@ class ProbingCampaign:
         keep the order the full scan produced.
         """
         wheel = TimeWheel(self.interval_hours * 3600.0)
-        horizon = self.start + self.days * SECONDS_PER_DAY
+        horizon = self.window[1]
         for entry in self._build_scan_index():
             _address, _port, host = entry
             begin = max(host.online_from, self.start)
@@ -129,20 +137,17 @@ class ProbingCampaign:
 
     def _probe_slot(self, slot: int) -> None:
         with self.telemetry.tracer.span("probing.slot", slot=slot) as span:
-            when = self.start + slot * self.interval_hours * 3600.0
-            self.internet.rng.seed(
-                stable_seed("probe-slot", self.world_seed, slot))
-            clock = self.internet.clock
-            if clock.now <= when:
-                clock.advance_to(when)
-            else:
-                clock.rewind(when)
+            slot_seconds = self.interval_hours * 3600.0
+            when = self.start + slot * slot_seconds
+            span.set_sim(when, when + slot_seconds)
+            internet = self.engine(when, "probe-slot", slot)
             # probe every open target with both weaponized samples; targets we
             # already identified as C2s are probed even if currently silent
             targets = set(self._listening_targets(when)) | self.discovered
             engaged_now: set[tuple[int, int]] = set()
             for binary in self.sample_binaries:
-                results = self.sandbox.probe_targets(binary, sorted(targets))
+                results = self.sandbox.probe_targets(binary, sorted(targets),
+                                                     internet)
                 for result in results:
                     if result.engaged:
                         engaged_now.add((result.target, result.port))

@@ -30,19 +30,20 @@ if TYPE_CHECKING:
     from ..dist.coordinator import ShardedStudyRunner
 
 
-def select_probe_binaries(world: World) -> list[bytes]:
+def select_probe_binaries(world: World,
+                          emulator: MipsEmulator) -> list[bytes]:
     """Pick the two weaponized samples (one Gafgyt, one Mirai, §2.3b).
 
     The study selected two of its collected samples; we pick the first
-    activating sample of each family from the same corpus.
+    sample of each family from the same corpus that activates in the
+    run's ``emulator`` (so at the run's activation rate).
     """
-    checker = MipsEmulator()
     picks: list[bytes] = []
     for family in ("gafgyt", "mirai"):
         for planned in world.truth.all_samples:
             if planned.sample.family != family:
                 continue
-            if not checker.activates(planned.sample.sha256):
+            if not emulator.activates(planned.sample.sha256):
                 continue
             picks.append(planned.sample.data)
             break
@@ -53,14 +54,14 @@ def run_probing(world: World, malnet: MalNet,
                 telemetry: Telemetry | None = None) -> ProbingCampaign:
     """Run the D-PC2 campaign and merge its observations."""
     campaign = ProbingCampaign(
-        internet=malnet.internet,
+        network=world.network,
+        engine=malnet.engine,
         sandbox=malnet.sandbox,
         subnets=list(world.truth.probe_subnets),
-        sample_binaries=select_probe_binaries(world),
+        sample_binaries=select_probe_binaries(world, malnet.sandbox.emulator),
         start=world.probe_start,
         days=world.scale.probe_days,
         telemetry=telemetry or malnet.telemetry,
-        world_seed=world.seed,
     )
     campaign.run()
     malnet.datasets.d_pc2.extend(campaign.observations)
@@ -167,10 +168,11 @@ class DayRunner:
         """Convenience: :meth:`complete_pipeline` + probing, with the
         same study-phase spans the batch runner emits."""
         if self.campaign is None:
-            with self.telemetry.tracer.span("study.pipeline"):
+            with self.telemetry.tracer.span("study.pipeline") as span:
+                span.set_sim(*self.front.window)
                 self.complete_pipeline()
-            with self.telemetry.tracer.span("study.probing"):
-                self.run_probing_phase()
+            with self.telemetry.tracer.span("study.probing") as span:
+                span.set_sim(*self.run_probing_phase().window)
         return self.campaign
 
     # -- checkpointing -----------------------------------------------------
@@ -210,14 +212,14 @@ class DayRunner:
             # are the ones a fresh run would compute
             world = self.front.world
             self.campaign = ProbingCampaign(
-                internet=self.front.internet,
+                network=world.network,
+                engine=self.front.engine,
                 sandbox=self.front.sandbox,
                 subnets=list(world.truth.probe_subnets),
                 sample_binaries=[],
                 start=world.probe_start,
                 days=world.scale.probe_days,
                 telemetry=self.telemetry,
-                world_seed=world.seed,
             )
             self.campaign.observations = list(state.datasets.d_pc2)
             self.campaign.discovered = set(state.discovered)
@@ -230,17 +232,19 @@ def _run_parallel(
 
     :meth:`ShardedStudyRunner.start` places the first units on local
     slots and TCP peers alike, so the units run while the parent probes.
-    The campaign drives the parent run's own traffic engine and reseeds
-    its stream per slot, and no run writes the world — so the parent can
-    run it concurrently with the executors and still produce the same
-    observations as the serial ordering.
+    Each probe slot runs on a traffic engine of its own, and no run
+    writes the world — so the parent can run the campaign concurrently
+    with the executors and still produce the same observations as the
+    serial ordering.
     """
     with telemetry.tracer.span("study.pipeline", workers=runner.workers) \
             as pipeline_span:
+        pipeline_span.set_sim(*malnet.window)
         runner.start()
         try:
-            with telemetry.tracer.span("study.probing"):
+            with telemetry.tracer.span("study.probing") as span:
                 campaign = run_probing(runner.world, malnet, telemetry)
+                span.set_sim(*campaign.window)
         except BaseException:
             runner.close()  # reap the children, then raise
             raise
@@ -431,11 +435,13 @@ def run_study(
     if sharded:
         campaign = _run_parallel(sharded, malnet, telemetry)
     else:
-        with telemetry.tracer.span("study.pipeline"):
+        with telemetry.tracer.span("study.pipeline") as span:
+            span.set_sim(*malnet.window)
             runner.run_remaining_days()
             runner.complete_pipeline()
-        with telemetry.tracer.span("study.probing"):
+        with telemetry.tracer.span("study.probing") as span:
             campaign = runner.run_probing_phase()
+            span.set_sim(*campaign.window)
     if fingerprint is not None and not malnet.datasets.failed_shards:
         state = malnet.state()
         state.next_day = state.total_days

@@ -8,9 +8,10 @@ caller's per-session traces so the sandbox can produce pcaps exactly like
 a real capture interface would.
 
 A generated world holds only a :class:`Network`: its host table and name
-zones.  Each run drives traffic through its own :class:`VirtualInternet`
-over that network, which owns the clock, the stream and the fault and
-metrics bindings that traffic writes.
+zones.  Each unit of work (a sample's live analysis, a probe slot) drives
+traffic through a :class:`VirtualInternet` of its own over that network,
+which owns the clock, the stream and the fault and metrics bindings that
+traffic writes.
 
 Time is explicit.  :class:`SimClock` counts seconds from the study epoch
 (2021-03-01 00:00 UTC, matching the paper's collection window) and every
@@ -119,18 +120,6 @@ class SimClock:
     def advance_to(self, when: float) -> float:
         if when < self._now:
             raise ValueError("clock cannot go backwards")
-        self._now = when
-        return self._now
-
-    def rewind(self, when: float) -> float:
-        """Set the clock backwards.
-
-        Only for emulating *parallel* sandbox runs: MalNet analyzes many
-        binaries concurrently on the same day, but the simulation runs them
-        one after another; the orchestrator rewinds between runs so every
-        analysis starts at the same wall-clock instant.  Never use this to
-        move world state (server lifetimes, schedules) backwards.
-        """
         self._now = when
         return self._now
 
@@ -285,11 +274,11 @@ class Network:
 
 
 class VirtualInternet:
-    """One run's traffic engine: routes packets between the hosts of a
-    :class:`Network` and records observable traffic.
+    """One unit of work's traffic engine: routes packets between the
+    hosts of a :class:`Network` and records observable traffic.
 
-    The network is only read.  What traffic writes is the run's own: a
-    clock at the study epoch, the stream ``rng``, and a resolver over the
+    The network is only read.  What traffic writes is the engine's own:
+    a clock at ``start``, the stream ``rng``, and a resolver over the
     network's zones bound to the run's fault injector and metrics.
     """
 
@@ -297,10 +286,10 @@ class VirtualInternet:
     LATENCY = 0.02
 
     def __init__(self, network: Network, rng: random.Random,
-                 faults=None, metrics=None):
+                 faults=None, metrics=None, start: float = STUDY_EPOCH):
         self._hosts = network.hosts
         self.rng = rng
-        self.clock = SimClock()
+        self.clock = SimClock(start)
         #: optional fault injector (repro.netsim.faults)
         self.faults = faults
         self.resolver = Resolver(network.zones, faults, metrics)

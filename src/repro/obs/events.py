@@ -1,7 +1,7 @@
 """Structured event log: leveled JSON-lines records instead of prints.
 
-Every record carries a wall timestamp, the simulation-clock instant when
-a clock is bound, a level, the event name, and arbitrary keyword fields::
+Every record carries a wall timestamp, a level, the event name, and
+arbitrary keyword fields (a study day's events name their ``day``)::
 
     events.emit("pipeline.day", day=12, collected=7)
     events.write_jsonl("telemetry/events.jsonl")
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable
 
 __all__ = ["EventLog", "NullEventLog", "LEVELS"]
 
@@ -27,13 +26,10 @@ class EventLog:
 
     enabled = True
 
-    def __init__(self, level: str = "info",
-                 sim_clock: Callable[[], float] | None = None,
-                 max_events: int = 100_000):
+    def __init__(self, level: str = "info", max_events: int = 100_000):
         if level not in LEVELS:
             raise ValueError(f"unknown level: {level!r}")
         self.threshold = LEVELS[level]
-        self.sim_clock = sim_clock
         self.max_events = max_events
         self.events: list[dict] = []
         self.dropped = 0
@@ -45,8 +41,6 @@ class EventLog:
             self.dropped += 1
             return
         record: dict = {"ts": time.time(), "level": level, "event": event}
-        if self.sim_clock is not None:
-            record["sim"] = self.sim_clock()
         record.update(fields)
         self.events.append(record)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable
 
 from .events import EventLog, NullEventLog
 from .exporters import snapshot as _snapshot, to_prometheus
@@ -45,11 +44,6 @@ class Telemetry:
         self.tracer = tracer if tracer is not None else Tracer()
         self.events = events if events is not None else EventLog()
         self.manifest: dict | None = None
-
-    def bind_sim_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the simulation clock so spans/events carry sim time."""
-        self.tracer.sim_clock = clock
-        self.events.sim_clock = clock
 
     def snapshot(self) -> dict:
         return _snapshot(self)
@@ -84,9 +78,6 @@ class NullTelemetry(Telemetry):
     def __init__(self):
         super().__init__(metrics=NullRegistry(), tracer=NullTracer(),
                          events=NullEventLog())
-
-    def bind_sim_clock(self, clock: Callable[[], float]) -> None:
-        pass
 
     def write(self, directory: str) -> dict[str, str]:
         return {}

@@ -1,14 +1,17 @@
 """Span-based stage tracing with wall-clock *and* simulation-clock time.
 
-The pipeline runs against a simulated Internet whose clock jumps days at
-a time, so a stage has two durations that matter: how long it took the
-host CPU (wall seconds) and how much simulated time elapsed inside it
-(sim seconds — can be negative when a stage rewinds the clock, as the
-parallel-sandbox model does).  Spans nest into a trace tree::
+The pipeline runs against a simulated Internet, so a stage has two
+durations that matter: how long it took the host CPU (wall seconds) and
+the simulated interval of the work it covers (sim seconds), which the
+stage states with :meth:`Span.set_sim` — a feed day, a probe slot, a
+live session's engine clock — so it means the same in every execution
+mode.  A span that states none covers no sim time.  Spans nest into a
+trace tree::
 
-    with tracer.span("sandbox.analyze", sha256=digest) as span:
+    with tracer.span("pipeline.run_day", day=day) as span:
+        span.set_sim(day_start, day_start + SECONDS_PER_DAY)
         ...
-        span.set_attribute("activated", True)
+        span.set_attribute("profiled", 7)
 
 Every finished span updates a per-name aggregate (count / wall / sim);
 the tree itself is kept up to ``keep_spans`` spans so a full-scale study
@@ -18,7 +21,6 @@ cannot balloon memory — the aggregate keeps counting past the cap.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
 
@@ -28,8 +30,9 @@ class Span:
 
     ``wall_start`` is the span's begin instant on ``time.perf_counter()``
     (CLOCK_MONOTONIC on Linux, comparable across processes on one host),
-    ``sim_start`` the simulation-clock instant — both kept so a finished
-    trace can be laid out on a timeline, not just summed.
+    ``sim_start`` the start of the simulated interval the work covers —
+    both kept so a finished trace can be laid out on a timeline, not
+    just summed.
     """
 
     def __init__(self, tracer: "Tracer | None", name: str, attributes: dict):
@@ -45,18 +48,18 @@ class Span:
     def set_attribute(self, key: str, value) -> None:
         self.attributes[key] = value
 
+    def set_sim(self, start: float, end: float) -> None:
+        """The simulated interval ``[start, end)`` the span's work covers."""
+        self.sim_start = start
+        self.sim_elapsed = end - start
+
     def __enter__(self) -> "Span":
         self.wall_start = time.perf_counter()
-        clock = self._tracer.sim_clock
-        self.sim_start = clock() if clock is not None else 0.0
         self._tracer._push(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.wall_elapsed = time.perf_counter() - self.wall_start
-        clock = self._tracer.sim_clock
-        if clock is not None:
-            self.sim_elapsed = clock() - self.sim_start
         self._tracer._pop(self)
 
     def to_dict(self) -> dict:
@@ -91,9 +94,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, sim_clock: Callable[[], float] | None = None,
-                 keep_spans: int = 10_000):
-        self.sim_clock = sim_clock
+    def __init__(self, keep_spans: int = 10_000):
         self.keep_spans = keep_spans
         self.roots: list[Span] = []
         self.dropped = 0
@@ -170,6 +171,9 @@ class _NullSpan:
     __slots__ = ()
 
     def set_attribute(self, key: str, value) -> None:
+        pass
+
+    def set_sim(self, start: float, end: float) -> None:
         pass
 
     def __enter__(self):

@@ -12,6 +12,10 @@ A third entry point, :meth:`CncHunterSandbox.observe_live`, implements the
 DDoS eavesdropping setup of section 2.5: connect the malware to its real
 C2, allow *only* C2 traffic out (SNORT containment), and record both the
 commands and the attack traffic the bot generates in response.
+
+The sandbox keeps no run state: each call is handed the stream and the
+instant (offline) or the traffic engine (live) of the unit of work it
+serves, so one sandbox serves a whole run in any order.
 """
 
 from __future__ import annotations
@@ -119,14 +123,10 @@ class CncHunterSandbox:
 
     def __init__(
         self,
-        rng: random.Random,
-        internet: VirtualInternet | None = None,
         bot_ip: int = SANDBOX_IP,
         emulator: MipsEmulator | None = None,
         telemetry: Telemetry | None = None,
     ):
-        self.rng = rng
-        self.internet = internet
         self.bot_ip = bot_ip
         self.emulator = emulator or MipsEmulator()
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -147,14 +147,15 @@ class CncHunterSandbox:
 
     # -- mode 1: offline analysis ------------------------------------------------
 
-    def analyze_offline(self, data: bytes, scan_budget: int = 120,
-                        sha256: str | None = None,
+    def analyze_offline(self, data: bytes, rng: random.Random, when: float,
+                        scan_budget: int = 120, sha256: str | None = None,
                         attempt: int = 0) -> OfflineReport:
-        """Closed-world activation, C2 detection and exploit extraction.
+        """Closed-world activation at ``when``, drawing from ``rng``: C2
+        detection and exploit extraction.
 
         The crash check sits before any emulation or RNG draw, so a
-        crashed attempt consumes nothing and the retry (same reseed)
-        replays the exact analysis a first-try success would have run.
+        crashed attempt consumes nothing, and a retry on a fresh copy of
+        the stream replays the exact analysis a first try would have run.
         """
         if self.faults is not None and sha256 is not None \
                 and self.faults.sandbox_crash(sha256, attempt):
@@ -178,16 +179,16 @@ class CncHunterSandbox:
             span.set_attribute("sha256", process.sha256)
             report = OfflineReport(sha256=process.sha256, activated=True,
                                    yara_input=data)
-            c2_end = self._run_c2_phase(process, report)
-            self._run_exploit_phase(process, report, scan_budget, c2_end)
+            c2_end = self._run_c2_phase(process, report, rng, when)
+            self._run_exploit_phase(process, report, rng, scan_budget,
+                                    c2_end)
             self._m_handshaker.inc(len(report.exploits))
         return report
 
-    def _run_c2_phase(self, process: EmulatedProcess,
-                      report: OfflineReport) -> float:
+    def _run_c2_phase(self, process: EmulatedProcess, report: OfflineReport,
+                      rng: random.Random, when: float) -> float:
         """Fake-Internet C2 phase; returns the time of its last packet."""
-        base_time = self.internet.clock.now if self.internet else 0.0
-        fake = FakeInternetAdapter(self.bot_ip, self.rng, base_time=base_time)
+        fake = FakeInternetAdapter(self.bot_ip, rng, base_time=when)
         bot = process.bot
         report.dga_seed = bot.config.dga_seed
         if report.dga_seed:
@@ -210,13 +211,13 @@ class CncHunterSandbox:
 
     def _run_exploit_phase(
         self, process: EmulatedProcess, report: OfflineReport,
-        scan_budget: int, start: float,
+        rng: random.Random, scan_budget: int, start: float,
     ) -> None:
         if process.bot.config.is_p2p:
             return
         # the scan rows continue the C2 phase's clock, so the capture (and
         # the pcap written from it) runs forward in time
-        handshaker = Handshaker(self.bot_ip, self.rng, trace=report.capture,
+        handshaker = Handshaker(self.bot_ip, rng, trace=report.capture,
                                 base_time=start)
         handshaker.scan(process.bot, scan_budget)
         report.exploits = handshaker.victims
@@ -226,18 +227,17 @@ class CncHunterSandbox:
 
     def probe_targets(
         self, data: bytes, targets: list[tuple[int, int]],
-        trace: Capture | None = None, sha256: str | None = None,
+        internet: VirtualInternet, trace: Capture | None = None,
+        sha256: str | None = None,
     ) -> list[ProbeResult]:
         """Weaponize the binary to probe ip:port targets for live C2s."""
-        if self.internet is None:
-            raise RuntimeError("probing requires a live internet")
         for _ip, port in targets:
             self._m_probe_attempts.labels(port=port).inc()
         try:
             process = self.emulator.run(data, self.bot_ip, sha256=sha256)
         except ActivationError:
             return [ProbeResult(ip, port, False) for ip, port in targets]
-        adapter = LiveInternetAdapter(self.internet, self.bot_ip)
+        adapter = LiveInternetAdapter(internet, self.bot_ip)
         results: list[ProbeResult] = []
         for ip, port in targets:
             bot = process.bot
@@ -260,30 +260,33 @@ class CncHunterSandbox:
     def observe_live(
         self,
         data: bytes,
+        internet: VirtualInternet,
         duration: float = 2 * 3600.0,
         poll_interval: float = 60.0,
         max_attack_packets: int = 400,
         sha256: str | None = None,
     ) -> LiveReport:
         """Run the malware against its real C2 with C2-only egress."""
-        if self.internet is None:
-            raise RuntimeError("live observation requires a live internet")
         if sha256 is None:
             sha256 = hashlib.sha256(data).hexdigest()
-        with self.telemetry.tracer.span("sandbox.observe_live", sha256=sha256):
-            return self._observe_live(data, sha256, duration, poll_interval,
-                                      max_attack_packets)
+        with self.telemetry.tracer.span("sandbox.observe_live",
+                                        sha256=sha256) as span:
+            start = internet.clock.now
+            report = self._observe_live(data, internet, sha256, duration,
+                                        poll_interval, max_attack_packets)
+            span.set_sim(start, internet.clock.now)
+        return report
 
     def _observe_live(
-        self, data: bytes, sha256: str, duration: float,
-        poll_interval: float, max_attack_packets: int,
+        self, data: bytes, internet: VirtualInternet, sha256: str,
+        duration: float, poll_interval: float, max_attack_packets: int,
     ) -> LiveReport:
         try:
             process = self.emulator.run(data, self.bot_ip, sha256=sha256)
         except ActivationError:
             return LiveReport(sha256=sha256, connected=False)
         report = LiveReport(sha256=process.sha256, connected=False)
-        live = LiveInternetAdapter(self.internet, self.bot_ip)
+        live = LiveInternetAdapter(internet, self.bot_ip)
         bot = process.bot
         c2_ip = bot.resolve_c2(live, report.capture)
         if c2_ip is None or not bot.config.c2_port:
@@ -299,8 +302,8 @@ class CncHunterSandbox:
         report.c2_host = c2_ip
         report.c2_port = bot.config.c2_port
         executed: set[tuple] = set()
-        deadline = self.internet.clock.now + duration
-        while self.internet.clock.now < deadline:
+        deadline = internet.clock.now + duration
+        while internet.clock.now < deadline:
             commands = bot.poll_c2(session)
             for command in commands:
                 key = (command.method, command.target_ip, command.target_port,
@@ -310,11 +313,11 @@ class CncHunterSandbox:
                 executed.add(key)
                 report.commands.append(command)
                 bot.execute_attack(
-                    filtered, command, start_time=self.internet.clock.now,
+                    filtered, command, start_time=internet.clock.now,
                     trace=None, max_packets=max_attack_packets,
                 )
-                self.internet.clock.advance(min(command.duration, 30.0))
-            self.internet.clock.advance(poll_interval)
+                internet.clock.advance(min(command.duration, 30.0))
+            internet.clock.advance(poll_interval)
         report.server_stream = bot.server_bytes
         report.contained = ids.contained
         report.alerts = len(ids.alerts)

@@ -22,9 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.cache import study_fingerprint
+from repro.core.pipeline import total_study_days
 from repro.core.study import run_study
 from repro.dist.plan import world_key
 from repro.intel.vendors import VendorDirectory
+from repro.netsim.internet import SECONDS_PER_DAY
 from repro.world import SMOKE_SCALE, StudyScale, generate_world
 
 #: the scale of every whole-study test
@@ -109,6 +111,25 @@ def world_fingerprint(world) -> str:
     (:func:`walk_world`)."""
     tokens, _entered = walk_world(world)
     return hashlib.sha256("\x1f".join(tokens).encode()).hexdigest()
+
+
+def phase_sim_seconds(telemetry, world, config=None) -> dict[str, float]:
+    """The manifest's ``study.*`` sim seconds, checked against the work
+    they cover: the pipeline phase spans the study's feed days and the
+    probing phase the campaign window, whatever ran the study, and no
+    span anywhere in the trace covers negative simulated time."""
+    phases = {name: stat["sim_seconds"]
+              for name, stat in telemetry.manifest["phases"].items()}
+    assert phases == {
+        "study.pipeline": total_study_days(config) * SECONDS_PER_DAY,
+        "study.probing": world.scale.probe_days * SECONDS_PER_DAY,
+    }
+    stack = telemetry.tracer.tree()
+    while stack:
+        span = stack.pop()
+        assert span["sim_seconds"] >= 0.0, span["name"]
+        stack.extend(span.get("children", ()))
+    return phases
 
 
 class SharedWorlds:

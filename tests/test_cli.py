@@ -182,6 +182,33 @@ class TestPcapCommand:
         for path in pcaps:
             assert len(Capture.load(str(path))) > 0
 
+    def test_traces_are_each_samples_own_analysis(self, tmp_path,
+                                                  smoke_study):
+        """A trace is its sample's analysis on its own stream at its
+        analysis instant: re-analyzed in reverse export order it has the
+        same bytes, and it starts on the day its profile was studied."""
+        from repro.netsim.capture import Capture
+        from repro.netsim.internet import SECONDS_PER_DAY
+
+        code, _text = run_cli("--scale", "smoke", "pcap",
+                              "--out", str(tmp_path), "--limit", "3")
+        assert code == 0
+        world, malnet, _campaign, datasets = smoke_study
+        samples = {p.sample.sha256: p.sample for p in world.truth.all_samples}
+        exported = [p for p in datasets.profiles
+                    if p.activated and p.sha256 in samples][:3]
+        assert len({p.day for p in exported}) > 1
+        for profile in reversed(exported):
+            report = malnet.activate(profile.sha256,
+                                     samples[profile.sha256].data,
+                                     malnet.analysis_instant(profile.day),
+                                     scan_budget=60)
+            path = tmp_path / f"{profile.sha256[:16]}.pcap"
+            assert report.capture.to_pcap_bytes() == path.read_bytes()
+            first = Capture.load(str(path)).packets[0].timestamp
+            assert int((first - world.epoch) // SECONDS_PER_DAY) == \
+                profile.day
+
 
 class TestParser:
     def test_requires_command(self):

@@ -1,8 +1,5 @@
 """Tests for the D-PC2 probing campaign."""
 
-import random
-
-from repro.netsim.internet import VirtualInternet
 from repro.world.calibration import PROBED_C2_COUNT
 
 
@@ -70,9 +67,26 @@ class TestResponseMatrix:
         from repro.core.probing import ProbingCampaign
 
         campaign = ProbingCampaign(
-            internet=VirtualInternet(smoke_world.network, random.Random(0)),
-            sandbox=None, subnets=[],
-            sample_binaries=[], start=0.0, world_seed=smoke_world.seed,
-            days=0,
+            network=smoke_world.network, engine=None, sandbox=None,
+            subnets=[], sample_binaries=[], start=0.0, days=0,
         )
         assert campaign.repeat_response_rate() == 0.0
+
+
+class TestProbeBinaries:
+    def test_picks_activate_at_the_runs_rate(self, smoke_world):
+        """The weaponized samples are picked with the run's own emulator:
+        at half the default activation rate both picks still activate in
+        the run's sandbox, and the campaign finds every probed C2."""
+        from repro.core.pipeline import MalNet, PipelineConfig
+        from repro.core.study import run_probing, select_probe_binaries
+
+        malnet = MalNet(smoke_world, PipelineConfig(activation_rate=0.5))
+        sandbox = malnet.sandbox
+        picks = select_probe_binaries(smoke_world, sandbox.emulator)
+        assert len(picks) == 2
+        for data in picks:
+            sandbox.emulator.run(data, sandbox.bot_ip)  # raises on evasion
+        campaign = run_probing(smoke_world, malnet)
+        assert len(campaign.discovered) == \
+            len(smoke_world.truth.probed_deployments)

@@ -42,19 +42,16 @@ def sandbox_with_c2(server_family):
     host = network.add_host(C2_IP)
     server = C2Server(get_family(server_family))
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
-    sandbox = CncHunterSandbox(
-        random.Random(2), internet,
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
-    return sandbox, server
+    sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
+    return sandbox, internet, server
 
 
 class TestDialectMatching:
     @pytest.mark.parametrize("family", DIALECT_FAMILIES)
     def test_matching_dialect_engages(self, family):
-        sandbox, _server = sandbox_with_c2(family)
+        sandbox, internet, _server = sandbox_with_c2(family)
         (result,) = sandbox.probe_targets(build_probe(family).data,
-                                          [(C2_IP, C2_PORT)])
+                                          [(C2_IP, C2_PORT)], internet)
         assert result.engaged
 
     # daddyl33t and tsunami greet on connect, so any probe elicits bytes;
@@ -67,10 +64,11 @@ class TestDialectMatching:
     ])
     def test_mismatched_dialect_does_not_engage(self, server_family,
                                                 probe_family):
-        sandbox, _server = sandbox_with_c2(server_family)
+        sandbox, internet, _server = sandbox_with_c2(server_family)
         trace = Capture()
         (result,) = sandbox.probe_targets(build_probe(probe_family).data,
-                                          [(C2_IP, C2_PORT)], trace=trace)
+                                          [(C2_IP, C2_PORT)], internet,
+                                          trace=trace)
         assert not result.engaged
         # the TCP connection happened, but no application engagement
         from_c2 = [pkt for pkt in trace if pkt.src == C2_IP]
@@ -80,9 +78,9 @@ class TestDialectMatching:
         """Daddyl33t greets on connect; the probe still needs the right
         login to be *registered* (engagement counts bytes, registration
         gates command delivery)."""
-        sandbox, _server = sandbox_with_c2("daddyl33t")
+        sandbox, internet, _server = sandbox_with_c2("daddyl33t")
         (result,) = sandbox.probe_targets(build_probe("mirai").data,
-                                          [(C2_IP, C2_PORT)])
+                                          [(C2_IP, C2_PORT)], internet)
         # the welcome banner leaks bytes, so the probe "engages"...
         assert result.engaged
         # ...but the server never registers the client as a bot

@@ -34,7 +34,7 @@ from repro.netsim.faults import FAULT_PLANS
 from repro.obs import create_telemetry
 from repro.world import StudyScale, generate_world
 
-from .conftest import SMOKE, spawn_fleet, stop_fleet
+from .conftest import SMOKE, phase_sim_seconds, spawn_fleet, stop_fleet
 
 SEED = 1337
 UNIT_COUNT = 8
@@ -279,6 +279,16 @@ def test_socket_transport_accounting(workers):
         >= UNIT_COUNT
     # both daemons generated the world at most once; later units reuse it
     assert sum(s.worlds.hits for s in workers) >= UNIT_COUNT - 2
+
+
+def test_socket_study_phases_cover_the_work(workers):
+    """TCP peers give the manifest the serial run's phase sim times."""
+    telemetry = create_telemetry()
+    world = generate_world(seed=SEED, scale=SMOKE)
+    run_study(world, telemetry=telemetry, peers=_peers(workers),
+              unit_count=UNIT_COUNT)
+    assert telemetry.manifest["run"]["transport"] == "socket"
+    phase_sim_seconds(telemetry, world)
 
 
 def test_socket_transport_warm_placement_under_mild_faults(workers):

@@ -60,7 +60,8 @@ def test_resolve_endpoint_treats_numeric_names_as_dns(hostile):
     must go to the resolver (and miss), not crash ip_to_int."""
     world = generate_world(seed=SEED, scale=SMOKE)
     malnet = MalNet(world, PipelineConfig())
-    assert malnet._resolve_endpoint(hostile) is None
+    internet = malnet.engine(world.epoch, "internet")
+    assert malnet._resolve_endpoint(internet, hostile) is None
 
 
 def test_uses_dns_on_numeric_non_address():
@@ -174,7 +175,8 @@ def test_sandbox_crashes_every_attempt_quarantines():
 
 def test_transient_sandbox_crash_leaves_no_trace():
     """A crash on attempt 0 that recovers on attempt 1 must produce the
-    exact datasets of a fault-free run: the reseed-per-attempt contract."""
+    exact datasets of a fault-free run: the fresh-stream-per-attempt
+    contract."""
     clean = MalNet(generate_world(seed=SEED, scale=SMOKE), PipelineConfig())
     clean.run()
 
@@ -185,7 +187,7 @@ def test_transient_sandbox_crash_leaves_no_trace():
     flaky = MalNet(generate_world(seed=SEED, scale=SMOKE),
                    PipelineConfig(faults=FaultPlan(sandbox_crash_rate=1.0)))
     flaky.faults = FirstAttemptCrashes(FaultPlan(sandbox_crash_rate=1.0),
-                                       flaky._seed_base)
+                                       flaky.world.seed)
     flaky.sandbox.faults = flaky.faults
     flaky.run()
     diff = dataset_diff(clean.datasets, flaky.datasets)

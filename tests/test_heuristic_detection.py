@@ -48,17 +48,14 @@ def tsunami_setup():
     config = BotConfig(family="tsunami", c2_host=int_to_ip(C2_IP),
                        c2_port=C2_PORT)
     binary = build_sample(config, random.Random(2))
-    sandbox = CncHunterSandbox(
-        random.Random(3), internet,
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
-    return sandbox, binary
+    sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
+    return sandbox, internet, binary
 
 
 class TestTsunamiHeuristicPath:
     def test_profilers_blind_to_irc_commands(self, tsunami_setup):
-        sandbox, binary = tsunami_setup
-        report = sandbox.observe_live(binary.data, duration=600.0)
+        sandbox, internet, binary = tsunami_setup
+        report = sandbox.observe_live(binary.data, internet, duration=600.0)
         assert report.connected
         # the bot itself decoded and executed the command...
         assert report.commands
@@ -66,8 +63,8 @@ class TestTsunamiHeuristicPath:
         assert profile_stream(report.server_stream) == []
 
     def test_rate_heuristic_catches_the_attack(self, tsunami_setup):
-        sandbox, binary = tsunami_setup
-        report = sandbox.observe_live(binary.data, duration=600.0)
+        sandbox, internet, binary = tsunami_setup
+        report = sandbox.observe_live(binary.data, internet, duration=600.0)
         bursts = rate_bursts(report.contained, SANDBOX_IP,
                              c2_hosts={C2_IP})
         assert len(bursts) == 1
@@ -75,8 +72,8 @@ class TestTsunamiHeuristicPath:
         assert bursts[0].rate > 100
 
     def test_attribution_via_command_bytes(self, tsunami_setup):
-        sandbox, binary = tsunami_setup
-        report = sandbox.observe_live(binary.data, duration=600.0)
+        sandbox, internet, binary = tsunami_setup
+        report = sandbox.observe_live(binary.data, internet, duration=600.0)
         # method-b verification: the target IP is in the IRC PRIVMSG text
         assert target_in_command_bytes(TARGET, report.server_stream)
         # a host never named in commands is not attributable
@@ -88,8 +85,8 @@ class TestPipelineHeuristicRecords:
     def test_heuristic_ddos_record_created(self, tsunami_setup):
         """A pipeline observing all families records the Tsunami attack
         via the heuristic (family tag 'heuristic', via_heuristic=True)."""
-        sandbox, binary = tsunami_setup
-        report = sandbox.observe_live(binary.data, duration=600.0)
+        sandbox, internet, binary = tsunami_setup
+        report = sandbox.observe_live(binary.data, internet, duration=600.0)
         from repro.analysis.ddos_detect import attribute_burst
 
         bursts = rate_bursts(report.contained, SANDBOX_IP, {C2_IP})
@@ -108,8 +105,8 @@ class TestPcapRoundtripIntegration:
     def test_live_capture_survives_pcap_and_reanalysis(self, tsunami_setup):
         """Writing the contained traffic to pcap and re-reading it must
         yield identical heuristic detections — captures are evidence."""
-        sandbox, binary = tsunami_setup
-        report = sandbox.observe_live(binary.data, duration=600.0)
+        sandbox, internet, binary = tsunami_setup
+        report = sandbox.observe_live(binary.data, internet, duration=600.0)
         restored = Capture.from_pcap_bytes(report.contained.to_pcap_bytes())
         original = rate_bursts(report.contained, SANDBOX_IP, {C2_IP})
         replayed = rate_bursts(restored, SANDBOX_IP, {C2_IP})

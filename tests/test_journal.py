@@ -176,11 +176,11 @@ def test_sample_raising_after_its_c2_was_touched_resumes_exactly(
     victim = _quarantined_c2_sample(world)
     check_liveness = MalNet._check_liveness
 
-    def flaky(self, data, endpoint, port, sha256=None, **kwargs):
+    def flaky(self, internet, data, endpoint, port, sha256=None, **kwargs):
         if sha256 == victim.sha256:
             raise RuntimeError("liveness probe crashed")
-        return check_liveness(self, data, endpoint, port, sha256=sha256,
-                              **kwargs)
+        return check_liveness(self, internet, data, endpoint, port,
+                              sha256=sha256, **kwargs)
 
     monkeypatch.setattr(MalNet, "_check_liveness", flaky)
     expected = DayRunner(world, config=SHORT)

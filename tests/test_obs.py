@@ -163,12 +163,17 @@ class TestTracer:
         assert agg["stage"]["count"] == 3
         assert agg["stage"]["wall_seconds"] >= 0.0
 
-    def test_sim_clock_elapsed(self):
-        clock = {"now": 100.0}
-        tracer = Tracer(sim_clock=lambda: clock["now"])
-        with tracer.span("jump"):
-            clock["now"] = 4000.0
+    def test_sim_interval_is_the_work_stated(self):
+        tracer = Tracer()
+        with tracer.span("slot") as span:
+            span.set_sim(100.0, 4000.0)
+        with tracer.span("untimed"):
+            pass
+        assert tracer.roots[0].sim_start == 100.0
         assert tracer.roots[0].sim_elapsed == pytest.approx(3900.0)
+        assert tracer.roots[1].sim_elapsed == 0.0
+        assert tracer.aggregate()["slot"]["sim_seconds"] == \
+            pytest.approx(3900.0)
 
     def test_keep_spans_cap_still_aggregates(self):
         tracer = Tracer(keep_spans=2)
@@ -210,11 +215,6 @@ class TestEventLog:
         log.emit("b")
         assert len(log.events) == 1
         assert log.dropped == 1
-
-    def test_sim_clock_recorded(self):
-        log = EventLog(sim_clock=lambda: 42.0)
-        log.emit("tick")
-        assert log.events[0]["sim"] == 42.0
 
 
 PROM_SAMPLE_RE = re.compile(
@@ -344,10 +344,11 @@ class TestTelemetryFacade:
         assert "# TYPE x counter" in open(paths["prometheus"]).read()
         assert json.loads(open(paths["events"]).read())["event"] == "done"
 
-    def test_bind_sim_clock_reaches_tracer_and_events(self):
+    def test_sim_interval_survives_snapshot_and_null_span(self):
         telemetry = Telemetry()
-        telemetry.bind_sim_clock(lambda: 7.0)
-        with telemetry.tracer.span("s"):
-            pass
-        telemetry.events.emit("e")
-        assert telemetry.events.events[0]["sim"] == 7.0
+        with telemetry.tracer.span("s") as span:
+            span.set_sim(7.0, 10.0)
+        (record,) = telemetry.tracer.snapshot()["tree"]
+        assert (record["sim_start"], record["sim_seconds"]) == (7.0, 3.0)
+        with NULL_TELEMETRY.tracer.span("s") as null_span:
+            null_span.set_sim(7.0, 10.0)  # a no-op, not an error

@@ -13,6 +13,8 @@ from repro.obs import (
 from repro.obs.manifest import MANIFEST_NAME, MANIFEST_VERSION
 from repro.world import SMOKE_SCALE, generate_world
 
+from .conftest import phase_sim_seconds
+
 SEED = 11
 
 
@@ -29,11 +31,14 @@ def test_build_manifest_defaults_and_round_trip(tmp_path):
 
 
 def test_run_study_attaches_manifest_serial_and_parallel():
+    phases = {}
     for workers in (None, 2):
         telemetry = create_telemetry()
         world = generate_world(seed=SEED, scale=SMOKE_SCALE)
         run_study(world, telemetry=telemetry, workers=workers)
         manifest = telemetry.manifest
+        # simulated time comes from the work, not from how the study ran
+        phases[workers] = phase_sim_seconds(telemetry, world)
         assert manifest is not None
         assert manifest["study"]["seed"] == SEED
         assert manifest["study"]["workers"] == (workers or 0)
@@ -50,6 +55,9 @@ def test_run_study_attaches_manifest_serial_and_parallel():
             assert all(s["wall_seconds"] > 0 for s in shards)
         else:
             assert manifest["shards"] == []
+    assert phases[None] == phases[2]
+    assert phases[None]["study.pipeline"] == 6648 * 3600.0
+    assert phases[None]["study.probing"] == 96 * 3600.0
 
 
 def test_manifest_emitted_for_cached_runs_too(tmp_path):

@@ -12,7 +12,8 @@ from repro.botnet.exploits import KEY_TO_INDEX
 from repro.botnet.families import get_family
 from repro.botnet.protocols.base import AttackCommand
 from repro.netsim.addresses import int_to_ip, ip_to_int
-from repro.netsim.internet import Listener, Network, VirtualInternet
+from repro.netsim.internet import STUDY_EPOCH, Listener, Network, \
+    VirtualInternet
 from repro.netsim.capture import Capture
 from repro.netsim.packet import Protocol, TcpFlags
 from repro.sandbox.qemu import EmulationError, MipsEmulator
@@ -44,22 +45,19 @@ def sandbox_with_internet(schedule=None, family="gafgyt"):
     host = network.add_host(C2_IP, "c2")
     server = C2Server(get_family(family), schedule=schedule)
     host.bind(Listener(port=C2_PORT, protocol=Protocol.TCP, service=server))
-    sandbox = CncHunterSandbox(
-        random.Random(4), internet,
-        emulator=MipsEmulator(activation_rate=1.0),
-    )
+    sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
     return sandbox, internet, server
 
 
 class TestOfflineMode:
-    def offline_sandbox(self):
-        return CncHunterSandbox(
-            random.Random(0),
-            emulator=MipsEmulator(activation_rate=1.0),
-        )
+    @staticmethod
+    def analyze(data, **kwargs):
+        # at instant 0.0: the pinned pcaps below were recorded there
+        sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
+        return sandbox.analyze_offline(data, random.Random(0), 0.0, **kwargs)
 
     def test_detects_ip_based_c2(self):
-        report = self.offline_sandbox().analyze_offline(build_binary().data)
+        report = self.analyze(build_binary().data)
         assert report.activated
         assert report.c2_endpoint == int_to_ip(C2_IP)
         assert report.c2_port == C2_PORT
@@ -67,12 +65,12 @@ class TestOfflineMode:
 
     def test_detects_domain_based_c2(self):
         binary = build_binary(c2_host="cnc.botnet.example")
-        report = self.offline_sandbox().analyze_offline(binary.data)
+        report = self.analyze(binary.data)
         assert report.c2_endpoint == "cnc.botnet.example"
 
     @pytest.mark.parametrize("family", ["mirai", "gafgyt", "daddyl33t", "tsunami"])
     def test_all_dialects_detected(self, family):
-        report = self.offline_sandbox().analyze_offline(
+        report = self.analyze(
             build_binary(family=family).data
         )
         assert report.has_c2
@@ -81,12 +79,12 @@ class TestOfflineMode:
     def test_p2p_sample_flagged_not_c2(self):
         config = BotConfig(family="mozi", p2p_bootstrap=["203.0.113.1:6881"])
         binary = build_sample(config, random.Random(0))
-        report = self.offline_sandbox().analyze_offline(binary.data)
+        report = self.analyze(binary.data)
         assert report.is_p2p
         assert not report.has_c2
 
     def test_exploits_extracted(self):
-        report = self.offline_sandbox().analyze_offline(
+        report = self.analyze(
             build_binary().data, scan_budget=400
         )
         assert report.exploits
@@ -109,7 +107,7 @@ class TestOfflineMode:
     ], ids=["mirai", "gafgyt", "daddyl33t", "tsunami"])
     def test_capture_is_nonempty_and_pcap_serializable(self, family, rows,
                                                        sha256):
-        report = self.offline_sandbox().analyze_offline(
+        report = self.analyze(
             build_binary(family=family).data, scan_budget=400)
         assert len(report.capture) == rows
         data = report.capture.to_pcap_bytes()
@@ -123,16 +121,14 @@ class TestOfflineMode:
     def test_offline_captures_run_forward_in_time(self, smoke_world):
         # the scan rows continue the C2 phase's clock, so no capture (and
         # no pcap written from one) steps back in time
-        internet = VirtualInternet(smoke_world.network, random.Random(2))
-        now = internet.clock.now
-        sandbox = CncHunterSandbox(
-            random.Random(0), internet,
-            emulator=MipsEmulator(activation_rate=1.0),
-        )
+        now = STUDY_EPOCH
+        rng = random.Random(0)
+        sandbox = CncHunterSandbox(emulator=MipsEmulator(activation_rate=1.0))
         scanned = 0
         for planned in smoke_world.truth.all_samples:
             try:
-                report = sandbox.analyze_offline(planned.sample.data)
+                report = sandbox.analyze_offline(planned.sample.data, rng,
+                                                 now)
             except EmulationError:
                 continue
             times = [row[12] for row in report.capture.iter_rows()]
@@ -143,10 +139,9 @@ class TestOfflineMode:
 
     def test_unactivated_sample_reported(self):
         sandbox = CncHunterSandbox(
-            random.Random(0),
-            emulator=MipsEmulator(activation_rate=0.0001),
-        )
-        report = sandbox.analyze_offline(build_binary().data)
+            emulator=MipsEmulator(activation_rate=0.0001))
+        report = sandbox.analyze_offline(build_binary().data,
+                                         random.Random(0), 0.0)
         assert not report.activated
         assert not report.has_c2
 
@@ -155,41 +150,37 @@ class TestProbingMode:
     def test_live_c2_engages(self):
         sandbox, internet, _server = sandbox_with_internet()
         results = sandbox.probe_targets(
-            build_binary().data, [(C2_IP, C2_PORT)]
+            build_binary().data, [(C2_IP, C2_PORT)], internet
         )
         assert results[0].engaged
         assert results[0].response
 
     def test_dead_target_does_not_engage(self):
-        sandbox, _internet, _server = sandbox_with_internet()
+        sandbox, internet, _server = sandbox_with_internet()
         results = sandbox.probe_targets(
             build_binary().data,
-            [(ip_to_int("192.0.2.99"), C2_PORT), (C2_IP, 9999)],
+            [(ip_to_int("192.0.2.99"), C2_PORT), (C2_IP, 9999)], internet,
         )
         assert not results[0].engaged
         assert not results[1].engaged
 
     def test_probe_multiple_targets_order_preserved(self):
-        sandbox, _internet, _server = sandbox_with_internet()
+        sandbox, internet, _server = sandbox_with_internet()
         targets = [(C2_IP, C2_PORT), (ip_to_int("192.0.2.99"), 1312)]
-        results = sandbox.probe_targets(build_binary().data, targets)
+        results = sandbox.probe_targets(build_binary().data, targets,
+                                        internet)
         assert [(r.target, r.port) for r in results] == targets
-
-    def test_probe_requires_internet(self):
-        sandbox = CncHunterSandbox(random.Random(0))
-        with pytest.raises(RuntimeError):
-            sandbox.probe_targets(build_binary().data, [(C2_IP, C2_PORT)])
 
     def test_probe_trace_pcap_is_pinned(self):
         # a live C2, a closed port (the RST/ACK refusal) and a dead host;
         # the sha256 was recorded when TCP flags were composed as enums
-        sandbox, _internet, _server = sandbox_with_internet(family="mirai")
+        sandbox, internet, _server = sandbox_with_internet(family="mirai")
         trace = Capture()
         sandbox.probe_targets(
             build_binary(family="mirai").data,
             [(C2_IP, C2_PORT), (C2_IP, 9999), (ip_to_int("192.0.2.99"), 23),
              (C2_IP, C2_PORT)],
-            trace=trace)
+            internet, trace=trace)
         assert all(type(p.flags) is TcpFlags for p in trace)
         assert {int(p.flags) for p in trace} == {0x02, 0x12, 0x10, 0x18,
                                                   0x11, 0x14}
@@ -217,7 +208,7 @@ class TestLiveObservation:
             server.schedule_attack(internet.clock.now + 90.0,
                                    AttackCommand(method, TARGET, port, 5))
         report = sandbox.observe_live(
-            build_binary(family="mirai", variant="mirai.b").data,
+            build_binary(family="mirai", variant="mirai.b").data, internet,
             duration=900.0, poll_interval=60.0, max_attack_packets=80)
         assert len(report.commands) == 3
         for capture in (report.capture, report.contained):
@@ -235,7 +226,7 @@ class TestLiveObservation:
         sandbox, internet, server = sandbox_with_internet()
         server.schedule_attack(internet.clock.now, command)
         report = sandbox.observe_live(
-            build_binary().data, duration=600.0, poll_interval=60.0
+            build_binary().data, internet, duration=600.0, poll_interval=60.0
         )
         assert report.connected
         assert report.c2_host == C2_IP
@@ -247,17 +238,19 @@ class TestLiveObservation:
 
     def test_server_stream_profilable(self):
         command = AttackCommand("udp", TARGET, 80, 60)
-        sandbox, _internet, _server = sandbox_with_internet()
-        _server.schedule_attack(_internet.clock.now, command)
-        report = sandbox.observe_live(build_binary().data, duration=300.0)
+        sandbox, internet, server = sandbox_with_internet()
+        server.schedule_attack(internet.clock.now, command)
+        report = sandbox.observe_live(build_binary().data, internet,
+                                      duration=300.0)
         from repro.analysis.ddos_detect import profile_stream
 
         profiled = profile_stream(report.server_stream)
         assert any(p.command == command for p in profiled)
 
     def test_no_commands_when_schedule_empty(self):
-        sandbox, _internet, _server = sandbox_with_internet()
-        report = sandbox.observe_live(build_binary().data, duration=300.0)
+        sandbox, internet, _server = sandbox_with_internet()
+        report = sandbox.observe_live(build_binary().data, internet,
+                                      duration=300.0)
         assert report.connected
         assert report.commands == []
         assert len(report.contained) == 0
@@ -265,6 +258,7 @@ class TestLiveObservation:
     def test_unreachable_c2_reports_disconnected(self):
         sandbox, internet, _server = sandbox_with_internet()
         internet.host(C2_IP).set_lifetime(0, 1)  # long dead
-        report = sandbox.observe_live(build_binary().data, duration=300.0)
+        report = sandbox.observe_live(build_binary().data, internet,
+                                      duration=300.0)
         assert not report.connected
         assert report.commands == []
